@@ -4,9 +4,16 @@ A certificate produced here is sampled evidence, never a proof: a PASS means
 the property survived every sampled pair, a FAIL carries a concrete witness
 that refutes the property up to the recorded tolerance.
 
-Slack evaluation over the sample list is embarrassingly parallel.  The list
-is generated up front in seed order and aggregated by a first-occurrence
-minimum, so the outcome does not depend on evaluation order or scheduling.
+Every sampled claim reduces one norm triple per sampled row:
+(|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) for a pair, and (|x-xhat|, |Tx-xhat|, |x-Tx|)
+for a point measured against the fixed-point hint xhat.  One kernel evaluates
+T once per sampled row and takes each term as one norm over the stacked rows;
+slacks and estimates are array reductions over the triple, and
+``estimate_min_gamma`` bisects over a single evaluation.  ``gan_slack`` and
+``Certificate.recompute_slack`` pass their pair through the same kernel as a
+batch of one.  A row's norms do not depend on the rows stacked with it, so a
+witness reproduces its slack bit for bit and the minimum does not depend on
+the order in which rows are evaluated.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ __all__ = [
 ]
 
 PROPERTIES = ("gan", "nonexpansive", "contractive", "fp_contractive", "holder_regular")
+
+# Measured against the fixed-point hint at single points rather than on pairs.
+_POINT_PROPERTIES = ("fp_contractive", "holder_regular")
 
 # Absolute slack tolerance separating PASS from FAIL; double precision leaves
 # roughly 1e-12 noise in the gamma-powered norm combinations at unit scale.
@@ -155,16 +165,12 @@ class Certificate:
 
     def recompute_slack(self, op):
         """Re-evaluate the witness slack; certificates must reproduce it."""
-        return _pointwise_slack(
-            op,
-            self.witness_x,
-            self.witness_y,
-            self.property_name,
-            self.norm_spec,
-            gamma=self.gamma,
-            mu=self.mu,
-            rho=self.rho,
-        )
+        xs = np.asarray(self.witness_x, dtype=float)[None]
+        ys = np.asarray(self.witness_y, dtype=float)[None]
+        fixed = self.property_name in _POINT_PROPERTIES
+        triple = _triples(op, xs, ys, self.norm_spec, fixed)
+        slacks = _slacks(self.property_name, triple, self.gamma, self.mu, self.rho)
+        return float(slacks[0])
 
     def to_dict(self):
         payload = {
@@ -216,49 +222,98 @@ def gan_slack(op, x, y, gamma, mu, norm_spec=L2):
     """Pointwise slack of the generalized-averaged-nonexpansive inequality.
 
     Returns ``|x-y|^g - |Tx-Ty|^g - mu * |(I-T)x-(I-T)y|^g``; the inequality
-    holds at this pair exactly when the slack is nonnegative.
+    holds at this pair exactly when the slack is nonnegative.  The pair is
+    evaluated as a batch of one by the kernel behind :func:`certify`, so the
+    value equals the sampled slack of the same pair bit for bit.
     """
     if gamma <= 0 or mu <= 0:
         raise ValueError("gamma and mu must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tx, ty = op(x), op(y)
-    d = norm(x - y, norm_spec)
-    a = norm(tx - ty, norm_spec)
-    b = norm((x - tx) - (y - ty), norm_spec)
-    return d**gamma - a**gamma - mu * b**gamma
+    xs = np.asarray(x, dtype=float)[None]
+    ys = np.asarray(y, dtype=float)[None]
+    return float(_slacks("gan", _triples(op, xs, ys, norm_spec), gamma, mu)[0])
 
 
-def _pointwise_slack(op, x, y, prop, norm_spec, gamma=None, mu=None, rho=None):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _triples(op, xs, ys, norm_spec, fixed=False):
+    """Norm triples (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) of stacked rows.
+
+    T is evaluated once per row.  With ``fixed`` every y is the fixed-point
+    hint and Ty is taken to be y, so the triple is (|x-y|, |Tx-y|, |x-Tx|).
+    """
+    tx = np.array([op(x) for x in xs])
+    ty = ys if fixed else np.array([op(y) for y in ys])
+    return (
+        norm(xs - ys, norm_spec),
+        norm(tx - ty, norm_spec),
+        norm((xs - tx) - (ys - ty), norm_spec),
+    )
+
+
+def _slacks(prop, triple, gamma=None, mu=None, rho=None):
+    """Slack of ``prop`` at every row of a norm triple; negative refutes it."""
+    d, a, b = triple
     if prop == "gan":
-        return gan_slack(op, x, y, gamma, mu, norm_spec)
+        return d**gamma - a**gamma - mu * b**gamma
     if prop == "nonexpansive":
-        return norm(x - y, norm_spec) - norm(op(x) - op(y), norm_spec)
-    if prop == "contractive":
-        return rho * norm(x - y, norm_spec) - norm(op(x) - op(y), norm_spec)
-    if prop == "fp_contractive":
-        # y is the fixed point here
-        return rho * norm(x - y, norm_spec) - norm(op(x) - y, norm_spec)
+        return d - a
+    if prop in ("contractive", "fp_contractive"):
+        return rho * d - a
     if prop == "holder_regular":
-        return mu * norm(x - op(x), norm_spec) ** gamma - norm(x - y, norm_spec)
+        return mu * b**gamma - d
     raise ValueError(f"unknown property {prop!r}")
 
 
-def _pair_statistics(op, xs, ys, norm_spec):
-    """Norm triples (|x-y|, |Tx-Ty|, |(I-T)x-(I-T)y|) for all sampled pairs."""
-    n = xs.shape[0]
-    d = np.empty(n)
-    a = np.empty(n)
-    b = np.empty(n)
-    for i in range(n):
-        x, y = xs[i], ys[i]
-        tx, ty = op(x), op(y)
-        d[i] = norm(x - y, norm_spec)
-        a[i] = norm(tx - ty, norm_spec)
-        b[i] = norm((x - tx) - (y - ty), norm_spec)
-    return d, a, b
+def _sample(op, plan, norm_spec, points):
+    """Sampled rows ``(xs, ys)``, their norm triple, and the rows dropped.
+
+    Pairs come from :func:`sample_pairs`.  With ``points`` they come from
+    :func:`sample_points` with the hint as every y, and points within
+    DENOMINATOR_CUTOFF of the hint are dropped.
+    """
+    hint = op.fixed_point_hint
+    if not points:
+        xs, ys = sample_pairs(plan, op.dim, hint)
+        return xs, ys, _triples(op, xs, ys, norm_spec), 0
+    xs = sample_points(plan, op.dim, hint)
+    ys = np.broadcast_to(hint, xs.shape)
+    triple = _triples(op, xs, ys, norm_spec, fixed=True)
+    keep = triple[0] > DENOMINATOR_CUTOFF
+    if not np.any(keep):
+        raise EstimateError("every sampled point coincided with the fixed point")
+    kept = tuple(t[keep] for t in triple)
+    return xs[keep], ys[keep], kept, int(np.count_nonzero(~keep))
+
+
+def _check_params(prop, gamma, mu, rho):
+    if prop in ("gan", "holder_regular"):
+        if gamma is None or gamma <= 0:
+            raise ValueError(f"property {prop!r} needs a positive gamma")
+        if mu is None or mu <= 0:
+            raise ValueError(f"property {prop!r} needs a positive mu")
+    if prop in ("contractive", "fp_contractive"):
+        if rho is None or rho <= 0:
+            raise ValueError(f"property {prop!r} needs a positive rho")
+
+
+def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
+    xs, ys, triple, skipped = sample
+    slacks = _slacks(prop, triple, gamma, mu, rho)
+    worst = int(np.argmin(slacks))
+    min_slack = float(slacks[worst])
+    return Certificate(
+        property_name=prop,
+        verdict="PASS" if min_slack >= -tol else "FAIL",
+        min_slack=min_slack,
+        witness_x=xs[worst].copy(),
+        witness_y=ys[worst].copy(),
+        n_checked=int(slacks.size),
+        n_skipped=skipped,
+        tol=tol,
+        norm_spec=norm_spec,
+        gamma=gamma,
+        mu=mu,
+        rho=rho,
+        seed=plan.seed,
+    )
 
 
 def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
@@ -294,65 +349,12 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     gamma = params.get("gamma")
     mu = params.get("mu")
     rho = params.get("rho")
-    if prop in ("gan", "holder_regular"):
-        if gamma is None or gamma <= 0:
-            raise ValueError(f"property {prop!r} needs a positive gamma")
-        if mu is None or mu <= 0:
-            raise ValueError(f"property {prop!r} needs a positive mu")
-    if prop in ("contractive", "fp_contractive"):
-        if rho is None or rho <= 0:
-            raise ValueError(f"property {prop!r} needs a positive rho")
-    hint = op.fixed_point_hint
-
-    skipped = 0
-    if prop in ("fp_contractive", "holder_regular"):
-        if hint is None:
-            raise ValueError(f"property {prop!r} requires a fixed_point_hint")
-        points = sample_points(plan, op.dim, hint)
-        slacks = []
-        kept = []
-        for point in points:
-            if norm(point - hint, norm_spec) <= DENOMINATOR_CUTOFF:
-                skipped += 1
-                continue
-            slacks.append(
-                _pointwise_slack(
-                    op, point, hint, prop, norm_spec, gamma=gamma, mu=mu, rho=rho
-                )
-            )
-            kept.append(point)
-        if not slacks:
-            raise EstimateError("every sampled point coincided with the fixed point")
-        slacks = np.asarray(slacks)
-        worst = int(np.argmin(slacks))
-        witness_x, witness_y = np.asarray(kept[worst]), hint
-    else:
-        xs, ys = sample_pairs(plan, op.dim, hint)
-        slacks = np.empty(xs.shape[0])
-        for i in range(xs.shape[0]):
-            slacks[i] = _pointwise_slack(
-                op, xs[i], ys[i], prop, norm_spec, gamma=gamma, mu=mu, rho=rho
-            )
-        worst = int(np.argmin(slacks))
-        witness_x, witness_y = xs[worst], ys[worst]
-
-    min_slack = float(slacks[worst])
-    verdict = "PASS" if min_slack >= -tol else "FAIL"
-    return Certificate(
-        property_name=prop,
-        verdict=verdict,
-        min_slack=min_slack,
-        witness_x=witness_x.copy(),
-        witness_y=witness_y.copy(),
-        n_checked=int(slacks.size),
-        n_skipped=skipped,
-        tol=tol,
-        norm_spec=norm_spec,
-        gamma=gamma,
-        mu=mu,
-        rho=rho,
-        seed=plan.seed,
-    )
+    _check_params(prop, gamma, mu, rho)
+    points = prop in _POINT_PROPERTIES
+    if points and op.fixed_point_hint is None:
+        raise ValueError(f"property {prop!r} requires a fixed_point_hint")
+    sample = _sample(op, plan, norm_spec, points)
+    return _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol)
 
 
 def estimate_mu(op, gamma, norm_spec=L2, plan=None):
@@ -367,8 +369,7 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     plan = plan or SamplingPlan()
-    xs, ys = sample_pairs(plan, op.dim, op.fixed_point_hint)
-    d, a, b = _pair_statistics(op, xs, ys, norm_spec)
+    _, _, (d, a, b), _ = _sample(op, plan, norm_spec, points=False)
     denom = b**gamma
     eligible = denom > DENOMINATOR_CUTOFF
     if not np.any(eligible):
@@ -389,29 +390,34 @@ def estimate_min_gamma(op, mu, norm_spec=L2, plan=None, bracket=(0.1, 2.0),
     mu >= 1; below that it is a sampling heuristic, which is noted on the
     certificate returned with ``return_certificate=True``.  The resolved
     exponent has width ``width`` and can only refute exponents whose
-    violations are visible at the plan's radius scales.
+    violations are visible at the plan's radius scales.  The plan's norm
+    triples are evaluated once and every bisection step reuses them, so the
+    returned certificate equals ``certify(op, 'gan', {'gamma': hi, 'mu': mu},
+    norm_spec, plan)``.
     """
     plan = plan or SamplingPlan()
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    _check_params("gan", hi, mu, None)
+    sample = _sample(op, plan, norm_spec, points=False)
 
-    def run(gamma):
-        return certify(op, "gan", {"gamma": gamma, "mu": mu}, norm_spec, plan)
+    def passes(gamma):
+        return np.min(_slacks("gan", sample[2], gamma, mu)) >= -DEFAULT_TOL
 
-    if not run(hi).passed:
+    if not passes(hi):
         raise ValueError(f"bracket precondition violated: gamma={hi} does not pass")
-    if run(lo).passed:
+    if passes(lo):
         raise ValueError(f"bracket precondition violated: gamma={lo} passes")
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if run(mid).passed:
+        if passes(mid):
             hi = mid
         else:
             lo = mid
     if not return_certificate:
         return hi
-    cert = run(hi)
+    cert = _certificate("gan", sample, hi, mu, None, norm_spec, plan, DEFAULT_TOL)
     if mu < 1:
         cert.notes = cert.notes + (
             "mu < 1: monotone validity in the exponent assumed as a sampling heuristic",
@@ -427,21 +433,10 @@ def estimate_fp_ratio(op, norm_spec=L2, plan=None):
     reported.
     """
     plan = plan or SamplingPlan()
-    hint = op.fixed_point_hint
-    if hint is None:
+    if op.fixed_point_hint is None:
         raise ValueError("estimate_fp_ratio requires a fixed_point_hint")
-    points = sample_points(plan, op.dim, hint)
-    best = None
-    for point in points:
-        dist = norm(point - hint, norm_spec)
-        if dist <= DENOMINATOR_CUTOFF:
-            continue
-        ratio = norm(op(point) - hint, norm_spec) / dist
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise EstimateError("every sampled point coincided with the fixed point")
-    return float(best)
+    _, _, (d, a, _), _ = _sample(op, plan, norm_spec, points=True)
+    return float(np.max(a / d))
 
 
 def psi(alpha, gamma):

@@ -95,7 +95,10 @@ def load_run_config(path, command, overrides):
     def resolve(entry):
         return None if entry is None else os.path.join(base, entry)
 
-    params = dict(raw.get("params", {}))
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError("field 'params' must be an object")
+    params = dict(params)
     for key, value in overrides.items():
         if value is not None:
             params[key] = value
@@ -257,6 +260,11 @@ def _run_solve(config):
 
 
 def _run_rates(config):
+    mu = config.params.get("mu")
+    if mu is not None:
+        mu = float(mu)
+        if not mu > 0:
+            raise UsageError(f"field 'mu' must be positive, got {mu:g}")
     op, problem, beta, eta = _resolve_target(config)
     norm_spec = _norm_spec(config, problem, beta, eta)
     trace = _solve_trace(config, op, problem, norm_spec)
@@ -288,11 +296,14 @@ def _run_rates(config):
         xhat = op.fixed_point_hint
     elif problem is not None and problem.exact_solution is not None:
         xhat = problem.exact_solution
-    if xhat is not None:
-        mu = config.params.get("mu")
-        mu = float(mu) if mu is not None else estimate_mu(
-            op, gamma, norm_spec, _plan(config, op.dim)
-        )
+    if xhat is not None and mu is None:
+        mu = estimate_mu(op, gamma, norm_spec, _plan(config, op.dim))
+    if xhat is not None and mu == 0.0:
+        # an expansive map or an over-long step: no mu > 0 survives sampling
+        checks["summability"] = {"skipped": "mu estimate is 0"}
+        checks["sandwich"] = {"skipped": "mu estimate is 0"}
+        failed = True
+    elif xhat is not None:
         summ = check_residual_summability(trace, gamma, mu, xhat)
         checks["summability"] = summ.to_dict()
         if not summ.verdict:

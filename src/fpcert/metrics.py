@@ -108,19 +108,26 @@ def norm(x, spec=L2):
     """Evaluate ``x`` under the selected norm.
 
     l1 and l2 are exact componentwise reductions; the weighted norm is the
-    Euclidean norm of ``factor.T @ x``.
+    Euclidean norm of ``factor.T @ x``.  A vector gives a float.  A stack of
+    shape (k, n) gives the array of its k row norms, and each row's norm is
+    bit-identical whatever stack it sits in, a stack of one included.
     """
     x = np.asarray(x, dtype=float)
+    rows = x.ndim > 1
     if spec.kind == "l2":
-        return float(np.linalg.norm(x))
+        return np.linalg.norm(x, axis=-1) if rows else float(np.linalg.norm(x))
     if spec.kind == "l1":
-        return float(np.sum(np.abs(x)))
+        return np.sum(np.abs(x), axis=-1) if rows else float(np.sum(np.abs(x)))
     if spec.kind == "weighted":
-        if x.shape != (spec.weight.shape[0],):
+        if x.shape[-1:] != (spec.weight.shape[0],):
             raise ValueError(
                 f"vector of dimension {x.shape} does not match weight "
                 f"dimension {spec.weight.shape[0]}"
             )
+        if rows:
+            # einsum, not matmul: BLAS picks its kernel by stack height,
+            # which would make a row's norm depend on the rows around it.
+            return np.linalg.norm(np.einsum("...j,ji->...i", x, spec.factor), axis=-1)
         return float(np.linalg.norm(spec.factor.T @ x))
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 

@@ -255,7 +255,7 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     explicit vector to override it.
     """
     beta, eta = default_step_sizes(problem, beta, eta)
-    if hint == "auto":
+    if isinstance(hint, str) and hint == "auto":
         hint = problem.exact_solution
     if problem.kind == "least_squares":
         return operators.gradient_step(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import os
 
 import numpy as np
@@ -67,15 +68,14 @@ def _emit(obj, parts, indent, level):
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        parts.append(f'"{escaped}"')
+        parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
         parts.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            parts.append(f'{pad_in}"{key}": ')
+            parts.append(f"{pad_in}{json.dumps(key, ensure_ascii=False)}: ")
             _emit(value, parts, indent, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")

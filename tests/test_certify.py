@@ -14,8 +14,9 @@ from fpcert.certify import (
     psi,
     range_region,
     sample_pairs,
+    sample_points,
 )
-from fpcert.metrics import norm
+from fpcert.metrics import L1, L2, norm, weighted_norm
 from fpcert.operators import (
     Operator,
     affine,
@@ -25,6 +26,7 @@ from fpcert.operators import (
     l1_prox,
     prox_operator,
 )
+from fpcert.problems import least_squares_problem
 
 
 def soft_threshold_op(lam=1.0, dim=1):
@@ -35,6 +37,48 @@ def soft_threshold_op(lam=1.0, dim=1):
 
 
 WIDE_PLAN = SamplingPlan(n_pairs=400, radius_scales=(0.1, 1.0, 10.0, 1e3, 1e4), seed=1)
+
+
+def loop_slack(op, x, y, prop, spec, gamma=None, mu=None, rho=None):
+    """Per-pair reference on 1-D norms: (slack, size of its terms).
+
+    For the point properties y is the fixed point.
+    """
+    tx = op(x)
+    if prop == "gan":
+        ty = op(y)
+        terms = (norm(x - y, spec) ** gamma, norm(tx - ty, spec) ** gamma,
+                 mu * norm((x - tx) - (y - ty), spec) ** gamma)
+        return terms[0] - terms[1] - terms[2], sum(terms)
+    if prop in ("nonexpansive", "contractive"):
+        factor = 1.0 if prop == "nonexpansive" else rho
+        d, a = factor * norm(x - y, spec), norm(tx - op(y), spec)
+        return d - a, d + a
+    if prop == "fp_contractive":
+        d, a = rho * norm(x - y, spec), norm(tx - y, spec)
+        return d - a, d + a
+    r, d = mu * norm(x - tx, spec) ** gamma, norm(x - y, spec)
+    return r - d, r + d
+
+
+def loop_mu(op, gamma, spec, plan):
+    """Reference estimate_mu: (infimum quotient, size of its terms)."""
+    best = None
+    for x, y in zip(*sample_pairs(plan, op.dim, op.fixed_point_hint)):
+        tx, ty = op(x), op(y)
+        denom = norm((x - tx) - (y - ty), spec) ** gamma
+        if denom <= 1e-14:
+            continue
+        d, a = norm(x - y, spec) ** gamma, norm(tx - ty, spec) ** gamma
+        if best is None or (d - a) / denom < best[0]:
+            best = ((d - a) / denom, (d + a) / denom)
+    return best
+
+
+def loop_fp_ratio(op, spec, plan):
+    hint = op.fixed_point_hint
+    return max(norm(op(p) - hint, spec) / norm(p - hint, spec)
+               for p in sample_points(plan, op.dim, hint))
 
 
 class TestGanSlack:
@@ -158,6 +202,61 @@ class TestCertify:
         assert any("sampled evidence" in note for note in payload["notes"])
 
 
+class TestKernelAgainstPairLoop:
+    """certify, estimate_mu and estimate_fp_ratio against the per-pair loop.
+
+    The kernel takes norms of stacked rows, which may differ from 1-D norms
+    in the last digits, so values agree to 1e-12 relative to their terms.
+    """
+
+    PLAN = SamplingPlan(n_pairs=60, radius_scales=(0.1, 1.0, 10.0, 1e3), seed=31)
+    PARAMS = {
+        "gan": {"gamma": 1.5, "mu": 0.4},
+        "nonexpansive": {},
+        "contractive": {"rho": 0.8},
+        "fp_contractive": {"rho": 0.9},
+        "holder_regular": {"gamma": 1.0, "mu": 2.0},
+    }
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(30)
+        ls = least_squares_problem(rng.standard_normal((6, 4)), rng.standard_normal(6))
+        step = gradient_step(ls.grad_f, 1.5 / ls.lipschitz, 4,
+                             fixed_point_hint=ls.exact_solution)
+        shrink = prox_operator(l1_prox(0.7), 1.0, 4, fixed_point_hint=np.zeros(4))
+        g = rng.standard_normal((4, 4))
+        weighted = weighted_norm(g @ g.T + 0.5 * np.eye(4))
+        return [(op, spec) for op in (step, shrink) for spec in (L2, L1, weighted)]
+
+    def test_every_property(self):
+        for op, spec in self.cases():
+            hint = op.fixed_point_hint
+            for prop, params in self.PARAMS.items():
+                cert = certify(op, prop, params, spec, self.PLAN)
+                if prop in ("fp_contractive", "holder_regular"):
+                    points = sample_points(self.PLAN, op.dim, hint)
+                    pairs = [(p, hint) for p in points]
+                else:
+                    pairs = zip(*sample_pairs(self.PLAN, op.dim, hint))
+                ref = [loop_slack(op, x, y, prop, spec, **params) for x, y in pairs]
+                ref_min, ref_scale = min(ref)
+                _, wit_scale = loop_slack(op, cert.witness_x, cert.witness_y, prop,
+                                          spec, **params)
+                assert cert.n_checked == len(ref)
+                assert abs(cert.min_slack - ref_min) <= 1e-12 * max(ref_scale,
+                                                                    wit_scale)
+
+    def test_estimates(self):
+        for op, spec in self.cases():
+            for gamma in (1.0, 2.0):
+                ref, scale = loop_mu(op, gamma, spec, self.PLAN)
+                est = estimate_mu(op, gamma, spec, self.PLAN)
+                assert abs(est - max(ref, 0.0)) <= 1e-12 * scale
+            ref = loop_fp_ratio(op, spec, self.PLAN)
+            assert abs(estimate_fp_ratio(op, spec, self.PLAN) - ref) <= 1e-12 * ref
+
+
 class TestEstimateMu:
     def test_soft_threshold_exponent_one(self):
         est = estimate_mu(soft_threshold_op(), 1.0, plan=WIDE_PLAN)
@@ -213,6 +312,32 @@ class TestEstimateMinGamma:
             estimate_min_gamma(affine(0.5, [0.0]), 1.0,
                                plan=SamplingPlan(n_pairs=50, seed=15),
                                bracket=(1.5, 2.0))
+
+    def test_operator_evaluated_once_per_sampled_row(self):
+        calls = []
+
+        def halve(x):
+            calls.append(1)
+            return 0.5 * x
+
+        op = Operator(1, halve, fixed_point_hint=np.zeros(1))
+        assert len(calls) == 1  # the hint check at construction
+        plan = SamplingPlan(n_pairs=100, seed=12)
+        xs, _ = sample_pairs(plan, 1, op.fixed_point_hint)
+        estimate_min_gamma(op, 1.0, plan=plan, bracket=(0.5, 2.0),
+                           return_certificate=True)
+        assert len(calls) == 1 + 2 * xs.shape[0]
+
+    def test_certificate_equals_certify_at_the_exponent(self):
+        op = soft_threshold_op()
+        plan = SamplingPlan(n_pairs=150, radius_scales=(0.1, 1.0, 10.0, 1e3, 1e4),
+                            seed=14)
+        est, cert = estimate_min_gamma(op, 0.5, plan=plan, bracket=(0.1, 2.0),
+                                       return_certificate=True)
+        direct = certify(op, "gan", {"gamma": est, "mu": 0.5}, plan=plan)
+        assert cert.min_slack == direct.min_slack
+        np.testing.assert_array_equal(cert.witness_x, direct.witness_x)
+        np.testing.assert_array_equal(cert.witness_y, direct.witness_y)
 
     def test_small_mu_certificate_carries_heuristic_note(self):
         est, cert = estimate_min_gamma(

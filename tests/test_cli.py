@@ -147,6 +147,28 @@ class TestRatesCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_mu_estimate_of_zero_records_fail(self, tmp_path):
+        # the step-size boundary scenario: an expansive map leaves no mu > 0
+        write_config(tmp_path / "op.json",
+                     {"type": "affine", "alpha": 1.5, "z": [1.0, -2.0]})
+        cfg = write_config(tmp_path / "run.json", {
+            "operator": "op.json", "params": {"max_iter": 200, "n_pairs": 20},
+        })
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        checks = json.loads((out / "checks.json").read_text())
+        for key in ("summability", "sandwich"):
+            assert checks[key] == {"skipped": "mu estimate is 0"}
+
+    def test_nonpositive_mu_is_usage_error(self, tmp_path, capsys):
+        write_config(tmp_path / "op.json", {"type": "affine", "alpha": 0.5, "z": [1.0]})
+        cfg = write_config(tmp_path / "run.json", {"operator": "op.json"})
+        for mu in ("0", "-1"):
+            assert main(["rates", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--mu", mu]) == EXIT_USAGE
+            assert "field 'mu'" in capsys.readouterr().err
+
+
 class TestRegionCommand:
     def test_grid_emitted(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", {
@@ -175,6 +197,7 @@ class TestUsageErrors:
              "params": {}},                            # both targets
             {"operator": "missing.json"},              # dangling operator path
             {"operator": "op.json", "norm": "spectral"},  # unknown norm
+            {"operator": "op.json", "params": [1, 2]},  # params not an object
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         for i, payload in enumerate(corpus):

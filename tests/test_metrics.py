@@ -79,6 +79,17 @@ class TestNorm:
         for spec in (L2, L1):
             assert norm(a * x, spec) == pytest.approx(abs(a) * norm(x, spec), rel=1e-12)
 
+    def test_stack_gives_row_norms_independent_of_the_stack(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((300, 12)) * rng.choice([0.1, 1.0, 1e3], (300, 1))
+        for spec in (L2, L1, weighted_norm(random_spd(rng, 12))):
+            rows = norm(stack, spec)
+            assert rows.shape == (300,)
+            alone = np.array([norm(row[None], spec)[0] for row in stack])
+            np.testing.assert_array_equal(rows, alone)
+            vector = np.array([norm(row, spec) for row in stack])
+            np.testing.assert_allclose(rows, vector, rtol=1e-13)
+
     def test_zero_iff_zero_vector(self):
         rng = np.random.default_rng(2)
         spec = weighted_norm(random_spd(rng, 4))

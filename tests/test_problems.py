@@ -89,6 +89,14 @@ class TestSeparable:
         np.testing.assert_allclose(op(p.exact_solution), p.exact_solution, atol=1e-12)
 
 
+    def test_explicit_array_hint_is_attached(self):
+        p = separable_smooth_l1_problem([1.0, 2.0], [3.0, -0.1], 0.5)
+        hint = np.array(p.exact_solution)
+        op = build_operator(p, hint=hint)
+        np.testing.assert_array_equal(op.fixed_point_hint, hint)
+        assert build_operator(p, hint=None).fixed_point_hint is None
+
+
 class TestAnalysis:
     def test_zero_coupling_reduces_to_gradient_descent(self):
         rng = np.random.default_rng(4)

@@ -38,6 +38,12 @@ class TestJson:
         assert parsed["x"] == [0.1, 1e-300]
         assert parsed["label"] == 'quo"te\nline'
 
+    def test_control_characters_in_keys_and_strings_round_trip(self):
+        payload = {"a\tb": "x\x01y", "plain": "caf\u00e9 \\ \"q\""}
+        text = dumps_json(payload)
+        assert json.loads(text) == payload
+        assert '"plain": "caf\u00e9 \\\\ \\"q\\""' in text
+
     def test_numpy_and_dataclass_coercion(self):
         trace = picard(affine(0.5, [0.0]), [1.0], 5, 0.0)
         text = dumps_json({"resid": trace.residuals, "k": np.int64(3)})
