@@ -6,14 +6,15 @@ that refutes the property up to the recorded tolerance.
 
 Every sampled claim reduces one norm triple per sampled row:
 (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) for a pair, and (|x-xhat|, |Tx-xhat|, |x-Tx|)
-for a point measured against the fixed-point hint xhat.  One kernel evaluates
-T once per sampled row and takes each term as one norm over the stacked rows;
-slacks and estimates are array reductions over the triple, and
-``estimate_min_gamma`` bisects over a single evaluation.  ``gan_slack`` and
-``Certificate.recompute_slack`` pass their pair through the same kernel as a
-batch of one.  A row's norms do not depend on the rows stacked with it, so a
-witness reproduces its slack bit for bit and the minimum does not depend on
-the order in which rows are evaluated.
+for a point measured against the fixed-point hint xhat.  One kernel applies
+T once per stack of sampled rows (the operator falls back to one call per row
+for a callable without stack support) and takes each term as one norm over
+the stacked rows; slacks and estimates are array reductions over the triple,
+and ``estimate_min_gamma`` bisects over a single evaluation.  ``gan_slack``
+and ``Certificate.recompute_slack`` pass their pair through the same kernel
+as a batch of one.  A row's image and norms do not depend on the rows stacked
+with it, so a witness reproduces its slack bit for bit and the minimum does
+not depend on the order in which rows are evaluated.
 """
 
 from __future__ import annotations
@@ -236,11 +237,12 @@ def gan_slack(op, x, y, gamma, mu, norm_spec=L2):
 def _triples(op, xs, ys, norm_spec, fixed=False):
     """Norm triples (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) of stacked rows.
 
-    T is evaluated once per row.  With ``fixed`` every y is the fixed-point
-    hint and Ty is taken to be y, so the triple is (|x-y|, |Tx-y|, |x-Tx|).
+    T is applied once per stack, to ``xs`` and to ``ys``.  With ``fixed``
+    every y is the fixed-point hint and Ty is taken to be y, so the triple is
+    (|x-y|, |Tx-y|, |x-Tx|).
     """
-    tx = np.array([op(x) for x in xs])
-    ty = ys if fixed else np.array([op(y) for y in ys])
+    tx = op(xs)
+    ty = ys if fixed else op(ys)
     return (
         norm(xs - ys, norm_spec),
         norm(tx - ty, norm_spec),

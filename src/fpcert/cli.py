@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,47 @@ EXIT_FAIL = 2
 
 class UsageError(ValueError):
     """Configuration problem; the message names the offending field."""
+
+
+# Scalar params, from the run config or the command line: (type, lower
+# bound, whether the bound is strict).  Each is checked in load_run_config.
+SCALAR_PARAMS = {
+    "seed": (int, 0, False),
+    "n_pairs": (int, 1, False),
+    "max_iter": (int, 1, False),
+    "gamma": (float, 0.0, True),
+    "mu": (float, 0.0, True),
+    "rho": (float, 0.0, True),
+    "beta": (float, 0.0, True),
+    "eta": (float, 0.0, True),
+    "lambda": (float, 0.0, False),
+    "tol": (float, 0.0, False),
+}
+
+
+def _scalar(field_name, value, kind=float, lower=None, strict=False):
+    """``value`` as a finite ``kind`` at least ``lower``, or above it if strict.
+
+    Numbers and numeric strings pass; anything else is a UsageError naming
+    the field.  Strict bounds are 0, which the message calls "positive".
+    """
+    noun = "an integer" if kind is int else "a number"
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        number = float(value)
+        if not math.isfinite(number) or (kind is int and not number.is_integer()):
+            raise ValueError("not finite, or not integral")
+        number = int(value) if kind is int and isinstance(value, int) else kind(number)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(
+            f"field '{field_name}' must be {noun}, got {value!r}"
+        ) from None
+    if lower is not None and not (number > lower if strict else number >= lower):
+        rule = f"at least {lower:g}" if lower else (
+            "positive" if strict else "nonnegative")
+        raise UsageError(f"field '{field_name}' must be {rule}, got {value!r}")
+    return number
 
 
 @dataclass
@@ -102,6 +144,9 @@ def load_run_config(path, command, overrides):
     for key, value in overrides.items():
         if value is not None:
             params[key] = value
+    for key, rule in SCALAR_PARAMS.items():
+        if params.get(key) is not None:
+            params[key] = _scalar(key, params[key], *rule)
     config = RunConfig(
         command=command,
         problem=resolve(raw.get("problem")),
@@ -125,27 +170,30 @@ def load_operator_config(path):
         raise UsageError(f"field 'operator': file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"field 'operator': not valid JSON ({err})") from err
+    if not isinstance(config, dict):
+        raise UsageError("field 'operator': top level must be an object")
     kind = config.get("type")
-    if kind == "soft_threshold":
-        lam = float(config.get("lambda", 1.0))
-        dim = int(config.get("dim", 1))
+    if kind in ("soft_threshold", "block_soft_threshold", "identity"):
+        dim = _scalar("dim", config.get("dim", 1), int, 1)
+    if kind in ("soft_threshold", "block_soft_threshold"):
+        lam = _scalar("lambda", config.get("lambda", 1.0), float, 0.0)
+        prox, name = {
+            "soft_threshold": (operators.l1_prox, "soft-threshold"),
+            "block_soft_threshold": (operators.l2_prox, "block-soft-threshold"),
+        }[kind]
         return operators.prox_operator(
-            operators.l1_prox(lam), 1.0, dim,
-            fixed_point_hint=np.zeros(dim), label=f"soft-threshold(lam={lam:g})",
-        )
-    if kind == "block_soft_threshold":
-        lam = float(config.get("lambda", 1.0))
-        dim = int(config.get("dim", 1))
-        return operators.prox_operator(
-            operators.l2_prox(lam), 1.0, dim,
-            fixed_point_hint=np.zeros(dim), label=f"block-soft-threshold(lam={lam:g})",
+            prox(lam), 1.0, dim,
+            fixed_point_hint=np.zeros(dim), label=f"{name}(lam={lam:g})",
         )
     if kind == "affine":
-        alpha = float(config.get("alpha", 1.0))
-        z = np.asarray(config.get("z", [0.0]), dtype=float)
+        alpha = _scalar("alpha", config.get("alpha", 1.0))
+        z = config.get("z", [0.0])
+        if not isinstance(z, list) or not z:
+            raise UsageError("field 'z' must be a nonempty list of numbers")
+        z = np.array([_scalar("z", v) for v in z])
         return operators.affine(alpha, z)
     if kind == "identity":
-        return operators.identity(int(config.get("dim", 1)))
+        return operators.identity(dim)
     raise UsageError(f"field 'type': unknown operator type {config.get('type')!r}")
 
 
@@ -162,8 +210,11 @@ def _resolve_target(config):
             raise UsageError(f"field 'problem': file not found: {config.problem}") from err
         except (ValueError, json.JSONDecodeError) as err:
             raise UsageError(f"field 'problem': {err}") from err
-        beta, eta = problems.default_step_sizes(problem, beta, eta)
-        op = problems.build_operator(problem, beta, eta)
+        try:
+            beta, eta = problems.default_step_sizes(problem, beta, eta)
+            op = problems.build_operator(problem, beta, eta)
+        except ValueError as err:
+            raise UsageError(f"field 'beta'/'eta': {err}") from err
     else:
         op = load_operator_config(config.operator)
     return op, problem, beta, eta
@@ -181,12 +232,14 @@ def _norm_spec(config, problem, beta, eta):
 
 def _plan(config, dim):
     params = config.params
-    seed = int(params.get("seed", 0))
-    n_pairs = int(params.get("n_pairs", 250))
+    kwargs = {"n_pairs": params.get("n_pairs", 250), "seed": params.get("seed", 0)}
     scales = config.raw.get("radius_scales")
-    kwargs = {"n_pairs": n_pairs, "seed": seed}
     if scales:
-        kwargs["radius_scales"] = tuple(float(s) for s in scales)
+        if not isinstance(scales, list):
+            raise UsageError("field 'radius_scales' must be a list of numbers")
+        kwargs["radius_scales"] = tuple(
+            _scalar("radius_scales", s, float, 0.0, True) for s in scales
+        )
     return SamplingPlan(**kwargs)
 
 
@@ -204,11 +257,11 @@ def _run_certify(config):
     norm_spec = _norm_spec(config, problem, beta, eta)
     plan = _plan(config, op.dim)
     params = {
-        key: float(config.params[key])
+        key: config.params[key]
         for key in ("gamma", "mu", "rho")
         if config.params.get(key) is not None
     }
-    tol = float(config.params.get("tol", 1e-10))
+    tol = config.params.get("tol", 1e-10)
     try:
         cert = certify(op, config.property_name, params, norm_spec, plan, tol=tol)
     except ValueError as err:
@@ -220,13 +273,13 @@ def _run_certify(config):
 
 def _solve_trace(config, op, problem, norm_spec):
     params = config.params
-    max_iter = int(params.get("max_iter", 100_000))
-    res_tol = float(params.get("tol", 1e-10))
+    max_iter = params.get("max_iter", 100_000)
+    res_tol = params.get("tol", 1e-10)
     x0 = config.raw.get("x0")
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (op.dim,):
+        if not isinstance(x0, list) or len(x0) != op.dim:
             raise UsageError(f"field 'x0': expected {op.dim} entries")
+        x0 = np.array([_scalar("x0", v) for v in x0])
     else:
         x0 = np.zeros(op.dim)
     ref = None
@@ -261,10 +314,6 @@ def _run_solve(config):
 
 def _run_rates(config):
     mu = config.params.get("mu")
-    if mu is not None:
-        mu = float(mu)
-        if not mu > 0:
-            raise UsageError(f"field 'mu' must be positive, got {mu:g}")
     op, problem, beta, eta = _resolve_target(config)
     norm_spec = _norm_spec(config, problem, beta, eta)
     trace = _solve_trace(config, op, problem, norm_spec)
@@ -274,7 +323,7 @@ def _run_rates(config):
         step_params["eta"] = float(eta)
     reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, step_params)
 
-    gamma = float(config.params.get("gamma", 2.0))
+    gamma = config.params.get("gamma", 2.0)
     model = str(config.raw.get("model", "exponential"))
     failed = trace.stop_reason is StopReason.DIVERGED
     checks = {}
@@ -326,11 +375,11 @@ def _run_rates(config):
 
 def _run_region(config):
     params = config.params
-    x = np.asarray(config.raw["x"], dtype=float)
-    xhat = np.asarray(config.raw["xhat"], dtype=float)
-    gamma = float(params.get("gamma", 2.0))
-    mu = float(params.get("mu", 1.0))
-    resolution = int(config.raw.get("resolution", 201))
+    x = np.array([_scalar("x", v) for v in config.raw["x"]])
+    xhat = np.array([_scalar("xhat", v) for v in config.raw["xhat"]])
+    gamma = params.get("gamma", 2.0)
+    mu = params.get("mu", 1.0)
+    resolution = _scalar("resolution", config.raw.get("resolution", 201), int, 2)
     try:
         grid = range_region(x, xhat, gamma, mu, resolution)
     except ValueError as err:

@@ -8,12 +8,13 @@ runs may execute concurrently and traces are immutable once returned.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .metrics import L2, NormSpec, norm
+from .metrics import L2, NormSpec, _vector_norm, norm
 
 __all__ = [
     "StopReason",
@@ -95,6 +96,15 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
     ``divergence_factor * (1 + initial residual)``.  A non-finite iterate
     raises NonFiniteIterateError naming the step.
 
+    The arguments, the norm's kind and weight dimension, and the first step
+    (through ``op(x)``, with every check the operator makes, and a scan for
+    non-finite entries) are checked once.  Later steps call ``op.fn``
+    directly and still, per step, convert its output to float, check that
+    it keeps the iterate's shape (else the operator's named ``ValueError``),
+    and test it for non-finite entries; that test reads the residual first
+    and scans the iterate only when the residual is not finite.  Residuals
+    equal a loop of ``op(x)`` and :func:`norm` bit for bit.
+
     Parameters
     ----------
     op : Operator
@@ -126,22 +136,33 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
     if keep_iterates is None:
         keep_iterates = (max_iter + 1) * op.dim <= iterate_cap
 
+    fn, shape = op.fn, x.shape
+    dist = _vector_norm(norm_spec, shape)
     iterates = [x.copy()] if keep_iterates else None
-    errors = [norm(x - ref, norm_spec)] if ref is not None else None
+    errors = [dist(x - ref)] if ref is not None else None
     residuals = []
     guard = None
     stop = StopReason.MAX_ITER
     for k in range(1, max_iter + 1):
-        x_next = op(x)
-        if not np.all(np.isfinite(x_next)):
+        if k == 1:
+            x_next = op(x)
+            if not np.isfinite(x_next).all():
+                raise NonFiniteIterateError(k)
+        else:
+            x_next = np.asarray(fn(x), dtype=float)
+            if x_next.shape != shape:
+                raise op._shape_error(x_next.shape, shape)
+        r = dist(x_next - x)
+        # x is finite from step 2 on, so a non-finite entry of x_next makes
+        # x_next - x, and so r, non-finite: a finite r clears the step
+        if not math.isfinite(r) and not np.isfinite(x_next).all():
             raise NonFiniteIterateError(k)
-        r = norm(x_next - x, norm_spec)
         residuals.append(r)
         x = x_next
         if iterates is not None:
             iterates.append(x.copy())
         if errors is not None:
-            errors.append(norm(x - ref, norm_spec))
+            errors.append(dist(x - ref))
         if guard is None:
             guard = divergence_factor * (1.0 + r)
         if r > guard:

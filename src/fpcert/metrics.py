@@ -104,6 +104,33 @@ def weighted_norm(weight):
     return NormSpec("weighted", w, factor)
 
 
+def _vector_norm(spec, shape):
+    """The norm of ``spec`` on vectors of ``shape`` as a one-argument callable.
+
+    The kind is dispatched and the weight dimension checked once, here;
+    ``_vector_norm(spec, x.shape)(x) == norm(x, spec)`` bit for bit, because
+    :func:`norm` evaluates every vector through this callable.  Loops that
+    take many norms of one shape resolve it once.
+    """
+    if spec.kind == "l2":
+        return lambda x: float(np.linalg.norm(x))
+    if spec.kind == "l1":
+        return lambda x: float(np.sum(np.abs(x)))
+    if spec.kind == "weighted":
+        _check_weight_dim(spec, shape)
+        factor_t = spec.factor.T
+        return lambda x: float(np.linalg.norm(factor_t @ x))
+    raise ValueError(f"unknown norm kind {spec.kind!r}")
+
+
+def _check_weight_dim(spec, shape):
+    if shape[-1:] != (spec.weight.shape[0],):
+        raise ValueError(
+            f"vector of dimension {shape} does not match weight "
+            f"dimension {spec.weight.shape[0]}"
+        )
+
+
 def norm(x, spec=L2):
     """Evaluate ``x`` under the selected norm.
 
@@ -113,22 +140,17 @@ def norm(x, spec=L2):
     bit-identical whatever stack it sits in, a stack of one included.
     """
     x = np.asarray(x, dtype=float)
-    rows = x.ndim > 1
+    if x.ndim < 2:
+        return _vector_norm(spec, x.shape)(x)
     if spec.kind == "l2":
-        return np.linalg.norm(x, axis=-1) if rows else float(np.linalg.norm(x))
+        return np.linalg.norm(x, axis=-1)
     if spec.kind == "l1":
-        return np.sum(np.abs(x), axis=-1) if rows else float(np.sum(np.abs(x)))
+        return np.sum(np.abs(x), axis=-1)
     if spec.kind == "weighted":
-        if x.shape[-1:] != (spec.weight.shape[0],):
-            raise ValueError(
-                f"vector of dimension {x.shape} does not match weight "
-                f"dimension {spec.weight.shape[0]}"
-            )
-        if rows:
-            # einsum, not matmul: BLAS picks its kernel by stack height,
-            # which would make a row's norm depend on the rows around it.
-            return np.linalg.norm(np.einsum("...j,ji->...i", x, spec.factor), axis=-1)
-        return float(np.linalg.norm(spec.factor.T @ x))
+        _check_weight_dim(spec, x.shape)
+        # einsum, not matmul: BLAS picks its kernel by stack height,
+        # which would make a row's norm depend on the rows around it.
+        return np.linalg.norm(np.einsum("...j,ji->...i", x, spec.factor), axis=-1)
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 

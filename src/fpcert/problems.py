@@ -80,6 +80,18 @@ class ProblemSpec:
         return self.dims[1]
 
 
+def _data_fit_gradient(a, b):
+    """x -> A^T (A x - b), on a vector and row by row on a (k, n) stack."""
+
+    @operators._stackable
+    def grad(x):
+        if x.ndim == 1:
+            return a.T @ (a @ x - b)
+        return operators._matvec(a.T, operators._matvec(a, x) - b)
+
+    return grad
+
+
 def least_squares_problem(a_mat, b):
     """Quadratic data-fit instance: f(x) = 0.5 * |Ax - b|^2.
 
@@ -108,12 +120,9 @@ def least_squares_problem(a_mat, b):
     factor = cholesky_factor(0.5 * (gram + gram.T))
     solution = solve_cholesky(factor, a.T @ b)
 
-    def grad(x):
-        return a.T @ (a @ x - b)
-
     return ProblemSpec(
         kind="least_squares",
-        grad_f=grad,
+        grad_f=_data_fit_gradient(a, b),
         lipschitz=sigma_max**2,
         lower_lipschitz=lam_min,
         exact_solution=solution,
@@ -138,6 +147,7 @@ def separable_smooth_l1_problem(coeffs, b, lam):
         raise ValueError("lam must be nonnegative")
     solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)
 
+    @operators._stackable
     def grad(x):
         return coeffs * (x - b)
 
@@ -171,12 +181,9 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
-    def grad(x):
-        return a.T @ (a @ x - b)
-
     return ProblemSpec(
         kind="analysis_l1",
-        grad_f=grad,
+        grad_f=_data_fit_gradient(a, b),
         lipschitz=spectral_norm(a) ** 2,
         prox_g=operators.l1_prox(lam),
         prox_h=operators.zero_prox(),

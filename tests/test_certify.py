@@ -16,7 +16,7 @@ from fpcert.certify import (
     sample_pairs,
     sample_points,
 )
-from fpcert.metrics import L1, L2, norm, weighted_norm
+from fpcert.metrics import L1, L2, norm, primal_dual_metric, weighted_norm
 from fpcert.operators import (
     Operator,
     affine,
@@ -24,9 +24,15 @@ from fpcert.operators import (
     gradient_step,
     identity,
     l1_prox,
+    l2_prox,
     prox_operator,
 )
-from fpcert.problems import least_squares_problem
+from fpcert.problems import (
+    analysis_l1_problem,
+    build_operator,
+    default_step_sizes,
+    least_squares_problem,
+)
 
 
 def soft_threshold_op(lam=1.0, dim=1):
@@ -134,6 +140,27 @@ class TestCertify:
         op = soft_threshold_op()
         cert = certify(op, "gan", {"gamma": 0.5, "mu": 0.1}, plan=WIDE_PLAN)
         assert abs(cert.recompute_slack(op) - cert.min_slack) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["gradient_step", "primal_dual", "block"])
+    def test_stacked_witness_reproduces_min_slack_bit_for_bit(self, case):
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal((20, 6)), rng.standard_normal(20)
+        spec, prop, params = L2, "gan", {"gamma": 2.0, "mu": 1.0}
+        if case == "gradient_step":
+            op = build_operator(least_squares_problem(a, b))
+        elif case == "primal_dual":
+            bm = rng.standard_normal((3, 6)) / np.sqrt(6)
+            problem = analysis_l1_problem(a, b, bm, 0.3)
+            beta, eta = default_step_sizes(problem)
+            op = build_operator(problem, beta, eta)
+            spec = primal_dual_metric(beta, eta, bm).norm_spec()
+            prop, params = "nonexpansive", {}
+        else:
+            op = prox_operator(l2_prox(0.5), 1.0, 4, fixed_point_hint=np.zeros(4))
+            params = {"gamma": 1.0, "mu": 1.0}
+        assert op.fn.takes_stacks is True
+        cert = certify(op, prop, params, spec, SamplingPlan(n_pairs=120, seed=18))
+        assert cert.recompute_slack(op) == cert.min_slack
 
     def test_same_plan_is_deterministic(self):
         op = soft_threshold_op()
@@ -327,6 +354,32 @@ class TestEstimateMinGamma:
         estimate_min_gamma(op, 1.0, plan=plan, bracket=(0.5, 2.0),
                            return_certificate=True)
         assert len(calls) == 1 + 2 * xs.shape[0]
+
+    @pytest.mark.parametrize("n_pairs", [10, 300])
+    def test_builtin_map_applied_once_per_stack(self, n_pairs):
+        calls = []
+        base = soft_threshold_op(lam=0.5, dim=3)
+
+        def counted(x):
+            calls.append(x.shape)
+            return base.fn(x)
+
+        counted.takes_stacks = True
+        op = Operator(3, counted, base.fixed_point_hint)
+        plan = SamplingPlan(n_pairs=n_pairs, seed=16)
+        for run, per_claim in (
+            (lambda: certify(op, "gan", {"gamma": 2.0, "mu": 1.0}, plan=plan), 2),
+            (lambda: certify(op, "nonexpansive", {}, plan=plan), 2),
+            (lambda: certify(op, "fp_contractive", {"rho": 1.0}, plan=plan), 1),
+            (lambda: estimate_mu(op, 2.0, plan=plan), 2),
+            (lambda: estimate_fp_ratio(op, plan=plan), 1),
+            (lambda: estimate_min_gamma(op, 1.0, plan=plan,
+                                        bracket=(0.5, 2.0)), 2),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == per_claim
+            assert all(len(shape) == 2 for shape in calls)
 
     def test_certificate_equals_certify_at_the_exponent(self):
         op = soft_threshold_op()

@@ -190,20 +190,55 @@ class TestRegionCommand:
 
 
 class TestUsageErrors:
-    def test_malformed_config_corpus(self, tmp_path):
+    def test_malformed_config_corpus(self, tmp_path, capsys):
+        # (command, run config, extra arguments, field the message names)
         corpus = [
-            {},                                        # certify without target
-            {"problem": "p.json", "operator": "o.json",
-             "params": {}},                            # both targets
-            {"operator": "missing.json"},              # dangling operator path
-            {"operator": "op.json", "norm": "spectral"},  # unknown norm
-            {"operator": "op.json", "params": [1, 2]},  # params not an object
+            ("certify", {}, [], "problem"),            # certify without target
+            ("certify", {"problem": "p.json", "operator": "o.json",
+                         "params": {}}, [], "problem"),  # both targets
+            ("certify", {"operator": "missing.json"}, [],
+             "operator"),                              # dangling operator path
+            ("certify", {"operator": "op.json", "norm": "spectral"}, [],
+             "norm"),                                  # unknown norm
+            ("certify", {"operator": "op.json", "params": [1, 2]}, [],
+             "params"),                                # params not an object
+            ("solve", {"operator": "op.json"}, ["--max-iter", "0"],
+             "max_iter"),                              # empty step budget
+            ("rates", {"operator": "op.json"}, ["--gamma", "-1"],
+             "gamma"),                                 # negative exponent
+            ("rates", {"operator": "op.json", "params": {"mu": "abc"}}, [],
+             "mu"),                                    # non-numeric scalar
+            ("certify", {"operator": "op.json", "params": {"n_pairs": "x"}}, [],
+             "n_pairs"),                               # non-numeric count
+            ("certify", {"operator": "negative.json"}, [],
+             "lambda"),                                # negative threshold
+            ("certify", {"operator": "list.json"}, [],
+             "operator"),                              # operator not an object
+            ("solve", {"operator": "op.json", "x0": ["a"]}, [],
+             "x0"),                                    # non-numeric start
+            ("certify", {"operator": "op.json", "radius_scales": [-1]}, [],
+             "radius_scales"),                         # negative scale
+            ("certify", {"operator": "op.json"}, ["--seed", "-1"],
+             "seed"),                                  # negative seed
+            ("region", {"x": [1, 2], "xhat": [0, 0], "resolution": "q"}, [],
+             "resolution"),                            # non-numeric grid size
+            ("solve", {"problem": "ls.json"}, ["--beta", "1e300"],
+             "beta"),                                  # step moves the solution
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
-        for i, payload in enumerate(corpus):
+        write_config(tmp_path / "negative.json",
+                     {"type": "soft_threshold", "lambda": -1, "dim": 2})
+        write_config(tmp_path / "list.json", [1, 2])
+        write_config(tmp_path / "ls.json", {"kind": "least_squares",
+                                            "A": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]],
+                                            "b": [1.0, 2.0, 3.0]})
+        for i, (command, payload, args, field_name) in enumerate(corpus):
             cfg = write_config(tmp_path / f"bad{i}.json", payload)
-            assert main(["certify", "--config", cfg,
-                         "--out", str(tmp_path / f"o{i}")]) == EXIT_USAGE
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / f"o{i}"), *args]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"'{field_name}" in err
+            assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE

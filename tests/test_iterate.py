@@ -1,8 +1,14 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+from fpcert import reports
 from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat
+from fpcert.cli import main
 from fpcert.iterate import (
+    IterationTrace,
     NonFiniteIterateError,
     StopReason,
     check_residual_summability,
@@ -13,6 +19,7 @@ from fpcert.iterate import (
     recurrence_bound,
     verify_recurrence_bound,
 )
+from fpcert.metrics import L1, L2, norm, primal_dual_metric
 from fpcert.operators import (
     Operator,
     affine,
@@ -21,6 +28,14 @@ from fpcert.operators import (
     l1_prox,
     prox_operator,
     proximal_gradient,
+)
+from fpcert.problems import (
+    analysis_l1_problem,
+    build_operator,
+    default_step_sizes,
+    least_squares_problem,
+    load_problem,
+    separable_smooth_l1_problem,
 )
 
 
@@ -103,6 +118,122 @@ class TestPicard:
         weighted = ks * trace.errors_to_ref
         tail = weighted[trace.k_final // 2 :]
         assert np.all(np.diff(tail) < 0)
+
+
+def reference_loop(op, x0, max_iter, res_tol, ref, norm_spec):
+    """The plain fixed-point loop: op(x) and metrics.norm at every step."""
+    x = np.asarray(x0, dtype=float)
+    residuals, errors = [], [norm(x - ref, norm_spec)]
+    for _ in range(max_iter):
+        x_next = op(x)
+        assert np.all(np.isfinite(x_next))
+        residuals.append(norm(x_next - x, norm_spec))
+        x = x_next
+        errors.append(norm(x - ref, norm_spec))
+        if residuals[-1] <= res_tol:
+            break
+    return np.array(residuals), np.array(errors)
+
+
+def _problem_ops():
+    rng = np.random.default_rng(51)
+    a = rng.standard_normal((20, 6))
+    b = rng.standard_normal(20)
+    bm = rng.standard_normal((4, 6)) / np.sqrt(6)
+    least = least_squares_problem(a, b)
+    separable = separable_smooth_l1_problem(rng.uniform(0.5, 2.0, 6),
+                                            rng.standard_normal(6), 0.3)
+    analysis = analysis_l1_problem(a, b, bm, 0.3)
+    beta, eta = default_step_sizes(analysis)
+    weighted = primal_dual_metric(beta, eta, bm).norm_spec()
+    return [
+        (build_operator(least), L2, least.exact_solution),
+        (build_operator(separable), L1, separable.exact_solution),
+        (build_operator(analysis), weighted, np.zeros(10)),
+    ]
+
+
+class TestPicardMatchesReferenceLoop:
+    @pytest.mark.parametrize("case", range(3), ids=["l2", "l1", "weighted"])
+    def test_residuals_and_errors_bit_for_bit(self, case):
+        op, spec, ref = _problem_ops()[case]
+        x0 = np.random.default_rng(case).standard_normal(op.dim) * 3.0
+        trace = picard(op, x0, 400, 1e-9, ref=ref, norm_spec=spec)
+        residuals, errors = reference_loop(op, x0, 400, 1e-9, ref, spec)
+        assert trace.residuals.tobytes() == residuals.tobytes()
+        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+
+    def test_shape_change_mid_run_raises_the_named_error(self):
+        calls = []
+
+        def shape_shifting(x):
+            calls.append(1)
+            return x[:1] if len(calls) == 3 else 0.5 * x
+
+        op = Operator(2, shape_shifting, label="shape-shifting")
+        with pytest.raises(ValueError, match=r"'shape-shifting' returned shape "
+                                             r"\(1,\) instead of \(2,\)"):
+            picard(op, [1.0, 2.0], 10)
+        assert len(calls) == 3
+
+    def test_overflowing_residual_of_finite_iterates_is_not_an_error(self):
+        # |x_next - x| overflows to inf while every iterate stays finite
+        op = Operator(1, lambda x: -x, label="flip")
+        with np.errstate(over="ignore"):
+            trace = picard(op, [1e308], 3, 0.0)
+        assert list(trace.residuals) == [np.inf] * 3
+        assert trace.stop_reason is StopReason.MAX_ITER
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_is_caught_at_step_one(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterateError, match="step 1"):
+                picard(identity(2), [bad, 1.0], 5)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "analysis_l1"])
+    def test_solve_files_match_the_reference_loop(self, tmp_path, kind):
+        rng = np.random.default_rng(52)
+        problem = {"kind": kind, "A": rng.standard_normal((12, 4)).tolist(),
+                   "b": rng.standard_normal(12).tolist()}
+        run = {"problem": "problem.json", "params": {"tol": 1e-9, "max_iter": 5000}}
+        if kind == "analysis_l1":
+            problem.update({"B": rng.standard_normal((3, 4)).tolist(), "lambda": 0.2})
+            run["norm"] = "w"
+        (tmp_path / "problem.json").write_text(json.dumps(problem))
+        (tmp_path / "run.json").write_text(json.dumps(run))
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(tmp_path / "run.json"),
+                     "--out", str(out)])
+
+        spec = load_problem(str(tmp_path / "problem.json"))
+        beta, eta = default_step_sizes(spec)
+        op = build_operator(spec, beta, eta)
+        norm_spec = L2 if eta is None else primal_dual_metric(
+            beta, eta, spec.b_mat).norm_spec()
+        ref = spec.exact_solution
+        x0 = np.zeros(op.dim)
+        residuals, errors = reference_loop(
+            op, x0, 5000, 1e-9, np.zeros(op.dim) if ref is None else ref, norm_spec)
+        converged = residuals[-1] <= 1e-9
+        assert code == (0 if converged else 2)
+        expected = IterationTrace(
+            x0=x0, x_final=None, residuals=residuals, norm_spec=norm_spec,
+            k_final=len(residuals),
+            stop_reason=StopReason.RESIDUAL_TOL if converged else StopReason.MAX_ITER,
+            errors_to_ref=None if ref is None else errors, label=op.label,
+        )
+        steps = {"beta": beta} if eta is None else {"beta": beta, "eta": eta}
+        assert (out / "trace.csv").read_text() == reports.trace_csv(expected, steps)
+        summary = {
+            "stop_reason": expected.stop_reason.value,
+            "k_final": expected.k_final,
+            "final_residual": expected.final_residual,
+            "norm": norm_spec.describe(),
+            "operator": op.label,
+            **steps,
+        }
+        assert (out / "summary.json").read_text() == reports.dumps_json(summary)
 
 
 class TestFitRate:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,12 @@ from fpcert.operators import (
     proximal_gradient,
     soft_threshold,
     zero_prox,
+)
+from fpcert.problems import (
+    analysis_l1_problem,
+    build_operator,
+    least_squares_problem,
+    separable_smooth_l1_problem,
 )
 
 
@@ -266,3 +274,116 @@ class TestPrimalDual:
         with pytest.raises(NotPositiveDefiniteError):
             primal_dual(self.grad, zero_prox(), l1_prox(1.0),
                         np.array([[1.0, 0.0]]), 1.0, 1.0)
+
+
+def declared(fn):
+    """Mark a user callable as mapping whole (k, n) stacks."""
+    fn.takes_stacks = True
+    return fn
+
+
+def _stack_cases():
+    rng = np.random.default_rng(41)
+    n = 5
+    c = rng.standard_normal(n)
+    grad = declared(lambda x: 2.0 * (x - c))
+    b = 0.5 * rng.standard_normal((3, n)) / np.sqrt(n)
+    a = rng.standard_normal((8, n))
+    rhs = rng.standard_normal(8)
+    return {
+        "gradient_step": gradient_step(grad, 0.3, n),
+        "soft_threshold": prox_operator(l1_prox(0.7), 1.3, n),
+        "block_soft_threshold": prox_operator(l2_prox(0.7), 1.3, n),
+        "zero_prox": prox_operator(zero_prox(), 1.0, n),
+        "box_prox": prox_operator(box_prox(-1.0, 2.0), 1.0, n),
+        "identity": identity(n),
+        "affine": affine(0.5, c),
+        "compose": compose(affine(0.5, c), prox_operator(l1_prox(0.7), 1.0, n)),
+        "proximal_gradient": proximal_gradient(grad, l1_prox(0.5), 0.4, n),
+        "primal_dual": primal_dual(grad, zero_prox(), l1_prox(0.5), b, 0.5, 0.5),
+        "build_least_squares": build_operator(least_squares_problem(a, rhs)),
+        "build_separable": build_operator(
+            separable_smooth_l1_problem(rng.uniform(0.5, 2.0, n), c, 0.3)
+        ),
+        "build_analysis_l1": build_operator(analysis_l1_problem(a, rhs, b, 0.3)),
+    }
+
+
+STACK_CASES = _stack_cases()
+
+
+def _stack(op, k=9, seed=42):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-1.0, 3.0, (k, 1))
+    return scales * rng.standard_normal((k, op.dim))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_builtin_declares_stack_support(self, name):
+        assert STACK_CASES[name].fn.takes_stacks is True
+
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_stack_matches_vector_rows(self, name):
+        op = STACK_CASES[name]
+        xs = _stack(op)
+        stack = op(xs)
+        rows = np.array([op(x) for x in xs])
+        assert stack.shape == xs.shape
+        scale = np.max(np.abs(rows), axis=1, keepdims=True)
+        assert np.all(np.abs(stack - rows) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_stack_matches_stacks_of_one_bit_for_bit(self, name):
+        op = STACK_CASES[name]
+        xs = _stack(op, k=33)
+        alone = np.vstack([op(x[None]) for x in xs])
+        np.testing.assert_array_equal(op(xs), alone)
+
+    def test_block_shrinkage_rows_around_the_threshold(self):
+        xs = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 4.0], [6.0, 8.0], [-6.0, 8.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = block_soft_threshold(5.0, xs)
+            zero_lam = block_soft_threshold(0.0, xs)
+        np.testing.assert_array_equal(out[:3], np.zeros((3, 2)))
+        np.testing.assert_array_equal(out[3:], [[3.0, 4.0], [-3.0, 4.0]])
+        np.testing.assert_array_equal(zero_lam, xs)
+        for row, got in zip(xs, out):
+            np.testing.assert_array_equal(got, block_soft_threshold(5.0, row))
+
+    def test_stack_capable_fn_with_wrong_shape_raises(self):
+        op = Operator(2, declared(lambda x: x[..., :1]), label="truncating")
+        with pytest.raises(ValueError, match="'truncating' returned shape"):
+            op(np.ones((3, 2)))
+
+    def test_undeclared_callable_called_once_per_row(self):
+        calls = []
+
+        def halve(x):
+            calls.append(x.shape)
+            return 0.5 * x
+
+        op = Operator(3, halve)
+        xs = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(op(xs), 0.5 * xs)
+        assert calls == [(3,)] * 4
+
+    def test_compose_with_undeclared_factor_goes_row_by_row(self):
+        calls = []
+
+        def halve(x):
+            calls.append(x.shape)
+            return 0.5 * x
+
+        op = compose(affine(2.0, np.ones(3)), Operator(3, halve))
+        assert op.fn.takes_stacks is False
+        xs = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(op(xs), xs + 1.0)
+        assert calls == [(3,)] * 4
+
+    def test_rejects_stacks_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="dimension"):
+            identity(3)(np.ones((2, 4)))
+        with pytest.raises(ValueError, match="dimension"):
+            identity(3)(np.ones((2, 2, 3)))
