@@ -4,9 +4,10 @@ Four subcommands: ``certify`` writes a certificate JSON, ``solve`` a trace
 CSV plus summary JSON, ``rates`` a trace CSV plus rate-fit JSON and the
 trajectory inequality reports, ``region`` a membership-grid CSV.
 
-Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged,
-1 on a usage error (malformed config, missing file, bad field).  Runs with a
-fixed seed are byte-for-byte reproducible.
+Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
+(an iterate that overflows included), 1 on a usage error (malformed config,
+missing file, bad field).  Runs with a fixed seed are byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import operators, problems, reports
 from .certify import SamplingPlan, certify, estimate_mu, range_region
 from .iterate import (
+    NonFiniteIterateError,
     StopReason,
     check_residual_summability,
     check_sandwich,
@@ -398,7 +400,14 @@ def execute(config):
         "rates": _run_rates,
         "region": _run_region,
     }[config.command]
-    return runner(config)
+    try:
+        # overflow is reported through the exit status and the output files,
+        # so numpy's own warnings would only clutter stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return runner(config)
+    except NonFiniteIterateError as err:
+        print(f"fpcert: {config.command} failed: {err}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 class _Parser(argparse.ArgumentParser):

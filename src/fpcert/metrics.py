@@ -20,7 +20,6 @@ __all__ = [
     "norm",
     "inner",
     "cholesky_factor",
-    "solve_cholesky",
     "spectral_norm",
     "smallest_eigenvalue_spd",
     "primal_dual_metric",
@@ -191,26 +190,15 @@ def cholesky_factor(m, pivot_rtol=PIVOT_RTOL):
     return low
 
 
-def solve_cholesky(factor, rhs):
-    """Solve ``(factor @ factor.T) x = rhs`` by two triangular substitutions."""
-    low = np.asarray(factor, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    n = low.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
-
-
 def spectral_norm(m, tol=1e-10, max_iter=10000, seed=0, return_iterations=False):
     """Largest singular value of ``m`` by power iteration on ``m.T @ m``.
 
     The starting vector is drawn from a seeded generator so repeated calls
-    return identical values.  Convergence means the estimate moved by at most
-    ``tol`` relative between sweeps; running out of iterations raises
+    return identical values.  A sweep stops when the eigen-residual of the
+    unit iterate v meets ``|m.T m v - theta v| <= tol * theta``, with theta
+    the Rayleigh quotient; theta is then within ``tol * theta`` of an
+    eigenvalue of ``m.T @ m`` (Parlett, The Symmetric Eigenvalue Problem),
+    and its square root is returned.  Running out of sweeps raises
     PowerIterationError carrying the last estimate.
 
     Parameters
@@ -218,7 +206,7 @@ def spectral_norm(m, tol=1e-10, max_iter=10000, seed=0, return_iterations=False)
     m : array_like
         Nonempty 2-D matrix.
     tol : float
-        Relative tolerance on the singular-value estimate.
+        Relative tolerance on the eigen-residual of ``m.T @ m``.
     max_iter : int
         Sweep budget.
     seed : int
@@ -234,21 +222,21 @@ def spectral_norm(m, tol=1e-10, max_iter=10000, seed=0, return_iterations=False)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
-    estimate = 0.0
+    sigma = 0.0
     for iteration in range(1, max_iter + 1):
         w = a @ v
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             return (0.0, iteration) if return_iterations else 0.0
         z = a.T @ w
-        v = z / np.linalg.norm(z)
-        if abs(sigma - estimate) <= tol * sigma:
+        theta = sigma * sigma
+        if np.linalg.norm(z - theta * v) <= tol * theta:
             return (sigma, iteration) if return_iterations else sigma
-        estimate = sigma
+        v = z / np.linalg.norm(z)
     raise PowerIterationError(
         f"power iteration did not converge in {max_iter} sweeps "
-        f"(last estimate {estimate:.6e})",
-        estimate,
+        f"(last estimate {sigma:.6e})",
+        sigma,
         max_iter,
     )
 
@@ -256,27 +244,33 @@ def spectral_norm(m, tol=1e-10, max_iter=10000, seed=0, return_iterations=False)
 def smallest_eigenvalue_spd(m, tol=1e-10, max_iter=10000, seed=0):
     """Smallest eigenvalue of a symmetric PD matrix by inverse power iteration.
 
-    The matrix is factorized once and each sweep applies the inverse through
-    the triangular factor.  Non-PD input raises NotPositiveDefiniteError.
+    Non-PD input raises NotPositiveDefiniteError naming the pivot.  Each
+    sweep applies the inverse, formed once by ``np.linalg.inv``, and stops
+    when the unit iterate v meets ``|m v - theta v| <= tol * theta``, with
+    theta the Rayleigh quotient; theta is then within ``tol * theta`` of an
+    eigenvalue of ``m``.  The residual is taken with ``m`` itself, so the
+    bound holds however inexact the inverse.  Running out of sweeps raises
+    PowerIterationError carrying the last estimate; so does a matrix whose
+    condition number nears ``tol / eps``, where rounding keeps the residual
+    above the rule.
     """
     a = _symmetrize(np.asarray(m, dtype=float))
-    factor = cholesky_factor(a)
+    cholesky_factor(a)
+    inverse = np.linalg.inv(a)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = np.inf
-    for iteration in range(1, max_iter + 1):
-        w = solve_cholesky(factor, v)
-        norm_w = np.linalg.norm(w)
-        lam = float((w @ v) / (norm_w * norm_w))
-        v = w / norm_w
-        if abs(lam - estimate) <= tol * abs(lam):
-            return lam
-        estimate = lam
+    theta = np.inf
+    for _ in range(max_iter):
+        w = inverse @ v
+        v = w / np.linalg.norm(w)
+        av = a @ v
+        theta = float(v @ av)
+        if np.linalg.norm(av - theta * v) <= tol * theta:
+            return theta
     raise PowerIterationError(
         f"inverse power iteration did not converge in {max_iter} sweeps "
-        f"(last estimate {estimate:.6e})",
-        estimate,
+        f"(last estimate {theta:.6e})",
+        theta,
         max_iter,
     )
 

@@ -79,7 +79,8 @@ class Operator:
     otherwise.  Either way the output shape is checked.
 
     `fixed_point_hint`, when present, must be fixed by the map to within
-    1e-8 * (1 + |hint|); this is checked at construction time.
+    1e-8 * (1 + |hint|); this is checked at construction time, and a hint
+    whose image overflows or turns NaN fails the check without a warning.
     """
 
     dim: int
@@ -94,8 +95,10 @@ class Operator:
             hint = np.asarray(self.fixed_point_hint, dtype=float).reshape(-1)
             if hint.shape != (self.dim,):
                 raise ValueError("fixed_point_hint dimension does not match operator")
-            drift = np.linalg.norm(self(hint) - hint)
-            if drift > HINT_TOL * (1.0 + np.linalg.norm(hint)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift = np.linalg.norm(self(hint) - hint)
+                bound = HINT_TOL * (1.0 + np.linalg.norm(hint))
+            if not drift <= bound:
                 raise ValueError(
                     f"fixed_point_hint of '{self.label}' moves by {drift:.3e} "
                     "under the operator"

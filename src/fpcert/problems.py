@@ -13,14 +13,7 @@ import numpy as np
 
 from . import operators
 from .iterate import StopReason, picard
-from .metrics import (
-    NotPositiveDefiniteError,
-    cholesky_factor,
-    read_matrix,
-    smallest_eigenvalue_spd,
-    solve_cholesky,
-    spectral_norm,
-)
+from .metrics import read_matrix
 
 __all__ = [
     "ProblemSpec",
@@ -80,6 +73,17 @@ class ProblemSpec:
         return self.dims[1]
 
 
+def _data_fit(a_mat, b):
+    """The design matrix and right-hand side of a data-fit term, checked."""
+    a = np.asarray(a_mat, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.ndim != 2 or a.shape[0] != len(b) or a.size == 0:
+        raise ValueError("design matrix and right-hand side are inconsistent")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("design matrix and right-hand side must be finite")
+    return a, b
+
+
 def _data_fit_gradient(a, b):
     """x -> A^T (A x - b), on a vector and row by row on a (k, n) stack."""
 
@@ -95,39 +99,30 @@ def _data_fit_gradient(a, b):
 def least_squares_problem(a_mat, b):
     """Quadratic data-fit instance: f(x) = 0.5 * |Ax - b|^2.
 
-    A must have full column rank (smallest singular-value estimate above
-    1e-10 times the largest).  The gradient constant is the largest
-    eigenvalue of A^T A from power iteration, the lower constant the
-    smallest from inverse power iteration, and the exact solution comes from
-    the normal equations by direct factorization.
+    Every constant comes from one thin SVD A = U diag(s) V^T.  A must have
+    full column rank: fewer rows than columns, or a smallest singular value
+    at or below 1e-10 times the largest, raises RankDeficientError.  The
+    gradient constant is s_max^2, the lower constant s_min^2, and the exact
+    solution is V (U^T b / s), which solves with A itself rather than the
+    normal equations, so the condition number is not squared.
     """
-    a = np.asarray(a_mat, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.ndim != 2 or a.shape[0] != len(b):
-        raise ValueError("design matrix and right-hand side are inconsistent")
-    n = a.shape[1]
-    gram = a.T @ a
-    sigma_max = spectral_norm(a)
-    try:
-        lam_min = smallest_eigenvalue_spd(gram)
-    except NotPositiveDefiniteError as err:
-        raise RankDeficientError(f"design matrix is rank deficient: {err}") from err
-    if np.sqrt(lam_min) <= 1e-10 * sigma_max:
+    a, b = _data_fit(a_mat, b)
+    rows, n = a.shape
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if rows < n or s[-1] <= 1e-10 * s[0]:
         raise RankDeficientError(
-            f"design matrix is rank deficient: smallest singular value estimate "
-            f"{np.sqrt(lam_min):.3e} against largest {sigma_max:.3e}"
+            f"design matrix is rank deficient: {rows}x{n} with singular values "
+            f"from {s[0]:.3e} down to {s[-1]:.3e}"
         )
-    factor = cholesky_factor(0.5 * (gram + gram.T))
-    solution = solve_cholesky(factor, a.T @ b)
 
     return ProblemSpec(
         kind="least_squares",
         grad_f=_data_fit_gradient(a, b),
-        lipschitz=sigma_max**2,
-        lower_lipschitz=lam_min,
-        exact_solution=solution,
+        lipschitz=float(s[0]) ** 2,
+        lower_lipschitz=float(s[-1]) ** 2,
+        exact_solution=vt.T @ ((u.T @ b) / s),
         dims=(n, 0),
-        label=f"least-squares[{a.shape[0]}x{n}]",
+        label=f"least-squares[{rows}x{n}]",
     )
 
 
@@ -171,20 +166,19 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
     on the dual side, and the direct nonsmooth term is zero.  No closed-form
     solution is attached; references are computed separately.
     """
-    a = np.asarray(a_mat, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    a, b = _data_fit(a_mat, b)
     b_coupling = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    if a.ndim != 2 or a.shape[0] != len(b):
-        raise ValueError("design matrix and right-hand side are inconsistent")
     if b_coupling.shape[1] != a.shape[1]:
         raise ValueError("coupling matrix column count does not match the primal dimension")
+    if not np.isfinite(b_coupling).all():
+        raise ValueError("coupling matrix must be finite")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
     return ProblemSpec(
         kind="analysis_l1",
         grad_f=_data_fit_gradient(a, b),
-        lipschitz=spectral_norm(a) ** 2,
+        lipschitz=float(np.linalg.norm(a, 2)) ** 2,
         prox_g=operators.l1_prox(lam),
         prox_h=operators.zero_prox(),
         b_mat=b_coupling,
@@ -247,7 +241,7 @@ def default_step_sizes(problem, beta=None, eta=None):
         beta = 1.0 / problem.lipschitz
     if problem.kind != "analysis_l1":
         return beta, None
-    b_norm = spectral_norm(problem.b_mat) if problem.b_mat.any() else 0.0
+    b_norm = float(np.linalg.norm(problem.b_mat, 2))
     bounds = step_size_bounds(problem.lipschitz, b_norm, beta)
     if eta is None:
         eta = 0.5 * bounds.eta_max

@@ -1,6 +1,10 @@
 """Deterministic report emission: JSON and CSV with 17-significant-digit
 floats so identical inputs and seeds produce byte-identical files and every
 recorded double survives a round trip.
+
+JSON output is strict JSON: a non-finite float (an infinite residual, a NaN
+fit) is written as ``null``.  CSV cells keep ``Infinity``, ``-Infinity`` and
+``NaN``.
 """
 
 from __future__ import annotations
@@ -8,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import os
 
 import numpy as np
@@ -66,7 +71,7 @@ def _emit(obj, parts, indent, level):
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
-        parts.append(format_float(obj))
+        parts.append(format_float(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):

@@ -87,6 +87,30 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "diverged"
 
+    def test_non_finite_iterate_exits_two_naming_the_step(self, tmp_path, capsys):
+        write_config(tmp_path / "op.json", {"type": "affine", "alpha": 1e200})
+        cfg = write_config(tmp_path / "run.json",
+                           {"operator": "op.json", "x0": [1e200]})
+        for command in ("solve", "rates"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == EXIT_FAIL
+            err = capsys.readouterr().err
+            assert err == f"fpcert: {command} failed: iterate became non-finite at step 1\n"
+
+    def test_infinite_residual_is_null_in_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        write_config(tmp_path / "op.json", {"type": "affine", "alpha": -1})
+        cfg = write_config(tmp_path / "run.json", {
+            "operator": "op.json", "x0": [1e308], "params": {"max_iter": 3},
+        })
+        out = tmp_path / "out"
+        main(["solve", "--config", cfg, "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["final_residual"] is None
+
     def test_problem_solve_with_reference_column(self, tmp_path):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 3))

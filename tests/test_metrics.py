@@ -14,7 +14,6 @@ from fpcert.metrics import (
     primal_dual_metric,
     read_matrix,
     smallest_eigenvalue_spd,
-    solve_cholesky,
     spectral_norm,
     weighted_norm,
     write_matrix,
@@ -24,6 +23,15 @@ from fpcert.metrics import (
 def random_spd(rng, n, jitter=0.1):
     g = rng.standard_normal((n, n))
     return g @ g.T + jitter * np.eye(n)
+
+
+def clustered_design():
+    # sigma_2 / sigma_1 = 0.9999 on top and 0.3 / 0.30003 at the bottom, so
+    # power and inverse iteration each gain only a factor 0.9998 a sweep
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    return (u * [1.0, 0.9999, 0.7, 0.5, 0.30003, 0.3]) @ v.T
 
 
 class TestNorm:
@@ -122,13 +130,6 @@ class TestCholesky:
         low = cholesky_factor(w)
         assert np.max(np.abs(low @ low.T - w)) <= 1e-10 * np.max(np.abs(w))
 
-    def test_solve(self):
-        rng = np.random.default_rng(5)
-        w = random_spd(rng, 6)
-        b = rng.standard_normal(6)
-        x = solve_cholesky(cholesky_factor(w), b)
-        np.testing.assert_allclose(w @ x, b, atol=1e-9)
-
     def test_failure_names_pivot(self):
         singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -192,6 +193,24 @@ class TestSmallestEigenvalue:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             smallest_eigenvalue_spd(np.diag([1.0, -1.0]))
+
+
+class TestClusteredSpectrum:
+    @pytest.mark.parametrize("tol, max_iter", [(1e-10, 10000), (1e-6, 40000)])
+    def test_raises_or_returns_within_tol(self, tol, max_iter):
+        a = clustered_design()
+        gram = a.T @ a
+        eig = np.linalg.eigvalsh(gram)
+        try:
+            theta = spectral_norm(a, tol=tol, max_iter=max_iter) ** 2
+            assert abs(theta - eig[-1]) <= tol * theta
+        except PowerIterationError:
+            pass
+        try:
+            theta = smallest_eigenvalue_spd(gram, tol=tol, max_iter=max_iter)
+            assert abs(theta - eig[0]) <= tol * theta
+        except PowerIterationError:
+            pass
 
 
 class TestPrimalDualMetric:

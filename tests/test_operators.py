@@ -46,6 +46,14 @@ class TestOperatorType:
             affine_like = Operator(1, lambda x: 0.5 * x, fixed_point_hint=[1.0])
             del affine_like
 
+    def test_non_finite_hint_image_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="moves by nan"):
+                Operator(1, lambda x: x * np.nan, np.zeros(1))
+            with pytest.raises(ValueError, match="moves by inf"):
+                Operator(2, lambda x: x * 1e300, np.full(2, 1e10))
+
     def test_displacement(self):
         op = affine(0.5, [0.0])
         assert op.displacement(np.array([4.0]))[0] == 2.0

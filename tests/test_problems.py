@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpcert.certify import SamplingPlan, certify, estimate_mu
+from fpcert.cli import main
 from fpcert.iterate import picard
 from fpcert.metrics import L1, primal_dual_metric, spectral_norm, write_matrix
 from fpcert.operators import gradient_step
@@ -20,6 +21,17 @@ from fpcert.problems import (
 )
 
 MODERATE_PLAN = SamplingPlan(n_pairs=250, radius_scales=(0.1, 1.0, 10.0), seed=0)
+
+# sigma_2 / sigma_1 = 0.9999: power iteration gains a factor 0.9998 a sweep
+CLUSTERED = [1.0, 0.9999, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
+
+
+def designed(singular_values, rows=30, seed=0):
+    """A rows x n design with the given singular values and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, len(singular_values))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(singular_values),) * 2))
+    return (u * singular_values) @ v.T
 
 
 class TestLeastSquares:
@@ -59,6 +71,60 @@ class TestLeastSquares:
             scale = np.linalg.norm(x - y)
             assert gap <= p.lipschitz * scale + 1e-8 * scale
             assert gap >= p.lower_lipschitz * scale - 1e-8 * scale
+
+
+class TestSpectralConstants:
+    def test_clustered_spectrum_matches_eigvalsh(self):
+        a = designed(CLUSTERED)
+        p = least_squares_problem(a, np.ones(30))
+        eig = np.linalg.eigvalsh(a.T @ a)
+        assert p.lipschitz == pytest.approx(eig[-1], rel=1e-12, abs=0)
+        assert p.lower_lipschitz == pytest.approx(eig[0], rel=1e-12, abs=0)
+
+    def test_ill_conditioned_design(self):
+        # sigma_min / sigma_max = 1e-5: the Gram matrix has condition 1e10, so
+        # eigvalsh of A^T A is no oracle for lambda_min.  An SVD of A is
+        # accurate to a few eps * cond(A) = 2e-11 relative in lambda_min, and
+        # its solution agrees with lstsq.
+        singular_values = np.geomspace(1.0, 1e-5, 10)
+        a = designed(singular_values)
+        b = np.random.default_rng(1).standard_normal(30)
+        p = least_squares_problem(a, b)
+        assert p.lipschitz == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert p.lower_lipschitz == pytest.approx(1e-10, rel=1e-10, abs=0)
+        oracle = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(p.exact_solution - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_rank_rule_is_the_singular_value_ratio(self):
+        # accepted above 1e-10 * sigma_max, however ill-conditioned the Gram
+        p = least_squares_problem(designed([1.0] * 9 + [1e-9]), np.ones(30))
+        assert p.lower_lipschitz > 0.0
+        with pytest.raises(RankDeficientError):
+            least_squares_problem(designed([1.0] * 9 + [1e-11]), np.ones(30))
+
+    def test_wide_design_rejected(self):
+        a = np.random.default_rng(2).standard_normal((5, 8))
+        with pytest.raises(RankDeficientError):
+            least_squares_problem(a, np.ones(5))
+
+    def test_non_finite_design_rejected(self):
+        for a, b in ((np.diag([1.0, np.nan]), np.ones(2)),
+                     (np.eye(2), [np.inf, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                least_squares_problem(a, b)
+            with pytest.raises(ValueError, match="finite"):
+                analysis_l1_problem(a, b, np.eye(2), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            analysis_l1_problem(np.eye(2), np.ones(2), [[np.nan, 1.0]], 0.1)
+
+    def test_clustered_design_solves_from_the_cli(self, tmp_path):
+        write_matrix(tmp_path / "A.txt", designed(CLUSTERED))
+        write_matrix(tmp_path / "b.txt", np.ones((30, 1)))
+        (tmp_path / "problem.json").write_text(json.dumps(
+            {"kind": "least_squares", "A": "A.txt", "b": "b.txt"}))
+        (tmp_path / "run.json").write_text(json.dumps({"problem": "problem.json"}))
+        assert main(["solve", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSeparable:

@@ -51,6 +51,17 @@ class TestJson:
         assert parsed["resid"] == [0.5, 0.25, 0.125, 0.0625, 0.03125]
         assert parsed["k"] == 3
 
+    def test_non_finite_floats_are_null_in_strict_json(self):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = {"inf": float("inf"), "ninf": -np.inf, "nan": [np.float64("nan")]}
+        parsed = json.loads(dumps_json(payload), parse_constant=reject)
+        assert parsed == {"inf": None, "ninf": None, "nan": [None]}
+        # the CSV rendering keeps its spelling
+        assert format_float(float("inf")) == "Infinity"
+        assert format_float(float("nan")) == "NaN"
+
     def test_write_json(self, tmp_path):
         path = tmp_path / "out.json"
         write_json(path, {"v": 0.1})
