@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators, problems, reports
-from .certify import SamplingPlan, certify, estimate_mu, range_region
+from .certify import EstimateError, SamplingPlan, certify, estimate_mu, range_region
 from .iterate import (
     NonFiniteIterateError,
     StopReason,
@@ -193,10 +193,16 @@ def load_operator_config(path):
         if not isinstance(z, list) or not z:
             raise UsageError("field 'z' must be a nonempty list of numbers")
         z = np.array([_scalar("z", v) for v in z])
-        return operators.affine(alpha, z)
+        try:
+            return operators.affine(alpha, z)
+        except ValueError as err:
+            raise UsageError(f"field 'alpha'/'z': {err}") from err
     if kind == "identity":
         return operators.identity(dim)
     raise UsageError(f"field 'type': unknown operator type {config.get('type')!r}")
+
+
+CONSTANT_RANGE = "its Lipschitz or coupling constant is 0 or overflows a double"
 
 
 def _resolve_target(config):
@@ -212,11 +218,16 @@ def _resolve_target(config):
             raise UsageError(f"field 'problem': file not found: {config.problem}") from err
         except (ValueError, json.JSONDecodeError) as err:
             raise UsageError(f"field 'problem': {err}") from err
+        except ArithmeticError as err:
+            raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
         try:
             beta, eta = problems.default_step_sizes(problem, beta, eta)
             op = problems.build_operator(problem, beta, eta)
         except ValueError as err:
             raise UsageError(f"field 'beta'/'eta': {err}") from err
+        except ArithmeticError as err:
+            # L = 0 or an overflowing |B|^2: no step size can mend the problem
+            raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
     else:
         op = load_operator_config(config.operator)
     return op, problem, beta, eta
@@ -273,35 +284,33 @@ def _run_certify(config):
     return EXIT_OK if cert.passed else EXIT_FAIL
 
 
-def _solve_trace(config, op, problem, norm_spec):
-    params = config.params
-    max_iter = params.get("max_iter", 100_000)
-    res_tol = params.get("tol", 1e-10)
+def _run_trace(config):
+    """Run the configured target and write its ``trace.csv``.
+
+    The reference of ``error_to_ref`` is the operator's fixed-point hint,
+    which every problem with a closed-form solution carries.  Returns the
+    operator, the norm, the trace, the output directory and the step sizes.
+    """
+    op, problem, beta, eta = _resolve_target(config)
+    norm_spec = _norm_spec(config, problem, beta, eta)
     x0 = config.raw.get("x0")
-    if x0 is not None:
-        if not isinstance(x0, list) or len(x0) != op.dim:
-            raise UsageError(f"field 'x0': expected {op.dim} entries")
-        x0 = np.array([_scalar("x0", v) for v in x0])
-    else:
-        x0 = np.zeros(op.dim)
-    ref = None
-    if problem is not None and problem.exact_solution is not None:
-        ref = problem.exact_solution
-    return picard(op, x0, max_iter=max_iter, res_tol=res_tol, ref=ref,
-                  norm_spec=norm_spec)
+    if x0 is None:
+        x0 = [0.0] * op.dim
+    if not isinstance(x0, list) or len(x0) != op.dim:
+        raise UsageError(f"field 'x0': expected {op.dim} entries")
+    x0 = np.array([_scalar("x0", v) for v in x0])
+    trace = picard(op, x0, max_iter=config.params.get("max_iter", 100_000),
+                   res_tol=config.params.get("tol", 1e-10),
+                   ref=op.fixed_point_hint, norm_spec=norm_spec)
+    out = _output_dir(config)
+    steps = {name: float(value) for name, value in (("beta", beta), ("eta", eta))
+             if value is not None}
+    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
+    return op, norm_spec, trace, out, steps
 
 
 def _run_solve(config):
-    op, problem, beta, eta = _resolve_target(config)
-    norm_spec = _norm_spec(config, problem, beta, eta)
-    trace = _solve_trace(config, op, problem, norm_spec)
-    out = _output_dir(config)
-    step_params = {}
-    if beta is not None:
-        step_params["beta"] = float(beta)
-    if eta is not None:
-        step_params["eta"] = float(eta)
-    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, step_params)
+    _, _, trace, out, steps = _run_trace(config)
     summary = {
         "stop_reason": trace.stop_reason.value,
         "k_final": trace.k_final,
@@ -309,21 +318,14 @@ def _run_solve(config):
         "norm": trace.norm_spec.describe(),
         "operator": trace.label,
     }
-    summary.update(step_params)
+    summary.update(steps)
     reports.write_json(os.path.join(out, "summary.json"), summary)
     return EXIT_OK if trace.converged else EXIT_FAIL
 
 
 def _run_rates(config):
     mu = config.params.get("mu")
-    op, problem, beta, eta = _resolve_target(config)
-    norm_spec = _norm_spec(config, problem, beta, eta)
-    trace = _solve_trace(config, op, problem, norm_spec)
-    out = _output_dir(config)
-    step_params = {} if beta is None else {"beta": float(beta)}
-    if eta is not None:
-        step_params["eta"] = float(eta)
-    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, step_params)
+    op, norm_spec, trace, out, _ = _run_trace(config)
 
     gamma = config.params.get("gamma", 2.0)
     model = str(config.raw.get("model", "exponential"))
@@ -331,30 +333,32 @@ def _run_rates(config):
     checks = {}
 
     try:
-        fit = fit_rate(trace.residuals, model)
-        reports.write_json(os.path.join(out, "rate_fit.json"), fit.to_dict())
+        fit = fit_rate(trace.residuals, model).to_dict()
     except ValueError as err:
-        reports.write_json(os.path.join(out, "rate_fit.json"), {"error": str(err)})
-        fit = None
+        fit = {"error": str(err)}
+    reports.write_json(os.path.join(out, "rate_fit.json"), fit)
 
     proxy = little_o_proxy(trace.residuals, gamma)
     checks["little_o_proxy"] = proxy.to_dict()
     if not proxy.verdict:
         failed = True
 
-    xhat = None
-    if op.fixed_point_hint is not None:
-        xhat = op.fixed_point_hint
-    elif problem is not None and problem.exact_solution is not None:
-        xhat = problem.exact_solution
+    xhat = op.fixed_point_hint
+    skipped = "no fixed point available" if xhat is None else None
     if xhat is not None and mu is None:
-        mu = estimate_mu(op, gamma, norm_spec, _plan(config, op.dim))
-    if xhat is not None and mu == 0.0:
-        # an expansive map or an over-long step: no mu > 0 survives sampling
-        checks["summability"] = {"skipped": "mu estimate is 0"}
-        checks["sandwich"] = {"skipped": "mu estimate is 0"}
-        failed = True
-    elif xhat is not None:
+        try:
+            mu = estimate_mu(op, gamma, norm_spec, _plan(config, op.dim))
+        except EstimateError as err:
+            # no sampled pair was informative, so there is no estimate
+            skipped = str(err)
+        if mu == 0.0:
+            # an expansive map or an over-long step: no mu > 0 survives sampling
+            skipped = "mu estimate is 0"
+        failed = failed or skipped is not None
+    if skipped is not None:
+        checks["summability"] = {"skipped": skipped}
+        checks["sandwich"] = {"skipped": skipped}
+    else:
         summ = check_residual_summability(trace, gamma, mu, xhat)
         checks["summability"] = summ.to_dict()
         if not summ.verdict:
@@ -366,9 +370,6 @@ def _run_rates(config):
                 failed = True
         else:
             checks["sandwich"] = {"skipped": "needs a converged trace and mu <= 1"}
-    else:
-        checks["summability"] = {"skipped": "no fixed point available"}
-        checks["sandwich"] = {"skipped": "no fixed point available"}
 
     checks["stop_reason"] = trace.stop_reason.value
     reports.write_json(os.path.join(out, "checks.json"), checks)

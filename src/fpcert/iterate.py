@@ -39,9 +39,6 @@ __all__ = [
 # divergence; step sizes beyond the admissible range must terminate cleanly.
 DIVERGENCE_FACTOR = 1e6
 
-# Iterates are retained only while the trace stays under this many floats.
-DEFAULT_ITERATE_CAP = 500_000
-
 
 class StopReason(enum.Enum):
     RESIDUAL_TOL = "residual_tol"
@@ -62,9 +59,10 @@ class IterationTrace:
     """Record of one fixed-point run.
 
     ``residuals[k]`` is the distance between iterates k and k+1 in the trace
-    norm, for k = 0..k_final-1; ``errors_to_ref[k]`` (when a reference was
-    supplied) is the distance from iterate k to the reference, k = 0..k_final.
-    Full iterates are kept only below a size cap.
+    norm, for k = 0..k_final-1.  When a reference vector ``ref`` was
+    supplied, ``errors_to_ref[k]`` is the distance from iterate k to it,
+    k = 0..k_final; both are None otherwise.  Iterates themselves are not
+    kept: every trajectory claim reads these distances.
     """
 
     x0: np.ndarray
@@ -73,7 +71,7 @@ class IterationTrace:
     norm_spec: NormSpec
     k_final: int
     stop_reason: StopReason
-    iterates: Optional[list] = None
+    ref: Optional[np.ndarray] = None
     errors_to_ref: Optional[np.ndarray] = None
     label: str = ""
 
@@ -86,15 +84,14 @@ class IterationTrace:
         return float(self.residuals[-1]) if self.k_final else 0.0
 
 
-def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
-           keep_iterates=None, divergence_factor=DIVERGENCE_FACTOR,
-           iterate_cap=DEFAULT_ITERATE_CAP):
+def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     """Run the fixed-point iteration x <- T(x) and record its trace.
 
     Stops when the consecutive-iterate residual drops to ``res_tol``, after
-    ``max_iter`` steps, or as soon as the residual exceeds
-    ``divergence_factor * (1 + initial residual)``.  A non-finite iterate
-    raises NonFiniteIterateError naming the step.
+    ``max_iter`` steps, or, from step 2 on, as divergence: when the residual
+    exceeds ``DIVERGENCE_FACTOR * (1 + first residual)`` or is infinite
+    although the iterates are finite.  A non-finite iterate raises
+    NonFiniteIterateError naming the step.
 
     The arguments, the norm's kind and weight dimension, and the first step
     (through ``op(x)``, with every check the operator makes, and a scan for
@@ -116,11 +113,10 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
     res_tol : float
         Residual stopping tolerance (0 stops only on an exact fixed point).
     ref : array_like, optional
-        Reference solution; enables the errors_to_ref column.
+        Reference solution; kept as ``trace.ref`` and measured against in
+        ``trace.errors_to_ref``.
     norm_spec : NormSpec
         Norm for residuals and reference distances.
-    keep_iterates : bool, optional
-        Force retention of all iterates; defaults to an automatic cap.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -130,15 +126,12 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
     if x.shape != (op.dim,):
         raise ValueError(f"x0 has shape {x.shape}, operator expects ({op.dim},)")
     if ref is not None:
-        ref = np.asarray(ref, dtype=float).reshape(-1)
+        ref = np.array(ref, dtype=float).reshape(-1)
         if ref.shape != (op.dim,):
             raise ValueError("reference vector dimension mismatch")
-    if keep_iterates is None:
-        keep_iterates = (max_iter + 1) * op.dim <= iterate_cap
 
     fn, shape = op.fn, x.shape
     dist = _vector_norm(norm_spec, shape)
-    iterates = [x.copy()] if keep_iterates else None
     errors = [dist(x - ref)] if ref is not None else None
     residuals = []
     guard = None
@@ -159,13 +152,11 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
             raise NonFiniteIterateError(k)
         residuals.append(r)
         x = x_next
-        if iterates is not None:
-            iterates.append(x.copy())
         if errors is not None:
             errors.append(dist(x - ref))
         if guard is None:
-            guard = divergence_factor * (1.0 + r)
-        if r > guard:
+            guard = DIVERGENCE_FACTOR * (1.0 + r)
+        elif r > guard or r == math.inf:
             stop = StopReason.DIVERGED
             break
         if r <= res_tol:
@@ -179,7 +170,7 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2,
         norm_spec=norm_spec,
         k_final=len(residuals),
         stop_reason=stop,
-        iterates=iterates,
+        ref=ref,
         errors_to_ref=None if errors is None else np.asarray(errors),
         label=op.label,
     )
@@ -344,7 +335,8 @@ def check_residual_summability(trace, gamma, mu, xhat, tol=1e-10):
     if gamma <= 0 or mu <= 0:
         raise ValueError("gamma and mu must be positive")
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    bound = norm(trace.x0 - xhat, trace.norm_spec) ** gamma
+    # numpy's power overflows to inf, where a Python float's would raise
+    bound = float(np.power(norm(trace.x0 - xhat, trace.norm_spec), gamma))
     partial = float(np.sum(mu * trace.residuals**gamma))
     margin = bound + tol - partial
     return SummabilityReport(
@@ -395,25 +387,18 @@ class SandwichReport:
 def check_sandwich(trace, xstar, mu, tol=1e-8, r2_threshold=0.99):
     """Verify the two-sided tail-sum comparison along a converged trace.
 
-    Requires a trace stopped by the residual tolerance and a mu in (0, 1]
-    taken from an exponent-1 certificate.  Errors are recomputed from the
-    stored iterates against ``xstar`` when available, otherwise the recorded
-    errors_to_ref are used.
+    Requires a trace stopped by the residual tolerance, a mu in (0, 1]
+    taken from an exponent-1 certificate, and a trace run with
+    ``ref=xstar``: its errors_to_ref are the errors compared.
     """
     if trace.stop_reason is not StopReason.RESIDUAL_TOL:
         raise ValueError("sandwich check needs a trace stopped by the residual tolerance")
     if not 0 < mu <= 1.0 + 1e-9:
         raise ValueError("mu must lie in (0, 1]")
     mu = min(mu, 1.0)
-    xstar = np.asarray(xstar, dtype=float).reshape(-1)
-    if trace.iterates is not None:
-        errors = np.array(
-            [norm(xk - xstar, trace.norm_spec) for xk in trace.iterates]
-        )
-    elif trace.errors_to_ref is not None:
-        errors = trace.errors_to_ref
-    else:
-        raise ValueError("trace carries neither iterates nor errors_to_ref")
+    if not np.array_equal(trace.ref, np.ravel(xstar)):
+        raise ValueError("sandwich check needs a trace run with ref equal to xstar")
+    errors = trace.errors_to_ref
 
     r = trace.residuals
     if r.size and r[-1] > 0.0:
@@ -512,8 +497,8 @@ def verify_recurrence_bound(seq, p, mu, tol=1e-12):
 
     Finds the first index from which the recurrence premise holds through the
     end of the sequence, then verifies the closed-form bound at every later
-    index (geometric decay when p == 0).  The first violation, if any, is
-    reported.
+    index (geometric decay when p == 0), in time linear in the sequence
+    length.  Every violation is reported.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -532,15 +517,15 @@ def verify_recurrence_bound(seq, p, mu, tol=1e-12):
     if start >= n - 1:
         return RecurrenceReport(p, mu, None, 0, [], True)
 
-    a_start = float(seq[start])
-    violations = []
-    checked = 0
-    for k in range(start + 1, n):
-        if p == 0:
-            bound = a_start * (1.0 - mu) ** (k - start)
-        else:
-            bound = recurrence_bound(a_start, p, np.full(n, mu), start, k)
-        checked += 1
-        if seq[k] > bound + tol:
-            violations.append((k, float(seq[k]), bound))
-    return RecurrenceReport(p, mu, start, checked, violations, not violations)
+    # bounds[j] is the bound at k = start + 1 + j, all in one expression
+    a_start, steps = seq[start], np.arange(1, n - start)
+    if a_start == 0.0:
+        bounds = np.zeros(len(steps))
+    elif p == 0:
+        bounds = a_start * (1.0 - mu) ** steps
+    else:
+        bounds = (a_start ** (-p) + p * mu * steps) ** (-1.0 / p)
+    over = np.nonzero(seq[start + 1:] > bounds + tol)[0].tolist()
+    violations = [(start + 1 + j, float(seq[start + 1 + j]), float(bounds[j]))
+                  for j in over]
+    return RecurrenceReport(p, mu, start, len(steps), violations, not violations)

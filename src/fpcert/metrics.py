@@ -6,6 +6,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,14 +113,24 @@ def _vector_norm(spec, shape):
     take many norms of one shape resolve it once.
     """
     if spec.kind == "l2":
-        return lambda x: float(np.linalg.norm(x))
+        return _euclidean
     if spec.kind == "l1":
         return lambda x: float(np.sum(np.abs(x)))
     if spec.kind == "weighted":
         _check_weight_dim(spec, shape)
         factor_t = spec.factor.T
-        return lambda x: float(np.linalg.norm(factor_t @ x))
+        return lambda x: _euclidean(factor_t @ x)
     raise ValueError(f"unknown norm kind {spec.kind!r}")
+
+
+def _euclidean(x):
+    """``np.linalg.norm(x)``, rescaled by max |x_i| when only the squares of a
+    finite ``x`` overflow."""
+    r = float(np.linalg.norm(x))
+    if math.isinf(r) and np.isfinite(x).all():
+        scale = float(np.max(np.abs(x)))
+        r = scale * float(np.linalg.norm(x / scale))
+    return r
 
 
 def _check_weight_dim(spec, shape):
@@ -134,7 +145,8 @@ def norm(x, spec=L2):
     """Evaluate ``x`` under the selected norm.
 
     l1 and l2 are exact componentwise reductions; the weighted norm is the
-    Euclidean norm of ``factor.T @ x``.  A vector gives a float.  A stack of
+    Euclidean norm of ``factor.T @ x``.  A vector gives a float, finite
+    whenever the norm is a double, even where its squares overflow.  A stack of
     shape (k, n) gives the array of its k row norms, and each row's norm is
     bit-identical whatever stack it sits in, a stack of one included.
     """

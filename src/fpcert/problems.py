@@ -307,8 +307,7 @@ def reference_solution(problem, tol=1e-8, max_iter=10**6):
             state=problem.exact_solution.copy(),
         )
     op = build_operator(problem)
-    trace = picard(op, np.zeros(op.dim), max_iter=max_iter, res_tol=tol * 1e-3,
-                   keep_iterates=False)
+    trace = picard(op, np.zeros(op.dim), max_iter=max_iter, res_tol=tol * 1e-3)
     if trace.stop_reason is not StopReason.RESIDUAL_TOL:
         raise ReferenceError(
             f"reference iteration stopped with {trace.stop_reason.value} at "

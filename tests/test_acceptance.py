@@ -91,7 +91,7 @@ def lasso_instance():
         return a.T @ (a @ x - b)
 
     plain = proximal_gradient(grad, l1_prox(lam), beta, n, label="lasso")
-    xhat = picard(plain, np.zeros(n), 10**6, 1e-13, keep_iterates=False).x_final
+    xhat = picard(plain, np.zeros(n), 10**6, 1e-13).x_final
     op = proximal_gradient(grad, l1_prox(lam), beta, n, fixed_point_hint=xhat,
                            label="lasso")
     x0 = rng.standard_normal(n)

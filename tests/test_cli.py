@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcert.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from fpcert.metrics import write_matrix
@@ -111,6 +116,23 @@ class TestSolveCommand:
                              parse_constant=reject)
         assert summary["final_residual"] is None
 
+    def test_operator_solve_measures_errors_to_the_hint(self, tmp_path):
+        # x -> 0.5 x + z has the fixed point 2 z
+        write_config(tmp_path / "op.json",
+                     {"type": "affine", "alpha": 0.5, "z": [1.0, -2.0]})
+        cfg = write_config(tmp_path / "run.json",
+                           {"operator": "op.json", "x0": [0.0, 0.0],
+                            "params": {"max_iter": 20}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        rows = [l.split(",") for l in (out / "trace.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        hint, x = np.array([2.0, -4.0]), np.zeros(2)
+        for k, (step, _, error) in enumerate(rows):
+            assert int(step) == k
+            assert float(error) == np.linalg.norm(x - hint)
+            x = 0.5 * x + np.array([1.0, -2.0])
+
     def test_problem_solve_with_reference_column(self, tmp_path):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 3))
@@ -184,6 +206,32 @@ class TestRatesCommand:
         for key in ("summability", "sandwich"):
             assert checks[key] == {"skipped": "mu estimate is 0"}
 
+    def test_uninformative_sample_records_skipped_checks(self, tmp_path):
+        # lambda = 0 makes the map the identity: every sampled pair is fixed
+        write_config(tmp_path / "op.json",
+                     {"type": "soft_threshold", "lambda": 0, "dim": 3})
+        cfg = write_config(tmp_path / "run.json", {"operator": "op.json"})
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        checks = json.loads((out / "checks.json").read_text())
+        for key in ("summability", "sandwich"):
+            assert checks[key] == {"skipped": "operator is indistinguishable "
+                                   "from the identity on all sampled pairs"}
+
+    def test_outputs_do_not_depend_on_the_step_budget(self, tmp_path):
+        write_config(tmp_path / "op.json",
+                     {"type": "soft_threshold", "lambda": 1, "dim": 10})
+        cfg = write_config(tmp_path / "run.json",
+                           {"operator": "op.json", "x0": [3.0] * 10})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["rates", "--config", cfg, "--out", str(out1)]) == EXIT_OK
+        assert main(["rates", "--config", cfg, "--out", str(out2),
+                     "--max-iter", "1000"]) == EXIT_OK
+        for name in ("checks.json", "trace.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert json.loads((out1 / "checks.json").read_text())[
+            "sandwich"]["verdict"] == "PASS"
+
     def test_nonpositive_mu_is_usage_error(self, tmp_path, capsys):
         write_config(tmp_path / "op.json", {"type": "affine", "alpha": 0.5, "z": [1.0]})
         cfg = write_config(tmp_path / "run.json", {"operator": "op.json"})
@@ -248,6 +296,16 @@ class TestUsageErrors:
              "resolution"),                            # non-numeric grid size
             ("solve", {"problem": "ls.json"}, ["--beta", "1e300"],
              "beta"),                                  # step moves the solution
+            ("solve", {"problem": "zero_a.json"}, [],
+             "problem"),                               # L = 0 leaves no 1/L step
+            ("solve", {"problem": "huge_ls.json"}, [],
+             "problem"),                               # s_max^2 overflows
+            ("solve", {"problem": "huge_a.json"}, [],
+             "problem"),                               # |A|^2 overflows
+            ("solve", {"problem": "huge_b.json"}, [],
+             "problem"),                               # |B|^2 overflows
+            ("solve", {"operator": "far.json"}, [],
+             "alpha"),                                 # hint overflows
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -256,6 +314,16 @@ class TestUsageErrors:
         write_config(tmp_path / "ls.json", {"kind": "least_squares",
                                             "A": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]],
                                             "b": [1.0, 2.0, 3.0]})
+        write_config(tmp_path / "huge_ls.json", {
+            "kind": "least_squares", "A": [[1e200, 0], [0, 1e200], [1, 1]],
+            "b": [1, 1, 1]})
+        for name, a_mat, b_mat in (("zero_a", [[0, 0], [0, 0]], [[1, 0]]),
+                                   ("huge_a", [[1e200, 0], [0, 1]], [[1, 0]]),
+                                   ("huge_b", [[1, 0], [0, 1]], [[1e200, 0]])):
+            write_config(tmp_path / f"{name}.json", {
+                "kind": "analysis_l1", "A": a_mat, "b": [1, 1], "B": b_mat})
+        write_config(tmp_path / "far.json",
+                     {"type": "affine", "alpha": 0.5, "z": [1e308, 1e308]})
         for i, (command, payload, args, field_name) in enumerate(corpus):
             cfg = write_config(tmp_path / f"bad{i}.json", payload)
             assert main([command, "--config", cfg,
@@ -310,3 +378,100 @@ class TestScalarOverrides:
                      "--lambda", "2.0"]) == EXIT_OK
         # a larger threshold moves the minimizer, so the traces must differ
         assert (out1 / "trace.csv").read_text() != (out2 / "trace.csv").read_text()
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+# entries of every size a config may carry: zero, moderate, and finite
+# magnitudes up to 1e300, where squares and norms overflow
+ENTRIES = st.one_of(st.just(0.0), st.floats(-10.0, 10.0),
+                    st.floats(-1e300, 1e300))
+POSITIVE = st.one_of(st.floats(1e-3, 10.0), st.floats(1e-300, 1e300))
+
+
+@st.composite
+def generated_runs(draw):
+    """A command and the JSON files of its run, keyed by file name."""
+
+    def vector(size):
+        return draw(st.lists(ENTRIES, min_size=size, max_size=size))
+
+    def matrix(rows, cols):
+        if draw(st.booleans()):
+            return [[0.0] * cols for _ in range(rows)]
+        return [vector(cols) for _ in range(rows)]
+
+    command = draw(st.sampled_from(["solve", "rates", "certify", "region"]))
+    dim = draw(st.integers(1, 12))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e300)))
+    files = {}
+    run = {
+        "norm": draw(st.sampled_from(["l2", "l1", "w"])),
+        "property": draw(st.sampled_from(
+            ["gan", "nonexpansive", "contractive", "fp_contractive",
+             "holder_regular"])),
+        "params": {
+            "max_iter": draw(st.integers(1, 500)),
+            "n_pairs": draw(st.integers(1, 20)),
+            "seed": draw(st.integers(0, 3)),
+            "gamma": draw(st.floats(0.1, 4.0)),
+        },
+    }
+    for key in ("mu", "rho", "beta", "eta", "tol"):
+        if draw(st.booleans()):
+            run["params"][key] = draw(POSITIVE)
+    target = draw(st.sampled_from(
+        ["soft_threshold", "block_soft_threshold", "identity", "affine",
+         "least_squares", "separable_smooth_l1", "analysis_l1"]))
+    if target in ("least_squares", "separable_smooth_l1", "analysis_l1"):
+        rows = draw(st.integers(1, 12))
+        problem = {"kind": target, "lambda": lam, "b": vector(rows)}
+        if target == "separable_smooth_l1":
+            problem["b"] = vector(dim)
+            problem["coeffs"] = draw(st.lists(POSITIVE, min_size=dim, max_size=dim))
+        else:
+            problem["A"] = matrix(rows, dim)
+        if target == "analysis_l1":
+            problem["B"] = matrix(draw(st.integers(1, 4)), dim)
+        files["problem.json"] = problem
+        run["problem"] = "problem.json"
+        size = dim + (len(problem["B"]) if target == "analysis_l1" else 0)
+    else:
+        operator = {"type": target, "dim": dim, "lambda": lam}
+        if target == "affine":
+            operator = {"type": target, "alpha": draw(ENTRIES), "z": vector(dim)}
+        files["op.json"] = operator
+        run["operator"] = "op.json"
+        size = dim
+    if draw(st.booleans()):
+        run["x0"] = vector(size)
+    if command == "region":
+        run = {"x": vector(2), "xhat": vector(2),
+               "resolution": draw(st.integers(2, 20)), "params": run["params"]}
+    files["run.json"] = run
+    return command, files
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(generated_runs())
+    def test_every_run_ends_in_a_documented_exit(self, generated):
+        # any config ends in exit 0, 1 or 2 with strict-JSON outputs, never
+        # in an exception escaping main
+        command, files = generated
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, payload in files.items():
+                write_config(os.path.join(tmp, name), payload)
+            out = os.path.join(tmp, "out")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", os.path.join(tmp, "run.json"),
+                             "--out", out])
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_FAIL)
+            assert "Traceback" not in stderr.getvalue()
+            for name in os.listdir(out) if os.path.isdir(out) else []:
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name), encoding="utf-8") as handle:
+                        json.loads(handle.read(), parse_constant=_reject_constant)

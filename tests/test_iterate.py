@@ -46,6 +46,7 @@ class TestPicard:
         np.testing.assert_allclose(trace.residuals, expected, rtol=1e-12)
         assert trace.stop_reason is StopReason.MAX_ITER
         assert trace.k_final == 10
+        assert trace.x_final.shape == (1,)
 
     def test_identity_stops_immediately(self):
         trace = picard(identity(2), [3.0, 4.0], 50, 0.0)
@@ -66,6 +67,14 @@ class TestPicard:
         assert trace.stop_reason is StopReason.DIVERGED
         assert trace.k_final < 100
 
+    def test_contraction_from_a_huge_start_converges(self):
+        # the squares of the iterates overflow for the first ~150 steps,
+        # their distances do not, so the run is no divergence
+        with np.errstate(over="ignore"):
+            trace = picard(affine(0.5, [0.0]), [1e200], 1000, 1e-10)
+        assert trace.converged
+        assert trace.residuals[0] == 5e199
+
     def test_non_finite_iterate_names_step(self):
         def blow_up(x):
             with np.errstate(over="ignore"):
@@ -74,11 +83,6 @@ class TestPicard:
         op = Operator(1, blow_up, label="overflowing")
         with pytest.raises(NonFiniteIterateError, match="step 2"):
             picard(op, [1.0], 10, 0.0)
-
-    def test_iterate_retention_cap(self):
-        trace = picard(affine(0.5, [0.0]), [1.0], 20, 0.0, keep_iterates=False)
-        assert trace.iterates is None
-        assert trace.x_final.shape == (1,)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -181,8 +185,8 @@ class TestPicardMatchesReferenceLoop:
         op = Operator(1, lambda x: -x, label="flip")
         with np.errstate(over="ignore"):
             trace = picard(op, [1e308], 3, 0.0)
-        assert list(trace.residuals) == [np.inf] * 3
-        assert trace.stop_reason is StopReason.MAX_ITER
+        assert list(trace.residuals) == [np.inf] * 2
+        assert trace.stop_reason is StopReason.DIVERGED
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_start_is_caught_at_step_one(self, bad):
@@ -329,6 +333,13 @@ class TestSummability:
         report = check_residual_summability(trace, 2.0, 100.0, [0.0])
         assert not report.verdict
 
+    def test_overflowing_bound_is_infinite_not_an_error(self):
+        # the l1 distance 2e200 is finite, its square is not a double
+        trace = picard(affine(0.5, [0.0, 0.0]), [1e200, 1e200], 5, 0.0, norm_spec=L1)
+        with np.errstate(over="ignore"):
+            report = check_residual_summability(trace, 2.0, 1.0, [0.0, 0.0])
+        assert report.bound == np.inf
+
 
 class TestSandwich:
     def test_halving_map_holds_with_equality(self):
@@ -366,6 +377,13 @@ class TestSandwich:
         trace = picard(affine(0.5, [0.0]), [1.0], 100, 1e-12)
         with pytest.raises(ValueError, match="mu"):
             check_sandwich(trace, [0.0], 1.5)
+
+    @pytest.mark.parametrize("ref", [None, [1e-9]])
+    def test_requires_a_trace_measured_against_xstar(self, ref):
+        trace = picard(affine(0.5, [0.0]), [1.0], 100, 1e-12, ref=ref)
+        assert trace.converged
+        with pytest.raises(ValueError, match="ref equal to xstar"):
+            check_sandwich(trace, [0.0], 1.0)
 
 
 class TestRecurrenceBound:
@@ -422,3 +440,22 @@ class TestVerifyRecurrence:
         seq[10] = 2.0  # plant a bump that breaks the bound
         report = verify_recurrence_bound(seq, 1.0, 0.1)
         assert report.premise_from == 10 or not report.verdict
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 2.0])
+    def test_every_violation_carries_the_closed_form_bound(self, p):
+        # each step gains 0.9 * tol over the recurrence, which the premise
+        # forgives step by step but the bound, checked once, does not
+        mu, tol, seq = 0.2, 1e-3, [1.0]
+        for _ in range(200):
+            a = seq[-1]
+            seq.append(a * (1.0 - mu * a**p) + 0.9 * tol)
+        report = verify_recurrence_bound(seq, p, mu, tol=tol)
+        assert report.premise_from == 0 and report.n_checked == 200
+        expected = {k: (1.0 - mu) ** k if p == 0 else
+                    recurrence_bound(1.0, p, np.full(201, mu), 0, k)
+                    for k in range(1, 201)}
+        late = [k for k in expected if seq[k] > expected[k] + tol]
+        assert late and [k for k, _, _ in report.violations] == late
+        for k, value, bound in report.violations:
+            assert value == seq[k]
+            assert bound == pytest.approx(expected[k], rel=1e-13)

@@ -38,6 +38,14 @@ class TestNorm:
     def test_l2_pythagorean(self):
         assert norm([3.0, 4.0], L2) == 5.0
 
+    def test_vector_norm_survives_overflowing_squares(self):
+        # 3e200 squared is not a double; the norm 5e200 is
+        with np.errstate(over="ignore"):
+            assert norm([3e200, -4e200], L2) == pytest.approx(5e200, rel=1e-15)
+            assert norm([1e200, 0.0], weighted_norm(np.diag([4.0, 1.0]))) == \
+                pytest.approx(2e200, rel=1e-12)
+            assert norm([1.5e308, 1.5e308], L2) == np.inf
+
     def test_l1_sum_of_absolutes(self):
         assert norm([3.0, -4.0], L1) == 7.0
 
