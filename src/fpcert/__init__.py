@@ -34,12 +34,9 @@ from .metrics import (
     L2,
     NormSpec,
     WeightedMetric,
-    inner,
     norm,
     primal_dual_metric,
     read_matrix,
-    smallest_eigenvalue_spd,
-    spectral_norm,
     weighted_norm,
     write_matrix,
 )

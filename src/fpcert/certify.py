@@ -66,36 +66,26 @@ SAMPLED_EVIDENCE_NOTE = "sampled evidence: PASS reports failure to refute, not a
 class SamplingPlan:
     """How to draw sample pairs: Gaussian clouds at several radius scales.
 
-    The default scales reach 1e3 because some properties only fail far from
-    the origin; plans used to probe asymptotics should extend them.  When the
-    operator carries a fixed-point hint, extra pairs straddling the hint are
-    added at every scale.
+    The clouds are centered on the operator's fixed-point hint, or on the
+    origin when it has none.  The default scales reach 1e3 because some
+    properties only fail far from the center; plans used to probe
+    asymptotics should extend them.  When the operator carries a fixed-point
+    hint, extra pairs straddling the hint are added at every scale.
     """
 
     n_pairs: int = 250
     radius_scales: tuple = (0.1, 1.0, 10.0, 1e3)
     seed: int = 0
-    center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
         if len(self.radius_scales) == 0 or any(r <= 0 for r in self.radius_scales):
             raise ValueError("radius_scales must be nonempty and positive")
-        if self.center is not None:
-            object.__setattr__(
-                self, "center", np.asarray(self.center, dtype=float).reshape(-1)
-            )
 
 
-def _plan_center(plan, dim, hint):
-    if plan.center is not None:
-        if plan.center.shape != (dim,):
-            raise ValueError("sampling plan center has the wrong dimension")
-        return plan.center
-    if hint is not None:
-        return hint
-    return np.zeros(dim)
+def _plan_center(dim, hint):
+    return np.zeros(dim) if hint is None else hint
 
 
 def _straddle_count(plan):
@@ -106,11 +96,12 @@ def sample_pairs(plan, dim, hint=None):
     """Seed-ordered list of sample pairs as two stacked arrays.
 
     At every radius scale, ``n_pairs`` Gaussian pairs are drawn around the
-    plan center; when a hint is available, pairs placed on opposite sides of
-    the hint are appended so that behavior at the fixed point is probed.
+    hint, or around the origin without one; with a hint, pairs placed on
+    opposite sides of it are appended so that behavior at the fixed point is
+    probed.
     """
     rng = np.random.default_rng(plan.seed)
-    center = _plan_center(plan, dim, hint)
+    center = _plan_center(dim, hint)
     xs, ys = [], []
     for scale in plan.radius_scales:
         xs.append(center + scale * rng.standard_normal((plan.n_pairs, dim)))
@@ -128,7 +119,7 @@ def sample_pairs(plan, dim, hint=None):
 def sample_points(plan, dim, hint=None):
     """Seed-ordered single points, for properties measured against a fixed point."""
     rng = np.random.default_rng(plan.seed)
-    center = _plan_center(plan, dim, hint)
+    center = _plan_center(dim, hint)
     blocks = [
         center + scale * rng.standard_normal((plan.n_pairs, dim))
         for scale in plan.radius_scales
@@ -384,14 +375,14 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
 
 
 def estimate_min_gamma(op, mu, norm_spec=L2, plan=None, bracket=(0.1, 2.0),
-                       width=1e-3, return_certificate=False):
+                       return_certificate=False):
     """Bisect for the smallest exponent the sampled certificate accepts.
 
     Requires a valid bracket: certification must pass at ``bracket[1]`` and
     fail at ``bracket[0]``.  Validity is monotone in the exponent when
     mu >= 1; below that it is a sampling heuristic, which is noted on the
     certificate returned with ``return_certificate=True``.  The resolved
-    exponent has width ``width`` and can only refute exponents whose
+    exponent has width 1e-3 and can only refute exponents whose
     violations are visible at the plan's radius scales.  The plan's norm
     triples are evaluated once and every bisection step reuses them, so the
     returned certificate equals ``certify(op, 'gan', {'gamma': hi, 'mu': mu},
@@ -411,7 +402,7 @@ def estimate_min_gamma(op, mu, norm_spec=L2, plan=None, bracket=(0.1, 2.0),
         raise ValueError(f"bracket precondition violated: gamma={hi} does not pass")
     if passes(lo):
         raise ValueError(f"bracket precondition violated: gamma={lo} passes")
-    while hi - lo > width:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             hi = mid

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import operators, problems, reports
 from .certify import EstimateError, SamplingPlan, certify, estimate_mu, range_region
+from .certify import _normalize_property
 from .iterate import (
     NonFiniteIterateError,
     StopReason,
@@ -109,6 +110,10 @@ class RunConfig:
                 raise UsageError(
                     "field 'problem'/'operator': certify needs exactly one of them"
                 )
+            try:
+                _normalize_property(self.property_name)
+            except ValueError as err:
+                raise UsageError(f"field 'property': {err}") from None
         if self.command in ("solve", "rates"):
             if not self.problem and not self.operator:
                 raise UsageError(
@@ -127,13 +132,17 @@ def load_run_config(path, command, overrides):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except FileNotFoundError as err:
-        raise UsageError(f"field 'config': file not found: {path}") from err
+    except OSError as err:
+        raise UsageError(f"field 'config': cannot read {path} ({err.strerror})") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"field 'config': not valid JSON ({err})") from err
     if not isinstance(raw, dict):
         raise UsageError("field 'config': top level must be an object")
 
+    for key in ("problem", "operator", "output_dir", "property", "norm"):
+        entry = raw.get(key)
+        if entry is not None and not (isinstance(entry, str) and entry):
+            raise UsageError(f"field '{key}' must be a nonempty string, got {entry!r}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(entry):
@@ -155,8 +164,8 @@ def load_run_config(path, command, overrides):
         operator=resolve(raw.get("operator")),
         params=params,
         output_dir=overrides.get("out") or raw.get("output_dir"),
-        property_name=str(raw.get("property", "gan")),
-        norm=str(raw.get("norm", "l2")),
+        property_name=raw.get("property", "gan"),
+        norm=raw.get("norm", "l2"),
         raw=raw,
     )
     config.validate()
@@ -168,8 +177,8 @@ def load_operator_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except FileNotFoundError as err:
-        raise UsageError(f"field 'operator': file not found: {path}") from err
+    except OSError as err:
+        raise UsageError(f"field 'operator': cannot read {path} ({err.strerror})") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"field 'operator': not valid JSON ({err})") from err
     if not isinstance(config, dict):
@@ -214,8 +223,10 @@ def _resolve_target(config):
     if config.problem:
         try:
             problem = problems.load_problem(config.problem, lam=lam)
-        except FileNotFoundError as err:
-            raise UsageError(f"field 'problem': file not found: {config.problem}") from err
+        except OSError as err:
+            raise UsageError(
+                f"field 'problem': cannot read {err.filename} ({err.strerror})"
+            ) from err
         except (ValueError, json.JSONDecodeError) as err:
             raise UsageError(f"field 'problem': {err}") from err
         except ArithmeticError as err:

@@ -33,11 +33,15 @@ __all__ = [
     "verify_recurrence_bound",
     "NonFiniteIterateError",
     "DIVERGENCE_FACTOR",
+    "SANDWICH_FIT_R2",
 ]
 
 # Residual blowing past this multiple of (1 + initial residual) flags
 # divergence; step sizes beyond the admissible range must terminate cleanly.
 DIVERGENCE_FACTOR = 1e6
+
+# Least r^2 of the exponential fit that estimates the sandwich's unseen tail.
+SANDWICH_FIT_R2 = 0.99
 
 
 class StopReason(enum.Enum):
@@ -91,7 +95,8 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     ``max_iter`` steps, or, from step 2 on, as divergence: when the residual
     exceeds ``DIVERGENCE_FACTOR * (1 + first residual)`` or is infinite
     although the iterates are finite.  A non-finite iterate raises
-    NonFiniteIterateError naming the step.
+    NonFiniteIterateError naming the step.  Overflow during the run raises
+    no numpy warning: those two outcomes report it.
 
     The arguments, the norm's kind and weight dimension, and the first step
     (through ``op(x)``, with every check the operator makes, and a scan for
@@ -132,36 +137,37 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
 
     fn, shape = op.fn, x.shape
     dist = _vector_norm(norm_spec, shape)
-    errors = [dist(x - ref)] if ref is not None else None
     residuals = []
     guard = None
     stop = StopReason.MAX_ITER
-    for k in range(1, max_iter + 1):
-        if k == 1:
-            x_next = op(x)
-            if not np.isfinite(x_next).all():
+    with np.errstate(over="ignore"):
+        errors = [dist(x - ref)] if ref is not None else None
+        for k in range(1, max_iter + 1):
+            if k == 1:
+                x_next = op(x)
+                if not np.isfinite(x_next).all():
+                    raise NonFiniteIterateError(k)
+            else:
+                x_next = np.asarray(fn(x), dtype=float)
+                if x_next.shape != shape:
+                    raise op._shape_error(x_next.shape, shape)
+            r = dist(x_next - x)
+            # x is finite from step 2 on, so a non-finite entry of x_next
+            # makes x_next - x, and so r, non-finite: a finite r clears it
+            if not math.isfinite(r) and not np.isfinite(x_next).all():
                 raise NonFiniteIterateError(k)
-        else:
-            x_next = np.asarray(fn(x), dtype=float)
-            if x_next.shape != shape:
-                raise op._shape_error(x_next.shape, shape)
-        r = dist(x_next - x)
-        # x is finite from step 2 on, so a non-finite entry of x_next makes
-        # x_next - x, and so r, non-finite: a finite r clears the step
-        if not math.isfinite(r) and not np.isfinite(x_next).all():
-            raise NonFiniteIterateError(k)
-        residuals.append(r)
-        x = x_next
-        if errors is not None:
-            errors.append(dist(x - ref))
-        if guard is None:
-            guard = DIVERGENCE_FACTOR * (1.0 + r)
-        elif r > guard or r == math.inf:
-            stop = StopReason.DIVERGED
-            break
-        if r <= res_tol:
-            stop = StopReason.RESIDUAL_TOL
-            break
+            residuals.append(r)
+            x = x_next
+            if errors is not None:
+                errors.append(dist(x - ref))
+            if guard is None:
+                guard = DIVERGENCE_FACTOR * (1.0 + r)
+            elif r > guard or r == math.inf:
+                stop = StopReason.DIVERGED
+                break
+            if r <= res_tol:
+                stop = StopReason.RESIDUAL_TOL
+                break
 
     return IterationTrace(
         x0=np.asarray(x0, dtype=float).reshape(-1).copy(),
@@ -384,7 +390,7 @@ class SandwichReport:
         }
 
 
-def check_sandwich(trace, xstar, mu, tol=1e-8, r2_threshold=0.99):
+def check_sandwich(trace, xstar, mu, tol=1e-8):
     """Verify the two-sided tail-sum comparison along a converged trace.
 
     Requires a trace stopped by the residual tolerance, a mu in (0, 1]
@@ -409,7 +415,7 @@ def check_sandwich(trace, xstar, mu, tol=1e-8, r2_threshold=0.99):
         try:
             fit = fit_rate(r, "exponential")
             rho, r2 = fit.rho, fit.r_squared
-            if 0.0 < rho < 1.0 and r2 >= r2_threshold:
+            if 0.0 < rho < 1.0 and r2 >= SANDWICH_FIT_R2:
                 remainder = float(r[-1]) * rho / (1.0 - rho)
                 conclusive = True
         except ValueError:

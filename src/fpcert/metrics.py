@@ -1,4 +1,5 @@
-"""Norms, weighted inner products, and the small dense factorizations behind them.
+"""Norms, the weighted metric of the primal-dual map, and the Cholesky
+factorization behind them.
 
 Everything here is plain numpy on small dense matrices.  Values are immutable
 after construction and safe to share across threads.
@@ -19,15 +20,11 @@ __all__ = [
     "L2",
     "weighted_norm",
     "norm",
-    "inner",
     "cholesky_factor",
-    "spectral_norm",
-    "smallest_eigenvalue_spd",
     "primal_dual_metric",
     "read_matrix",
     "write_matrix",
     "NotPositiveDefiniteError",
-    "PowerIterationError",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -37,24 +34,13 @@ PIVOT_RTOL = 1e-12
 class NotPositiveDefiniteError(ValueError):
     """Raised when a factorization pivot falls below the acceptance threshold."""
 
-    def __init__(self, pivot_index, pivot_value, message=None):
+    def __init__(self, pivot_index, pivot_value):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
-        if message is None:
-            message = (
-                f"matrix is not positive definite: pivot {pivot_index} "
-                f"evaluated to {pivot_value:.6e}"
-            )
-        super().__init__(message)
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when power iteration does not settle; carries the last estimate."""
-
-    def __init__(self, message, last_estimate, iterations):
-        self.last_estimate = last_estimate
-        self.iterations = iterations
-        super().__init__(message)
+        super().__init__(
+            f"matrix is not positive definite: pivot {pivot_index} "
+            f"evaluated to {pivot_value:.6e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +110,23 @@ def _vector_norm(spec, shape):
 
 
 def _euclidean(x):
-    """``np.linalg.norm(x)``, rescaled by max |x_i| when only the squares of a
-    finite ``x`` overflow."""
-    r = float(np.linalg.norm(x))
-    if math.isinf(r) and np.isfinite(x).all():
-        scale = float(np.max(np.abs(x)))
-        r = scale * float(np.linalg.norm(x / scale))
+    """``np.linalg.norm`` of a vector, or of each row of a (k, n) stack.
+
+    An infinite norm of a finite vector only had its squares overflow, and is
+    re-evaluated with the vector scaled by its largest |x_i|.  A stack sends
+    just its infinite rows through that rule, so a norm that does not
+    overflow is numpy's own, bit for bit.
+    """
+    if x.ndim < 2:
+        r = float(np.linalg.norm(x))
+        if math.isinf(r) and np.isfinite(x).all():
+            scale = float(np.max(np.abs(x)))
+            r = scale * float(np.linalg.norm(x / scale))
+        return r
+    r = np.linalg.norm(x, axis=-1)
+    over = np.isinf(r)
+    if over.any():
+        r[over] = [_euclidean(row) for row in x[over]]
     return r
 
 
@@ -145,51 +142,39 @@ def norm(x, spec=L2):
     """Evaluate ``x`` under the selected norm.
 
     l1 and l2 are exact componentwise reductions; the weighted norm is the
-    Euclidean norm of ``factor.T @ x``.  A vector gives a float, finite
-    whenever the norm is a double, even where its squares overflow.  A stack of
-    shape (k, n) gives the array of its k row norms, and each row's norm is
-    bit-identical whatever stack it sits in, a stack of one included.
+    Euclidean norm of ``factor.T @ x``.  A vector gives a float and a (k, n)
+    stack the array of its k row norms; either is finite, without a warning,
+    wherever the norm is a double, even where its squares overflow.  A row's
+    norm is bit-identical whatever stack it sits in, a stack of one included,
+    and equals its norm as a vector to rounding (numpy sums the squares of a
+    vector and of a stack in different orders).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        return _vector_norm(spec, x.shape)(x)
-    if spec.kind == "l2":
-        return np.linalg.norm(x, axis=-1)
-    if spec.kind == "l1":
-        return np.sum(np.abs(x), axis=-1)
-    if spec.kind == "weighted":
-        _check_weight_dim(spec, x.shape)
-        # einsum, not matmul: BLAS picks its kernel by stack height,
-        # which would make a row's norm depend on the rows around it.
-        return np.linalg.norm(np.einsum("...j,ji->...i", x, spec.factor), axis=-1)
+    with np.errstate(over="ignore"):
+        if x.ndim < 2:
+            return _vector_norm(spec, x.shape)(x)
+        if spec.kind == "l2":
+            return _euclidean(x)
+        if spec.kind == "l1":
+            return np.sum(np.abs(x), axis=-1)
+        if spec.kind == "weighted":
+            _check_weight_dim(spec, x.shape)
+            # einsum, not matmul: BLAS picks its kernel by stack height,
+            # which would make a row's norm depend on the rows around it.
+            return _euclidean(np.einsum("...j,ji->...i", x, spec.factor))
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
-def inner(x, y, spec=L2):
-    """Inner product matching the norm; the l1 norm has none and is rejected."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("inner product arguments must have equal dimension")
-    if spec.kind == "l2":
-        return float(x @ y)
-    if spec.kind == "weighted":
-        if x.shape != (spec.weight.shape[0],):
-            raise ValueError("vector dimension does not match weight dimension")
-        return float((spec.factor.T @ x) @ (spec.factor.T @ y))
-    raise ValueError(f"norm kind {spec.kind!r} is not induced by an inner product")
-
-
-def cholesky_factor(m, pivot_rtol=PIVOT_RTOL):
+def cholesky_factor(m):
     """Lower-triangular Cholesky factor of a symmetric matrix.
 
     Positive definiteness is decided by factorization success: a pivot at or
-    below ``pivot_rtol * max(diagonal)`` raises NotPositiveDefiniteError
+    below ``PIVOT_RTOL * max(diagonal)`` raises NotPositiveDefiniteError
     naming the offending pivot.
     """
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
-    threshold = pivot_rtol * float(np.max(np.diag(a))) if n else 0.0
+    threshold = PIVOT_RTOL * float(np.max(np.diag(a))) if n else 0.0
     low = np.zeros_like(a)
     for j in range(n):
         pivot = a[j, j] - low[j, :j] @ low[j, :j]
@@ -200,91 +185,6 @@ def cholesky_factor(m, pivot_rtol=PIVOT_RTOL):
         if j + 1 < n:
             low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
     return low
-
-
-def spectral_norm(m, tol=1e-10, max_iter=10000, seed=0, return_iterations=False):
-    """Largest singular value of ``m`` by power iteration on ``m.T @ m``.
-
-    The starting vector is drawn from a seeded generator so repeated calls
-    return identical values.  A sweep stops when the eigen-residual of the
-    unit iterate v meets ``|m.T m v - theta v| <= tol * theta``, with theta
-    the Rayleigh quotient; theta is then within ``tol * theta`` of an
-    eigenvalue of ``m.T @ m`` (Parlett, The Symmetric Eigenvalue Problem),
-    and its square root is returned.  Running out of sweeps raises
-    PowerIterationError carrying the last estimate.
-
-    Parameters
-    ----------
-    m : array_like
-        Nonempty 2-D matrix.
-    tol : float
-        Relative tolerance on the eigen-residual of ``m.T @ m``.
-    max_iter : int
-        Sweep budget.
-    seed : int
-        Seed for the starting vector.
-    return_iterations : bool
-        When True, return ``(sigma, iterations)`` instead of just ``sigma``.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("spectral_norm expects a nonempty 2-D matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for iteration in range(1, max_iter + 1):
-        w = a @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return (0.0, iteration) if return_iterations else 0.0
-        z = a.T @ w
-        theta = sigma * sigma
-        if np.linalg.norm(z - theta * v) <= tol * theta:
-            return (sigma, iteration) if return_iterations else sigma
-        v = z / np.linalg.norm(z)
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} sweeps "
-        f"(last estimate {sigma:.6e})",
-        sigma,
-        max_iter,
-    )
-
-
-def smallest_eigenvalue_spd(m, tol=1e-10, max_iter=10000, seed=0):
-    """Smallest eigenvalue of a symmetric PD matrix by inverse power iteration.
-
-    Non-PD input raises NotPositiveDefiniteError naming the pivot.  Each
-    sweep applies the inverse, formed once by ``np.linalg.inv``, and stops
-    when the unit iterate v meets ``|m v - theta v| <= tol * theta``, with
-    theta the Rayleigh quotient; theta is then within ``tol * theta`` of an
-    eigenvalue of ``m``.  The residual is taken with ``m`` itself, so the
-    bound holds however inexact the inverse.  Running out of sweeps raises
-    PowerIterationError carrying the last estimate; so does a matrix whose
-    condition number nears ``tol / eps``, where rounding keeps the residual
-    above the rule.
-    """
-    a = _symmetrize(np.asarray(m, dtype=float))
-    cholesky_factor(a)
-    inverse = np.linalg.inv(a)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[0])
-    theta = np.inf
-    for _ in range(max_iter):
-        w = inverse @ v
-        v = w / np.linalg.norm(w)
-        av = a @ v
-        theta = float(v @ av)
-        if np.linalg.norm(av - theta * v) <= tol * theta:
-            return theta
-    raise PowerIterationError(
-        f"inverse power iteration did not converge in {max_iter} sweeps "
-        f"(last estimate {theta:.6e})",
-        theta,
-        max_iter,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -125,11 +125,6 @@ class Operator:
             f"operator '{self.label}' returned shape {got} instead of {expected}"
         )
 
-    def displacement(self, x):
-        """The residual map x - T(x)."""
-        x = np.asarray(x, dtype=float)
-        return x - self(x)
-
 
 def gradient_step(grad_f, beta, dim, fixed_point_hint=None, label="gradient-step"):
     """Explicit gradient step x - beta * grad_f(x) for beta > 0."""

@@ -68,10 +68,6 @@ class ProblemSpec:
     def n(self):
         return self.dims[0]
 
-    @property
-    def m(self):
-        return self.dims[1]
-
 
 def _data_fit(a_mat, b):
     """The design matrix and right-hand side of a data-fit term, checked."""
@@ -288,13 +284,13 @@ class Reference:
     state: Optional[np.ndarray] = None
 
 
-def reference_solution(problem, tol=1e-8, max_iter=10**6):
+def reference_solution(problem, tol=1e-8):
     """Reference minimizer for a problem.
 
     Closed-form solutions pass through unchanged.  Otherwise the problem's
     own fixed-point iteration is run from zero at a residual tolerance three
-    orders tighter than ``tol``; failure to converge within the iteration
-    budget raises ReferenceError.
+    orders tighter than ``tol``; failure to converge within 10**6 steps
+    raises ReferenceError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -307,7 +303,7 @@ def reference_solution(problem, tol=1e-8, max_iter=10**6):
             state=problem.exact_solution.copy(),
         )
     op = build_operator(problem)
-    trace = picard(op, np.zeros(op.dim), max_iter=max_iter, res_tol=tol * 1e-3)
+    trace = picard(op, np.zeros(op.dim), 10**6, res_tol=tol * 1e-3)
     if trace.stop_reason is not StopReason.RESIDUAL_TOL:
         raise ReferenceError(
             f"reference iteration stopped with {trace.stop_reason.value} at "

@@ -28,6 +28,8 @@ __all__ = [
     "jsonable",
 ]
 
+JSON_INDENT = 2
+
 
 def format_float(value):
     """Render a double with 17 significant digits (lossless round trip)."""
@@ -61,9 +63,10 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _emit(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, parts, level):
+    """Append the text of ``obj``, a :func:`jsonable` value, to ``parts``."""
+    pad = " " * (JSON_INDENT * level)
+    pad_in = " " * (JSON_INDENT * (level + 1))
     if obj is None:
         parts.append("null")
     elif isinstance(obj, bool):
@@ -81,27 +84,25 @@ def _emit(obj, parts, indent, level):
         parts.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             parts.append(f"{pad_in}{json.dumps(key, ensure_ascii=False)}: ")
-            _emit(value, parts, indent, level + 1)
+            _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    else:  # a list, the one kind jsonable returns that is left
         if not obj:
             parts.append("[]")
             return
         parts.append("[\n")
         for i, value in enumerate(obj):
             parts.append(pad_in)
-            _emit(value, parts, indent, level + 1)
+            _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "]")
-    else:
-        _emit(jsonable(obj), parts, indent, level)
 
 
-def dumps_json(obj, indent=2):
+def dumps_json(obj):
     """Serialize to JSON text with deterministic layout and float formatting."""
     parts = []
-    _emit(jsonable(obj), parts, indent, 0)
+    _emit(jsonable(obj), parts, 0)
     return "".join(parts) + "\n"
 
 

@@ -29,7 +29,7 @@ from fpcert.iterate import (
     picard,
     verify_recurrence_bound,
 )
-from fpcert.metrics import L1, L2, primal_dual_metric, spectral_norm
+from fpcert.metrics import L1, L2, primal_dual_metric
 from fpcert.operators import (
     affine,
     compose,
@@ -84,7 +84,7 @@ def lasso_instance():
     a = qu @ np.diag(np.sqrt(np.linspace(1.0, 2000.0, n))) @ qv.T
     b = rng.standard_normal(m)
     lam = 0.002 * np.max(np.abs(a.T @ b))
-    lipschitz = spectral_norm(a) ** 2
+    lipschitz = np.linalg.norm(a, 2) ** 2
     beta = 1.0 / lipschitz
 
     def grad(x):
@@ -276,7 +276,7 @@ def test_criterion_7_primal_dual_convergence():
     lam = 0.8
     problem = analysis_l1_problem(np.eye(n), b, diff, lam)
     beta, eta = default_step_sizes(problem)
-    bounds = step_size_bounds(problem.lipschitz, spectral_norm(diff), beta=beta)
+    bounds = step_size_bounds(problem.lipschitz, np.linalg.norm(diff, 2), beta=beta)
     op = build_operator(problem)
 
     w_norm = primal_dual_metric(beta, eta, diff).norm_spec()

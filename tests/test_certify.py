@@ -412,6 +412,21 @@ class TestFpRatio:
             estimate_fp_ratio(Operator(1, lambda x: 0.5 * x), plan=SamplingPlan(seed=0))
 
 
+class TestOverflowingScales:
+    # at these scales the squares of the sampled distances overflow a double
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_claims_hold_where_squares_overflow(self, scale):
+        op = affine(0.5, np.zeros(3))
+        plan = SamplingPlan(n_pairs=50, radius_scales=(scale,), seed=1)
+        for prop, params in (("nonexpansive", {}),
+                             ("gan", {"gamma": 1.0, "mu": 0.5})):
+            cert = certify(op, prop, params, plan=plan)
+            assert cert.verdict == "PASS"
+            assert np.isfinite(cert.min_slack)
+            assert cert.recompute_slack(op) == cert.min_slack
+        assert estimate_fp_ratio(op, plan=plan) == 0.5
+
+
 class TestFormulas:
     def test_psi_at_zero_is_one(self):
         for gamma in (0.3, 1.0, 2.0, 5.0):

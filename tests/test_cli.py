@@ -306,6 +306,17 @@ class TestUsageErrors:
              "problem"),                               # |B|^2 overflows
             ("solve", {"operator": "far.json"}, [],
              "alpha"),                                 # hint overflows
+            ("certify", {"operator": "op.json", "output_dir": 5,
+                         "params": {"gamma": 1, "mu": 0.5}}, [],
+             "output_dir"),                            # output path not a string
+            ("certify", {"operator": 5}, [],
+             "operator"),                              # operator path not a string
+            ("solve", {"problem": {"kind": "least_squares"}}, [],
+             "problem"),                               # problem inline, not a path
+            ("certify", {"operator": "op.json", "property": "bogus"}, [],
+             "property"),                              # unknown property
+            ("certify", {"operator": "."}, [],
+             "operator"),                              # operator path a directory
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",

@@ -1,7 +1,8 @@
 """fpcert depends on numpy alone: every module imports only the standard
-library, numpy and fpcert itself."""
+library, numpy and fpcert itself.  Every name a module exports exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -31,3 +32,11 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_and_fpcert(path):
     assert imported_roots(path) - ALLOWED == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "fpcert" if path.stem == "__init__" else f"fpcert.{path.stem}"
+    module = importlib.import_module(name)
+    for export in getattr(module, "__all__", ()):
+        assert hasattr(module, export), f"{name}.__all__ names missing {export!r}"

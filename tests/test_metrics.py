@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,10 @@ from fpcert.metrics import (
     L1,
     L2,
     NotPositiveDefiniteError,
-    PowerIterationError,
     cholesky_factor,
-    inner,
     norm,
     primal_dual_metric,
     read_matrix,
-    smallest_eigenvalue_spd,
-    spectral_norm,
     weighted_norm,
     write_matrix,
 )
@@ -25,26 +23,42 @@ def random_spd(rng, n, jitter=0.1):
     return g @ g.T + jitter * np.eye(n)
 
 
-def clustered_design():
-    # sigma_2 / sigma_1 = 0.9999 on top and 0.3 / 0.30003 at the bottom, so
-    # power and inverse iteration each gain only a factor 0.9998 a sweep
-    rng = np.random.default_rng(0)
-    u, _ = np.linalg.qr(rng.standard_normal((12, 6)))
-    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    return (u * [1.0, 0.9999, 0.7, 0.5, 0.30003, 0.3]) @ v.T
-
-
 class TestNorm:
     def test_l2_pythagorean(self):
         assert norm([3.0, 4.0], L2) == 5.0
 
     def test_vector_norm_survives_overflowing_squares(self):
-        # 3e200 squared is not a double; the norm 5e200 is
-        with np.errstate(over="ignore"):
+        # 3e200 squared is not a double; the norm 5e200 is, and comes
+        # without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert norm([3e200, -4e200], L2) == pytest.approx(5e200, rel=1e-15)
             assert norm([1e200, 0.0], weighted_norm(np.diag([4.0, 1.0]))) == \
                 pytest.approx(2e200, rel=1e-12)
             assert norm([1.5e308, 1.5e308], L2) == np.inf
+
+    def test_stack_norm_rescales_overflowing_rows_like_a_vector(self):
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((40, 3))
+        stack[[3, 17, 29]] *= 1e200
+        stack[8] = [1.5e308, 1.5e308, 0.0]  # the norm itself overflows
+        for spec in (L2, weighted_norm(np.diag([4.0, 1.0, 2.0]))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = norm(stack, spec)
+                vector = np.array([norm(row, spec) for row in stack])
+            assert np.isfinite(rows[[3, 17, 29]]).all() and rows[8] == np.inf
+            np.testing.assert_allclose(rows, vector, rtol=1e-13)
+            alone = np.array([norm(row[None], spec)[0] for row in stack])
+            np.testing.assert_array_equal(rows, alone)
+        # rows whose norm does not overflow keep numpy's own value
+        plain = np.ones(40, dtype=bool)
+        plain[[3, 8, 17, 29]] = False
+        np.testing.assert_array_equal(norm(stack, L2)[plain],
+                                      np.linalg.norm(stack[plain], axis=-1))
+        # a row with a non-finite entry is not rescaled
+        rows = norm(np.array([[np.inf, 1.0], [np.nan, 1.0], [-np.inf, np.inf]]))
+        assert rows[0] == rows[2] == np.inf and np.isnan(rows[1])
 
     def test_l1_sum_of_absolutes(self):
         assert norm([3.0, -4.0], L1) == 7.0
@@ -115,22 +129,6 @@ class TestNorm:
             assert norm(x, s) > 0.0
 
 
-class TestInner:
-    def test_l2(self):
-        assert inner([1.0, 2.0], [3.0, 4.0], L2) == 11.0
-
-    def test_weighted_consistency_with_norm(self):
-        rng = np.random.default_rng(3)
-        w = random_spd(rng, 4)
-        spec = weighted_norm(w)
-        x = rng.standard_normal(4)
-        assert inner(x, x, spec) == pytest.approx(norm(x, spec) ** 2, rel=1e-10)
-
-    def test_l1_rejected(self):
-        with pytest.raises(ValueError):
-            inner([1.0], [1.0], L1)
-
-
 class TestCholesky:
     def test_reconstruction(self):
         rng = np.random.default_rng(4)
@@ -143,82 +141,6 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_factor(singular)
         assert err.value.pivot_index == 1
-
-
-class TestSpectralNorm:
-    def test_identity(self):
-        assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_diagonal(self):
-        assert spectral_norm(np.diag([1.0, 2.0, 3.0])) == pytest.approx(3.0, rel=1e-9)
-
-    def test_against_svd_oracle(self):
-        # dense SVD is the independent oracle for the power-iteration route
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((20, 10))
-        oracle = np.linalg.svd(m, compute_uv=False)[0]
-        assert spectral_norm(m, tol=1e-12) == pytest.approx(oracle, rel=1e-8)
-
-    def test_lower_bounds_any_rayleigh_quotient(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((8, 5))
-        sigma = spectral_norm(m, tol=1e-12)
-        for _ in range(50):
-            v = rng.standard_normal(5)
-            assert sigma >= np.linalg.norm(m @ v) / np.linalg.norm(v) - 1e-9 * sigma
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 2))) == 0.0
-
-    def test_reports_iteration_count(self):
-        sigma, iters = spectral_norm(np.diag([1.0, 2.0]), return_iterations=True)
-        assert sigma == pytest.approx(2.0, rel=1e-9)
-        assert iters >= 1
-
-    def test_non_convergence_carries_last_estimate(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((12, 12))
-        with pytest.raises(PowerIterationError) as err:
-            spectral_norm(m, tol=1e-15, max_iter=2)
-        assert err.value.last_estimate > 0.0
-        assert err.value.iterations == 2
-
-    def test_rejects_empty_and_bad_tol(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.zeros((0, 0)))
-        with pytest.raises(ValueError):
-            spectral_norm(np.eye(2), tol=0.0)
-
-
-class TestSmallestEigenvalue:
-    def test_against_eigh_oracle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            w = random_spd(rng, 8)
-            oracle = np.linalg.eigvalsh(w)[0]
-            assert smallest_eigenvalue_spd(w) == pytest.approx(oracle, rel=1e-8)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            smallest_eigenvalue_spd(np.diag([1.0, -1.0]))
-
-
-class TestClusteredSpectrum:
-    @pytest.mark.parametrize("tol, max_iter", [(1e-10, 10000), (1e-6, 40000)])
-    def test_raises_or_returns_within_tol(self, tol, max_iter):
-        a = clustered_design()
-        gram = a.T @ a
-        eig = np.linalg.eigvalsh(gram)
-        try:
-            theta = spectral_norm(a, tol=tol, max_iter=max_iter) ** 2
-            assert abs(theta - eig[-1]) <= tol * theta
-        except PowerIterationError:
-            pass
-        try:
-            theta = smallest_eigenvalue_spd(gram, tol=tol, max_iter=max_iter)
-            assert abs(theta - eig[0]) <= tol * theta
-        except PowerIterationError:
-            pass
 
 
 class TestPrimalDualMetric:

@@ -54,10 +54,6 @@ class TestOperatorType:
             with pytest.raises(ValueError, match="moves by inf"):
                 Operator(2, lambda x: x * 1e300, np.full(2, 1e10))
 
-    def test_displacement(self):
-        op = affine(0.5, [0.0])
-        assert op.displacement(np.array([4.0]))[0] == 2.0
-
 
 class TestGradientStep:
     def test_identity_gradient_zero_map(self):
