@@ -25,7 +25,7 @@ import numpy as np
 
 from . import operators, problems, reports
 from .certify import EstimateError, SamplingPlan, certify, estimate_mu, range_region
-from .certify import _normalize_property
+from .certify import _POINT_PROPERTIES, _normalize_property
 from .iterate import (
     NonFiniteIterateError,
     StopReason,
@@ -278,6 +278,15 @@ def _output_dir(config):
 
 def _run_certify(config):
     op, problem, beta, eta = _resolve_target(config)
+    prop = _normalize_property(config.property_name)
+    if prop in _POINT_PROPERTIES and op.fixed_point_hint is None:
+        # no params value can supply the fixed point: the property or the
+        # target has to change
+        target = "problem" if problem is not None else "operator"
+        raise UsageError(
+            f"field 'property'/'{target}': property {prop!r} needs a fixed point, "
+            f"and this {target} has none"
+        )
     norm_spec = _norm_spec(config, problem, beta, eta)
     plan = _plan(config, op.dim)
     params = {

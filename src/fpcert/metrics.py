@@ -101,7 +101,8 @@ def _vector_norm(spec, shape):
     if spec.kind == "l2":
         return _euclidean
     if spec.kind == "l1":
-        return lambda x: float(np.sum(np.abs(x)))
+        # np.sum's own reduction, without its dispatch
+        return lambda x: float(np.add.reduce(np.abs(x), axis=None))
     if spec.kind == "weighted":
         _check_weight_dim(spec, shape)
         factor_t = spec.factor.T
@@ -112,13 +113,17 @@ def _vector_norm(spec, shape):
 def _euclidean(x):
     """``np.linalg.norm`` of a vector, or of each row of a (k, n) stack.
 
-    An infinite norm of a finite vector only had its squares overflow, and is
-    re-evaluated with the vector scaled by its largest |x_i|.  A stack sends
-    just its infinite rows through that rule, so a norm that does not
-    overflow is numpy's own, bit for bit.
+    A vector's norm is evaluated as ``np.linalg.norm`` does it, the square
+    root of the contiguous vector's ``dot`` with itself, without that
+    function's dispatch; so the two agree bit for bit.  An infinite norm of
+    a finite vector only had its squares overflow, and is re-evaluated with
+    the vector scaled by its largest |x_i|.  A stack sends just its infinite
+    rows through that rule, so a norm that does not overflow is numpy's own,
+    bit for bit.
     """
     if x.ndim < 2:
-        r = float(np.linalg.norm(x))
+        x = x.ravel(order="K")
+        r = math.sqrt(x.dot(x))
         if math.isinf(r) and np.isfinite(x).all():
             scale = float(np.max(np.abs(x)))
             r = scale * float(np.linalg.norm(x / scale))

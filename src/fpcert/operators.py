@@ -281,11 +281,12 @@ def primal_dual(grad_f, prox_h, prox_g, b_mat, beta, eta, fixed_point_hint=None,
     b = np.atleast_2d(np.asarray(b_mat, dtype=float))
     m, n = b.shape
     primal_dual_metric(beta, eta, b)  # validates positive definiteness
+    bt = b.T
 
     def step(v):
         x, y = v[..., :n], v[..., n:]
         x_new = prox_h(
-            beta, x - beta * (np.asarray(grad_f(x), dtype=float) + _matvec(b.T, y))
+            beta, x - beta * (np.asarray(grad_f(x), dtype=float) + _matvec(bt, y))
         )
         shifted = y / eta + _matvec(b, 2.0 * x_new - x)
         y_new = eta * (shifted - prox_g(1.0 / eta, shifted))

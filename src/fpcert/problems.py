@@ -82,12 +82,13 @@ def _data_fit(a_mat, b):
 
 def _data_fit_gradient(a, b):
     """x -> A^T (A x - b), on a vector and row by row on a (k, n) stack."""
+    at = a.T
 
     @operators._stackable
     def grad(x):
         if x.ndim == 1:
-            return a.T @ (a @ x - b)
-        return operators._matvec(a.T, operators._matvec(a, x) - b)
+            return at @ (a @ x - b)
+        return operators._matvec(at, operators._matvec(a, x) - b)
 
     return grad
 

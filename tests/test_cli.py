@@ -317,6 +317,9 @@ class TestUsageErrors:
              "property"),                              # unknown property
             ("certify", {"operator": "."}, [],
              "operator"),                              # operator path a directory
+            ("certify", {"operator": "op.json", "property": "holder",
+                         "params": {"gamma": 1, "mu": 1}}, [],
+             "property"),                              # target has no fixed point
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",

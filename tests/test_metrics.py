@@ -60,6 +60,23 @@ class TestNorm:
         rows = norm(np.array([[np.inf, 1.0], [np.nan, 1.0], [-np.inf, np.inf]]))
         assert rows[0] == rows[2] == np.inf and np.isnan(rows[1])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 64, 517])
+    def test_vector_norm_is_numpys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for magnitude in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150):
+            x = magnitude * rng.standard_normal(n)
+            # strided views are measured as numpy measures them, contiguously
+            for v in (x, x[::-1], x[::2], np.asarray(x.tolist())):
+                assert norm(v, L2) == float(np.linalg.norm(v))
+                assert norm(v, L1) == float(np.sum(np.abs(v)))
+
+    def test_overflowing_squares_follow_the_rescale_rule(self):
+        x = np.array([3e200, -4e200, 1e199])
+        scale = float(np.max(np.abs(x)))
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(x) == np.inf
+        assert norm(x, L2) == scale * float(np.linalg.norm(x / scale))
+
     def test_l1_sum_of_absolutes(self):
         assert norm([3.0, -4.0], L1) == 7.0
 

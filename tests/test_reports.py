@@ -1,12 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 
 from fpcert.certify import range_region
-from fpcert.iterate import picard
+from fpcert.iterate import IterationTrace, StopReason, picard
 from fpcert.metrics import L1
 from fpcert.operators import affine, identity
 from fpcert.reports import (
+    TRACE_CHUNK_ROWS,
     dumps_json,
     format_float,
     region_csv,
@@ -14,6 +16,56 @@ from fpcert.reports import (
     write_json,
     write_trace_csv,
 )
+
+
+def reference_format_float(value):
+    """The cell renderer the bulk paths must reproduce."""
+    if value != value:
+        return "NaN"
+    if value in (float("inf"), float("-inf")):
+        return "Infinity" if value > 0 else "-Infinity"
+    return format(float(value), ".17g")
+
+
+def reference_trace_csv(trace, params=None):
+    """trace.csv rendered one row and one cell at a time."""
+    lines = [
+        f"# operator: {trace.label}",
+        f"# norm: {trace.norm_spec.describe()}",
+        f"# stop_reason: {trace.stop_reason.value}",
+        f"# k_final: {trace.k_final}",
+    ]
+    if params:
+        rendered = ", ".join(
+            f"{k}={reference_format_float(v) if isinstance(v, float) else v}"
+            for k, v in params.items()
+        )
+        lines.append(f"# params: {rendered}")
+    lines.append("k,residual,error_to_ref")
+    errors = trace.errors_to_ref
+    for k in range(trace.k_final + 1):
+        residual = "" if k == 0 else reference_format_float(trace.residuals[k - 1])
+        error = "" if errors is None else reference_format_float(errors[k])
+        lines.append(f"{k},{residual},{error}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_region_csv(grid):
+    """region.csv rendered one cell at a time."""
+    lines = [
+        "# range-region membership grid",
+        f"# x: {reference_format_float(grid.x[0])} {reference_format_float(grid.x[1])}",
+        f"# xhat: {reference_format_float(grid.xhat[0])} "
+        f"{reference_format_float(grid.xhat[1])}",
+        f"# gamma: {reference_format_float(grid.gamma)}",
+        f"# mu: {reference_format_float(grid.mu)}",
+        "# bounds: " + " ".join(reference_format_float(b) for b in grid.bounds),
+        f"# resolution: {grid.resolution} {grid.resolution}",
+        "# rows scan the second coordinate from low to high",
+    ]
+    for row in grid.mask:
+        lines.append(",".join("1" if cell else "0" for cell in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestFloatFormatting:
@@ -25,6 +77,13 @@ class TestFloatFormatting:
     def test_integral_floats_stay_compact(self):
         assert format_float(0.0) == "0"
         assert format_float(2.0) == "2"
+
+    def test_matches_the_reference_renderer(self):
+        values = [0.0, -0.0, 2.0, 0.1, -1.0 / 3.0, 5e-324, 1.7976931348623157e308,
+                  float("inf"), float("-inf"), float("nan"), 7, np.float64(0.1),
+                  np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan)]
+        for v in values:
+            assert format_float(v) == reference_format_float(v)
 
 
 class TestJson:
@@ -99,7 +158,76 @@ class TestTraceCsv:
         np.testing.assert_array_equal(parsed, trace.residuals)
 
 
+def _long_trace():
+    return picard(affine(0.999, [0.001, -0.002]), [1.0, 2.0],
+                  2 * TRACE_CHUNK_ROWS + 5, ref=[1.0, -2.0])
+
+
+def _late_infinity_trace():
+    # non-finite cells in the second chunk only, after finite ones
+    k_final = TRACE_CHUNK_ROWS + 10
+    residuals = np.linspace(1.0, 2.0, k_final)
+    residuals[-1] = np.inf
+    errors = np.linspace(3.0, 4.0, k_final + 1)
+    errors[TRACE_CHUNK_ROWS + 3] = np.nan
+    return IterationTrace(x0=np.zeros(1), x_final=np.zeros(1), residuals=residuals,
+                          norm_spec=L1, k_final=k_final,
+                          stop_reason=StopReason.DIVERGED, errors_to_ref=errors)
+
+
+TRACES = {
+    "converged": lambda: picard(affine(0.5, [1.0, -1.0, 0.5]), [0.0, 0.0, 0.0], 500,
+                                res_tol=1e-12, ref=[2.0, -2.0, 1.0]),
+    "no_reference": lambda: picard(affine(0.9, [0.1]), [1.0], 300, res_tol=1e-9),
+    # |x_k - x_{k-1}| overflows while the iterates stay finite
+    "diverged_infinity": lambda: picard(affine(-1.0, [0.0]), [1.7e308], 10, ref=[0.0]),
+    "one_step": lambda: picard(identity(1), [2.0], 5, 0.0),
+    "longer_than_a_chunk": _long_trace,
+    "late_infinity": _late_infinity_trace,
+}
+
+
+def assert_same_text(actual, expected):
+    """``actual == expected``, failing with the first differing line rather
+    than a full diff, which takes minutes on a trace of thousands of rows."""
+    if actual == expected:
+        return
+    got, want = actual.splitlines(True), expected.splitlines(True)
+    i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+             min(len(got), len(want)))
+    pytest.fail(f"line {i}: {got[i:i + 1]!r} != {want[i:i + 1]!r} "
+                f"({len(got)} vs {len(want)} lines)")
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_trace_csv_matches_the_row_renderer(self, name, tmp_path):
+        trace = TRACES[name]()
+        params = {"beta": 0.1, "eta": 1.0 / 3.0, "note": "x"}
+        expected = reference_trace_csv(trace, params)
+        assert_same_text(trace_csv(trace, params), expected)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace, params)
+        assert_same_text(path.read_bytes().decode("utf-8"), expected)
+
+    def test_the_cases_cover_what_they_name(self):
+        traces = {name: make() for name, make in TRACES.items()}
+        assert traces["converged"].stop_reason is StopReason.RESIDUAL_TOL
+        assert traces["no_reference"].errors_to_ref is None
+        diverged = traces["diverged_infinity"]
+        assert diverged.stop_reason is StopReason.DIVERGED
+        assert np.isinf(diverged.residuals).all()
+        assert "Infinity" in trace_csv(diverged)
+        assert traces["one_step"].k_final == 1
+        assert traces["longer_than_a_chunk"].k_final > 2 * TRACE_CHUNK_ROWS
+
+
 class TestRegionCsv:
+    def test_matches_the_cell_renderer(self):
+        grid = range_region([1.0, 0.3], [0.0, 0.1], 2.0, 1.0, resolution=37)
+        assert 0 < grid.mask.sum() < grid.mask.size
+        assert region_csv(grid) == reference_region_csv(grid)
+
     def test_header_and_cells(self):
         grid = range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1.0, resolution=5)
         text = region_csv(grid)
