@@ -13,6 +13,7 @@ reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -438,7 +439,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` can share it."""
     parser = _Parser(prog="fpcert", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

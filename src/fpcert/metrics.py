@@ -110,16 +110,32 @@ def _vector_norm(spec, shape):
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
+def _matvec(mat, x):
+    """``mat @ x`` for a vector, and row by row for a (k, n) stack.
+
+    A stack goes through a (k, 1, n) batched product, which numpy evaluates
+    as one BLAS matrix-vector product per row, the call ``mat @ row`` makes;
+    so a row's image is bit-identical to its vector image.  A plain
+    (k, n) @ (n, m) product picks its BLAS kernel by stack height, so a
+    row's value would depend on the rows around it.
+    """
+    if x.ndim == 1:
+        return mat @ x
+    return (x[..., None, :] @ mat.T)[..., 0, :]
+
+
 def _euclidean(x):
     """``np.linalg.norm`` of a vector, or of each row of a (k, n) stack.
 
     A vector's norm is evaluated as ``np.linalg.norm`` does it, the square
     root of the contiguous vector's ``dot`` with itself, without that
-    function's dispatch; so the two agree bit for bit.  An infinite norm of
-    a finite vector only had its squares overflow, and is re-evaluated with
-    the vector scaled by its largest |x_i|.  A stack sends just its infinite
-    rows through that rule, so a norm that does not overflow is numpy's own,
-    bit for bit.
+    function's dispatch; so the two agree bit for bit.  A stack's row
+    squares come from a (k, 1, n) @ (k, n, 1) product of the contiguous
+    stack, which numpy evaluates with that same BLAS ``dot`` once per row;
+    so a row's norm is its vector norm bit for bit.  An infinite norm of a
+    finite vector only had its squares overflow, and is re-evaluated with
+    the vector scaled by its largest |x_i|; a stack sends just its infinite
+    rows through that rule.
     """
     if x.ndim < 2:
         x = x.ravel(order="K")
@@ -128,7 +144,8 @@ def _euclidean(x):
             scale = float(np.max(np.abs(x)))
             r = scale * float(np.linalg.norm(x / scale))
         return r
-    r = np.linalg.norm(x, axis=-1)
+    x = np.ascontiguousarray(x)
+    r = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
     over = np.isinf(r)
     if over.any():
         r[over] = [_euclidean(row) for row in x[over]]
@@ -150,9 +167,7 @@ def norm(x, spec=L2):
     Euclidean norm of ``factor.T @ x``.  A vector gives a float and a (k, n)
     stack the array of its k row norms; either is finite, without a warning,
     wherever the norm is a double, even where its squares overflow.  A row's
-    norm is bit-identical whatever stack it sits in, a stack of one included,
-    and equals its norm as a vector to rounding (numpy sums the squares of a
-    vector and of a stack in different orders).
+    norm equals its norm as a vector bit for bit, whatever stack it sits in.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -164,9 +179,7 @@ def norm(x, spec=L2):
             return np.sum(np.abs(x), axis=-1)
         if spec.kind == "weighted":
             _check_weight_dim(spec, x.shape)
-            # einsum, not matmul: BLAS picks its kernel by stack height,
-            # which would make a row's norm depend on the rows around it.
-            return _euclidean(np.einsum("...j,ji->...i", x, spec.factor))
+            return _euclidean(_matvec(spec.factor.T, x))
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import primal_dual_metric
+from .metrics import _matvec, primal_dual_metric
 
 __all__ = [
     "Operator",
@@ -55,18 +55,6 @@ def _stackable(fn, *parts):
     """Declare that ``fn`` maps (k, n) stacks, provided each of ``parts`` does."""
     fn.takes_stacks = all(_takes_stacks(part) for part in parts)
     return fn
-
-
-def _matvec(mat, x):
-    """``mat @ x`` for a vector, and row by row for a (k, n) stack.
-
-    A stack goes through a (k, 1, n) batched product, which numpy evaluates
-    one row at a time; a plain (k, n) @ (n, m) product picks its BLAS kernel
-    by stack height, so a row's value would depend on the rows around it.
-    """
-    if x.ndim == 1:
-        return mat @ x
-    return (x[..., None, :] @ mat.T)[..., 0, :]
 
 
 @dataclass(eq=False)

@@ -5,6 +5,7 @@ step-size bounds, and reference solutions.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import operators
 from .iterate import StopReason, picard
-from .metrics import read_matrix
+from .metrics import _matvec, read_matrix
 
 __all__ = [
     "ProblemSpec",
@@ -88,7 +89,7 @@ def _data_fit_gradient(a, b):
     def grad(x):
         if x.ndim == 1:
             return at @ (a @ x - b)
-        return operators._matvec(at, operators._matvec(a, x) - b)
+        return _matvec(at, _matvec(a, x) - b)
 
     return grad
 
@@ -337,12 +338,21 @@ def load_problem(path, lam=None):
     """
     with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("problem config: top level must be an object")
     base_dir = os.path.dirname(os.path.abspath(path))
     kind = config.get("kind")
     if kind not in KINDS:
         raise ValueError(f"problem config field 'kind' must be one of {KINDS}")
     if lam is None:
-        lam = float(config.get("lambda", 0.0))
+        entry = config.get("lambda", 0.0)
+        try:
+            lam = math.nan if isinstance(entry, bool) else float(entry)
+        except (TypeError, ValueError):
+            lam = math.nan
+        if not math.isfinite(lam):
+            raise ValueError("problem config field 'lambda' must be a finite number, "
+                             f"got {entry!r}")
     if kind == "least_squares":
         for field in ("A", "b"):
             if field not in config:

@@ -136,14 +136,29 @@ def write_trace_csv(path, trace, params=None):
     return path
 
 
-def _format_column(values):
-    """The :func:`format_float` cells of a float sequence, in one pass when
-    every entry is finite (where ``format_float`` is just ``.17g``)."""
-    values = np.asarray(values, dtype=float)
-    cells = values.tolist()
-    if np.isfinite(values).all():
-        return list(map("{:.17g}".format, cells))
-    return list(map(format_float, cells))
+def _trace_rows(lo, residuals, errors):
+    """The trace.csv rows k = lo, lo + 1, ...: ``residuals[i]`` and
+    ``errors[i]`` are the cells of row lo + i, and ``errors`` None leaves
+    that column blank.
+
+    A chunk whose every cell is finite, where :func:`format_float` is just
+    ``.17g``, is rendered with one ``%`` format over a repeated row template.
+    """
+    columns = [residuals] if errors is None else [residuals, errors]
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    finite = all(np.isfinite(c).all() for c in columns)
+    cells = [c.tolist() for c in columns]
+    ks = range(lo, lo + len(cells[0]))
+    if finite:
+        width = 1 + len(cells)
+        flat = [None] * (width * len(ks))
+        flat[0::width] = ks
+        for i, column in enumerate(cells, 1):
+            flat[i::width] = column
+        row = "%d,%.17g,\n" if errors is None else "%d,%.17g,%.17g\n"
+        return (row * len(ks)) % tuple(flat)
+    errs = repeat("") if errors is None else map(format_float, cells[1])
+    return "".join(map("{},{},{}\n".format, ks, map(format_float, cells[0]), errs))
 
 
 def _trace_chunks(trace, params):
@@ -162,17 +177,14 @@ def _trace_chunks(trace, params):
         )
         lines.append(f"# params: {rendered}")
     lines.append("k,residual,error_to_ref")
-    yield "\n".join(lines) + "\n"
     errors = trace.errors_to_ref
-    rows = trace.k_final + 1
-    for lo in range(0, rows, TRACE_CHUNK_ROWS):
-        hi = min(lo + TRACE_CHUNK_ROWS, rows)
-        # row k holds residuals[k - 1]; the k = 0 row has none
-        residuals = _format_column(trace.residuals[max(lo - 1, 0):hi - 1])
-        if lo == 0:
-            residuals.insert(0, "")
-        errs = repeat("") if errors is None else _format_column(errors[lo:hi])
-        yield "".join(map("{},{},{}\n".format, range(lo, hi), residuals, errs))
+    # the k = 0 row has no residual; row k >= 1 holds residuals[k - 1]
+    lines.append("0,," + ("" if errors is None else format_float(errors[0])))
+    yield "\n".join(lines) + "\n"
+    for lo in range(1, trace.k_final + 1, TRACE_CHUNK_ROWS):
+        hi = min(lo + TRACE_CHUNK_ROWS, trace.k_final + 1)
+        yield _trace_rows(lo, trace.residuals[lo - 1:hi - 1],
+                          None if errors is None else errors[lo:hi])
 
 
 def region_csv(grid):

@@ -320,6 +320,14 @@ class TestUsageErrors:
             ("certify", {"operator": "op.json", "property": "holder",
                          "params": {"gamma": 1, "mu": 1}}, [],
              "property"),                              # target has no fixed point
+            ("solve", {"problem": "list_problem.json"}, [],
+             "problem"),                               # problem not an object
+            ("solve", {"problem": "null_lambda.json"}, [],
+             "lambda"),                                # lambda null
+            ("solve", {"problem": "list_lambda.json"}, [],
+             "lambda"),                                # lambda a list
+            ("solve", {"problem": "nan_lambda.json"}, [],
+             "lambda"),                                # lambda not finite
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -336,6 +344,12 @@ class TestUsageErrors:
                                    ("huge_b", [[1, 0], [0, 1]], [[1e200, 0]])):
             write_config(tmp_path / f"{name}.json", {
                 "kind": "analysis_l1", "A": a_mat, "b": [1, 1], "B": b_mat})
+        write_config(tmp_path / "list_problem.json", [{"kind": "least_squares"}])
+        for name, lam in (("null_lambda", None), ("list_lambda", [0.5]),
+                          ("nan_lambda", "nan")):
+            write_config(tmp_path / f"{name}.json", {
+                "kind": "separable_smooth_l1", "coeffs": [1, 2], "b": [1, 1],
+                "lambda": lam})
         write_config(tmp_path / "far.json",
                      {"type": "affine", "alpha": 0.5, "z": [1e308, 1e308]})
         for i, (command, payload, args, field_name) in enumerate(corpus):

@@ -8,6 +8,7 @@ from fpcert import reports
 from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat
 from fpcert.cli import main
 from fpcert.iterate import (
+    ERROR_BLOCK,
     IterationTrace,
     NonFiniteIterateError,
     StopReason,
@@ -19,7 +20,7 @@ from fpcert.iterate import (
     recurrence_bound,
     verify_recurrence_bound,
 )
-from fpcert.metrics import L1, L2, norm, primal_dual_metric
+from fpcert.metrics import L1, L2, norm, primal_dual_metric, weighted_norm
 from fpcert.operators import (
     Operator,
     affine,
@@ -37,6 +38,7 @@ from fpcert.problems import (
     load_problem,
     separable_smooth_l1_problem,
 )
+from helpers import assert_same_text
 
 
 class TestPicard:
@@ -139,6 +141,17 @@ def reference_loop(op, x0, max_iter, res_tol, ref, norm_spec):
     return np.array(residuals), np.array(errors)
 
 
+def counted(op):
+    """``op`` with its map's calls recorded in the returned list."""
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return op.fn(x)
+
+    return Operator(op.dim, fn, label=op.label), calls
+
+
 def _problem_ops():
     rng = np.random.default_rng(51)
     a = rng.standard_normal((20, 6))
@@ -166,6 +179,49 @@ class TestPicardMatchesReferenceLoop:
         residuals, errors = reference_loop(op, x0, 400, 1e-9, ref, spec)
         assert trace.residuals.tobytes() == residuals.tobytes()
         assert trace.errors_to_ref.tobytes() == errors.tobytes()
+
+    @pytest.mark.parametrize("k_final", [ERROR_BLOCK - 1, ERROR_BLOCK, ERROR_BLOCK + 1,
+                                         2 * ERROR_BLOCK + 3])
+    @pytest.mark.parametrize("kind", ["l2", "l1", "weighted"])
+    def test_errors_at_block_edges_bit_for_bit(self, kind, k_final):
+        least, _, analysis = _problem_ops()
+        # the l1 case iterates the least-squares map: the separable one
+        # lands on its fixed point exactly within 100 steps
+        op, spec, ref = {"l2": least, "l1": (least[0], L1, least[2]),
+                         "weighted": analysis}[kind]
+        counting, calls = counted(op)
+        x0 = np.random.default_rng(k_final).standard_normal(op.dim) * 3.0
+        trace = picard(counting, x0, k_final, 0.0, ref=ref, norm_spec=spec)
+        residuals, errors = reference_loop(op, x0, k_final, 0.0, ref, spec)
+        assert trace.k_final == len(calls) == k_final
+        assert trace.residuals.tobytes() == residuals.tobytes()
+        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+
+    @pytest.mark.parametrize("spec", [L2, L1, weighted_norm(np.diag([2.0, 1.0, 3.0]))],
+                             ids=["l2", "l1", "weighted"])
+    def test_divergence_mid_block_keeps_every_error(self, spec):
+        # |x_k - x_{k-1}| grows by 1.05 a step and passes the guard in the
+        # second block
+        op, calls = counted(affine(1.05, [1.0, -2.0, 0.5]))
+        x0, ref = np.array([3.0, 1.0, -2.0]), np.array([0.5, 0.25, -1.0])
+        trace = picard(op, x0, 10_000, 0.0, ref=ref, norm_spec=spec)
+        assert trace.stop_reason is StopReason.DIVERGED
+        assert ERROR_BLOCK < trace.k_final < 2 * ERROR_BLOCK
+        assert len(calls) == trace.k_final
+        residuals, errors = reference_loop(op, x0, trace.k_final, -1.0, ref, spec)
+        assert trace.residuals.tobytes() == residuals.tobytes()
+        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+
+    def test_non_finite_iterate_mid_block_stops_the_calls(self):
+        step = ERROR_BLOCK + 5
+
+        def halving(x):
+            return np.full_like(x, np.inf) if len(calls) == step else 0.5 * x
+
+        op, calls = counted(Operator(2, halving, label="late-overflow"))
+        with pytest.raises(NonFiniteIterateError, match=f"step {step}"):
+            picard(op, [1.0, 2.0], 10_000, 0.0, ref=[0.0, 0.0])
+        assert len(calls) == step
 
     def test_shape_change_mid_run_raises_the_named_error(self):
         calls = []
@@ -228,7 +284,8 @@ class TestPicardMatchesReferenceLoop:
             errors_to_ref=None if ref is None else errors, label=op.label,
         )
         steps = {"beta": beta} if eta is None else {"beta": beta, "eta": eta}
-        assert (out / "trace.csv").read_text() == reports.trace_csv(expected, steps)
+        assert_same_text((out / "trace.csv").read_text(),
+                         reports.trace_csv(expected, steps))
         summary = {
             "stop_reason": expected.stop_reason.value,
             "k_final": expected.k_final,

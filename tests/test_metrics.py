@@ -48,14 +48,15 @@ class TestNorm:
                 rows = norm(stack, spec)
                 vector = np.array([norm(row, spec) for row in stack])
             assert np.isfinite(rows[[3, 17, 29]]).all() and rows[8] == np.inf
-            np.testing.assert_allclose(rows, vector, rtol=1e-13)
+            np.testing.assert_array_equal(rows, vector)
             alone = np.array([norm(row[None], spec)[0] for row in stack])
             np.testing.assert_array_equal(rows, alone)
-        # rows whose norm does not overflow keep numpy's own value
+        # rows whose norm does not overflow are numpy's vector norms
         plain = np.ones(40, dtype=bool)
         plain[[3, 8, 17, 29]] = False
-        np.testing.assert_array_equal(norm(stack, L2)[plain],
-                                      np.linalg.norm(stack[plain], axis=-1))
+        np.testing.assert_array_equal(
+            norm(stack, L2)[plain],
+            [np.linalg.norm(row) for row in stack[plain]])
         # a row with a non-finite entry is not rescaled
         rows = norm(np.array([[np.inf, 1.0], [np.nan, 1.0], [-np.inf, np.inf]]))
         assert rows[0] == rows[2] == np.inf and np.isnan(rows[1])
@@ -135,7 +136,30 @@ class TestNorm:
             alone = np.array([norm(row[None], spec)[0] for row in stack])
             np.testing.assert_array_equal(rows, alone)
             vector = np.array([norm(row, spec) for row in stack])
-            np.testing.assert_allclose(rows, vector, rtol=1e-13)
+            np.testing.assert_array_equal(rows, vector)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column_slice", "every_other",
+                                        "reversed"])
+    def test_stack_row_norm_is_its_vector_norm_bit_for_bit(self, layout):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 7, 16, 33, 100):
+            base = rng.standard_normal((70, 2 * n + 2))
+            base *= rng.choice([1e-3, 1.0, 1e3], (70, 1))
+            base[[4, 40]] *= 1e200  # squares overflow, norms do not
+            stack = {
+                "contiguous": np.ascontiguousarray(base[:, :n]),
+                "column_slice": base[:, 1:n + 1],
+                "every_other": base[:, ::2][:, :n],
+                "reversed": base[::-1, ::-1][:, :n],
+            }[layout]
+            specs = (L2, L1, weighted_norm(random_spd(rng, n)))
+            for spec in specs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = norm(stack, spec)
+                    vector = [norm(row, spec) for row in stack]
+                assert np.isfinite(rows).all()
+                np.testing.assert_array_equal(rows, vector)
 
     def test_zero_iff_zero_vector(self):
         rng = np.random.default_rng(2)
