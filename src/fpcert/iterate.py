@@ -10,12 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .metrics import L2, NormSpec, _vector_norm, norm
+from .metrics import L2, NormSpec, _norm_fn, norm
 
 __all__ = [
     "StopReason",
@@ -146,7 +146,7 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
             raise ValueError("reference vector dimension mismatch")
 
     fn, shape = op.fn, x.shape
-    dist = _vector_norm(norm_spec, shape)
+    dist = _norm_fn(norm_spec, shape)
     # packed doubles: a 10^5-step run holds 0.8 MB per column, not 3.2 MB of
     # float objects
     residuals = array("d")
@@ -205,6 +205,14 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     )
 
 
+def _report_dict(report):
+    """A report's fields in declaration order, its verdict as "PASS"/"FAIL"."""
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    if "verdict" in payload:
+        payload["verdict"] = "PASS" if payload["verdict"] else "FAIL"
+    return payload
+
+
 @dataclass(eq=False)
 class RateFit:
     """Least-squares decay fit on the tail of a positive sequence.
@@ -219,14 +227,7 @@ class RateFit:
     r_squared: float
     tail_start: int
 
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "exponent_p": self.exponent_p,
-            "rho": self.rho,
-            "r_squared": self.r_squared,
-            "tail_start": self.tail_start,
-        }
+    to_dict = _report_dict
 
 
 def _least_squares_line(xs, ys):
@@ -293,16 +294,7 @@ class LittleOReport:
     verdict: bool
     note: str = "finite-sample proxy for a little-o tail claim"
 
-    def to_dict(self):
-        return {
-            "gamma": self.gamma,
-            "slope": self.slope,
-            "first_value": self.first_value,
-            "last_value": self.last_value,
-            "tail_start": self.tail_start,
-            "verdict": "PASS" if self.verdict else "FAIL",
-            "note": self.note,
-        }
+    to_dict = _report_dict
 
 
 def little_o_proxy(seq, gamma, tail_start=None):
@@ -342,16 +334,7 @@ class SummabilityReport:
     tol: float
     verdict: bool
 
-    def to_dict(self):
-        return {
-            "gamma": self.gamma,
-            "mu": self.mu,
-            "bound": self.bound,
-            "max_partial_sum": self.max_partial_sum,
-            "worst_margin": self.worst_margin,
-            "tol": self.tol,
-            "verdict": "PASS" if self.verdict else "FAIL",
-        }
+    to_dict = _report_dict
 
 
 def check_residual_summability(trace, gamma, mu, xhat, tol=1e-10):
@@ -399,18 +382,7 @@ class SandwichReport:
     tol: float
     verdict: bool
 
-    def to_dict(self):
-        return {
-            "mu": self.mu,
-            "lower_worst": self.lower_worst,
-            "upper_worst": self.upper_worst,
-            "remainder": self.remainder,
-            "rho_fit": self.rho_fit,
-            "fit_r_squared": self.fit_r_squared,
-            "conclusive": self.conclusive,
-            "tol": self.tol,
-            "verdict": "PASS" if self.verdict else "FAIL",
-        }
+    to_dict = _report_dict
 
 
 def check_sandwich(trace, xstar, mu, tol=1e-8):

@@ -3,6 +3,10 @@ factorization behind them.
 
 Everything here is plain numpy on small dense matrices.  Values are immutable
 after construction and safe to share across threads.
+
+A norm's kind is dispatched in one place, ``_norm_fn``, for vectors and
+(k, n) stacks alike; :func:`norm` and the Picard loop both go through it, and
+a stack row's norm equals its vector norm bit for bit.
 """
 
 from __future__ import annotations
@@ -90,23 +94,24 @@ def weighted_norm(weight):
     return NormSpec("weighted", w, factor)
 
 
-def _vector_norm(spec, shape):
-    """The norm of ``spec`` on vectors of ``shape`` as a one-argument callable.
+def _norm_fn(spec, shape):
+    """The norm of ``spec`` on inputs of ``shape`` as a one-argument callable.
 
-    The kind is dispatched and the weight dimension checked once, here;
-    ``_vector_norm(spec, x.shape)(x) == norm(x, spec)`` bit for bit, because
-    :func:`norm` evaluates every vector through this callable.  Loops that
-    take many norms of one shape resolve it once.
+    This is the one place a norm's kind is dispatched and its weight
+    dimension checked.  The callable takes an (n,) vector, giving a float,
+    or a (k, n) stack, giving its k row norms; :func:`norm` evaluates every
+    input through it, so ``_norm_fn(spec, x.shape)(x) == norm(x, spec)`` bit
+    for bit.  Loops that take many norms of one shape resolve it once.
     """
     if spec.kind == "l2":
         return _euclidean
     if spec.kind == "l1":
         # np.sum's own reduction, without its dispatch
-        return lambda x: float(np.add.reduce(np.abs(x), axis=None))
+        return lambda x: np.add.reduce(np.abs(x), axis=-1)
     if spec.kind == "weighted":
         _check_weight_dim(spec, shape)
         factor_t = spec.factor.T
-        return lambda x: _euclidean(factor_t @ x)
+        return lambda x: _euclidean(_matvec(factor_t, x))
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
@@ -165,22 +170,14 @@ def norm(x, spec=L2):
 
     l1 and l2 are exact componentwise reductions; the weighted norm is the
     Euclidean norm of ``factor.T @ x``.  A vector gives a float and a (k, n)
-    stack the array of its k row norms; either is finite, without a warning,
-    wherever the norm is a double, even where its squares overflow.  A row's
-    norm equals its norm as a vector bit for bit, whatever stack it sits in.
+    stack the array of its k row norms, both through one dispatch on the
+    norm's kind; either is finite, without a warning, wherever the norm is a
+    double, even where its squares overflow.  A row's norm equals its norm
+    as a vector bit for bit, whatever stack it sits in.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        if x.ndim < 2:
-            return _vector_norm(spec, x.shape)(x)
-        if spec.kind == "l2":
-            return _euclidean(x)
-        if spec.kind == "l1":
-            return np.sum(np.abs(x), axis=-1)
-        if spec.kind == "weighted":
-            _check_weight_dim(spec, x.shape)
-            return _euclidean(_matvec(spec.factor.T, x))
-    raise ValueError(f"unknown norm kind {spec.kind!r}")
+        return _norm_fn(spec, x.shape)(x)
 
 
 def cholesky_factor(m):

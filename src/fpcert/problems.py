@@ -87,8 +87,6 @@ def _data_fit_gradient(a, b):
 
     @operators._stackable
     def grad(x):
-        if x.ndim == 1:
-            return at @ (a @ x - b)
         return _matvec(at, _matvec(a, x) - b)
 
     return grad
@@ -352,6 +350,9 @@ def load_problem(path, lam=None):
             lam = math.nan
         if not math.isfinite(lam):
             raise ValueError("problem config field 'lambda' must be a finite number, "
+                             f"got {entry!r}")
+        if lam < 0:
+            raise ValueError("problem config field 'lambda' must be nonnegative, "
                              f"got {entry!r}")
     if kind == "least_squares":
         for field in ("A", "b"):

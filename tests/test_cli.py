@@ -328,6 +328,8 @@ class TestUsageErrors:
              "lambda"),                                # lambda a list
             ("solve", {"problem": "nan_lambda.json"}, [],
              "lambda"),                                # lambda not finite
+            ("solve", {"problem": "negative_lambda.json"}, [],
+             "lambda"),                                # lambda negative
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -346,7 +348,7 @@ class TestUsageErrors:
                 "kind": "analysis_l1", "A": a_mat, "b": [1, 1], "B": b_mat})
         write_config(tmp_path / "list_problem.json", [{"kind": "least_squares"}])
         for name, lam in (("null_lambda", None), ("list_lambda", [0.5]),
-                          ("nan_lambda", "nan")):
+                          ("nan_lambda", "nan"), ("negative_lambda", -1)):
             write_config(tmp_path / f"{name}.json", {
                 "kind": "separable_smooth_l1", "coeffs": [1, 2], "b": [1, 1],
                 "lambda": lam})

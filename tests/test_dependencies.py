@@ -40,3 +40,27 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(name)
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"{name}.__all__ names missing {export!r}"
+
+
+def row_norm_calls(source):
+    """Lines that call ``np.linalg.norm`` with an axis, keyword or positional."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("linalg.norm")
+        and (len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords))
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "metrics"],
+                         ids=lambda p: p.name)
+def test_row_norms_come_from_metrics(path):
+    # one norm path: a stack's row norms come from metrics, whose rows
+    # equal vector norms bit for bit; vector-only np.linalg.norm stays allowed
+    assert row_norm_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_row_norm_check_sees_axis_calls():
+    source = ("import numpy as np\nnp.linalg.norm(x)\n"
+              "np.linalg.norm(x, axis=-1)\nnumpy.linalg.norm(x, 2, 1)\n")
+    assert row_norm_calls(source) == [3, 4]
