@@ -20,7 +20,7 @@ not depend on the order in which rows are evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,15 +42,39 @@ __all__ = [
     "composition_mu",
     "range_region",
     "EstimateError",
+    "normalize_property",
     "PROPERTIES",
     "DEFAULT_TOL",
     "DENOMINATOR_CUTOFF",
 ]
 
-PROPERTIES = ("gan", "nonexpansive", "contractive", "fp_contractive", "holder_regular")
 
-# Measured against the fixed-point hint at single points rather than on pairs.
-_POINT_PROPERTIES = ("fp_contractive", "holder_regular")
+@dataclass(frozen=True)
+class _Property:
+    """One sampled property: the params it needs positive, whether it is
+    measured at single points against the fixed-point hint rather than on
+    pairs, its slack on a norm triple (d, a, b) with the params (gamma, mu,
+    rho), negative where a row refutes it, and the other names it accepts."""
+
+    needs: tuple
+    points: bool
+    slack: Callable
+    aliases: tuple = ()
+
+
+PROPERTIES = {
+    "gan": _Property(("gamma", "mu"), False,
+                     lambda d, a, b, gamma, mu, rho: d**gamma - a**gamma - mu * b**gamma),
+    "nonexpansive": _Property((), False, lambda d, a, b, gamma, mu, rho: d - a),
+    "contractive": _Property(("rho",), False,
+                             lambda d, a, b, gamma, mu, rho: rho * d - a),
+    "fp_contractive": _Property(("rho",), True,
+                                lambda d, a, b, gamma, mu, rho: rho * d - a,
+                                ("fpcontractive",)),
+    "holder_regular": _Property(("gamma", "mu"), True,
+                                lambda d, a, b, gamma, mu, rho: mu * b**gamma - d,
+                                ("holderregular", "holder")),
+}
 
 # Absolute slack tolerance separating PASS from FAIL; double precision leaves
 # roughly 1e-12 noise in the gamma-powered norm combinations at unit scale.
@@ -159,7 +183,7 @@ class Certificate:
         """Re-evaluate the witness slack; certificates must reproduce it."""
         xs = np.asarray(self.witness_x, dtype=float)[None]
         ys = np.asarray(self.witness_y, dtype=float)[None]
-        fixed = self.property_name in _POINT_PROPERTIES
+        fixed = PROPERTIES[self.property_name].points
         triple = _triples(op, xs, ys, self.norm_spec, fixed)
         slacks = _slacks(self.property_name, triple, self.gamma, self.mu, self.rho)
         return float(slacks[0])
@@ -193,21 +217,16 @@ class EstimateError(ValueError):
     """Raised when every sampled pair is uninformative for the estimate."""
 
 
-def _normalize_property(name):
+def normalize_property(name):
+    """The key in PROPERTIES that ``name`` or one of its aliases denotes.
+
+    Case, surrounding blanks and dashes for underscores are ignored.
+    """
     key = name.strip().lower().replace("-", "_")
-    aliases = {
-        "gan": "gan",
-        "nonexpansive": "nonexpansive",
-        "contractive": "contractive",
-        "fpcontractive": "fp_contractive",
-        "fp_contractive": "fp_contractive",
-        "holderregular": "holder_regular",
-        "holder_regular": "holder_regular",
-        "holder": "holder_regular",
-    }
-    if key not in aliases:
-        raise ValueError(f"unknown property {name!r}; expected one of {PROPERTIES}")
-    return aliases[key]
+    for prop, entry in PROPERTIES.items():
+        if key == prop or key in entry.aliases:
+            return prop
+    raise ValueError(f"unknown property {name!r}; expected one of {tuple(PROPERTIES)}")
 
 
 def gan_slack(op, x, y, gamma, mu, norm_spec=L2):
@@ -243,16 +262,7 @@ def _triples(op, xs, ys, norm_spec, fixed=False):
 
 def _slacks(prop, triple, gamma=None, mu=None, rho=None):
     """Slack of ``prop`` at every row of a norm triple; negative refutes it."""
-    d, a, b = triple
-    if prop == "gan":
-        return d**gamma - a**gamma - mu * b**gamma
-    if prop == "nonexpansive":
-        return d - a
-    if prop in ("contractive", "fp_contractive"):
-        return rho * d - a
-    if prop == "holder_regular":
-        return mu * b**gamma - d
-    raise ValueError(f"unknown property {prop!r}")
+    return PROPERTIES[prop].slack(*triple, gamma, mu, rho)
 
 
 def _sample(op, plan, norm_spec, points):
@@ -277,14 +287,10 @@ def _sample(op, plan, norm_spec, points):
 
 
 def _check_params(prop, gamma, mu, rho):
-    if prop in ("gan", "holder_regular"):
-        if gamma is None or gamma <= 0:
-            raise ValueError(f"property {prop!r} needs a positive gamma")
-        if mu is None or mu <= 0:
-            raise ValueError(f"property {prop!r} needs a positive mu")
-    if prop in ("contractive", "fp_contractive"):
-        if rho is None or rho <= 0:
-            raise ValueError(f"property {prop!r} needs a positive rho")
+    values = {"gamma": gamma, "mu": mu, "rho": rho}
+    for name in PROPERTIES[prop].needs:
+        if values[name] is None or values[name] <= 0:
+            raise ValueError(f"property {prop!r} needs a positive {name}")
 
 
 def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
@@ -319,8 +325,8 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
         ('fp_contractive', 'holder_regular') require ``op.fixed_point_hint``;
         the distance to the fixed-point set is taken to the hint.
     prop : str
-        One of 'gan', 'nonexpansive', 'contractive', 'fp_contractive',
-        'holder_regular'.
+        A key of PROPERTIES: 'gan', 'nonexpansive', 'contractive',
+        'fp_contractive', 'holder_regular'; or one of their aliases.
     params : dict
         Property parameters: gamma/mu for 'gan' and 'holder_regular', rho
         for the contractive classes.
@@ -336,14 +342,14 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     Certificate
         Worst-case slack, the witness attaining it, and bookkeeping.
     """
-    prop = _normalize_property(prop)
+    prop = normalize_property(prop)
     plan = plan or SamplingPlan()
     params = dict(params or {})
     gamma = params.get("gamma")
     mu = params.get("mu")
     rho = params.get("rho")
     _check_params(prop, gamma, mu, rho)
-    points = prop in _POINT_PROPERTIES
+    points = PROPERTIES[prop].points
     if points and op.fixed_point_hint is None:
         raise ValueError(f"property {prop!r} requires a fixed_point_hint")
     sample = _sample(op, plan, norm_spec, points)

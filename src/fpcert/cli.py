@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import operators, problems, reports
-from .certify import EstimateError, SamplingPlan, certify, estimate_mu, range_region
-from .certify import _POINT_PROPERTIES, _normalize_property
+from .certify import (PROPERTIES, EstimateError, SamplingPlan, certify, estimate_mu,
+                      normalize_property, range_region)
 from .iterate import (
     NonFiniteIterateError,
     StopReason,
@@ -40,8 +40,6 @@ from .metrics import L1, L2, primal_dual_metric
 
 __all__ = ["main", "execute", "RunConfig", "UsageError"]
 
-COMMANDS = ("certify", "solve", "rates", "region")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
@@ -52,18 +50,19 @@ class UsageError(ValueError):
 
 
 # Scalar params, from the run config or the command line: (type, lower
-# bound, whether the bound is strict).  Each is checked in load_run_config.
+# bound, whether the bound is strict, help of its --flag, or None for a
+# config-only param).  Each is checked in load_run_config.
 SCALAR_PARAMS = {
-    "seed": (int, 0, False),
-    "n_pairs": (int, 1, False),
-    "max_iter": (int, 1, False),
-    "gamma": (float, 0.0, True),
-    "mu": (float, 0.0, True),
-    "rho": (float, 0.0, True),
-    "beta": (float, 0.0, True),
-    "eta": (float, 0.0, True),
-    "lambda": (float, 0.0, False),
-    "tol": (float, 0.0, False),
+    "seed": (int, 0, False, "override the sampling seed"),
+    "n_pairs": (int, 1, False, None),
+    "max_iter": (int, 1, False, "iteration budget"),
+    "gamma": (float, 0.0, True, "exponent parameter"),
+    "mu": (float, 0.0, True, "averagedness parameter"),
+    "rho": (float, 0.0, True, "contraction factor"),
+    "beta": (float, 0.0, True, "primal step size"),
+    "eta": (float, 0.0, True, "dual step size"),
+    "lambda": (float, 0.0, False, "regularization weight override"),
+    "tol": (float, 0.0, False, "tolerance (slack or residual)"),
 }
 
 
@@ -105,14 +104,14 @@ class RunConfig:
 
     def validate(self):
         if self.command not in COMMANDS:
-            raise UsageError(f"field 'command' must be one of {COMMANDS}")
+            raise UsageError(f"field 'command' must be one of {tuple(COMMANDS)}")
         if self.command == "certify":
             if bool(self.problem) == bool(self.operator):
                 raise UsageError(
                     "field 'problem'/'operator': certify needs exactly one of them"
                 )
             try:
-                _normalize_property(self.property_name)
+                normalize_property(self.property_name)
             except ValueError as err:
                 raise UsageError(f"field 'property': {err}") from None
         if self.command in ("solve", "rates"):
@@ -120,6 +119,10 @@ class RunConfig:
                 raise UsageError(
                     f"field 'problem': {self.command} needs a problem or operator config"
                 )
+        if self.command == "rates":
+            model = str(self.raw.get("model", "exponential")).strip().lower()
+            if model not in ("exponential", "polynomial"):
+                raise UsageError("field 'model' must be 'exponential' or 'polynomial'")
         if self.command == "region":
             for key in ("x", "xhat"):
                 point = self.raw.get(key)
@@ -130,6 +133,11 @@ class RunConfig:
 
 
 def load_run_config(path, command, overrides):
+    """The validated RunConfig of the run config at ``path``.
+
+    ``overrides`` maps names of SCALAR_PARAMS, and ``out``, to command-line
+    values; a value other than None replaces the config's.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -153,12 +161,11 @@ def load_run_config(path, command, overrides):
     if not isinstance(params, dict):
         raise UsageError("field 'params' must be an object")
     params = dict(params)
-    for key, value in overrides.items():
-        if value is not None:
-            params[key] = value
-    for key, rule in SCALAR_PARAMS.items():
+    for key, (kind, lower, strict, _) in SCALAR_PARAMS.items():
+        if overrides.get(key) is not None:
+            params[key] = overrides[key]
         if params.get(key) is not None:
-            params[key] = _scalar(key, params[key], *rule)
+            params[key] = _scalar(key, params[key], kind, lower, strict)
     config = RunConfig(
         command=command,
         problem=resolve(raw.get("problem")),
@@ -255,7 +262,7 @@ def _norm_spec(config, problem, beta, eta):
     return primal_dual_metric(beta, eta, problem.b_mat).norm_spec()
 
 
-def _plan(config, dim):
+def _plan(config):
     params = config.params
     kwargs = {"n_pairs": params.get("n_pairs", 250), "seed": params.get("seed", 0)}
     scales = config.raw.get("radius_scales")
@@ -279,8 +286,8 @@ def _output_dir(config):
 
 def _run_certify(config):
     op, problem, beta, eta = _resolve_target(config)
-    prop = _normalize_property(config.property_name)
-    if prop in _POINT_PROPERTIES and op.fixed_point_hint is None:
+    prop = normalize_property(config.property_name)
+    if PROPERTIES[prop].points and op.fixed_point_hint is None:
         # no params value can supply the fixed point: the property or the
         # target has to change
         target = "problem" if problem is not None else "operator"
@@ -289,7 +296,7 @@ def _run_certify(config):
             f"and this {target} has none"
         )
     norm_spec = _norm_spec(config, problem, beta, eta)
-    plan = _plan(config, op.dim)
+    plan = _plan(config)
     params = {
         key: config.params[key]
         for key in ("gamma", "mu", "rho")
@@ -345,30 +352,27 @@ def _run_solve(config):
 
 
 def _run_rates(config):
+    plan = _plan(config)
     mu = config.params.get("mu")
     op, norm_spec, trace, out, _ = _run_trace(config)
 
     gamma = config.params.get("gamma", 2.0)
-    model = str(config.raw.get("model", "exponential"))
     failed = trace.stop_reason is StopReason.DIVERGED
-    checks = {}
-
     try:
-        fit = fit_rate(trace.residuals, model).to_dict()
+        fit = fit_rate(trace.residuals,
+                       str(config.raw.get("model", "exponential"))).to_dict()
     except ValueError as err:
+        # the trace leaves too short a tail to fit; the model name is valid
         fit = {"error": str(err)}
     reports.write_json(os.path.join(out, "rate_fit.json"), fit)
 
-    proxy = little_o_proxy(trace.residuals, gamma)
-    checks["little_o_proxy"] = proxy.to_dict()
-    if not proxy.verdict:
-        failed = True
-
+    # each check's report, or the reason it was skipped
+    checks = {"little_o_proxy": little_o_proxy(trace.residuals, gamma)}
     xhat = op.fixed_point_hint
     skipped = "no fixed point available" if xhat is None else None
     if xhat is not None and mu is None:
         try:
-            mu = estimate_mu(op, gamma, norm_spec, _plan(config, op.dim))
+            mu = estimate_mu(op, gamma, norm_spec, plan)
         except EstimateError as err:
             # no sampled pair was informative, so there is no estimate
             skipped = str(err)
@@ -377,23 +381,22 @@ def _run_rates(config):
             skipped = "mu estimate is 0"
         failed = failed or skipped is not None
     if skipped is not None:
-        checks["summability"] = {"skipped": skipped}
-        checks["sandwich"] = {"skipped": skipped}
+        checks["summability"] = checks["sandwich"] = skipped
     else:
-        summ = check_residual_summability(trace, gamma, mu, xhat)
-        checks["summability"] = summ.to_dict()
-        if not summ.verdict:
-            failed = True
-        if trace.converged and 0 < mu <= 1:
-            sandwich = check_sandwich(trace, xhat, mu)
-            checks["sandwich"] = sandwich.to_dict()
-            if not sandwich.verdict:
-                failed = True
-        else:
-            checks["sandwich"] = {"skipped": "needs a converged trace and mu <= 1"}
+        checks["summability"] = check_residual_summability(trace, gamma, mu, xhat)
+        checks["sandwich"] = (check_sandwich(trace, xhat, mu)
+                              if trace.converged and 0 < mu <= 1
+                              else "needs a converged trace and mu <= 1")
 
-    checks["stop_reason"] = trace.stop_reason.value
-    reports.write_json(os.path.join(out, "checks.json"), checks)
+    payload = {}
+    for name, report in checks.items():
+        if isinstance(report, str):
+            payload[name] = {"skipped": report}
+        else:
+            payload[name] = report.to_dict()
+            failed = failed or not report.verdict
+    payload["stop_reason"] = trace.stop_reason.value
+    reports.write_json(os.path.join(out, "checks.json"), payload)
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -413,15 +416,20 @@ def _run_region(config):
     return EXIT_OK
 
 
+# Each subcommand's runner and help line.
+COMMANDS = {
+    "certify": (_run_certify,
+                "sample an operator-class inequality and write a certificate"),
+    "solve": (_run_solve, "run the fixed-point iteration and write its trace"),
+    "rates": (_run_rates, "run, fit decay rates, and check trajectory inequalities"),
+    "region": (_run_region, "emit the admissible-range membership grid"),
+}
+
+
 def execute(config):
     """Run a validated RunConfig; returns the process exit status."""
     config.validate()
-    runner = {
-        "certify": _run_certify,
-        "solve": _run_solve,
-        "rates": _run_rates,
-        "region": _run_region,
-    }[config.command]
+    runner, _ = COMMANDS[config.command]
     try:
         # overflow is reported through the exit status and the output files,
         # so numpy's own warnings would only clutter stderr
@@ -446,26 +454,14 @@ def build_parser():
     parser = _Parser(prog="fpcert", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("certify", "sample an operator-class inequality and write a certificate"),
-        ("solve", "run the fixed-point iteration and write its trace"),
-        ("rates", "run, fit decay rates, and check trajectory inequalities"),
-        ("region", "emit the admissible-range membership grid"),
-    ):
+    for name, (_, doc) in COMMANDS.items():
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="run config JSON")
         cmd.add_argument("--out", help="output directory (default: command + timestamp)")
-        cmd.add_argument("--seed", type=int, help="override the sampling seed")
-        cmd.add_argument("--gamma", type=float, help="exponent parameter")
-        cmd.add_argument("--mu", type=float, help="averagedness parameter")
-        cmd.add_argument("--rho", type=float, help="contraction factor")
-        cmd.add_argument("--beta", type=float, help="primal step size")
-        cmd.add_argument("--eta", type=float, help="dual step size")
-        cmd.add_argument("--lambda", dest="lam", type=float,
-                         help="regularization weight override")
-        cmd.add_argument("--tol", type=float, help="tolerance (slack or residual)")
-        cmd.add_argument("--max-iter", dest="max_iter", type=int,
-                         help="iteration budget")
+        for key, (kind, _, _, text) in SCALAR_PARAMS.items():
+            if text is not None:
+                # dest is the key: "--max-iter" parses to max_iter
+                cmd.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 
@@ -473,19 +469,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {
-            "seed": args.seed,
-            "gamma": args.gamma,
-            "mu": args.mu,
-            "rho": args.rho,
-            "beta": args.beta,
-            "eta": args.eta,
-            "lambda": args.lam,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "out": args.out,
-        }
-        config = load_run_config(args.config, args.command, overrides)
+        config = load_run_config(args.config, args.command, vars(args))
         return execute(config)
     except UsageError as err:
         print(f"fpcert: error: {err}", file=sys.stderr)

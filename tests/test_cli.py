@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcert.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from fpcert.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, SCALAR_PARAMS, main
 from fpcert.metrics import write_matrix
 from fpcert.operators import prox_operator, l1_prox
 from fpcert.certify import gan_slack
@@ -232,6 +232,27 @@ class TestRatesCommand:
         assert json.loads((out1 / "checks.json").read_text())[
             "sandwich"]["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("operator, args, code, skipped", [
+        # every pair of the identity is fixed, so there is no hint to measure to
+        ({"type": "identity", "dim": 2}, [], EXIT_OK,
+         {"summability": "no fixed point available",
+          "sandwich": "no fixed point available"}),
+        ({"type": "affine", "alpha": 0.5, "z": [1.0]}, ["--mu", "2"], EXIT_OK,
+         {"sandwich": "needs a converged trace and mu <= 1"}),
+        # a run stopped by its step budget is not a failure of the checks
+        ({"type": "affine", "alpha": 0.5, "z": [1.0]},
+         ["--mu", "1", "--max-iter", "5"], EXIT_OK,
+         {"sandwich": "needs a converged trace and mu <= 1"}),
+    ], ids=["no-fixed-point", "mu-above-one", "step-budget"])
+    def test_skipped_checks(self, tmp_path, operator, args, code, skipped):
+        write_config(tmp_path / "op.json", operator)
+        cfg = write_config(tmp_path / "run.json", {"operator": "op.json"})
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out), *args]) == code
+        checks = json.loads((out / "checks.json").read_text())
+        for key, reason in skipped.items():
+            assert checks[key] == {"skipped": reason}
+
     def test_nonpositive_mu_is_usage_error(self, tmp_path, capsys):
         write_config(tmp_path / "op.json", {"type": "affine", "alpha": 0.5, "z": [1.0]})
         cfg = write_config(tmp_path / "run.json", {"operator": "op.json"})
@@ -330,6 +351,10 @@ class TestUsageErrors:
              "lambda"),                                # lambda not finite
             ("solve", {"problem": "negative_lambda.json"}, [],
              "lambda"),                                # lambda negative
+            ("rates", {"operator": "op.json", "radius_scales": [-1]}, [],
+             "radius_scales"),                         # plan unused: no fixed point
+            ("rates", {"operator": "op.json", "model": "bogus"}, [],
+             "model"),                                 # unknown rate model
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -361,6 +386,7 @@ class TestUsageErrors:
             err = capsys.readouterr().err
             assert f"'{field_name}" in err
             assert "Traceback" not in err
+            assert not os.path.exists(tmp_path / f"o{i}")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
@@ -393,6 +419,22 @@ class TestUsageErrors:
 
 
 class TestScalarOverrides:
+    @pytest.mark.parametrize("name", SCALAR_PARAMS)
+    def test_every_scalar_param_rejects_a_bad_value(self, tmp_path, capsys, name):
+        # -1 is below every param's bound; params with a help text have a flag
+        write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
+        runs = [(write_config(tmp_path / "bad.json",
+                              {"operator": "op.json", "params": {name: -1}}), [])]
+        if SCALAR_PARAMS[name][3] is not None:
+            flag = "--" + name.replace("_", "-")
+            runs.append((write_config(tmp_path / "run.json", {"operator": "op.json"}),
+                         [flag, "-1"]))
+        for cfg, args in runs:
+            assert main(["certify", "--config", cfg,
+                         "--out", str(tmp_path / "out"), *args]) == EXIT_USAGE
+            assert f"field '{name}'" in capsys.readouterr().err
+            assert not os.path.exists(tmp_path / "out")
+
     def test_lambda_override_changes_the_solution(self, tmp_path):
         write_config(tmp_path / "problem.json", {
             "kind": "separable_smooth_l1",

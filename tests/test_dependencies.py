@@ -64,3 +64,25 @@ def test_row_norm_check_sees_axis_calls():
     source = ("import numpy as np\nnp.linalg.norm(x)\n"
               "np.linalg.norm(x, axis=-1)\nnumpy.linalg.norm(x, 2, 1)\n")
     assert row_norm_calls(source) == [3, 4]
+
+
+def private_fpcert_imports(source):
+    """Names starting with ``_`` that a source file imports from fpcert."""
+    return [
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fpcert")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+def test_cli_imports_no_private_name():
+    # the front end reads the library's public tables, not its internals
+    source = Path(fpcert.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    assert private_fpcert_imports(source) == []
+
+
+def test_private_import_check_sees_relative_and_absolute_imports():
+    source = ("from .certify import certify, _slacks\n"
+              "from fpcert.metrics import _matvec\nfrom os import _exit\n")
+    assert private_fpcert_imports(source) == ["_slacks", "_matvec"]
