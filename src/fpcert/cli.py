@@ -91,6 +91,33 @@ def _scalar(field_name, value, kind=float, lower=None, strict=False):
     return number
 
 
+def _numbers(field_name, value, size=None, positive=False):
+    """``value`` as a float array: a nonempty list of numbers, ``size`` of
+    them when given, each positive when ``positive``; else a UsageError."""
+    if (not isinstance(value, list) or not value
+            or (size is not None and len(value) != size)):
+        need = "a nonempty list of" if size is None else f"a list of {size}"
+        got = f"{len(value)} entries" if isinstance(value, list) else repr(value)
+        raise UsageError(f"field '{field_name}' must be {need} numbers, got {got}")
+    lower = 0.0 if positive else None
+    return np.array([_scalar(field_name, v, float, lower, positive) for v in value])
+
+
+def _read_json(path, field_name):
+    """The JSON object in the file at ``path``; errors name ``field_name``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as err:
+        raise UsageError(
+            f"field '{field_name}': cannot read {path} ({err.strerror})") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise UsageError(f"field '{field_name}': not valid JSON ({err})") from err
+    if not isinstance(raw, dict):
+        raise UsageError(f"field '{field_name}': top level must be an object")
+    return raw
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -123,11 +150,6 @@ class RunConfig:
             model = str(self.raw.get("model", "exponential")).strip().lower()
             if model not in ("exponential", "polynomial"):
                 raise UsageError("field 'model' must be 'exponential' or 'polynomial'")
-        if self.command == "region":
-            for key in ("x", "xhat"):
-                point = self.raw.get(key)
-                if not isinstance(point, list) or len(point) != 2:
-                    raise UsageError(f"field '{key}': region needs a 2-D point")
         if self.norm not in ("l2", "l1", "w"):
             raise UsageError("field 'norm' must be 'l2', 'l1' or 'w'")
 
@@ -138,16 +160,7 @@ def load_run_config(path, command, overrides):
     ``overrides`` maps names of SCALAR_PARAMS, and ``out``, to command-line
     values; a value other than None replaces the config's.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as err:
-        raise UsageError(f"field 'config': cannot read {path} ({err.strerror})") from err
-    except json.JSONDecodeError as err:
-        raise UsageError(f"field 'config': not valid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise UsageError("field 'config': top level must be an object")
-
+    raw = _read_json(path, "config")
     for key in ("problem", "operator", "output_dir", "property", "norm"):
         entry = raw.get(key)
         if entry is not None and not (isinstance(entry, str) and entry):
@@ -182,15 +195,7 @@ def load_run_config(path, command, overrides):
 
 def load_operator_config(path):
     """Build an Operator from a small JSON description."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except OSError as err:
-        raise UsageError(f"field 'operator': cannot read {path} ({err.strerror})") from err
-    except json.JSONDecodeError as err:
-        raise UsageError(f"field 'operator': not valid JSON ({err})") from err
-    if not isinstance(config, dict):
-        raise UsageError("field 'operator': top level must be an object")
+    config = _read_json(path, "operator")
     kind = config.get("type")
     if kind in ("soft_threshold", "block_soft_threshold", "identity"):
         dim = _scalar("dim", config.get("dim", 1), int, 1)
@@ -206,10 +211,7 @@ def load_operator_config(path):
         )
     if kind == "affine":
         alpha = _scalar("alpha", config.get("alpha", 1.0))
-        z = config.get("z", [0.0])
-        if not isinstance(z, list) or not z:
-            raise UsageError("field 'z' must be a nonempty list of numbers")
-        z = np.array([_scalar("z", v) for v in z])
+        z = _numbers("z", config.get("z", [0.0]))
         try:
             return operators.affine(alpha, z)
         except ValueError as err:
@@ -235,7 +237,7 @@ def _resolve_target(config):
             raise UsageError(
                 f"field 'problem': cannot read {err.filename} ({err.strerror})"
             ) from err
-        except (ValueError, json.JSONDecodeError) as err:
+        except ValueError as err:
             raise UsageError(f"field 'problem': {err}") from err
         except ArithmeticError as err:
             raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
@@ -257,7 +259,7 @@ def _norm_spec(config, problem, beta, eta):
         return L2
     if config.norm == "l1":
         return L1
-    if problem is None or problem.kind != "analysis_l1":
+    if problem is None or problem.b_mat is None:
         raise UsageError("field 'norm': 'w' needs an analysis_l1 problem")
     return primal_dual_metric(beta, eta, problem.b_mat).norm_spec()
 
@@ -266,12 +268,9 @@ def _plan(config):
     params = config.params
     kwargs = {"n_pairs": params.get("n_pairs", 250), "seed": params.get("seed", 0)}
     scales = config.raw.get("radius_scales")
-    if scales:
-        if not isinstance(scales, list):
-            raise UsageError("field 'radius_scales' must be a list of numbers")
+    if scales is not None:
         kwargs["radius_scales"] = tuple(
-            _scalar("radius_scales", s, float, 0.0, True) for s in scales
-        )
+            _numbers("radius_scales", scales, positive=True).tolist())
     return SamplingPlan(**kwargs)
 
 
@@ -322,11 +321,7 @@ def _run_trace(config):
     op, problem, beta, eta = _resolve_target(config)
     norm_spec = _norm_spec(config, problem, beta, eta)
     x0 = config.raw.get("x0")
-    if x0 is None:
-        x0 = [0.0] * op.dim
-    if not isinstance(x0, list) or len(x0) != op.dim:
-        raise UsageError(f"field 'x0': expected {op.dim} entries")
-    x0 = np.array([_scalar("x0", v) for v in x0])
+    x0 = np.zeros(op.dim) if x0 is None else _numbers("x0", x0, op.dim)
     trace = picard(op, x0, max_iter=config.params.get("max_iter", 100_000),
                    res_tol=config.params.get("tol", 1e-10),
                    ref=op.fixed_point_hint, norm_spec=norm_spec)
@@ -402,8 +397,8 @@ def _run_rates(config):
 
 def _run_region(config):
     params = config.params
-    x = np.array([_scalar("x", v) for v in config.raw["x"]])
-    xhat = np.array([_scalar("xhat", v) for v in config.raw["xhat"]])
+    x = _numbers("x", config.raw.get("x"), 2)
+    xhat = _numbers("xhat", config.raw.get("xhat"), 2)
     gamma = params.get("gamma", 2.0)
     mu = params.get("mu", 1.0)
     resolution = _scalar("resolution", config.raw.get("resolution", 201), int, 2)

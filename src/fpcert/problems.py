@@ -32,9 +32,6 @@ __all__ = [
     "ReferenceError",
 ]
 
-KINDS = ("least_squares", "separable_smooth_l1", "analysis_l1")
-
-
 class RankDeficientError(ValueError):
     """Raised when a design matrix fails the full-column-rank check."""
 
@@ -50,7 +47,8 @@ class ProblemSpec:
     ``lipschitz`` bounds the gradient of the smooth part from above and
     ``lower_lipschitz``, when known, from below; both are measured in the
     Euclidean norm.  ``dims`` is (n, m) with m = 0 unless a coupling matrix
-    is present.
+    ``b_mat`` is present, and ``b_norm`` is that matrix's spectral norm
+    |B|_2, taken once at construction (0.0 without one).
     """
 
     kind: str
@@ -58,11 +56,10 @@ class ProblemSpec:
     lipschitz: float
     dims: tuple
     prox_g: Optional[operators.ProxFamily] = None
-    prox_h: Optional[operators.ProxFamily] = None
     b_mat: Optional[np.ndarray] = None
+    b_norm: float = 0.0
     lower_lipschitz: Optional[float] = None
     exact_solution: Optional[np.ndarray] = None
-    lam: float = 0.0
     label: str = ""
 
     @property
@@ -150,7 +147,6 @@ def separable_smooth_l1_problem(coeffs, b, lam):
         prox_g=operators.l1_prox(lam),
         exact_solution=solution,
         dims=(len(b), 0),
-        lam=lam,
         label=f"separable-l1[{len(b)}]",
     )
 
@@ -176,10 +172,9 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
         grad_f=_data_fit_gradient(a, b),
         lipschitz=float(np.linalg.norm(a, 2)) ** 2,
         prox_g=operators.l1_prox(lam),
-        prox_h=operators.zero_prox(),
         b_mat=b_coupling,
+        b_norm=float(np.linalg.norm(b_coupling, 2)),
         dims=(a.shape[1], b_coupling.shape[0]),
-        lam=lam,
         label=f"analysis-l1[{a.shape[1]}+{b_coupling.shape[0]}]",
     )
 
@@ -235,10 +230,9 @@ def default_step_sizes(problem, beta=None, eta=None):
     """Resolve step sizes: beta defaults to 1/L, eta to half its bound."""
     if beta is None:
         beta = 1.0 / problem.lipschitz
-    if problem.kind != "analysis_l1":
+    if problem.b_mat is None:
         return beta, None
-    b_norm = float(np.linalg.norm(problem.b_mat, 2))
-    bounds = step_size_bounds(problem.lipschitz, b_norm, beta)
+    bounds = step_size_bounds(problem.lipschitz, problem.b_norm, beta)
     if eta is None:
         eta = 0.5 * bounds.eta_max
     return beta, eta
@@ -266,7 +260,7 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
         )
     if problem.kind == "analysis_l1":
         return operators.primal_dual(
-            problem.grad_f, problem.prox_h, problem.prox_g, problem.b_mat,
+            problem.grad_f, operators.zero_prox(), problem.prox_g, problem.b_mat,
             beta, eta, fixed_point_hint=hint,
             label=f"{problem.label} primal-dual(beta={beta:g}, eta={eta:g})",
         )
@@ -318,21 +312,34 @@ def reference_solution(problem, tol=1e-8):
     )
 
 
+# Each problem kind: its config fields, in the order its constructor takes
+# them, and the constructor.  "lambda" is the scalar weight; every other
+# field is an array, inline or a matrix file.
+KINDS = {
+    "least_squares": (("A", "b"), least_squares_problem),
+    "separable_smooth_l1": (("coeffs", "b", "lambda"), separable_smooth_l1_problem),
+    "analysis_l1": (("A", "b", "B", "lambda"), analysis_l1_problem),
+}
+
+
 def _load_array(entry, base_dir, field):
-    if isinstance(entry, str):
-        return read_matrix(os.path.join(base_dir, entry))
-    if isinstance(entry, list):
-        return np.asarray(entry, dtype=float)
+    try:
+        if isinstance(entry, str):
+            return read_matrix(os.path.join(base_dir, entry))
+        if isinstance(entry, list):
+            return np.asarray(entry, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"problem config field '{field}': {err}") from err
     raise ValueError(f"problem config field '{field}' must be a path or a list")
 
 
 def load_problem(path, lam=None):
     """Load a problem from a JSON config.
 
-    The config names the kind, matrix entries either inline or as paths to
-    the plain-text matrix format (relative to the config file), and the
-    scalar lam (overridable through the ``lam`` argument).  Step sizes and
-    seeds live in the run config, not here.
+    The config names the kind and the fields KINDS lists for it: arrays
+    inline or as paths to the plain-text matrix format (relative to the
+    config file), and the scalar lambda, 0 unless given (overridable through
+    the ``lam`` argument).  Step sizes and seeds live in the run config.
     """
     with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
@@ -340,8 +347,9 @@ def load_problem(path, lam=None):
         raise ValueError("problem config: top level must be an object")
     base_dir = os.path.dirname(os.path.abspath(path))
     kind = config.get("kind")
-    if kind not in KINDS:
-        raise ValueError(f"problem config field 'kind' must be one of {KINDS}")
+    # a list or an object as the kind would make the dict lookup a TypeError
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"problem config field 'kind' must be one of {tuple(KINDS)}")
     if lam is None:
         entry = config.get("lambda", 0.0)
         try:
@@ -354,24 +362,13 @@ def load_problem(path, lam=None):
         if lam < 0:
             raise ValueError("problem config field 'lambda' must be nonnegative, "
                              f"got {entry!r}")
-    if kind == "least_squares":
-        for field in ("A", "b"):
-            if field not in config:
-                raise ValueError(f"problem config field '{field}' is required")
-        a = _load_array(config["A"], base_dir, "A")
-        b = _load_array(config["b"], base_dir, "b").reshape(-1)
-        return least_squares_problem(a, b)
-    if kind == "separable_smooth_l1":
-        for field in ("coeffs", "b"):
-            if field not in config:
-                raise ValueError(f"problem config field '{field}' is required")
-        coeffs = _load_array(config["coeffs"], base_dir, "coeffs").reshape(-1)
-        b = _load_array(config["b"], base_dir, "b").reshape(-1)
-        return separable_smooth_l1_problem(coeffs, b, lam)
-    for field in ("A", "b", "B"):
-        if field not in config:
+    fields, make = KINDS[kind]
+    args = []
+    for field in fields:
+        if field == "lambda":
+            args.append(lam)
+        elif field not in config:
             raise ValueError(f"problem config field '{field}' is required")
-    a = _load_array(config["A"], base_dir, "A")
-    b = _load_array(config["b"], base_dir, "b").reshape(-1)
-    b_mat = _load_array(config["B"], base_dir, "B")
-    return analysis_l1_problem(a, b, b_mat, lam)
+        else:
+            args.append(_load_array(config[field], base_dir, field))
+    return make(*args)

@@ -14,7 +14,6 @@ import enum
 import json
 import math
 import os
-from itertools import repeat
 
 import numpy as np
 
@@ -141,24 +140,25 @@ def _trace_rows(lo, residuals, errors):
     ``errors[i]`` are the cells of row lo + i, and ``errors`` None leaves
     that column blank.
 
-    A chunk whose every cell is finite, where :func:`format_float` is just
-    ``.17g``, is rendered with one ``%`` format over a repeated row template.
+    Every chunk is rendered with one ``%`` format over a repeated row
+    template.  ``%.17g`` is :func:`format_float` on finite cells; in a chunk
+    with non-finite cells, its ``inf`` and ``nan`` become ``Infinity`` and
+    ``NaN`` (no finite ``%.17g`` cell holds those letters).
     """
     columns = [residuals] if errors is None else [residuals, errors]
     columns = [np.asarray(c, dtype=float) for c in columns]
-    finite = all(np.isfinite(c).all() for c in columns)
     cells = [c.tolist() for c in columns]
     ks = range(lo, lo + len(cells[0]))
-    if finite:
-        width = 1 + len(cells)
-        flat = [None] * (width * len(ks))
-        flat[0::width] = ks
-        for i, column in enumerate(cells, 1):
-            flat[i::width] = column
-        row = "%d,%.17g,\n" if errors is None else "%d,%.17g,%.17g\n"
-        return (row * len(ks)) % tuple(flat)
-    errs = repeat("") if errors is None else map(format_float, cells[1])
-    return "".join(map("{},{},{}\n".format, ks, map(format_float, cells[0]), errs))
+    width = 1 + len(cells)
+    flat = [None] * (width * len(ks))
+    flat[0::width] = ks
+    for i, column in enumerate(cells, 1):
+        flat[i::width] = column
+    row = "%d,%.17g,\n" if errors is None else "%d,%.17g,%.17g\n"
+    text = (row * len(ks)) % tuple(flat)
+    if all(np.isfinite(c).all() for c in columns):
+        return text
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def _trace_chunks(trace, params):

@@ -276,7 +276,7 @@ def test_criterion_7_primal_dual_convergence():
     lam = 0.8
     problem = analysis_l1_problem(np.eye(n), b, diff, lam)
     beta, eta = default_step_sizes(problem)
-    bounds = step_size_bounds(problem.lipschitz, np.linalg.norm(diff, 2), beta=beta)
+    bounds = step_size_bounds(problem.lipschitz, problem.b_norm, beta=beta)
     op = build_operator(problem)
 
     w_norm = primal_dual_metric(beta, eta, diff).norm_spec()

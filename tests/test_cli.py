@@ -151,6 +151,18 @@ class TestSolveCommand:
         final_error = float(rows[-1].split(",")[2])
         assert final_error <= 1e-8
 
+    def test_null_x0_starts_from_zero(self, tmp_path):
+        write_config(tmp_path / "op.json", {"type": "affine", "alpha": 0.5,
+                                            "z": [1.0, -2.0]})
+        traces = []
+        for name, extra in (("null", {"x0": None}), ("zeros", {"x0": [0, 0]})):
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {"operator": "op.json", **extra})
+            assert main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+            traces.append((tmp_path / name / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
 
 class TestRatesCommand:
     def test_least_squares_rate_matches_eigen_oracle(self, tmp_path):
@@ -355,6 +367,35 @@ class TestUsageErrors:
              "radius_scales"),                         # plan unused: no fixed point
             ("rates", {"operator": "op.json", "model": "bogus"}, [],
              "model"),                                 # unknown rate model
+            ("solve", {"problem": "ragged_a.json"}, [],
+             "A"),                                     # ragged inline matrix
+            ("solve", {"problem": "text_b.json"}, [],
+             "b"),                                     # non-numeric inline entry
+            ("solve", {"problem": "header_b_mat.json"}, [],
+             "B"),                                     # bad matrix file header
+            ("solve", {"problem": "text_coeffs.json"}, [],
+             "coeffs"),                                # non-numeric matrix value
+            ("certify", {"operator": "op.json", "radius_scales": [],
+                         "params": {"gamma": 1, "mu": 1}}, [],
+             "radius_scales"),                         # no scales
+            ("certify", {"operator": "op.json", "radius_scales": 0,
+                         "params": {"gamma": 1, "mu": 1}}, [],
+             "radius_scales"),                         # scales not a list
+            ("certify", {"operator": "op.json", "radius_scales": False,
+                         "params": {"gamma": 1, "mu": 1}}, [],
+             "radius_scales"),                         # scales a boolean
+            ("solve", {"operator": "op.json", "x0": [1.0, 2.0]}, [],
+             "x0"),                                    # start of the wrong length
+            ("region", {"x": [1, 2, 3], "xhat": [0, 0]}, [],
+             "x"),                                     # point with three entries
+            ("region", {"xhat": [0, 0]}, [],
+             "x"),                                     # point missing
+            ("solve", {"operator": "empty_z.json"}, [],
+             "z"),                                     # empty shift
+            ("solve", {"problem": "list_kind.json"}, [],
+             "kind"),                                  # kind a list
+            ("solve", {"problem": "object_kind.json"}, [],
+             "kind"),                                  # kind an object
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -377,6 +418,20 @@ class TestUsageErrors:
             write_config(tmp_path / f"{name}.json", {
                 "kind": "separable_smooth_l1", "coeffs": [1, 2], "b": [1, 1],
                 "lambda": lam})
+        write_config(tmp_path / "ragged_a.json", {
+            "kind": "least_squares", "A": [[1, 2], [3]], "b": [1, 1]})
+        write_config(tmp_path / "text_b.json", {
+            "kind": "least_squares", "A": [[1, 0], [0, 1]], "b": [1, "q"]})
+        (tmp_path / "header.txt").write_text("2 x\n1 0 0 1\n")
+        write_config(tmp_path / "header_b_mat.json", {
+            "kind": "analysis_l1", "A": [[1, 0], [0, 1]], "b": [1, 1],
+            "B": "header.txt"})
+        (tmp_path / "text.txt").write_text("2 1\n1 q\n")
+        write_config(tmp_path / "text_coeffs.json", {
+            "kind": "separable_smooth_l1", "coeffs": "text.txt", "b": [1, 1]})
+        write_config(tmp_path / "empty_z.json", {"type": "affine", "z": []})
+        write_config(tmp_path / "list_kind.json", {"kind": ["least_squares"]})
+        write_config(tmp_path / "object_kind.json", {"kind": {}})
         write_config(tmp_path / "far.json",
                      {"type": "affine", "alpha": 0.5, "z": [1e308, 1e308]})
         for i, (command, payload, args, field_name) in enumerate(corpus):

@@ -3,6 +3,7 @@ library, numpy and fpcert itself.  Every name a module exports exists."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -86,3 +87,52 @@ def test_private_import_check_sees_relative_and_absolute_imports():
     source = ("from .certify import certify, _slacks\n"
               "from fpcert.metrics import _matvec\nfrom os import _exit\n")
     assert private_fpcert_imports(source) == ["_slacks", "_matvec"]
+
+
+SPECTRAL = re.compile(r"(^|\.)linalg\.(svd|eig\w*|norm)$")
+
+
+def spectral_calls(source):
+    """(line, enclosing top-level definition or None) of each spectral call:
+    ``linalg.svd``, ``linalg.eig*``, and ``linalg.norm`` with ord 2 given
+    positionally or as ``ord=``."""
+    calls = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            match = isinstance(node, ast.Call) and SPECTRAL.search(ast.unparse(node.func))
+            if not match:
+                continue
+            if match.group(2) == "norm":
+                ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+                if not any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                    continue
+            calls.append((node.lineno, owner))
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_spectral_constants_come_from_problem_constructors(path):
+    # one source of spectral constants: a problem's constructor takes them
+    # once and stores them on its ProblemSpec
+    calls = spectral_calls(path.read_text(encoding="utf-8"))
+    if path.stem == "problems":
+        calls = [(line, owner) for line, owner in calls
+                 if not (owner or "").endswith("_problem")]
+    assert calls == []
+
+
+def test_spectral_check_sees_svd_eig_and_ord_two_norms():
+    source = ("import numpy as np\n"
+              "def f(a):\n"
+              "    np.linalg.norm(a)\n"
+              "    np.linalg.norm(a, 2)\n"
+              "    np.linalg.norm(a, ord=2)\n"
+              "    np.linalg.norm(a, 1, axis=0)\n"
+              "    return np.linalg.svd(a)\n"
+              "w = numpy.linalg.eigvalsh(a)\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        return linalg.eig(self.a)\n")
+    assert spectral_calls(source) == [(4, "f"), (5, "f"), (7, "f"), (8, None),
+                                      (11, "C")]

@@ -117,6 +117,23 @@ class TestSpectralConstants:
         with pytest.raises(ValueError, match="finite"):
             analysis_l1_problem(np.eye(2), np.ones(2), [[np.nan, 1.0]], 0.1)
 
+    def test_coupling_norm_is_taken_once_at_construction(self):
+        rng = np.random.default_rng(5)
+        b_mat = rng.standard_normal((3, 5))
+        p = analysis_l1_problem(rng.standard_normal((8, 5)), rng.standard_normal(8),
+                                b_mat, 0.3)
+        b_norm = float(np.linalg.norm(b_mat, 2))
+        assert p.b_norm == b_norm
+        for beta in (None, 0.5 / p.lipschitz):
+            got_beta, eta = default_step_sizes(p, beta)
+            bounds = step_size_bounds(p.lipschitz, b_norm, got_beta)
+            assert got_beta == (1.0 / p.lipschitz if beta is None else beta)
+            assert eta == 0.5 * bounds.eta_max
+
+    def test_uncoupled_kinds_have_zero_coupling_norm(self):
+        assert least_squares_problem(np.eye(2), [1.0, 2.0]).b_norm == 0.0
+        assert separable_smooth_l1_problem([1.0, 2.0], [1.0, 2.0], 0.1).b_norm == 0.0
+
     def test_clustered_design_solves_from_the_cli(self, tmp_path):
         write_matrix(tmp_path / "A.txt", designed(CLUSTERED))
         write_matrix(tmp_path / "b.txt", np.ones((30, 1)))
@@ -338,7 +355,7 @@ class TestOperatorProperties:
             diff[i, i], diff[i, i + 1] = -1.0, 1.0
         p = analysis_l1_problem(np.eye(5), b, diff, 0.4)
         beta, eta = default_step_sizes(p)
-        bounds = step_size_bounds(p.lipschitz, np.linalg.norm(diff, 2), beta=beta)
+        bounds = step_size_bounds(p.lipschitz, p.b_norm, beta=beta)
         assert eta < bounds.eta_max
         op = build_operator(p)
         w_norm = primal_dual_metric(beta, eta, diff).norm_spec()
