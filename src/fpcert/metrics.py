@@ -137,10 +137,12 @@ def _euclidean(x):
     function's dispatch; so the two agree bit for bit.  A stack's row
     squares come from a (k, 1, n) @ (k, n, 1) product of the contiguous
     stack, which numpy evaluates with that same BLAS ``dot`` once per row;
-    so a row's norm is its vector norm bit for bit.  An infinite norm of a
-    finite vector only had its squares overflow, and is re-evaluated with
-    the vector scaled by its largest |x_i|; a stack sends just its infinite
-    rows through that rule.
+    so a row's norm is its vector norm bit for bit.  A one-column stack
+    takes its row squares as ``x * x``, the one product such a ``dot``
+    makes, without a BLAS call per row.  An infinite norm of a finite vector
+    only had its squares overflow, and is re-evaluated with the vector
+    scaled by its largest |x_i|; a stack sends just its infinite rows
+    through that rule.
     """
     if x.ndim < 2:
         x = x.ravel(order="K")
@@ -149,8 +151,11 @@ def _euclidean(x):
             scale = float(np.max(np.abs(x)))
             r = scale * float(np.linalg.norm(x / scale))
         return r
-    x = np.ascontiguousarray(x)
-    r = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    if x.shape[-1] == 1:
+        r = np.sqrt((x * x)[..., 0])
+    else:
+        x = np.ascontiguousarray(x)
+        r = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
     over = np.isinf(r)
     if over.any():
         r[over] = [_euclidean(row) for row in x[over]]

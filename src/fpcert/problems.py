@@ -8,13 +8,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import operators
 from .iterate import StopReason, picard
-from .metrics import _matvec, read_matrix
+from .metrics import _matvec, primal_dual_metric, read_matrix
 
 __all__ = [
     "ProblemSpec",
@@ -48,13 +48,17 @@ class ProblemSpec:
     ``lower_lipschitz``, when known, from below; both are measured in the
     Euclidean norm.  ``dims`` is (n, m) with m = 0 unless a coupling matrix
     ``b_mat`` is present, and ``b_norm`` is that matrix's spectral norm
-    |B|_2, taken once at construction (0.0 without one).
+    |B|_2, taken once at construction (0.0 without one).  ``quadratic`` is
+    the data (H, g) of the smooth part, grad_f(x) = H x - g, with H an
+    (n, n) matrix or, for a diagonal H, its (n,) diagonal;
+    :func:`build_operator` precomposes its maps from it, and ``grad_f`` is
+    the gradient it defines.
     """
 
     kind: str
-    grad_f: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     dims: tuple
+    quadratic: tuple
     prox_g: Optional[operators.ProxFamily] = None
     b_mat: Optional[np.ndarray] = None
     b_norm: float = 0.0
@@ -65,6 +69,18 @@ class ProblemSpec:
     @property
     def n(self):
         return self.dims[0]
+
+    @property
+    def grad_f(self):
+        """x -> H x - g, on a vector and row by row on a (k, n) stack."""
+        h, g = self.quadratic
+        if h.ndim == 1:
+            def grad(x):
+                return h * x - g
+        else:
+            def grad(x):
+                return _matvec(h, x) - g
+        return operators._stackable(grad)
 
 
 def _data_fit(a_mat, b):
@@ -78,17 +94,6 @@ def _data_fit(a_mat, b):
     return a, b
 
 
-def _data_fit_gradient(a, b):
-    """x -> A^T (A x - b), on a vector and row by row on a (k, n) stack."""
-    at = a.T
-
-    @operators._stackable
-    def grad(x):
-        return _matvec(at, _matvec(a, x) - b)
-
-    return grad
-
-
 def least_squares_problem(a_mat, b):
     """Quadratic data-fit instance: f(x) = 0.5 * |Ax - b|^2.
 
@@ -97,7 +102,8 @@ def least_squares_problem(a_mat, b):
     at or below 1e-10 times the largest, raises RankDeficientError.  The
     gradient constant is s_max^2, the lower constant s_min^2, and the exact
     solution is V (U^T b / s), which solves with A itself rather than the
-    normal equations, so the condition number is not squared.
+    normal equations, so the condition number is not squared.  The smooth
+    part's data H = A^T A and g = A^T b are assembled from the same SVD.
     """
     a, b = _data_fit(a_mat, b)
     rows, n = a.shape
@@ -108,13 +114,14 @@ def least_squares_problem(a_mat, b):
             f"from {s[0]:.3e} down to {s[-1]:.3e}"
         )
 
+    ub = u.T @ b
     return ProblemSpec(
         kind="least_squares",
-        grad_f=_data_fit_gradient(a, b),
         lipschitz=float(s[0]) ** 2,
         lower_lipschitz=float(s[-1]) ** 2,
-        exact_solution=vt.T @ ((u.T @ b) / s),
+        exact_solution=vt.T @ (ub / s),
         dims=(n, 0),
+        quadratic=((vt.T * s**2) @ vt, vt.T @ (s * ub)),
         label=f"least-squares[{rows}x{n}]",
     )
 
@@ -134,19 +141,14 @@ def separable_smooth_l1_problem(coeffs, b, lam):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)
-
-    @operators._stackable
-    def grad(x):
-        return coeffs * (x - b)
-
     return ProblemSpec(
         kind="separable_smooth_l1",
-        grad_f=grad,
         lipschitz=float(np.max(coeffs)),
         lower_lipschitz=float(np.min(coeffs)),
         prox_g=operators.l1_prox(lam),
         exact_solution=solution,
         dims=(len(b), 0),
+        quadratic=(coeffs, coeffs * b),
         label=f"separable-l1[{len(b)}]",
     )
 
@@ -169,12 +171,12 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
 
     return ProblemSpec(
         kind="analysis_l1",
-        grad_f=_data_fit_gradient(a, b),
         lipschitz=float(np.linalg.norm(a, 2)) ** 2,
         prox_g=operators.l1_prox(lam),
         b_mat=b_coupling,
         b_norm=float(np.linalg.norm(b_coupling, 2)),
         dims=(a.shape[1], b_coupling.shape[0]),
+        quadratic=(a.T @ a, a.T @ b),
         label=f"analysis-l1[{a.shape[1]}+{b_coupling.shape[0]}]",
     )
 
@@ -241,30 +243,78 @@ def default_step_sizes(problem, beta=None, eta=None):
 def build_operator(problem, beta=None, eta=None, hint="auto"):
     """Fixed-point map for a problem at the given (or default) step sizes.
 
+    The map is precomposed from ``problem.quadratic`` = (H, g) at the step
+    sizes, so one step makes one affine product and the problem's prox.
+    Without a coupling matrix it is the forward-backward step
+
+        T x = prox of beta*g at  M x + c,   M = I - beta*H,  c = beta*g,
+
+    a gradient step when the problem has no prox, with M a vector applied
+    elementwise for a diagonal H.  With a coupling matrix B it is the
+    primal-dual update of :func:`operators.primal_dual`: one square product
+
+        [x'; s] = [[M, -beta*B^T], [B(2M - I), I/eta - 2*beta*B B^T]] [x; y]
+                  + [c; 2*beta*B g]
+
+    gives the new primal block x' and the dual pre-image s, and the new dual
+    block is eta * (s - prox of g/eta at s).  A (beta, eta) pair whose
+    coupled metric is not positive definite raises NotPositiveDefiniteError,
+    and a beta that is not positive raises ValueError for every kind.
+
     The exact solution, when the problem has one, is attached as the
     operator's fixed-point hint; pass ``hint=None`` to suppress that or an
     explicit vector to override it.
     """
     beta, eta = default_step_sizes(problem, beta, eta)
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     if isinstance(hint, str) and hint == "auto":
         hint = problem.exact_solution
-    if problem.kind == "least_squares":
-        return operators.gradient_step(
-            problem.grad_f, beta, problem.n, fixed_point_hint=hint,
-            label=f"{problem.label} gradient-step(beta={beta:g})",
+    h, g = problem.quadratic
+    n, m = problem.dims
+    prox = problem.prox_g
+    primal = 1.0 - beta * h if h.ndim == 1 else np.eye(n) - beta * h
+    shift = beta * g
+    if problem.b_mat is None:
+        if h.ndim == 1:
+            def forward(x):
+                return primal * x + shift
+        else:
+            def forward(x):
+                return _matvec(primal, x) + shift
+        if prox is None:
+            return operators.Operator(
+                n, operators._stackable(forward), hint,
+                f"{problem.label} gradient-step(beta={beta:g})",
+            )
+
+        def step(x):
+            return prox(beta, forward(x))
+
+        return operators.Operator(
+            n, operators._stackable(step, prox), hint,
+            f"{problem.label} prox-grad(beta={beta:g})",
         )
-    if problem.kind == "separable_smooth_l1":
-        return operators.proximal_gradient(
-            problem.grad_f, problem.prox_g, beta, problem.n, fixed_point_hint=hint,
-            label=f"{problem.label} prox-grad(beta={beta:g})",
-        )
-    if problem.kind == "analysis_l1":
-        return operators.primal_dual(
-            problem.grad_f, operators.zero_prox(), problem.prox_g, problem.b_mat,
-            beta, eta, fixed_point_hint=hint,
-            label=f"{problem.label} primal-dual(beta={beta:g}, eta={eta:g})",
-        )
-    raise ValueError(f"unknown problem kind {problem.kind!r}")
+
+    b = problem.b_mat
+    primal_dual_metric(beta, eta, b)  # validates positive definiteness
+    mat = np.empty((n + m, n + m))
+    mat[:n, :n] = primal
+    mat[:n, n:] = -beta * b.T
+    mat[n:, :n] = b @ (2.0 * primal - np.eye(n))
+    mat[n:, n:] = np.eye(m) / eta - 2.0 * beta * (b @ b.T)
+    shift = np.concatenate([shift, 2.0 * (b @ shift)])
+
+    def step(v):
+        w = _matvec(mat, v) + shift
+        s = w[..., n:]
+        w[..., n:] = eta * (s - prox(1.0 / eta, s))
+        return w
+
+    return operators.Operator(
+        n + m, operators._stackable(step, prox), hint,
+        f"{problem.label} primal-dual(beta={beta:g}, eta={eta:g})",
+    )
 
 
 @dataclass(eq=False)

@@ -137,6 +137,14 @@ class TestNorm:
             np.testing.assert_array_equal(rows, alone)
             vector = np.array([norm(row, spec) for row in stack])
             np.testing.assert_array_equal(rows, vector)
+        # one column: squares that underflow, are subnormal or overflow,
+        # where sqrt(x * x) and |x| part ways
+        column = rng.standard_normal((300, 1)) * 10.0 ** rng.uniform(-200, 200, (300, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = norm(column, L2)
+        np.testing.assert_array_equal(rows, [norm(row, L2) for row in column])
+        assert (rows != np.abs(column[:, 0])).any()
 
     @pytest.mark.parametrize("layout", ["contiguous", "column_slice", "every_other",
                                         "reversed"])

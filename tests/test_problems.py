@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from fpcert import problems
 from fpcert.certify import SamplingPlan, certify, estimate_mu
 from fpcert.cli import main
 from fpcert.iterate import picard
-from fpcert.metrics import L1, primal_dual_metric, write_matrix
-from fpcert.operators import gradient_step
+from fpcert.metrics import L1, NotPositiveDefiniteError, primal_dual_metric, write_matrix
+from fpcert.operators import gradient_step, primal_dual, proximal_gradient, zero_prox
 from fpcert.problems import (
     RankDeficientError,
     analysis_l1_problem,
@@ -213,6 +214,118 @@ class TestAnalysis:
             analysis_l1_problem(np.eye(3), np.ones(2), np.eye(3), 0.1)
         with pytest.raises(ValueError):
             analysis_l1_problem(np.eye(3), np.ones(3), np.ones((2, 4)), 0.1)
+
+
+def _precomposed_cases():
+    rng = np.random.default_rng(21)
+    a = designed([9.0, 5.0, 2.0, 1.0, 0.3], rows=12, seed=21)
+    b = rng.standard_normal(12)
+    bm = rng.standard_normal((3, 5)) / np.sqrt(5)
+    return {
+        "least_squares": least_squares_problem(a, b),
+        "separable": separable_smooth_l1_problem(rng.uniform(0.5, 2.0, 5),
+                                                 rng.standard_normal(5), 0.3),
+        "analysis_l1": analysis_l1_problem(a, b, bm, 0.3),
+    }
+
+
+PRECOMPOSED = _precomposed_cases()
+
+
+def _composed(problem, beta, eta):
+    """The problem's map composed by the public constructors from grad_f."""
+    if problem.b_mat is not None:
+        return primal_dual(problem.grad_f, zero_prox(), problem.prox_g, problem.b_mat,
+                           beta, eta)
+    if problem.prox_g is None:
+        return gradient_step(problem.grad_f, beta, problem.n)
+    return proximal_gradient(problem.grad_f, problem.prox_g, beta, problem.n)
+
+
+class TestPrecomposedMaps:
+    @pytest.mark.parametrize("kind", sorted(PRECOMPOSED))
+    @pytest.mark.parametrize("beta_scale", [None, 0.3, 1.9])
+    def test_map_agrees_with_the_composed_constructors(self, kind, beta_scale):
+        problem = PRECOMPOSED[kind]
+        beta = None if beta_scale is None else beta_scale / problem.lipschitz
+        beta, eta = default_step_sizes(problem, beta)
+        op = build_operator(problem, beta, eta, hint=None)
+        composed = _composed(problem, beta, eta)
+        rng = np.random.default_rng(22)
+        xs = 10.0 ** rng.uniform(-2.0, 3.0, (40, 1)) * rng.standard_normal((40, op.dim))
+        bound = 1e-12 * (1.0 + np.linalg.norm(xs, axis=1))
+        for got in (op(xs), np.array([op(x) for x in xs])):
+            assert (np.linalg.norm(got - composed(xs), axis=1) <= bound).all()
+
+    @pytest.mark.parametrize("problem", [
+        PRECOMPOSED["least_squares"],
+        PRECOMPOSED["separable"],
+        least_squares_problem(designed(np.geomspace(1.0, 1e-4, 8)),
+                              np.random.default_rng(23).standard_normal(30)),
+    ], ids=["least_squares", "separable", "ill_conditioned"])
+    def test_exact_solution_is_accepted_as_the_hint(self, problem):
+        op = build_operator(problem)
+        np.testing.assert_array_equal(op.fixed_point_hint, problem.exact_solution)
+
+    def test_primal_dual_reference_state_is_accepted_as_the_hint(self):
+        problem = PRECOMPOSED["analysis_l1"]
+        state = reference_solution(problem).state
+        np.testing.assert_array_equal(build_operator(problem, hint=state).fixed_point_hint,
+                                      state)
+
+    def test_gradient_is_the_data_fit_gradient(self):
+        rng = np.random.default_rng(24)
+        a = designed([9.0, 5.0, 2.0, 1.0, 0.3], rows=12, seed=21)
+        b = rng.standard_normal(12)
+        coeffs, c = rng.uniform(0.5, 2.0, 5), rng.standard_normal(5)
+        cases = [
+            (least_squares_problem(a, b), lambda x: a.T @ (a @ x - b)),
+            (separable_smooth_l1_problem(coeffs, c, 0.3), lambda x: coeffs * (x - c)),
+            (analysis_l1_problem(a, b, np.eye(5), 0.3), lambda x: a.T @ (a @ x - b)),
+        ]
+        xs = 10.0 ** rng.uniform(-2.0, 3.0, (40, 1)) * rng.standard_normal((40, 5))
+        for problem, direct in cases:
+            want = np.array([direct(x) for x in xs])
+            bound = 1e-12 * problem.lipschitz * (1.0 + np.linalg.norm(xs, axis=1))
+            for got in (problem.grad_f(xs), np.array([problem.grad_f(x) for x in xs])):
+                assert (np.linalg.norm(got - want, axis=1) <= bound).all()
+
+    @pytest.mark.parametrize("kind", sorted(PRECOMPOSED))
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_step_size_that_is_not_positive_raises(self, kind, beta):
+        with pytest.raises(ValueError, match="beta must"):
+            build_operator(PRECOMPOSED[kind], beta)
+
+    def test_infinite_coefficient_raises_instead_of_iterating_nan(self):
+        problem = separable_smooth_l1_problem([1.0, np.inf], [1.0, 2.0], 0.1)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            build_operator(problem)
+
+    def test_non_positive_definite_step_pair_raises(self):
+        problem = PRECOMPOSED["analysis_l1"]
+        beta = 1.0 / problem.lipschitz
+        # 1/(beta*eta) = |B|^2 / 2 puts the coupled metric's Schur complement
+        # below zero
+        eta = 2.0 / (beta * problem.b_norm**2)
+        with pytest.raises(NotPositiveDefiniteError):
+            build_operator(problem, beta, eta)
+
+    @pytest.mark.parametrize("kind,products", [("least_squares", 1), ("separable", 0),
+                                               ("analysis_l1", 1)])
+    def test_one_step_makes_one_matrix_vector_product(self, monkeypatch, kind, products):
+        op = build_operator(PRECOMPOSED[kind], hint=None)
+        calls = []
+        matvec = problems._matvec
+
+        def counting(mat, x):
+            calls.append(x.shape)
+            return matvec(mat, x)
+
+        monkeypatch.setattr(problems, "_matvec", counting)
+        for x in (np.ones(op.dim), np.ones((7, op.dim))):
+            calls.clear()
+            op(x)
+            assert calls == [x.shape] * products
 
 
 class TestStepSizeBounds:
