@@ -124,31 +124,43 @@ def sample_pairs(plan, dim, hint=None):
     opposite sides of it are appended so that behavior at the fixed point is
     probed.
     """
-    rng = np.random.default_rng(plan.seed)
-    center = _plan_center(dim, hint)
-    xs, ys = [], []
-    for scale in plan.radius_scales:
-        xs.append(center + scale * rng.standard_normal((plan.n_pairs, dim)))
-        ys.append(center + scale * rng.standard_normal((plan.n_pairs, dim)))
+    scales = plan.radius_scales
+    blocks = [(out, plan.n_pairs, scale) for scale in scales for out in (0, 1)]
     if hint is not None:
         k = _straddle_count(plan)
-        for scale in plan.radius_scales:
-            u = rng.standard_normal((k, dim))
-            v = rng.standard_normal((k, dim))
-            xs.append(hint + scale * u)
-            ys.append(hint - scale * v)
-    return np.vstack(xs), np.vstack(ys)
+        blocks += [(out, k, sign * scale) for scale in scales
+                   for out, sign in ((0, 1.0), (1, -1.0))]
+    return tuple(_draw(plan, dim, hint, blocks))
 
 
 def sample_points(plan, dim, hint=None):
     """Seed-ordered single points, for properties measured against a fixed point."""
+    blocks = [(0, plan.n_pairs, scale) for scale in plan.radius_scales]
+    return _draw(plan, dim, hint, blocks)[0]
+
+
+def _draw(plan, dim, hint, blocks):
+    """The (rows, dim) arrays a plan's draws fill, block by block in draw order.
+
+    Each block (out, count, scale) takes the next ``count`` rows of array
+    ``out``, fills them with ``rng.standard_normal`` in place and turns them
+    into center + scale * draws, so a block holds the bits of
+    ``center + scale * rng.standard_normal((count, dim))`` without a
+    temporary; a negative scale gives center - |scale| * draws.
+    """
     rng = np.random.default_rng(plan.seed)
     center = _plan_center(dim, hint)
-    blocks = [
-        center + scale * rng.standard_normal((plan.n_pairs, dim))
-        for scale in plan.radius_scales
-    ]
-    return np.vstack(blocks)
+    outputs = range(1 + max(out for out, _, _ in blocks))
+    arrays = [np.empty((sum(c for o, c, _ in blocks if o == out), dim))
+              for out in outputs]
+    filled = [0 for _ in outputs]
+    for out, count, scale in blocks:
+        rows = arrays[out][filled[out]:filled[out] + count]
+        filled[out] += count
+        rng.standard_normal(out=rows)
+        rows *= scale
+        rows += center
+    return arrays
 
 
 @dataclass(eq=False)

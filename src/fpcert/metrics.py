@@ -118,14 +118,17 @@ def _norm_fn(spec, shape):
 def _matvec(mat, x):
     """``mat @ x`` for a vector, and row by row for a (k, n) stack.
 
-    A stack goes through a (k, 1, n) batched product, which numpy evaluates
-    as one BLAS matrix-vector product per row, the call ``mat @ row`` makes;
-    so a row's image is bit-identical to its vector image.  A plain
-    (k, n) @ (n, m) product picks its BLAS kernel by stack height, so a
-    row's value would depend on the rows around it.
+    The input is made C-contiguous first (free for a fresh array).  A vector
+    then goes through ``mat.dot(x)`` and a stack through a (k, 1, n) batched
+    product; both make one BLAS matrix-vector product per vector, the same
+    for every layout of ``x`` and ``mat``, so a row's image is bit-identical
+    to its vector image.  ``.dot`` on a strided vector would take another
+    kernel, and a plain (k, n) @ (n, m) product picks its BLAS kernel by
+    stack height, so a row's value would depend on the rows around it.
     """
+    x = np.ascontiguousarray(x)
     if x.ndim == 1:
-        return mat @ x
+        return mat.dot(x)
     return (x[..., None, :] @ mat.T)[..., 0, :]
 
 

@@ -131,12 +131,14 @@ def soft_threshold(lam, x):
     """Componentwise shrinkage by lam; the proximity map of lam * |.|_1.
 
     Components above lam move down by lam, components below -lam move up by
-    lam, and everything in between collapses to zero.
+    lam, and everything in between collapses to zero.  It is evaluated in
+    the Moreau form x - clip(x, -lam, lam), three ufuncs, whose bits equal
+    sign(x) * max(|x| - lam, 0) but for the sign of a zero in the dead zone.
     """
     if lam < 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    return x - np.minimum(np.maximum(x, -lam), lam)
 
 
 def block_soft_threshold(lam, x):

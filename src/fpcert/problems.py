@@ -158,7 +158,10 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
 
     f(x) = 0.5 * |Ax - b|^2, the penalty lam * |Bx|_1 enters through its prox
     on the dual side, and the direct nonsmooth term is zero.  No closed-form
-    solution is attached; references are computed separately.
+    solution is attached: :func:`reference_solution` computes one by a tight
+    run of the problem's own iteration, and the CLI runs this kind without a
+    reference (no ``error_to_ref``, no fixed-point checks) until ROADMAP
+    item 4 attaches it.
     """
     a, b = _data_fit(a_mat, b)
     b_coupling = np.atleast_2d(np.asarray(b_mat, dtype=float))
@@ -278,10 +281,14 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     if problem.b_mat is None:
         if h.ndim == 1:
             def forward(x):
-                return primal * x + shift
+                y = primal * x
+                y += shift
+                return y
         else:
             def forward(x):
-                return _matvec(primal, x) + shift
+                y = _matvec(primal, x)
+                y += shift
+                return y
         if prox is None:
             return operators.Operator(
                 n, operators._stackable(forward), hint,
@@ -306,7 +313,8 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     shift = np.concatenate([shift, 2.0 * (b @ shift)])
 
     def step(v):
-        w = _matvec(mat, v) + shift
+        w = _matvec(mat, v)
+        w += shift
         s = w[..., n:]
         w[..., n:] = eta * (s - prox(1.0 / eta, s))
         return w

@@ -191,7 +191,9 @@ def region_csv(grid):
     """Render a membership grid as CSV of 0/1 cells with a '#' header.
 
     Rows scan the second coordinate from low to high, columns the first, so
-    the file reproduces the mask row-major.
+    the file reproduces the mask row-major.  The cells are rendered as one
+    uint8 array, each cell's digit followed by a comma or, at the end of its
+    row, a newline, and decoded once.
     """
     x1, x2 = grid.x
     h1, h2 = grid.xhat
@@ -205,8 +207,11 @@ def region_csv(grid):
         f"# resolution: {grid.resolution} {grid.resolution}",
         "# rows scan the second coordinate from low to high",
     ]
-    lines.extend(",".join(np.where(row, "1", "0").tolist()) for row in grid.mask)
-    return "\n".join(lines) + "\n"
+    mask = np.asarray(grid.mask)
+    cells = np.full((mask.shape[0], 2 * mask.shape[1]), ord(","), dtype=np.uint8)
+    cells[:, 0::2] = np.where(mask, ord("1"), ord("0"))
+    cells[:, -1] = ord("\n")
+    return "\n".join(lines) + "\n" + cells.tobytes().decode("ascii")
 
 
 def write_region_csv(path, grid):

@@ -67,6 +67,31 @@ def loop_slack(op, x, y, prop, spec, gamma=None, mu=None, rho=None):
     return r - d, r + d
 
 
+def vstack_pairs(plan, dim, hint=None):
+    """Reference sampler: each block drawn as a fresh array, then stacked."""
+    rng = np.random.default_rng(plan.seed)
+    center = np.zeros(dim) if hint is None else hint
+    xs, ys = [], []
+    for scale in plan.radius_scales:
+        xs.append(center + scale * rng.standard_normal((plan.n_pairs, dim)))
+        ys.append(center + scale * rng.standard_normal((plan.n_pairs, dim)))
+    if hint is not None:
+        k = max(1, plan.n_pairs // 10)
+        for scale in plan.radius_scales:
+            u = rng.standard_normal((k, dim))
+            v = rng.standard_normal((k, dim))
+            xs.append(hint + scale * u)
+            ys.append(hint - scale * v)
+    return np.vstack(xs), np.vstack(ys)
+
+
+def vstack_points(plan, dim, hint=None):
+    rng = np.random.default_rng(plan.seed)
+    center = np.zeros(dim) if hint is None else hint
+    return np.vstack([center + scale * rng.standard_normal((plan.n_pairs, dim))
+                      for scale in plan.radius_scales])
+
+
 def loop_mu(op, gamma, spec, plan):
     """Reference estimate_mu: (infimum quotient, size of its terms)."""
     best = None
@@ -85,6 +110,25 @@ def loop_fp_ratio(op, spec, plan):
     hint = op.fixed_point_hint
     return max(norm(op(p) - hint, spec) / norm(p - hint, spec)
                for p in sample_points(plan, op.dim, hint))
+
+
+class TestSampling:
+    PLANS = [SamplingPlan(), WIDE_PLAN, SamplingPlan(n_pairs=7, seed=3),
+             SamplingPlan(n_pairs=1, radius_scales=(2.0,), seed=4),
+             SamplingPlan(n_pairs=33, radius_scales=(1e-3, 0.5, 7.0), seed=5)]
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("dim", [1, 3, 20])
+    @pytest.mark.parametrize("with_hint", [False, True])
+    def test_draws_equal_the_stacked_blocks_bit_for_bit(self, plan, dim, with_hint):
+        hint = np.linspace(-2.0, 3.0, dim) if with_hint else None
+        xs, ys = sample_pairs(plan, dim, hint)
+        ref_xs, ref_ys = vstack_pairs(plan, dim, hint)
+        assert xs.shape == ref_xs.shape and ys.shape == ref_ys.shape
+        np.testing.assert_array_equal(xs, ref_xs)
+        np.testing.assert_array_equal(ys, ref_ys)
+        points = sample_points(plan, dim, hint)
+        np.testing.assert_array_equal(points, vstack_points(plan, dim, hint))
 
 
 class TestGanSlack:

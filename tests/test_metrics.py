@@ -9,6 +9,7 @@ from fpcert.metrics import (
     L1,
     L2,
     NotPositiveDefiniteError,
+    _matvec,
     cholesky_factor,
     norm,
     primal_dual_metric,
@@ -168,6 +169,27 @@ class TestNorm:
                     vector = [norm(row, spec) for row in stack]
                 assert np.isfinite(rows).all()
                 np.testing.assert_array_equal(rows, vector)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matvec_stack_row_is_its_vector_image_bit_for_bit(self, order):
+        # the weighted norm passes factor.T, an F-ordered matrix
+        rng = np.random.default_rng(29)
+        for n, m in ((1, 1), (2, 3), (5, 5), (7, 4), (16, 16), (33, 20), (50, 50)):
+            mat = rng.standard_normal((m, n))
+            mat = np.asfortranarray(mat) if order == "F" else mat
+            base = rng.standard_normal((40, 2 * n + 2))
+            layouts = {
+                "contiguous": np.ascontiguousarray(base[:, :n]),
+                "sliced": base[:, 1:n + 1],
+                "strided": base[:, ::2][:, :n],
+                "reversed": base[::-1, ::-1][:, :n],
+            }
+            for stack in layouts.values():
+                image = _matvec(mat, stack)
+                np.testing.assert_array_equal(image, [_matvec(mat, row) for row in stack])
+                copies = [_matvec(mat, row.copy()) for row in stack]
+                np.testing.assert_array_equal(image, copies)
+                np.testing.assert_allclose(image, stack @ mat.T, rtol=1e-12, atol=1e-12)
 
     def test_zero_iff_zero_vector(self):
         rng = np.random.default_rng(2)

@@ -103,6 +103,24 @@ class TestSoftThreshold:
                 slack = norm(x - y, spec) - norm(dx - dy, spec)
                 assert slack >= -1e-12
 
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 1.0, 3e5])
+    def test_equals_the_sign_formula_but_for_the_sign_of_zeros(self, lam):
+        rng = np.random.default_rng(17)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, lam, -lam,
+                   np.nextafter(lam, np.inf), -np.nextafter(lam, np.inf),
+                   np.nextafter(lam, -np.inf), 5e-324, -5e-324, 1e308, -1e308]
+        values = np.concatenate([special, rng.standard_normal(50) * lam,
+                                 rng.standard_normal(50) * 10.0])
+        for x in (values, values.reshape(19, 6)[:, ::-1], values[::3]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = soft_threshold(lam, x)
+                expected = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, expected)  # NaN == NaN, 0 == -0
+            signs_differ = np.signbit(got) != np.signbit(expected)
+            assert (expected[signs_differ] == 0.0).all()
+
     @settings(max_examples=300, deadline=None)
     @given(
         lam=st.floats(0.0, 10.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -215,6 +216,20 @@ class TestRegionCsv:
     def test_matches_the_cell_renderer(self):
         grid = range_region([1.0, 0.3], [0.0, 0.1], 2.0, 1.0, resolution=37)
         assert 0 < grid.mask.sum() < grid.mask.size
+        assert region_csv(grid) == reference_region_csv(grid)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 201, 268, 401])
+    @pytest.mark.parametrize("fill", ["region", "all_true", "all_false", "random"])
+    def test_matches_the_cell_renderer_on_any_mask(self, resolution, fill):
+        grid = range_region([1.0, 0.3], [0.0, 0.1], 1.5, 0.5, resolution=resolution)
+        shape = grid.mask.shape
+        mask = {
+            "region": grid.mask,
+            "all_true": np.ones(shape, dtype=bool),
+            "all_false": np.zeros(shape, dtype=bool),
+            "random": np.random.default_rng(resolution).random(shape) < 0.5,
+        }[fill]
+        grid = dataclasses.replace(grid, mask=mask)
         assert region_csv(grid) == reference_region_csv(grid)
 
     def test_header_and_cells(self):
