@@ -482,8 +482,9 @@ class RegionGrid:
     """Boolean membership grid for the admissible range of T at a point.
 
     ``mask[i, j]`` is the cell whose center offsets from the fixed point are
-    ``(offsets1[j], offsets2[i])``: rows scan the second coordinate from low
-    to high, columns the first.  Offsets are stored relative to ``xhat``.
+    ``(offsets[j], offsets[i])``: rows scan the second coordinate from low
+    to high, columns the first.  Both axes share the one ``offsets`` array,
+    stored relative to ``xhat``.
     """
 
     mask: np.ndarray
@@ -493,8 +494,7 @@ class RegionGrid:
     mu: float
     bounds: tuple
     resolution: int
-    offsets1: np.ndarray = field(repr=False, default=None)
-    offsets2: np.ndarray = field(repr=False, default=None)
+    offsets: np.ndarray = field(repr=False, default=None)
 
 
 def _symmetric_offsets(radius, resolution):
@@ -525,9 +525,8 @@ def range_region(x, xhat, gamma, mu, resolution=201):
     if radius == 0.0:
         raise ValueError("x and xhat must differ")
 
-    offs1 = _symmetric_offsets(radius, resolution)
-    offs2 = _symmetric_offsets(radius, resolution)
-    o1, o2 = np.meshgrid(offs1, offs2)  # rows scan the second coordinate
+    offsets = _symmetric_offsets(radius, resolution)
+    o1, o2 = np.meshgrid(offsets, offsets)  # rows scan the second coordinate
     half = 0.5 * gamma
     lhs = (o1**2 + o2**2) ** half + mu * ((o1 - d[0]) ** 2 + (o2 - d[1]) ** 2) ** half
     rhs = (d[0] ** 2 + d[1] ** 2) ** half
@@ -546,6 +545,5 @@ def range_region(x, xhat, gamma, mu, resolution=201):
         mu=float(mu),
         bounds=bounds,
         resolution=int(resolution),
-        offsets1=offs1,
-        offsets2=offs2,
+        offsets=offsets,
     )

@@ -363,9 +363,8 @@ def _run_rates(config):
 
     # each check's report, or the reason it was skipped
     checks = {"little_o_proxy": little_o_proxy(trace.residuals, gamma)}
-    xhat = op.fixed_point_hint
-    skipped = "no fixed point available" if xhat is None else None
-    if xhat is not None and mu is None:
+    skipped = "no fixed point available" if trace.ref is None else None
+    if skipped is None and mu is None:
         try:
             mu = estimate_mu(op, gamma, norm_spec, plan)
         except EstimateError as err:
@@ -378,8 +377,8 @@ def _run_rates(config):
     if skipped is not None:
         checks["summability"] = checks["sandwich"] = skipped
     else:
-        checks["summability"] = check_residual_summability(trace, gamma, mu, xhat)
-        checks["sandwich"] = (check_sandwich(trace, xhat, mu)
+        checks["summability"] = check_residual_summability(trace, gamma, mu)
+        checks["sandwich"] = (check_sandwich(trace, mu)
                               if trace.converged and 0 < mu <= 1
                               else "needs a converged trace and mu <= 1")
 

@@ -36,6 +36,8 @@ __all__ = [
     "DIVERGENCE_FACTOR",
     "ERROR_BLOCK",
     "SANDWICH_FIT_R2",
+    "SUMMABILITY_TOL",
+    "SANDWICH_TOL",
 ]
 
 # Residual blowing past this multiple of (1 + initial residual) flags
@@ -44,6 +46,10 @@ DIVERGENCE_FACTOR = 1e6
 
 # Least r^2 of the exponential fit that estimates the sandwich's unseen tail.
 SANDWICH_FIT_R2 = 0.99
+
+# Rounding allowed by each trajectory check, recorded as its report's tol.
+SUMMABILITY_TOL = 1e-10
+SANDWICH_TOL = 1e-8
 
 # Iterates held at once by picard to take their reference errors as one
 # stack norm: enough that the per-block cost is negligible, few enough that
@@ -102,16 +108,16 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     ``max_iter`` steps, or, from step 2 on, as divergence: when the residual
     exceeds ``DIVERGENCE_FACTOR * (1 + first residual)`` or is infinite
     although the iterates are finite.  A non-finite iterate raises
-    NonFiniteIterateError naming the step.  Overflow during the run raises
-    no numpy warning: those two outcomes report it.
+    NonFiniteIterateError naming the step.  Overflow, or a non-finite
+    start, raises no numpy warning during the run: those two outcomes
+    report it.
 
-    The arguments, the norm's kind and weight dimension, and the first step
-    (through ``op(x)``, with every check the operator makes, and a scan for
-    non-finite entries) are checked once.  Later steps call ``op.fn``
-    directly and still, per step, convert its output to float, check that
-    it keeps the iterate's shape (else the operator's named ``ValueError``),
-    and test it for non-finite entries; that test reads the residual first
-    and scans the iterate only when the residual is not finite.  Reference
+    The arguments and the norm's kind and weight dimension are checked
+    once.  Every step, the first included, has one body: it calls ``op.fn``
+    directly, converts its output to float, checks that it keeps the
+    iterate's shape (else the operator's named ``ValueError``), and tests it
+    for non-finite entries; that test reads the residual first and scans
+    the iterate only when the residual is not finite.  Reference
     errors are taken per block: up to ``ERROR_BLOCK`` iterates are kept and
     measured with one stack :func:`norm`, whose rows equal vector norms, so
     residuals and errors equal a loop of ``op(x)`` and :func:`norm` bit for
@@ -158,19 +164,14 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
         filled = 1
     guard = None
     stop = StopReason.MAX_ITER
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
-            if k == 1:
-                x_next = op(x)
-                if not np.isfinite(x_next).all():
-                    raise NonFiniteIterateError(k)
-            else:
-                x_next = np.asarray(fn(x), dtype=float)
-                if x_next.shape != shape:
-                    raise op._shape_error(x_next.shape, shape)
+            x_next = np.asarray(fn(x), dtype=float)
+            if x_next.shape != shape:
+                raise op._shape_error(x_next.shape, shape)
             r = dist(x_next - x)
-            # x is finite from step 2 on, so a non-finite entry of x_next
-            # makes x_next - x, and so r, non-finite: a finite r clears it
+            # a non-finite entry of x_next makes x_next - x, and so r,
+            # non-finite whatever x holds: a finite r clears it
             if not math.isfinite(r) and not np.isfinite(x_next).all():
                 raise NonFiniteIterateError(k)
             residuals.append(r)
@@ -284,6 +285,8 @@ class LittleOReport:
     downward (negative regression slope) and finish at no more than half its
     starting value.  This is a falsifiable stand-in for a statement about
     infinite tails; it is recorded as such, not as the statement itself.
+    A tail of fewer than two points shows no trend, cannot refute the
+    claim, and passes.
     """
 
     gamma: float
@@ -311,11 +314,10 @@ def little_o_proxy(seq, gamma, tail_start=None):
         return LittleOReport(gamma, 0.0, 0.0, 0.0, tail_start, True,
                              note="tail already absorbed at zero")
     if len(normalized) < 2:
-        verdict = bool(len(normalized) == 0 or normalized[-1] <= 0.5 * normalized[0]
-                       or normalized[0] == 0.0)
+        # no trend can be read off fewer than two points
         first = float(normalized[0]) if len(normalized) else 0.0
-        return LittleOReport(gamma, 0.0, first, first, tail_start, verdict,
-                             note="tail too short; degenerate check")
+        return LittleOReport(gamma, 0.0, first, first, tail_start, True,
+                             note="tail too short to refute")
     slope, _, _ = _least_squares_line(ks, normalized)
     first, last = float(normalized[0]), float(normalized[-1])
     verdict = bool(slope < 0.0 and last <= 0.5 * first)
@@ -337,27 +339,37 @@ class SummabilityReport:
     to_dict = _report_dict
 
 
-def check_residual_summability(trace, gamma, mu, xhat, tol=1e-10):
-    """Check that every partial sum of mu * residual^gamma stays below
-    the gamma-power of the initial distance to the fixed point ``xhat``.
+def _reference_errors(trace, check):
+    """``trace.errors_to_ref``, or a ``ValueError`` naming the missing reference."""
+    if trace.ref is None:
+        raise ValueError(f"{check} check needs a trace run with a reference (ref)")
+    return trace.errors_to_ref
 
-    The partial sums are nondecreasing, so the worst margin is attained at
-    the last one; it is reported together with the verdict.
+
+def check_residual_summability(trace, gamma, mu):
+    """Check that every partial sum of mu * residual^gamma stays below
+    the gamma-power of the initial distance to the fixed point.
+
+    The fixed point is the trace's reference: the distance is
+    ``trace.errors_to_ref[0]``, so the trace must have been run with
+    ``ref``.  The partial sums are nondecreasing, so the worst margin is
+    attained at the last one; it is reported together with the verdict,
+    which allows ``SUMMABILITY_TOL`` of rounding.
     """
     if gamma <= 0 or mu <= 0:
         raise ValueError("gamma and mu must be positive")
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
+    errors = _reference_errors(trace, "summability")
     # numpy's power overflows to inf, where a Python float's would raise
-    bound = float(np.power(norm(trace.x0 - xhat, trace.norm_spec), gamma))
+    bound = float(np.power(errors[0], gamma))
     partial = float(np.sum(mu * trace.residuals**gamma))
-    margin = bound + tol - partial
+    margin = bound + SUMMABILITY_TOL - partial
     return SummabilityReport(
         gamma=gamma,
         mu=mu,
         bound=bound,
         max_partial_sum=partial,
         worst_margin=margin,
-        tol=tol,
+        tol=SUMMABILITY_TOL,
         verdict=bool(margin >= 0.0),
     )
 
@@ -385,28 +397,27 @@ class SandwichReport:
     to_dict = _report_dict
 
 
-def check_sandwich(trace, xstar, mu, tol=1e-8):
+def check_sandwich(trace, mu):
     """Verify the two-sided tail-sum comparison along a converged trace.
 
-    Requires a trace stopped by the residual tolerance, a mu in (0, 1]
-    taken from an exponent-1 certificate, and a trace run with
-    ``ref=xstar``: its errors_to_ref are the errors compared.
+    Requires a trace stopped by the residual tolerance and run with ``ref``,
+    the fixed point: its ``errors_to_ref`` are the errors compared.  ``mu``
+    lies in (0, 1] and is taken from an exponent-1 certificate.  Each side
+    allows ``SANDWICH_TOL`` of rounding.
     """
     if trace.stop_reason is not StopReason.RESIDUAL_TOL:
         raise ValueError("sandwich check needs a trace stopped by the residual tolerance")
     if not 0 < mu <= 1.0 + 1e-9:
         raise ValueError("mu must lie in (0, 1]")
     mu = min(mu, 1.0)
-    if not np.array_equal(trace.ref, np.ravel(xstar)):
-        raise ValueError("sandwich check needs a trace run with ref equal to xstar")
-    errors = trace.errors_to_ref
+    errors = _reference_errors(trace, "sandwich")
 
+    # a trace stopped by the residual tolerance holds at least one step; a
+    # last residual of 0 is exact absorption on a fixed point, which leaves
+    # no remainder to estimate
     r = trace.residuals
-    if r.size and r[-1] > 0.0:
-        conclusive = False
-        remainder = 0.0
-        rho = None
-        r2 = None
+    conclusive, remainder, rho, r2 = not r[-1] > 0.0, 0.0, None, None
+    if not conclusive:
         try:
             fit = fit_rate(r, "exponential")
             rho, r2 = fit.rho, fit.r_squared
@@ -415,23 +426,13 @@ def check_sandwich(trace, xstar, mu, tol=1e-8):
                 conclusive = True
         except ValueError:
             pass
-    else:
-        # exact absorption: the iteration landed on a fixed point
-        conclusive = True
-        remainder = 0.0
-        rho = None
-        r2 = None
 
     # tails[k] = sum of residuals j >= k plus the estimated remainder
-    tails = np.concatenate([np.cumsum(r[::-1])[::-1], [0.0]]) + remainder
-    ks = np.arange(trace.k_final)
-    lower_slacks = errors[ks] - mu * tails[ks]
-    upper_slacks = tails[ks] - errors[ks]
-    lower_worst = float(np.min(lower_slacks)) if ks.size else 0.0
-    upper_worst = float(np.min(upper_slacks)) if ks.size else 0.0
-    lower_ok = lower_worst >= -tol
-    upper_ok = upper_worst >= -tol
-    verdict = bool(lower_ok and (upper_ok or not conclusive))
+    tails = np.cumsum(r[::-1])[::-1] + remainder
+    lower_worst = float(np.min(errors[:-1] - mu * tails))
+    upper_worst = float(np.min(tails - errors[:-1]))
+    verdict = bool(lower_worst >= -SANDWICH_TOL
+                   and (upper_worst >= -SANDWICH_TOL or not conclusive))
     return SandwichReport(
         mu=mu,
         lower_worst=lower_worst,
@@ -440,7 +441,7 @@ def check_sandwich(trace, xstar, mu, tol=1e-8):
         rho_fit=rho,
         fit_r_squared=r2,
         conclusive=conclusive,
-        tol=tol,
+        tol=SANDWICH_TOL,
         verdict=verdict,
     )
 

@@ -9,8 +9,6 @@ fit) is written as ``null``.  CSV cells keep ``Infinity``, ``-Infinity`` and
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import json
 import math
 import os
@@ -45,13 +43,12 @@ def format_float(value):
 
 
 def jsonable(obj):
-    """Coerce dataclasses, arrays and enums into plain JSON-ready values."""
+    """Coerce arrays and numpy scalars, within dicts and lists, into plain
+    JSON-ready values."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -62,8 +59,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -615,14 +615,14 @@ class TestClassInclusions:
 class TestRangeRegion:
     def test_exponent_two_region_is_the_halfway_disk(self):
         grid = range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1.0, resolution=201)
-        o1, o2 = np.meshgrid(grid.offsets1, grid.offsets2)
+        o1, o2 = np.meshgrid(grid.offsets, grid.offsets)
         # complete the square: membership is the disk centered halfway
         oracle = (o1 - 0.5) ** 2 + o2**2 <= 0.25
         np.testing.assert_array_equal(grid.mask, oracle)
 
     def test_vanishing_mu_recovers_the_whole_ball(self):
         grid = range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1e-12, resolution=101)
-        o1, o2 = np.meshgrid(grid.offsets1, grid.offsets2)
+        o1, o2 = np.meshgrid(grid.offsets, grid.offsets)
         inside = o1**2 + o2**2 <= (1.0 - 1e-9) ** 2
         assert np.all(grid.mask[inside])
         outside = o1**2 + o2**2 > (1.0 + 1e-9) ** 2

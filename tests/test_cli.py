@@ -218,6 +218,21 @@ class TestRatesCommand:
         for key in ("summability", "sandwich"):
             assert checks[key] == {"skipped": "mu estimate is 0"}
 
+    def test_two_step_trace_passes_the_little_o_proxy(self, tmp_path):
+        # alpha = 1e-12 lands within 1e-11 of z in one step and stops on the
+        # next: a one-point tail shows no trend and cannot refute the proxy
+        write_config(tmp_path / "op.json",
+                     {"type": "affine", "alpha": 1e-12, "z": [1.0, 2.0]})
+        cfg = write_config(tmp_path / "run.json",
+                           {"operator": "op.json", "params": {"mu": 0.5}})
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        checks = json.loads((out / "checks.json").read_text())
+        assert checks["stop_reason"] == "residual_tol"
+        assert checks["little_o_proxy"]["verdict"] == "PASS"
+        assert checks["little_o_proxy"]["note"] == "tail too short to refute"
+        assert checks["summability"]["verdict"] == "PASS"
+
     def test_uninformative_sample_records_skipped_checks(self, tmp_path):
         # lambda = 0 makes the map the identity: every sampled pair is fixed
         write_config(tmp_path / "op.json",
