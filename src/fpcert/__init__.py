@@ -54,7 +54,6 @@ from .operators import (
     prox_operator,
     proximal_gradient,
     soft_threshold,
-    zero_prox,
 )
 from .problems import (
     ProblemSpec,

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import operators, problems, reports
-from .certify import (PROPERTIES, EstimateError, SamplingPlan, certify, estimate_mu,
-                      normalize_property, range_region)
+from .certify import (DEFAULT_TOL, PROPERTIES, EstimateError, SamplingPlan, certify,
+                      estimate_mu, normalize_property, range_region)
 from .iterate import (
     NonFiniteIterateError,
     StopReason,
@@ -158,7 +158,8 @@ def load_run_config(path, command, overrides):
     """The validated RunConfig of the run config at ``path``.
 
     ``overrides`` maps names of SCALAR_PARAMS, and ``out``, to command-line
-    values; a value other than None replaces the config's.
+    values; a value other than None replaces the config's.  A param that is
+    null in the config is dropped, so it keeps its default.
     """
     raw = _read_json(path, "config")
     for key in ("problem", "operator", "output_dir", "property", "norm"):
@@ -173,11 +174,11 @@ def load_run_config(path, command, overrides):
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise UsageError("field 'params' must be an object")
-    params = dict(params)
+    params = {key: value for key, value in params.items() if value is not None}
     for key, (kind, lower, strict, _) in SCALAR_PARAMS.items():
         if overrides.get(key) is not None:
             params[key] = overrides[key]
-        if params.get(key) is not None:
+        if key in params:
             params[key] = _scalar(key, params[key], kind, lower, strict)
     config = RunConfig(
         command=command,
@@ -265,8 +266,8 @@ def _norm_spec(config, problem, beta, eta):
 
 
 def _plan(config):
-    params = config.params
-    kwargs = {"n_pairs": params.get("n_pairs", 250), "seed": params.get("seed", 0)}
+    kwargs = {key: config.params[key] for key in ("n_pairs", "seed")
+              if key in config.params}
     scales = config.raw.get("radius_scales")
     if scales is not None:
         kwargs["radius_scales"] = tuple(
@@ -296,12 +297,9 @@ def _run_certify(config):
         )
     norm_spec = _norm_spec(config, problem, beta, eta)
     plan = _plan(config)
-    params = {
-        key: config.params[key]
-        for key in ("gamma", "mu", "rho")
-        if config.params.get(key) is not None
-    }
-    tol = config.params.get("tol", 1e-10)
+    params = {key: config.params[key] for key in ("gamma", "mu", "rho")
+              if key in config.params}
+    tol = config.params.get("tol", DEFAULT_TOL)
     try:
         cert = certify(op, config.property_name, params, norm_spec, plan, tol=tol)
     except ValueError as err:

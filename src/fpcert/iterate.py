@@ -301,12 +301,18 @@ class LittleOReport:
 
 
 def little_o_proxy(seq, gamma, tail_start=None):
-    """Evaluate the little-o proxy on a residual sequence (1-indexed)."""
+    """Evaluate the little-o proxy on a residual sequence (1-indexed).
+
+    ``tail_start`` defaults to half the length; a value below 0 or above
+    ``len(seq)`` raises ``ValueError``.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     seq = np.asarray(seq, dtype=float)
     if tail_start is None:
         tail_start = len(seq) // 2
+    if tail_start < 0 or tail_start > len(seq):
+        raise ValueError("tail_start outside the sequence")
     tail = seq[tail_start:]
     ks = np.arange(tail_start + 1, tail_start + 1 + len(tail), dtype=float)
     normalized = ks ** (1.0 / gamma) * tail

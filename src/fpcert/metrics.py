@@ -72,10 +72,6 @@ L2 = NormSpec("l2")
 L1 = NormSpec("l1")
 
 
-def _symmetrize(m):
-    return 0.5 * (m + m.T)
-
-
 def weighted_norm(weight):
     """Build a NormSpec for the norm induced by a symmetric PD matrix.
 
@@ -89,7 +85,7 @@ def weighted_norm(weight):
     scale = max(float(np.max(np.abs(w))), np.finfo(float).tiny)
     if float(np.max(np.abs(w - w.T))) > SYMMETRY_RTOL * scale:
         raise ValueError("weight matrix is not symmetric within tolerance")
-    w = _symmetrize(w)
+    w = 0.5 * (w + w.T)
     factor = cholesky_factor(w)
     return NormSpec("weighted", w, factor)
 
@@ -217,10 +213,6 @@ class WeightedMetric:
     weight: np.ndarray
     factor: np.ndarray
 
-    @property
-    def dim(self):
-        return self.weight.shape[0]
-
     def norm_spec(self):
         return NormSpec("weighted", self.weight, self.factor)
 
@@ -231,7 +223,8 @@ def primal_dual_metric(beta, eta, b_mat):
     The (n+m) x (n+m) matrix has ``I/beta`` and ``I/eta`` diagonal blocks and
     ``-B`` couplings.  Positive definiteness is verified by attempting the
     factorization; failure names the pivot, which signals an inadmissible
-    step-size pair.
+    step-size pair.  The coupling blocks are exact transposes, so the
+    matrix is symmetric as assembled.
     """
     if beta <= 0 or eta <= 0:
         raise ValueError("step sizes beta and eta must be positive")
@@ -242,7 +235,7 @@ def primal_dual_metric(beta, eta, b_mat):
     w[n:, n:] = np.eye(m) / eta
     w[:n, n:] = -b.T
     w[n:, :n] = -b
-    factor = cholesky_factor(_symmetrize(w))
+    factor = cholesky_factor(w)
     return WeightedMetric(w, factor)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "block_soft_threshold",
     "l1_prox",
     "l2_prox",
-    "zero_prox",
     "box_prox",
     "prox_operator",
     "identity",
@@ -86,8 +85,8 @@ class Operator:
             if hint.shape != (self.dim,):
                 raise ValueError("fixed_point_hint dimension does not match operator")
             with np.errstate(over="ignore", invalid="ignore"):
-                drift = np.linalg.norm(self(hint) - hint)
-                bound = HINT_TOL * (1.0 + np.linalg.norm(hint))
+                drift = norm(self(hint) - hint)
+            bound = HINT_TOL * (1.0 + norm(hint))
             if not drift <= bound:
                 raise ValueError(
                     f"fixed_point_hint of '{self.label}' moves by {drift:.3e} "
@@ -171,11 +170,6 @@ def l2_prox(lam=1.0):
     return _stackable(lambda t, x: block_soft_threshold(t * lam, x))
 
 
-def zero_prox():
-    """Prox family of the zero function: the identity at every scale."""
-    return _stackable(lambda t, x: np.asarray(x, dtype=float))
-
-
 def box_prox(lower, upper):
     """Prox family of a box indicator: projection, insensitive to the scale."""
     if np.any(np.asarray(lower) > np.asarray(upper)):
@@ -221,7 +215,7 @@ def compose(s, t):
         )
     hint = None
     if s.fixed_point_hint is not None and t.fixed_point_hint is not None:
-        if np.linalg.norm(s.fixed_point_hint - t.fixed_point_hint) <= HINT_TOL:
+        if norm(s.fixed_point_hint - t.fixed_point_hint) <= HINT_TOL:
             hint = t.fixed_point_hint
     return Operator(
         s.dim, _stackable(lambda x: s(t(x)), s.fn, t.fn), hint,
@@ -241,16 +235,17 @@ def proximal_gradient(grad_f, prox_g, beta, dim, fixed_point_hint=None,
     return Operator(dim, _stackable(step, grad_f, prox_g), fixed_point_hint, label)
 
 
-def primal_dual(grad_f, prox_h, prox_g, b_mat, beta, eta, fixed_point_hint=None,
+def primal_dual(grad_f, prox_g, b_mat, beta, eta, fixed_point_hint=None,
                 label="primal-dual"):
     """Resolved primal-dual update on the stacked (primal, dual) vector.
 
     One application performs the two lines
 
-        x' = prox of beta*h at  x - beta * (grad_f(x) + B^T y)
+        x' = x - beta * (grad_f(x) + B^T y)
         y' = eta * (I - prox of g/eta) applied to  y/eta + B(2x' - x)
 
-    where the second line computes the conjugate prox through the Moreau
+    for min f(x) + g(Bx), whose one nonsmooth term is composed with B; the
+    second line computes the conjugate prox through the Moreau
     decomposition, so the prox of the conjugate function is never evaluated
     directly.  Construction fails when the coupled metric for (beta, eta, B)
     is not positive definite.
@@ -259,8 +254,8 @@ def primal_dual(grad_f, prox_h, prox_g, b_mat, beta, eta, fixed_point_hint=None,
     ----------
     grad_f : callable
         Gradient of the smooth term, acting on the primal block.
-    prox_h, prox_g : ProxFamily
-        Prox families of the direct and composed nonsmooth terms.
+    prox_g : ProxFamily
+        Prox family of the nonsmooth term g composed with B.
     b_mat : array_like, shape (m, n)
         Coupling matrix applied to the primal variable.
     beta, eta : float
@@ -273,12 +268,10 @@ def primal_dual(grad_f, prox_h, prox_g, b_mat, beta, eta, fixed_point_hint=None,
 
     def step(v):
         x, y = v[..., :n], v[..., n:]
-        x_new = prox_h(
-            beta, x - beta * (np.asarray(grad_f(x), dtype=float) + _matvec(bt, y))
-        )
+        x_new = x - beta * (np.asarray(grad_f(x), dtype=float) + _matvec(bt, y))
         shifted = y / eta + _matvec(b, 2.0 * x_new - x)
         y_new = eta * (shifted - prox_g(1.0 / eta, shifted))
         return np.concatenate([x_new, y_new], axis=-1)
 
-    step = _stackable(step, grad_f, prox_h, prox_g)
+    step = _stackable(step, grad_f, prox_g)
     return Operator(n + m, step, fixed_point_hint, label)

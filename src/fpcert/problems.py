@@ -327,11 +327,15 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
 
 @dataclass(eq=False)
 class Reference:
-    """A reference minimizer, either closed form or from a tight run."""
+    """A reference minimizer, either closed form or from a tight run.
+
+    ``value`` is the minimizer and ``state`` the fixed point of the problem's
+    map (the minimizer, stacked with its dual on the primal-dual map);
+    ``residual`` is the run's final residual, 0 for a closed form.
+    """
 
     value: np.ndarray
     residual: float
-    iterations: int
     closed_form: bool
     state: Optional[np.ndarray] = None
 
@@ -350,7 +354,6 @@ def reference_solution(problem, tol=1e-8):
         return Reference(
             value=problem.exact_solution.copy(),
             residual=0.0,
-            iterations=0,
             closed_form=True,
             state=problem.exact_solution.copy(),
         )
@@ -364,7 +367,6 @@ def reference_solution(problem, tol=1e-8):
     return Reference(
         value=trace.x_final[: problem.n].copy(),
         residual=trace.final_residual,
-        iterations=trace.k_final,
         closed_form=False,
         state=trace.x_final.copy(),
     )

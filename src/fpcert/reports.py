@@ -23,7 +23,6 @@ __all__ = [
     "write_trace_csv",
     "region_csv",
     "write_region_csv",
-    "jsonable",
 ]
 
 JSON_INDENT = 2
@@ -42,51 +41,39 @@ def format_float(value):
     return "Infinity" if value > 0 else "-Infinity"
 
 
-def jsonable(obj):
-    """Coerce arrays and numpy scalars, within dicts and lists, into plain
-    JSON-ready values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def _emit(obj, parts, level):
-    """Append the text of ``obj``, a :func:`jsonable` value, to ``parts``."""
+    """Append the JSON text of ``obj`` to ``parts``, indented for ``level``.
+
+    ``obj`` is None, a bool, a str, a number (numpy integers and floats
+    included), an ndarray (written as its ``tolist()``), or a dict, list or
+    tuple of these; a tuple is written as a list and a dict key as its
+    ``str``.  Any other type, ``np.bool_`` included, raises ``TypeError``.
+    """
     pad = " " * (JSON_INDENT * level)
     pad_in = " " * (JSON_INDENT * (level + 1))
     if obj is None:
         parts.append("null")
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), parts, level)
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
         parts.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            parts.append(f"{pad_in}{json.dumps(key, ensure_ascii=False)}: ")
+            parts.append(f"{pad_in}{json.dumps(str(key), ensure_ascii=False)}: ")
             _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
-    else:  # a list, the one kind jsonable returns that is left
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
             return
@@ -96,12 +83,14 @@ def _emit(obj, parts, level):
             _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def dumps_json(obj):
     """Serialize to JSON text with deterministic layout and float formatting."""
     parts = []
-    _emit(jsonable(obj), parts, 0)
+    _emit(obj, parts, 0)
     return "".join(parts) + "\n"
 
 

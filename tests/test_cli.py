@@ -505,6 +505,31 @@ class TestScalarOverrides:
             assert f"field '{name}'" in capsys.readouterr().err
             assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command, base", [
+        ("certify", {"gamma": 1.0, "mu": 0.5, "n_pairs": 20, "seed": 3, "tol": 1e-10}),
+        ("solve", {"max_iter": 500, "tol": 1e-10}),
+        ("rates", {"gamma": 2.0, "n_pairs": 20, "seed": 3, "max_iter": 500,
+                   "tol": 1e-10}),
+        ("region", {"gamma": 2.0, "mu": 1.0}),
+    ])
+    def test_a_null_param_keeps_its_default(self, tmp_path, command, base):
+        write_config(tmp_path / "op.json", {"type": "affine", "alpha": 0.5,
+                                            "z": [1.0, -2.0]})
+        target = ({"x": [1.0, 0.5], "xhat": [0.0, 0.0], "resolution": 11}
+                  if command == "region" else {"operator": "op.json"})
+
+        def run(name, params):
+            cfg = write_config(tmp_path / f"{name}.json", {**target, "params": params})
+            out = tmp_path / name
+            code = main([command, "--config", cfg, "--out", str(out)])
+            files = sorted(out.iterdir()) if out.exists() else []
+            return code, {path.name: path.read_bytes() for path in files}
+
+        for key in SCALAR_PARAMS:
+            left_out = {k: v for k, v in base.items() if k != key}
+            assert run(f"null_{key}", {**left_out, key: None}) == \
+                run(f"without_{key}", left_out), key
+
     def test_lambda_override_changes_the_solution(self, tmp_path):
         write_config(tmp_path / "problem.json", {
             "kind": "separable_smooth_l1",

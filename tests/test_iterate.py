@@ -377,6 +377,16 @@ class TestLittleOProxy:
         report = little_o_proxy(np.zeros(50), 1.0)
         assert report.verdict
 
+    def test_tail_start_outside_the_sequence_raises(self):
+        for tail_start in (-1, 4):
+            with pytest.raises(ValueError, match="tail_start outside the sequence"):
+                little_o_proxy([1.0, 2.0, 3.0], 2.0, tail_start=tail_start)
+        # the default and the end of the sequence stay valid, on the empty
+        # sequence too
+        for seq in ([], [1.0], [1.0, 0.5, 0.25]):
+            assert little_o_proxy(seq, 2.0).tail_start == len(seq) // 2
+            assert little_o_proxy(seq, 2.0, len(seq)).tail_start == len(seq)
+
 
 class TestSummability:
     def test_halving_map_reaches_the_bound_exactly(self):

@@ -20,7 +20,6 @@ from fpcert.operators import (
     prox_operator,
     proximal_gradient,
     soft_threshold,
-    zero_prox,
 )
 from fpcert.problems import (
     analysis_l1_problem,
@@ -53,6 +52,14 @@ class TestOperatorType:
                 Operator(1, lambda x: x * np.nan, np.zeros(1))
             with pytest.raises(ValueError, match="moves by inf"):
                 Operator(2, lambda x: x * 1e300, np.full(2, 1e10))
+
+    def test_hint_moved_far_is_rejected_where_its_squares_overflow(self):
+        # the drift 1.4e195 exceeds the bound 1e-8 * 1e200; both norms'
+        # squares overflow a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="moves by 1.414e"):
+                Operator(2, lambda x: x + 1e195, np.array([1e200, 0.0]))
 
 
 class TestGradientStep:
@@ -153,11 +160,6 @@ class TestProxFamilies:
         prox = l2_prox(1.0)
         np.testing.assert_allclose(prox(1.0, np.array([3.0, 4.0])), [2.4, 3.2])
 
-    def test_zero_family_is_identity(self):
-        prox = zero_prox()
-        x = np.array([5.0, -1.0])
-        np.testing.assert_array_equal(prox(3.0, x), x)
-
     def test_box_family_projects(self):
         prox = box_prox(-1.0, 1.0)
         np.testing.assert_array_equal(prox(0.1, np.array([2.0, -3.0, 0.5])),
@@ -217,6 +219,13 @@ class TestCompose:
         t = affine(0.5, [2.0])  # fixed point 4
         assert compose(s, t).fixed_point_hint is None
 
+    def test_hint_dropped_without_warnings_when_the_gap_squares_overflow(self):
+        s = affine(0.5, [1e200, 0.0])   # fixed point (2e200, 0)
+        t = affine(0.5, [-1e200, 0.0])  # fixed point (-2e200, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compose(s, t).fixed_point_hint is None
+
     def test_hint_dropped_when_one_side_missing(self):
         s = identity(1)
         t = affine(0.5, [1.0])
@@ -249,7 +258,7 @@ class TestPrimalDual:
 
     def test_zero_coupling_decouples_blocks(self):
         b = np.zeros((1, self.n))
-        op = primal_dual(self.grad, zero_prox(), l1_prox(1.0), b, 0.5, 0.5)
+        op = primal_dual(self.grad, l1_prox(1.0), b, 0.5, 0.5)
         t1 = gradient_step(self.grad, 0.5, self.n)
         rng = np.random.default_rng(3)
         y = np.array([0.7])
@@ -265,9 +274,7 @@ class TestPrimalDual:
 
     def test_all_identity_prox_fixes_primal_and_zeroes_dual(self):
         b = np.array([[0.3, -0.2]])
-        op = primal_dual(
-            lambda x: np.zeros_like(x), zero_prox(), zero_prox(), b, 0.5, 0.5
-        )
+        op = primal_dual(lambda x: np.zeros_like(x), lambda t, x: x, b, 0.5, 0.5)
         # at the zero dual the primal block is fixed exactly and the dual
         # line keeps returning the zero dual
         v = np.array([1.0, 2.0, 0.0])
@@ -283,7 +290,7 @@ class TestPrimalDual:
         # brute-force grid minimizer of the scalar objective is the oracle
         lam = 0.5
         grad = lambda x: x - 1.0
-        op = primal_dual(grad, zero_prox(), l1_prox(lam), np.array([[1.0]]), 0.5, 0.4)
+        op = primal_dual(grad, l1_prox(lam), np.array([[1.0]]), 0.5, 0.4)
         v = np.zeros(2)
         for _ in range(2000):
             v = op(v)
@@ -294,8 +301,13 @@ class TestPrimalDual:
 
     def test_inadmissible_steps_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefiniteError):
-            primal_dual(self.grad, zero_prox(), l1_prox(1.0),
-                        np.array([[1.0, 0.0]]), 1.0, 1.0)
+            primal_dual(self.grad, l1_prox(1.0), np.array([[1.0, 0.0]]), 1.0, 1.0)
+
+    def test_call_with_a_direct_prox_slot_raises(self):
+        # the six-argument form binds a prox family to b_mat
+        with pytest.raises(TypeError):
+            primal_dual(self.grad, lambda t, x: x, l1_prox(1.0),
+                        np.zeros((1, self.n)), 0.5, 0.5)
 
 
 def declared(fn):
@@ -316,13 +328,12 @@ def _stack_cases():
         "gradient_step": gradient_step(grad, 0.3, n),
         "soft_threshold": prox_operator(l1_prox(0.7), 1.3, n),
         "block_soft_threshold": prox_operator(l2_prox(0.7), 1.3, n),
-        "zero_prox": prox_operator(zero_prox(), 1.0, n),
         "box_prox": prox_operator(box_prox(-1.0, 2.0), 1.0, n),
         "identity": identity(n),
         "affine": affine(0.5, c),
         "compose": compose(affine(0.5, c), prox_operator(l1_prox(0.7), 1.0, n)),
         "proximal_gradient": proximal_gradient(grad, l1_prox(0.5), 0.4, n),
-        "primal_dual": primal_dual(grad, zero_prox(), l1_prox(0.5), b, 0.5, 0.5),
+        "primal_dual": primal_dual(grad, l1_prox(0.5), b, 0.5, 0.5),
         "build_least_squares": build_operator(least_squares_problem(a, rhs)),
         "build_separable": build_operator(
             separable_smooth_l1_problem(rng.uniform(0.5, 2.0, n), c, 0.3)

@@ -8,7 +8,7 @@ from fpcert.certify import SamplingPlan, certify, estimate_mu
 from fpcert.cli import main
 from fpcert.iterate import picard
 from fpcert.metrics import L1, NotPositiveDefiniteError, primal_dual_metric, write_matrix
-from fpcert.operators import gradient_step, primal_dual, proximal_gradient, zero_prox
+from fpcert.operators import gradient_step, primal_dual, proximal_gradient
 from fpcert.problems import (
     RankDeficientError,
     analysis_l1_problem,
@@ -235,8 +235,7 @@ PRECOMPOSED = _precomposed_cases()
 def _composed(problem, beta, eta):
     """The problem's map composed by the public constructors from grad_f."""
     if problem.b_mat is not None:
-        return primal_dual(problem.grad_f, zero_prox(), problem.prox_g, problem.b_mat,
-                           beta, eta)
+        return primal_dual(problem.grad_f, problem.prox_g, problem.b_mat, beta, eta)
     if problem.prox_g is None:
         return gradient_step(problem.grad_f, beta, problem.n)
     return proximal_gradient(problem.grad_f, problem.prox_g, beta, problem.n)

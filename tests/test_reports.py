@@ -112,6 +112,26 @@ class TestJson:
         assert parsed["resid"] == [0.5, 0.25, 0.125, 0.0625, 0.03125]
         assert parsed["k"] == 3
 
+    @pytest.mark.parametrize("value", [object(), {1.0}, np.bool_(True)],
+                             ids=["object", "set", "np.bool_"])
+    def test_unsupported_types_raise_naming_the_type(self, value):
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=f"cannot serialize object of type {name}$"):
+            dumps_json({"nested": [value]})
+
+    def test_tuples_render_as_lists(self):
+        assert dumps_json({"t": (1, (2.5, "x")), "e": ()}) == \
+            dumps_json({"t": [1, [2.5, "x"]], "e": []})
+
+    def test_numpy_scalars_of_every_width_render_as_numbers(self):
+        text = dumps_json([np.float32(0.5), np.int32(7), np.float32(0.1), np.uint8(3)])
+        assert json.loads(text) == [0.5, 7, float(np.float32(0.1)), 3]
+        assert text == "[\n  0.5,\n  7,\n  0.10000000149011612,\n  3\n]\n"
+
+    def test_non_string_keys_render_as_their_str(self):
+        text = dumps_json({1: "a", 2.5: "b", None: "c", np.int64(4): "d"})
+        assert json.loads(text) == {"1": "a", "2.5": "b", "None": "c", "4": "d"}
+
     def test_non_finite_floats_are_null_in_strict_json(self):
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
