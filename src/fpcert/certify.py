@@ -104,8 +104,9 @@ class SamplingPlan:
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
-        if len(self.radius_scales) == 0 or any(r <= 0 for r in self.radius_scales):
-            raise ValueError("radius_scales must be nonempty and positive")
+        if len(self.radius_scales) == 0 or not all(
+                0 < r < np.inf for r in self.radius_scales):
+            raise ValueError("radius_scales must be nonempty, positive and finite")
 
 
 def _plan_center(dim, hint):
@@ -249,8 +250,7 @@ def gan_slack(op, x, y, gamma, mu, norm_spec=L2):
     evaluated as a batch of one by the kernel behind :func:`certify`, so the
     value equals the sampled slack of the same pair bit for bit.
     """
-    if gamma <= 0 or mu <= 0:
-        raise ValueError("gamma and mu must be positive")
+    _check_params("gan", gamma, mu, None)
     xs = np.asarray(x, dtype=float)[None]
     ys = np.asarray(y, dtype=float)[None]
     return float(_slacks("gan", _triples(op, xs, ys, norm_spec), gamma, mu)[0])
@@ -301,8 +301,8 @@ def _sample(op, plan, norm_spec, points):
 def _check_params(prop, gamma, mu, rho):
     values = {"gamma": gamma, "mu": mu, "rho": rho}
     for name in PROPERTIES[prop].needs:
-        if values[name] is None or values[name] <= 0:
-            raise ValueError(f"property {prop!r} needs a positive {name}")
+        if values[name] is None or not 0 < values[name] < np.inf:
+            raise ValueError(f"property {prop!r} needs a positive finite {name}")
 
 
 def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
@@ -347,7 +347,8 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     plan : SamplingPlan
         Sampling layout; defaults to ``SamplingPlan()``.
     tol : float
-        Absolute slack tolerance; verdict is PASS iff min slack >= -tol.
+        Absolute slack tolerance, finite and nonnegative; verdict is PASS
+        iff min slack >= -tol.
 
     Returns
     -------
@@ -361,6 +362,8 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     mu = params.get("mu")
     rho = params.get("rho")
     _check_params(prop, gamma, mu, rho)
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     points = PROPERTIES[prop].points
     if points and op.fixed_point_hint is None:
         raise ValueError(f"property {prop!r} requires a fixed_point_hint")
@@ -377,8 +380,8 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
     information); if every pair is skipped an EstimateError is raised.  Any
     nonpositive quotient collapses the estimate to 0.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     plan = plan or SamplingPlan()
     _, _, (d, a, b), _ = _sample(op, plan, norm_spec, points=False)
     denom = b**gamma

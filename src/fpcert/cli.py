@@ -4,6 +4,9 @@ Four subcommands: ``certify`` writes a certificate JSON, ``solve`` a trace
 CSV plus summary JSON, ``rates`` a trace CSV plus rate-fit JSON and the
 trajectory inequality reports, ``region`` a membership-grid CSV.
 
+Each reads a JSON run config, checked once by :func:`load_run_config`; a
+field or param set to null keeps its default, as if left out.
+
 Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
 (an iterate that overflows included), 1 on a usage error (malformed config,
 missing file, bad field).  Runs with a fixed seed are byte-for-byte
@@ -19,8 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .iterate import (
 )
 from .metrics import L1, L2, primal_dual_metric
 
-__all__ = ["main", "execute", "RunConfig", "UsageError"]
+__all__ = ["main", "UsageError"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,60 +119,37 @@ def _read_json(path, field_name):
     return raw
 
 
-@dataclass
-class RunConfig:
-    command: str
-    problem: Optional[str] = None
-    operator: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    output_dir: Optional[str] = None
-    property_name: str = "gan"
-    norm: str = "l2"
-    raw: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise UsageError(f"field 'command' must be one of {tuple(COMMANDS)}")
-        if self.command == "certify":
-            if bool(self.problem) == bool(self.operator):
-                raise UsageError(
-                    "field 'problem'/'operator': certify needs exactly one of them"
-                )
-            try:
-                normalize_property(self.property_name)
-            except ValueError as err:
-                raise UsageError(f"field 'property': {err}") from None
-        if self.command in ("solve", "rates"):
-            if not self.problem and not self.operator:
-                raise UsageError(
-                    f"field 'problem': {self.command} needs a problem or operator config"
-                )
-        if self.command == "rates":
-            model = str(self.raw.get("model", "exponential")).strip().lower()
-            if model not in ("exponential", "polynomial"):
-                raise UsageError("field 'model' must be 'exponential' or 'polynomial'")
-        if self.norm not in ("l2", "l1", "w"):
-            raise UsageError("field 'norm' must be 'l2', 'l1' or 'w'")
+# String fields of the run config and their defaults (None: no default).
+STRING_FIELDS = {"problem": None, "operator": None, "output_dir": None,
+                 "property": "gan", "norm": "l2", "model": "exponential"}
 
 
 def load_run_config(path, command, overrides):
-    """The validated RunConfig of the run config at ``path``.
+    """The checked run config at ``path`` for ``command``, as a plain dict.
 
-    ``overrides`` maps names of SCALAR_PARAMS, and ``out``, to command-line
-    values; a value other than None replaces the config's.  A param that is
-    null in the config is dropped, so it keeps its default.
+    This is the one reader of the run config; every runner reads the dict
+    it returns.  A field or param set to null is dropped first, so it keeps
+    its default, as if left out.  The string fields of STRING_FIELDS are
+    filled with their defaults, ``problem`` and ``operator`` are resolved
+    relative to the config file, ``property`` is normalized and ``model``
+    lowered.  ``overrides`` maps names of SCALAR_PARAMS, and ``out``, to
+    command-line values; a value other than None replaces the config's.
+    Raises a UsageError naming the offending field.
     """
-    raw = _read_json(path, "config")
-    for key in ("problem", "operator", "output_dir", "property", "norm"):
-        entry = raw.get(key)
+    config = {key: value for key, value in _read_json(path, "config").items()
+              if value is not None}
+    for key, default in STRING_FIELDS.items():
+        entry = config.setdefault(key, default)
         if entry is not None and not (isinstance(entry, str) and entry):
             raise UsageError(f"field '{key}' must be a nonempty string, got {entry!r}")
     base = os.path.dirname(os.path.abspath(path))
+    for key in ("problem", "operator"):
+        if config[key] is not None:
+            config[key] = os.path.join(base, config[key])
+    config["output_dir"] = overrides.get("out") or config["output_dir"]
+    config["command"] = command
 
-    def resolve(entry):
-        return None if entry is None else os.path.join(base, entry)
-
-    params = raw.get("params", {})
+    params = config.get("params", {})
     if not isinstance(params, dict):
         raise UsageError("field 'params' must be an object")
     params = {key: value for key, value in params.items() if value is not None}
@@ -180,17 +158,25 @@ def load_run_config(path, command, overrides):
             params[key] = overrides[key]
         if key in params:
             params[key] = _scalar(key, params[key], kind, lower, strict)
-    config = RunConfig(
-        command=command,
-        problem=resolve(raw.get("problem")),
-        operator=resolve(raw.get("operator")),
-        params=params,
-        output_dir=overrides.get("out") or raw.get("output_dir"),
-        property_name=raw.get("property", "gan"),
-        norm=raw.get("norm", "l2"),
-        raw=raw,
-    )
-    config.validate()
+    config["params"] = params
+
+    has_problem, has_operator = bool(config["problem"]), bool(config["operator"])
+    if command == "certify":
+        if has_problem == has_operator:
+            raise UsageError(
+                "field 'problem'/'operator': certify needs exactly one of them")
+        try:
+            config["property"] = normalize_property(config["property"])
+        except ValueError as err:
+            raise UsageError(f"field 'property': {err}") from None
+    if command in ("solve", "rates") and not (has_problem or has_operator):
+        raise UsageError(
+            f"field 'problem': {command} needs a problem or operator config")
+    config["model"] = config["model"].strip().lower()
+    if command == "rates" and config["model"] not in ("exponential", "polynomial"):
+        raise UsageError("field 'model' must be 'exponential' or 'polynomial'")
+    if config["norm"] not in ("l2", "l1", "w"):
+        raise UsageError("field 'norm' must be 'l2', 'l1' or 'w'")
     return config
 
 
@@ -226,14 +212,15 @@ CONSTANT_RANGE = "its Lipschitz or coupling constant is 0 or overflows a double"
 
 
 def _resolve_target(config):
-    """Return (operator, problem, step sizes) for the configured target."""
-    problem = None
-    beta = config.params.get("beta")
-    eta = config.params.get("eta")
-    lam = config.params.get("lambda")
-    if config.problem:
+    """Return (operator, problem, norm spec, step sizes) of the configured target.
+
+    The step sizes are a dict of the ``beta`` and ``eta`` that are set.
+    """
+    params = config["params"]
+    problem, beta, eta = None, params.get("beta"), params.get("eta")
+    if config["problem"]:
         try:
-            problem = problems.load_problem(config.problem, lam=lam)
+            problem = problems.load_problem(config["problem"], lam=params.get("lambda"))
         except OSError as err:
             raise UsageError(
                 f"field 'problem': cannot read {err.filename} ({err.strerror})"
@@ -251,42 +238,39 @@ def _resolve_target(config):
             # L = 0 or an overflowing |B|^2: no step size can mend the problem
             raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
     else:
-        op = load_operator_config(config.operator)
-    return op, problem, beta, eta
-
-
-def _norm_spec(config, problem, beta, eta):
-    if config.norm == "l2":
-        return L2
-    if config.norm == "l1":
-        return L1
-    if problem is None or problem.b_mat is None:
+        op = load_operator_config(config["operator"])
+    if config["norm"] != "w":
+        norm_spec = L2 if config["norm"] == "l2" else L1
+    elif problem is None or problem.b_mat is None:
         raise UsageError("field 'norm': 'w' needs an analysis_l1 problem")
-    return primal_dual_metric(beta, eta, problem.b_mat).norm_spec()
+    else:
+        norm_spec = primal_dual_metric(beta, eta, problem.b_mat).norm_spec()
+    steps = {name: float(value) for name, value in (("beta", beta), ("eta", eta))
+             if value is not None}
+    return op, problem, norm_spec, steps
 
 
 def _plan(config):
-    kwargs = {key: config.params[key] for key in ("n_pairs", "seed")
-              if key in config.params}
-    scales = config.raw.get("radius_scales")
-    if scales is not None:
+    kwargs = {key: config["params"][key] for key in ("n_pairs", "seed")
+              if key in config["params"]}
+    if "radius_scales" in config:
         kwargs["radius_scales"] = tuple(
-            _numbers("radius_scales", scales, positive=True).tolist())
+            _numbers("radius_scales", config["radius_scales"], positive=True).tolist())
     return SamplingPlan(**kwargs)
 
 
 def _output_dir(config):
-    out = config.output_dir
+    out = config["output_dir"]
     if out is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        out = f"{config.command}-{stamp}"
+        out = f"{config['command']}-{stamp}"
     reports.ensure_dir(out)
     return out
 
 
 def _run_certify(config):
-    op, problem, beta, eta = _resolve_target(config)
-    prop = normalize_property(config.property_name)
+    op, problem, norm_spec, _ = _resolve_target(config)
+    prop = config["property"]
     if PROPERTIES[prop].points and op.fixed_point_hint is None:
         # no params value can supply the fixed point: the property or the
         # target has to change
@@ -295,13 +279,12 @@ def _run_certify(config):
             f"field 'property'/'{target}': property {prop!r} needs a fixed point, "
             f"and this {target} has none"
         )
-    norm_spec = _norm_spec(config, problem, beta, eta)
     plan = _plan(config)
-    params = {key: config.params[key] for key in ("gamma", "mu", "rho")
-              if key in config.params}
-    tol = config.params.get("tol", DEFAULT_TOL)
+    params = {key: config["params"][key] for key in ("gamma", "mu", "rho")
+              if key in config["params"]}
+    tol = config["params"].get("tol", DEFAULT_TOL)
     try:
-        cert = certify(op, config.property_name, params, norm_spec, plan, tol=tol)
+        cert = certify(op, prop, params, norm_spec, plan, tol=tol)
     except ValueError as err:
         raise UsageError(f"field 'params': {err}") from err
     out = _output_dir(config)
@@ -316,16 +299,13 @@ def _run_trace(config):
     which every problem with a closed-form solution carries.  Returns the
     operator, the norm, the trace, the output directory and the step sizes.
     """
-    op, problem, beta, eta = _resolve_target(config)
-    norm_spec = _norm_spec(config, problem, beta, eta)
-    x0 = config.raw.get("x0")
+    op, _, norm_spec, steps = _resolve_target(config)
+    x0 = config.get("x0")
     x0 = np.zeros(op.dim) if x0 is None else _numbers("x0", x0, op.dim)
-    trace = picard(op, x0, max_iter=config.params.get("max_iter", 100_000),
-                   res_tol=config.params.get("tol", 1e-10),
+    trace = picard(op, x0, max_iter=config["params"].get("max_iter", 100_000),
+                   res_tol=config["params"].get("tol", 1e-10),
                    ref=op.fixed_point_hint, norm_spec=norm_spec)
     out = _output_dir(config)
-    steps = {name: float(value) for name, value in (("beta", beta), ("eta", eta))
-             if value is not None}
     reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
     return op, norm_spec, trace, out, steps
 
@@ -346,14 +326,13 @@ def _run_solve(config):
 
 def _run_rates(config):
     plan = _plan(config)
-    mu = config.params.get("mu")
+    mu = config["params"].get("mu")
     op, norm_spec, trace, out, _ = _run_trace(config)
 
-    gamma = config.params.get("gamma", 2.0)
+    gamma = config["params"].get("gamma", 2.0)
     failed = trace.stop_reason is StopReason.DIVERGED
     try:
-        fit = fit_rate(trace.residuals,
-                       str(config.raw.get("model", "exponential"))).to_dict()
+        fit = fit_rate(trace.residuals, config["model"]).to_dict()
     except ValueError as err:
         # the trace leaves too short a tail to fit; the model name is valid
         fit = {"error": str(err)}
@@ -393,12 +372,12 @@ def _run_rates(config):
 
 
 def _run_region(config):
-    params = config.params
-    x = _numbers("x", config.raw.get("x"), 2)
-    xhat = _numbers("xhat", config.raw.get("xhat"), 2)
+    params = config["params"]
+    x = _numbers("x", config.get("x"), 2)
+    xhat = _numbers("xhat", config.get("xhat"), 2)
     gamma = params.get("gamma", 2.0)
     mu = params.get("mu", 1.0)
-    resolution = _scalar("resolution", config.raw.get("resolution", 201), int, 2)
+    resolution = _scalar("resolution", config.get("resolution", 201), int, 2)
     try:
         grid = range_region(x, xhat, gamma, mu, resolution)
     except ValueError as err:
@@ -416,20 +395,6 @@ COMMANDS = {
     "rates": (_run_rates, "run, fit decay rates, and check trajectory inequalities"),
     "region": (_run_region, "emit the admissible-range membership grid"),
 }
-
-
-def execute(config):
-    """Run a validated RunConfig; returns the process exit status."""
-    config.validate()
-    runner, _ = COMMANDS[config.command]
-    try:
-        # overflow is reported through the exit status and the output files,
-        # so numpy's own warnings would only clutter stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            return runner(config)
-    except NonFiniteIterateError as err:
-        print(f"fpcert: {config.command} failed: {err}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -458,11 +423,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run the command line ``argv``; returns the process exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         config = load_run_config(args.config, args.command, vars(args))
-        return execute(config)
+        runner, _ = COMMANDS[args.command]
+        # overflow is reported through the exit status and the output files,
+        # so numpy's own warnings would only clutter stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return runner(config)
+    except NonFiniteIterateError as err:
+        print(f"fpcert: {args.command} failed: {err}", file=sys.stderr)
+        return EXIT_FAIL
     except UsageError as err:
         print(f"fpcert: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -487,18 +487,6 @@ class RecurrenceReport:
     violations: list
     verdict: bool
 
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "mu": self.mu,
-            "premise_from": self.premise_from,
-            "n_checked": self.n_checked,
-            "violations": [
-                {"k": int(k), "value": v, "bound": b} for k, v, b in self.violations
-            ],
-            "verdict": "PASS" if self.verdict else "FAIL",
-        }
-
 
 def verify_recurrence_bound(seq, p, mu, tol=1e-12):
     """Check a sequence against a_{k+1} <= a_k (1 - mu a_k^p) and its bound.

@@ -263,6 +263,27 @@ class TestCertify:
         with pytest.raises(ValueError, match="rho"):
             certify(identity(1), "contractive", {}, plan=SamplingPlan(seed=0))
 
+    @pytest.mark.parametrize("call, field_name", [
+        (lambda op: certify(op, "gan", {"gamma": np.nan, "mu": 0.5}), "gamma"),
+        (lambda op: certify(op, "gan", {"gamma": 2.0, "mu": np.inf}), "mu"),
+        (lambda op: certify(op, "contractive", {"rho": np.nan}), "rho"),
+        (lambda op: certify(op, "gan", {"gamma": 2.0, "mu": 0.5}, tol=np.nan), "tol"),
+        (lambda op: certify(op, "gan", {"gamma": 2.0, "mu": 0.5}, tol=np.inf), "tol"),
+        (lambda op: certify(op, "gan", {"gamma": 2.0, "mu": 0.5}, tol=-1.0), "tol"),
+        (lambda op: SamplingPlan(radius_scales=(np.nan,)), "radius_scales"),
+        (lambda op: SamplingPlan(radius_scales=(1.0, np.inf)), "radius_scales"),
+        (lambda op: estimate_mu(op, np.nan), "gamma"),
+        (lambda op: estimate_mu(op, np.inf), "gamma"),
+        (lambda op: gan_slack(op, [1.0, 0.0], [0.0, 0.0], 2.0, np.nan), "mu"),
+    ], ids=["nan-gamma", "inf-mu", "nan-rho", "nan-tol", "inf-tol", "negative-tol",
+            "nan-scale", "inf-scale", "estimate-mu-nan-gamma",
+            "estimate-mu-inf-gamma", "gan-slack-nan-mu"])
+    def test_a_non_finite_value_is_rejected_naming_its_field(self, call, field_name):
+        # NaN passes a "<= 0" check, so each value must be tested as finite
+        with pytest.raises(ValueError, match=field_name) as info:
+            call(affine(0.5, [1.0, 2.0]))
+        assert not isinstance(info.value, EstimateError)
+
     def test_certificate_serialization_fields(self):
         cert = certify(soft_threshold_op(), "gan", {"gamma": 1.0, "mu": 1.0},
                        plan=SamplingPlan(seed=7))

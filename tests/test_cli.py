@@ -382,6 +382,8 @@ class TestUsageErrors:
              "radius_scales"),                         # plan unused: no fixed point
             ("rates", {"operator": "op.json", "model": "bogus"}, [],
              "model"),                                 # unknown rate model
+            ("certify", {"operator": "op.json", "model": 5}, [],
+             "model"),                                 # model not a string
             ("solve", {"problem": "ragged_a.json"}, [],
              "A"),                                     # ragged inline matrix
             ("solve", {"problem": "text_b.json"}, [],
@@ -518,8 +520,8 @@ class TestScalarOverrides:
         target = ({"x": [1.0, 0.5], "xhat": [0.0, 0.0], "resolution": 11}
                   if command == "region" else {"operator": "op.json"})
 
-        def run(name, params):
-            cfg = write_config(tmp_path / f"{name}.json", {**target, "params": params})
+        def run(name, payload):
+            cfg = write_config(tmp_path / f"{name}.json", payload)
             out = tmp_path / name
             code = main([command, "--config", cfg, "--out", str(out)])
             files = sorted(out.iterdir()) if out.exists() else []
@@ -527,6 +529,14 @@ class TestScalarOverrides:
 
         for key in SCALAR_PARAMS:
             left_out = {k: v for k, v in base.items() if k != key}
+            assert run(f"null_{key}", {**target, "params": {**left_out, key: None}}) == \
+                run(f"without_{key}", {**target, "params": left_out}), key
+        # top-level fields, each set away from its default in the full config
+        full = {**target, "params": base, "property": "nonexpansive", "norm": "l1",
+                "model": "polynomial", "resolution": 5, "x0": [1.0, 1.0],
+                "radius_scales": [0.5, 2.0]}
+        for key in ("property", "norm", "model", "resolution", "x0", "radius_scales"):
+            left_out = {k: v for k, v in full.items() if k != key}
             assert run(f"null_{key}", {**left_out, key: None}) == \
                 run(f"without_{key}", left_out), key
 
