@@ -63,7 +63,6 @@ from .problems import (
     build_operator,
     default_step_sizes,
     least_squares_problem,
-    load_problem,
     reference_solution,
     separable_smooth_l1_problem,
     step_size_bounds,

@@ -519,8 +519,8 @@ def range_region(x, xhat, gamma, mu, resolution=201):
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     if x.shape != (2,) or xhat.shape != (2,):
         raise ValueError("range_region is defined for 2-vectors")
-    if gamma <= 0 or mu <= 0:
-        raise ValueError("gamma and mu must be positive")
+    if not (0 < gamma < np.inf and 0 < mu < np.inf):
+        raise ValueError("gamma and mu must be positive and finite")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     d = x - xhat

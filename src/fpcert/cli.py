@@ -5,7 +5,9 @@ CSV plus summary JSON, ``rates`` a trace CSV plus rate-fit JSON and the
 trajectory inequality reports, ``region`` a membership-grid CSV.
 
 Each reads a JSON run config, checked once by :func:`load_run_config`; a
-field or param set to null keeps its default, as if left out.
+field or param set to null keeps its default, as if left out.  The problem
+or operator config it names is read here too, through the same checked
+field readers.
 
 Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
 (an iterate that overflows included), 1 on a usage error (malformed config,
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -37,7 +40,7 @@ from .iterate import (
     little_o_proxy,
     picard,
 )
-from .metrics import L1, L2, primal_dual_metric
+from .metrics import L1, L2, primal_dual_metric, read_matrix
 
 __all__ = ["main", "UsageError"]
 
@@ -210,6 +213,71 @@ def load_operator_config(path):
 
 CONSTANT_RANGE = "its Lipschitz or coupling constant is 0 or overflows a double"
 
+# Each problem kind's config fields, in the order its constructor
+# problems.<kind>_problem takes them.  "lambda" is the scalar weight; every
+# other field is an array, inline or a matrix file.
+PROBLEM_FIELDS = {
+    "least_squares": ("A", "b"),
+    "separable_smooth_l1": ("coeffs", "b", "lambda"),
+    "analysis_l1": ("A", "b", "B", "lambda"),
+}
+
+
+def _array(config, field_name, base):
+    """The array of a problem-config field: a matrix file, relative to
+    ``base``, or an inline list of numbers, booleans rejected as by
+    :func:`_scalar`; anything else is a UsageError naming the field."""
+    if field_name not in config:
+        raise UsageError(f"field '{field_name}' is required")
+    entry = config[field_name]
+    try:
+        if isinstance(entry, str):
+            return read_matrix(os.path.join(base, entry))
+        if isinstance(entry, list):
+            array = np.asarray(entry, dtype=float)
+            # the conversion takes True as 1.0; the innermost entries of a
+            # list that converted are array.ndim - 1 levels down
+            cells = entry
+            for _ in range(array.ndim - 1):
+                cells = itertools.chain.from_iterable(cells)
+            if bool in set(map(type, cells)):
+                raise TypeError("a boolean is not a number")
+            return array
+    except OSError as err:
+        raise UsageError(
+            f"field '{field_name}': cannot read {err.filename} ({err.strerror})"
+        ) from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise UsageError(f"field '{field_name}': {err}") from err
+    raise UsageError(f"field '{field_name}' must be a matrix-file path or a list")
+
+
+def load_problem_config(path, lam=None):
+    """The ProblemSpec of the problem config at ``path``.
+
+    The config names its ``kind`` and the fields PROBLEM_FIELDS lists for
+    it: arrays inline or as matrix files relative to the config, and the
+    scalar ``lambda``, 0 unless given; ``lam``, when not None, replaces it.
+    Raises a UsageError naming the offending field, or ``problem`` when the
+    constructor rejects the data.
+    """
+    config = _read_json(path, "problem")
+    kind = config.get("kind")
+    # a list or an object as the kind would make the dict lookup a TypeError
+    if not isinstance(kind, str) or kind not in PROBLEM_FIELDS:
+        raise UsageError(f"field 'kind' must be one of {tuple(PROBLEM_FIELDS)}")
+    if lam is None:
+        lam = _scalar("lambda", config.get("lambda", 0.0), float, 0.0)
+    base = os.path.dirname(path)
+    args = [lam if name == "lambda" else _array(config, name, base)
+            for name in PROBLEM_FIELDS[kind]]
+    try:
+        return getattr(problems, f"{kind}_problem")(*args)
+    except ValueError as err:
+        raise UsageError(f"field 'problem': {err}") from err
+    except ArithmeticError as err:
+        raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
+
 
 def _resolve_target(config):
     """Return (operator, problem, norm spec, step sizes) of the configured target.
@@ -219,16 +287,7 @@ def _resolve_target(config):
     params = config["params"]
     problem, beta, eta = None, params.get("beta"), params.get("eta")
     if config["problem"]:
-        try:
-            problem = problems.load_problem(config["problem"], lam=params.get("lambda"))
-        except OSError as err:
-            raise UsageError(
-                f"field 'problem': cannot read {err.filename} ({err.strerror})"
-            ) from err
-        except ValueError as err:
-            raise UsageError(f"field 'problem': {err}") from err
-        except ArithmeticError as err:
-            raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
+        problem = load_problem_config(config["problem"], params.get("lambda"))
         try:
             beta, eta = problems.default_step_sizes(problem, beta, eta)
             op = problems.build_operator(problem, beta, eta)
@@ -264,7 +323,7 @@ def _output_dir(config):
     if out is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         out = f"{config['command']}-{stamp}"
-    reports.ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     return out
 
 

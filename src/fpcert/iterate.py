@@ -306,8 +306,8 @@ def little_o_proxy(seq, gamma, tail_start=None):
     ``tail_start`` defaults to half the length; a value below 0 or above
     ``len(seq)`` raises ``ValueError``.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     seq = np.asarray(seq, dtype=float)
     if tail_start is None:
         tail_start = len(seq) // 2
@@ -362,8 +362,8 @@ def check_residual_summability(trace, gamma, mu):
     attained at the last one; it is reported together with the verdict,
     which allows ``SUMMABILITY_TOL`` of rounding.
     """
-    if gamma <= 0 or mu <= 0:
-        raise ValueError("gamma and mu must be positive")
+    if not (0 < gamma < math.inf and 0 < mu < math.inf):
+        raise ValueError("gamma and mu must be positive and finite")
     errors = _reference_errors(trace, "summability")
     # numpy's power overflows to inf, where a Python float's would raise
     bound = float(np.power(errors[0], gamma))
@@ -496,10 +496,10 @@ def verify_recurrence_bound(seq, p, mu, tol=1e-12):
     index (geometric decay when p == 0), in time linear in the sequence
     length.  Every violation is reported.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not 0 <= p < math.inf:
+        raise ValueError("p must be nonnegative and finite")
     seq = np.asarray(seq, dtype=float)
     if np.any(seq < 0):
         raise ValueError("sequence must be nonnegative")

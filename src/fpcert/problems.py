@@ -4,9 +4,6 @@ step-size bounds, and reference solutions.
 
 from __future__ import annotations
 
-import json
-import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,7 +11,7 @@ import numpy as np
 
 from . import operators
 from .iterate import StopReason, picard
-from .metrics import _matvec, primal_dual_metric, read_matrix
+from .metrics import _matvec, primal_dual_metric
 
 __all__ = [
     "ProblemSpec",
@@ -27,7 +24,6 @@ __all__ = [
     "default_step_sizes",
     "build_operator",
     "reference_solution",
-    "load_problem",
     "RankDeficientError",
     "ReferenceError",
 ]
@@ -136,6 +132,8 @@ def separable_smooth_l1_problem(coeffs, b, lam):
     b = np.asarray(b, dtype=float).reshape(-1)
     if coeffs.shape != b.shape:
         raise ValueError("coeffs and b must have equal length")
+    if not (np.isfinite(coeffs).all() and np.isfinite(b).all()):
+        raise ValueError("coeffs and b must be finite")
     if np.any(coeffs <= 0):
         raise ValueError("coeffs must be positive")
     if lam < 0:
@@ -370,65 +368,3 @@ def reference_solution(problem, tol=1e-8):
         closed_form=False,
         state=trace.x_final.copy(),
     )
-
-
-# Each problem kind: its config fields, in the order its constructor takes
-# them, and the constructor.  "lambda" is the scalar weight; every other
-# field is an array, inline or a matrix file.
-KINDS = {
-    "least_squares": (("A", "b"), least_squares_problem),
-    "separable_smooth_l1": (("coeffs", "b", "lambda"), separable_smooth_l1_problem),
-    "analysis_l1": (("A", "b", "B", "lambda"), analysis_l1_problem),
-}
-
-
-def _load_array(entry, base_dir, field):
-    try:
-        if isinstance(entry, str):
-            return read_matrix(os.path.join(base_dir, entry))
-        if isinstance(entry, list):
-            return np.asarray(entry, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"problem config field '{field}': {err}") from err
-    raise ValueError(f"problem config field '{field}' must be a path or a list")
-
-
-def load_problem(path, lam=None):
-    """Load a problem from a JSON config.
-
-    The config names the kind and the fields KINDS lists for it: arrays
-    inline or as paths to the plain-text matrix format (relative to the
-    config file), and the scalar lambda, 0 unless given (overridable through
-    the ``lam`` argument).  Step sizes and seeds live in the run config.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ValueError("problem config: top level must be an object")
-    base_dir = os.path.dirname(os.path.abspath(path))
-    kind = config.get("kind")
-    # a list or an object as the kind would make the dict lookup a TypeError
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ValueError(f"problem config field 'kind' must be one of {tuple(KINDS)}")
-    if lam is None:
-        entry = config.get("lambda", 0.0)
-        try:
-            lam = math.nan if isinstance(entry, bool) else float(entry)
-        except (TypeError, ValueError):
-            lam = math.nan
-        if not math.isfinite(lam):
-            raise ValueError("problem config field 'lambda' must be a finite number, "
-                             f"got {entry!r}")
-        if lam < 0:
-            raise ValueError("problem config field 'lambda' must be nonnegative, "
-                             f"got {entry!r}")
-    fields, make = KINDS[kind]
-    args = []
-    for field in fields:
-        if field == "lambda":
-            args.append(lam)
-        elif field not in config:
-            raise ValueError(f"problem config field '{field}' is required")
-        else:
-            args.append(_load_array(config[field], base_dir, field))
-    return make(*args)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -201,9 +200,4 @@ def region_csv(grid):
 def write_region_csv(path, grid):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(region_csv(grid))
-    return path
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
     return path

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcert.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, SCALAR_PARAMS, main
+from fpcert.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, SCALAR_PARAMS, UsageError,
+                        load_problem_config, main)
 from fpcert.metrics import write_matrix
 from fpcert.operators import prox_operator, l1_prox
 from fpcert.certify import gan_slack
@@ -413,6 +414,14 @@ class TestUsageErrors:
              "kind"),                                  # kind a list
             ("solve", {"problem": "object_kind.json"}, [],
              "kind"),                                  # kind an object
+            ("solve", {"problem": "bool_a.json"}, [],
+             "A"),                                     # boolean inline entry
+            ("solve", {"problem": "nan_coeffs.json"}, [],
+             "problem"),                               # nan in a coeffs file
+            ("solve", {"problem": "inf_b.json"}, [],
+             "problem"),                               # infinite separable b
+            ("solve", {"problem": "huge_int_b.json"}, [],
+             "b"),                                     # integer beyond a double
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -449,6 +458,15 @@ class TestUsageErrors:
         write_config(tmp_path / "empty_z.json", {"type": "affine", "z": []})
         write_config(tmp_path / "list_kind.json", {"kind": ["least_squares"]})
         write_config(tmp_path / "object_kind.json", {"kind": {}})
+        write_config(tmp_path / "bool_a.json", {
+            "kind": "least_squares", "A": [[True, 0], [0, 1]], "b": [1, 1]})
+        (tmp_path / "nan.txt").write_text("2 1\n1 nan\n")
+        write_config(tmp_path / "nan_coeffs.json", {
+            "kind": "separable_smooth_l1", "coeffs": "nan.txt", "b": [1, 1]})
+        write_config(tmp_path / "inf_b.json", {
+            "kind": "separable_smooth_l1", "coeffs": [1, 2], "b": [1, float("inf")]})
+        write_config(tmp_path / "huge_int_b.json", {
+            "kind": "least_squares", "A": [[1, 0], [0, 1]], "b": [1, 10**400]})
         write_config(tmp_path / "far.json",
                      {"type": "affine", "alpha": 0.5, "z": [1e308, 1e308]})
         for i, (command, payload, args, field_name) in enumerate(corpus):
@@ -488,6 +506,50 @@ class TestUsageErrors:
                            {"operator": "op.json", "x0": [1.0]})
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+
+class TestProblemConfig:
+    def test_least_squares_with_matrix_files(self, tmp_path):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((6, 3))
+        b = rng.standard_normal(6)
+        write_matrix(tmp_path / "A.txt", a)
+        write_matrix(tmp_path / "b.txt", b.reshape(-1, 1))
+        config = write_config(tmp_path / "problem.json",
+                              {"kind": "least_squares", "A": "A.txt", "b": "b.txt"})
+        p = load_problem_config(config)
+        assert p.kind == "least_squares"
+        assert p.dims == (3, 0)
+
+    def test_separable_inline(self, tmp_path):
+        config = write_config(tmp_path / "problem.json", {
+            "kind": "separable_smooth_l1",
+            "coeffs": [1.0, 2.0], "b": [5.0, -1.0], "lambda": 1.0,
+        })
+        p = load_problem_config(config)
+        np.testing.assert_allclose(p.exact_solution, [4.0, -0.5])
+
+    def test_analysis_inline(self, tmp_path):
+        config = write_config(tmp_path / "problem.json", {
+            "kind": "analysis_l1",
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "b": [1.0, 2.0],
+            "B": [[1.0, -1.0]],
+            "lambda": 0.3,
+        })
+        p = load_problem_config(config)
+        assert p.dims == (2, 1)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        config = write_config(tmp_path / "problem.json", {"kind": "quadratic"})
+        with pytest.raises(UsageError, match="field 'kind'"):
+            load_problem_config(config)
+
+    def test_missing_field_named(self, tmp_path):
+        config = write_config(tmp_path / "problem.json",
+                              {"kind": "least_squares", "A": [[1.0]]})
+        with pytest.raises(UsageError, match="field 'b'"):
+            load_problem_config(config)
 
 
 class TestScalarOverrides:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fpcert import reports
-from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat
+from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat, range_region
 from fpcert.cli import main
 from fpcert.iterate import (
     ERROR_BLOCK,
@@ -36,7 +36,6 @@ from fpcert.problems import (
     build_operator,
     default_step_sizes,
     least_squares_problem,
-    load_problem,
     separable_smooth_l1_problem,
 )
 from helpers import assert_same_text
@@ -290,7 +289,9 @@ class TestPicardMatchesReferenceLoop:
         code = main(["solve", "--config", str(tmp_path / "run.json"),
                      "--out", str(out)])
 
-        spec = load_problem(str(tmp_path / "problem.json"))
+        spec = (least_squares_problem(problem["A"], problem["b"])
+                if kind == "least_squares" else
+                analysis_l1_problem(problem["A"], problem["b"], problem["B"], 0.2))
         beta, eta = default_step_sizes(spec)
         op = build_operator(spec, beta, eta)
         norm_spec = L2 if eta is None else primal_dual_metric(
@@ -552,3 +553,38 @@ class TestVerifyRecurrence:
         for k, value, bound in report.violations:
             assert value == seq[k]
             assert bound == pytest.approx(expected[k], rel=1e-13)
+
+
+def _halving_trace():
+    return picard(affine(0.5, [0.0]), [1.0], 10, 0.0, ref=[0.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParameters:
+    # NaN passes every `<= 0` test, so each of these returned a verdict
+    # (PASS, FAIL or an all-False grid) instead of raising
+    @pytest.mark.parametrize("call", [
+        lambda: verify_recurrence_bound([1.0, 0.5, 0.25], 0.0, NAN),
+        lambda: verify_recurrence_bound([1.0, 0.5, 0.25], 0.0, INF),
+        lambda: verify_recurrence_bound([1.0, 0.5, 0.25], NAN, 0.5),
+        lambda: verify_recurrence_bound([1.0, 0.5, 0.25], INF, 0.5),
+        lambda: little_o_proxy([1.0, 0.5, 0.25, 0.125], NAN),
+        lambda: little_o_proxy([1.0, 0.5, 0.25, 0.125], INF),
+        lambda: check_residual_summability(_halving_trace(), NAN, 1.0),
+        lambda: check_residual_summability(_halving_trace(), 2.0, NAN),
+        lambda: check_residual_summability(_halving_trace(), 2.0, INF),
+        lambda: check_residual_summability(_halving_trace(), INF, 1.0),
+        lambda: range_region([1.0, 0.0], [0.0, 0.0], NAN, 1.0, 5),
+        lambda: range_region([1.0, 0.0], [0.0, 0.0], 2.0, NAN, 5),
+        lambda: range_region([1.0, 0.0], [0.0, 0.0], INF, 1.0, 5),
+        lambda: range_region([1.0, 0.0], [0.0, 0.0], 2.0, INF, 5),
+    ], ids=["recurrence-nan-mu", "recurrence-inf-mu", "recurrence-nan-p",
+            "recurrence-inf-p", "little-o-nan-gamma", "little-o-inf-gamma",
+            "summability-nan-gamma", "summability-nan-mu", "summability-inf-mu",
+            "summability-inf-gamma", "region-nan-gamma", "region-nan-mu",
+            "region-inf-gamma", "region-inf-mu"])
+    def test_is_rejected(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -15,7 +15,6 @@ from fpcert.problems import (
     build_operator,
     default_step_sizes,
     least_squares_problem,
-    load_problem,
     reference_solution,
     separable_smooth_l1_problem,
     step_size_bounds,
@@ -164,6 +163,14 @@ class TestSeparable:
         with pytest.raises(ValueError):
             separable_smooth_l1_problem([1.0], [1.0], -0.5)
 
+    @pytest.mark.parametrize("coeffs, b", [
+        ([1.0, np.nan], [1.0, 2.0]), ([1.0, np.inf], [1.0, 2.0]),
+        ([1.0, 2.0], [np.nan, 2.0]), ([1.0, 2.0], [1.0, -np.inf]),
+    ], ids=["nan-coeff", "inf-coeff", "nan-b", "inf-b"])
+    def test_non_finite_data_rejected(self, coeffs, b):
+        with pytest.raises(ValueError, match="coeffs and b must be finite"):
+            separable_smooth_l1_problem(coeffs, b, 0.5)
+
     def test_closed_form_is_fixed_point(self):
         rng = np.random.default_rng(3)
         coeffs = rng.uniform(0.5, 2.0, 8)
@@ -296,9 +303,9 @@ class TestPrecomposedMaps:
             build_operator(PRECOMPOSED[kind], beta)
 
     def test_infinite_coefficient_raises_instead_of_iterating_nan(self):
-        problem = separable_smooth_l1_problem([1.0, np.inf], [1.0, 2.0], 0.1)
-        with pytest.raises(ValueError, match="beta must be positive"):
-            build_operator(problem)
+        # L = inf would give beta = 1/L = 0; the constructor refuses first
+        with pytest.raises(ValueError, match="coeffs and b must be finite"):
+            separable_smooth_l1_problem([1.0, np.inf], [1.0, 2.0], 0.1)
 
     def test_non_positive_definite_step_pair_raises(self):
         problem = PRECOMPOSED["analysis_l1"]
@@ -482,51 +489,3 @@ class TestOperatorProperties:
         op = gradient_step(lambda x: lipschitz * x, 3.0 / lipschitz, 1)
         cert = certify(op, "nonexpansive", {}, plan=MODERATE_PLAN)
         assert not cert.passed
-
-
-class TestLoadProblem:
-    def test_least_squares_with_matrix_files(self, tmp_path):
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((6, 3))
-        b = rng.standard_normal(6)
-        write_matrix(tmp_path / "A.txt", a)
-        write_matrix(tmp_path / "b.txt", b.reshape(-1, 1))
-        config = tmp_path / "problem.json"
-        config.write_text(json.dumps({"kind": "least_squares", "A": "A.txt",
-                                      "b": "b.txt"}))
-        p = load_problem(config)
-        assert p.kind == "least_squares"
-        assert p.dims == (3, 0)
-
-    def test_separable_inline(self, tmp_path):
-        config = tmp_path / "problem.json"
-        config.write_text(json.dumps({
-            "kind": "separable_smooth_l1",
-            "coeffs": [1.0, 2.0], "b": [5.0, -1.0], "lambda": 1.0,
-        }))
-        p = load_problem(config)
-        np.testing.assert_allclose(p.exact_solution, [4.0, -0.5])
-
-    def test_analysis_inline(self, tmp_path):
-        config = tmp_path / "problem.json"
-        config.write_text(json.dumps({
-            "kind": "analysis_l1",
-            "A": [[1.0, 0.0], [0.0, 1.0]],
-            "b": [1.0, 2.0],
-            "B": [[1.0, -1.0]],
-            "lambda": 0.3,
-        }))
-        p = load_problem(config)
-        assert p.dims == (2, 1)
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        config = tmp_path / "problem.json"
-        config.write_text(json.dumps({"kind": "quadratic"}))
-        with pytest.raises(ValueError, match="kind"):
-            load_problem(config)
-
-    def test_missing_field_named(self, tmp_path):
-        config = tmp_path / "problem.json"
-        config.write_text(json.dumps({"kind": "least_squares", "A": [[1.0]]}))
-        with pytest.raises(ValueError, match="'b'"):
-            load_problem(config)
