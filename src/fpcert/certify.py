@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import L2, NormSpec, norm
+from .metrics import L2, NormSpec, check_number, norm
 
 __all__ = [
     "SamplingPlan",
@@ -102,11 +102,11 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be at least 1")
-        if len(self.radius_scales) == 0 or not all(
-                0 < r < np.inf for r in self.radius_scales):
-            raise ValueError("radius_scales must be nonempty, positive and finite")
+        check_number("n_pairs", self.n_pairs, int, 1, strict=False)
+        if len(self.radius_scales) == 0:
+            raise ValueError("radius_scales must be nonempty")
+        for scale in self.radius_scales:
+            check_number("radius_scales", scale)
 
 
 def _plan_center(dim, hint):
@@ -301,8 +301,9 @@ def _sample(op, plan, norm_spec, points):
 def _check_params(prop, gamma, mu, rho):
     values = {"gamma": gamma, "mu": mu, "rho": rho}
     for name in PROPERTIES[prop].needs:
-        if values[name] is None or not 0 < values[name] < np.inf:
+        if values[name] is None:
             raise ValueError(f"property {prop!r} needs a positive finite {name}")
+        check_number(name, values[name])
 
 
 def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
@@ -362,8 +363,7 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     mu = params.get("mu")
     rho = params.get("rho")
     _check_params(prop, gamma, mu, rho)
-    if not 0 <= tol < np.inf:
-        raise ValueError("tol must be finite and nonnegative")
+    check_number("tol", tol, lower=0.0, strict=False)
     points = PROPERTIES[prop].points
     if points and op.fixed_point_hint is None:
         raise ValueError(f"property {prop!r} requires a fixed_point_hint")
@@ -380,8 +380,7 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
     information); if every pair is skipped an EstimateError is raised.  Any
     nonpositive quotient collapses the estimate to 0.
     """
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
+    check_number("gamma", gamma)
     plan = plan or SamplingPlan()
     _, _, (d, a, b), _ = _sample(op, plan, norm_spec, points=False)
     denom = b**gamma
@@ -457,8 +456,7 @@ def psi(alpha, gamma):
     """The ratio (1 - alpha^g) / (1 - alpha)^g on [0, 1)."""
     if not 0 <= alpha < 1:
         raise ValueError("alpha must lie in [0, 1)")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_number("gamma", gamma)
     return (1.0 - alpha**gamma) / (1.0 - alpha) ** gamma
 
 
@@ -466,17 +464,15 @@ def mu_hat(rho, gamma):
     """Admissible mu for a rho-contraction: (1 - rho^g) / (1 + rho)^g."""
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_number("gamma", gamma)
     return (1.0 - rho**gamma) / (1.0 + rho) ** gamma
 
 
 def composition_mu(mu1, mu2, gamma):
     """Constant surviving composition: 2^(1-g) * min(mu1, mu2), for g >= 1."""
-    if mu1 <= 0 or mu2 <= 0:
-        raise ValueError("mu1 and mu2 must be positive")
-    if gamma < 1:
-        raise ValueError("composition constant requires gamma >= 1")
+    check_number("mu1", mu1)
+    check_number("mu2", mu2)
+    check_number("gamma", gamma, lower=1.0, strict=False)
     return 2.0 ** (1.0 - gamma) * min(mu1, mu2)
 
 
@@ -519,10 +515,9 @@ def range_region(x, xhat, gamma, mu, resolution=201):
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     if x.shape != (2,) or xhat.shape != (2,):
         raise ValueError("range_region is defined for 2-vectors")
-    if not (0 < gamma < np.inf and 0 < mu < np.inf):
-        raise ValueError("gamma and mu must be positive and finite")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    check_number("gamma", gamma)
+    check_number("mu", mu)
+    check_number("resolution", resolution, int, 2, strict=False)
     d = x - xhat
     radius = float(np.linalg.norm(d))
     if radius == 0.0:

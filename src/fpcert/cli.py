@@ -40,7 +40,7 @@ from .iterate import (
     little_o_proxy,
     picard,
 )
-from .metrics import L1, L2, primal_dual_metric, read_matrix
+from .metrics import L1, L2, check_number, primal_dual_metric, read_matrix
 
 __all__ = ["main", "UsageError"]
 
@@ -73,8 +73,8 @@ SCALAR_PARAMS = {
 def _scalar(field_name, value, kind=float, lower=None, strict=False):
     """``value`` as a finite ``kind`` at least ``lower``, or above it if strict.
 
-    Numbers and numeric strings pass; anything else is a UsageError naming
-    the field.  Strict bounds are 0, which the message calls "positive".
+    Numbers and numeric strings pass, bounded by :func:`check_number`;
+    anything else is a UsageError naming the field.
     """
     noun = "an integer" if kind is int else "a number"
     try:
@@ -88,10 +88,11 @@ def _scalar(field_name, value, kind=float, lower=None, strict=False):
         raise UsageError(
             f"field '{field_name}' must be {noun}, got {value!r}"
         ) from None
-    if lower is not None and not (number > lower if strict else number >= lower):
-        rule = f"at least {lower:g}" if lower else (
-            "positive" if strict else "nonnegative")
-        raise UsageError(f"field '{field_name}' must be {rule}, got {value!r}")
+    if lower is not None:
+        try:
+            check_number(field_name, number, kind, lower, strict)
+        except ValueError as err:
+            raise UsageError(f"field '{field_name}': {err}") from None
     return number
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import L2, NormSpec, _norm_fn, norm
+from .metrics import L2, NormSpec, _norm_fn, check_number, norm
 
 __all__ = [
     "StopReason",
@@ -139,10 +139,8 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     norm_spec : NormSpec
         Norm for residuals and reference distances.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if res_tol < 0:
-        raise ValueError("res_tol must be nonnegative")
+    check_number("max_iter", max_iter, int, 1, strict=False)
+    check_number("res_tol", res_tol, lower=0.0, strict=False)
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape != (op.dim,):
         raise ValueError(f"x0 has shape {x.shape}, operator expects ({op.dim},)")
@@ -258,7 +256,7 @@ def fit_rate(seq, model, tail_start=None):
     seq = np.asarray(seq, dtype=float)
     if tail_start is None:
         tail_start = len(seq) // 2
-    if tail_start < 0 or tail_start >= len(seq):
+    if check_number("tail_start", tail_start, int, 0, strict=False) >= len(seq):
         raise ValueError("tail_start outside the sequence")
     tail = seq[tail_start:]
     nonpositive = np.nonzero(tail <= 0.0)[0]
@@ -306,12 +304,11 @@ def little_o_proxy(seq, gamma, tail_start=None):
     ``tail_start`` defaults to half the length; a value below 0 or above
     ``len(seq)`` raises ``ValueError``.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    check_number("gamma", gamma)
     seq = np.asarray(seq, dtype=float)
     if tail_start is None:
         tail_start = len(seq) // 2
-    if tail_start < 0 or tail_start > len(seq):
+    if check_number("tail_start", tail_start, int, 0, strict=False) > len(seq):
         raise ValueError("tail_start outside the sequence")
     tail = seq[tail_start:]
     ks = np.arange(tail_start + 1, tail_start + 1 + len(tail), dtype=float)
@@ -362,8 +359,8 @@ def check_residual_summability(trace, gamma, mu):
     attained at the last one; it is reported together with the verdict,
     which allows ``SUMMABILITY_TOL`` of rounding.
     """
-    if not (0 < gamma < math.inf and 0 < mu < math.inf):
-        raise ValueError("gamma and mu must be positive and finite")
+    check_number("gamma", gamma)
+    check_number("mu", mu)
     errors = _reference_errors(trace, "summability")
     # numpy's power overflows to inf, where a Python float's would raise
     bound = float(np.power(errors[0], gamma))
@@ -459,12 +456,9 @@ def recurrence_bound(a_start, p, b, start, k):
     a vanished ``a_start`` short-circuits to 0 since the sequence has already
     converged.
     """
-    if a_start < 0:
-        raise ValueError("a_start must be nonnegative")
-    if a_start == 0.0:
+    if check_number("a_start", a_start, lower=0.0, strict=False) == 0.0:
         return 0.0
-    if p <= 0:
-        raise ValueError("p must be positive")
+    check_number("p", p)
     if k <= start:
         raise ValueError("k must exceed start")
     b = np.asarray(b, dtype=float)
@@ -496,10 +490,9 @@ def verify_recurrence_bound(seq, p, mu, tol=1e-12):
     index (geometric decay when p == 0), in time linear in the sequence
     length.  Every violation is reported.
     """
-    if not 0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
-    if not 0 <= p < math.inf:
-        raise ValueError("p must be nonnegative and finite")
+    check_number("mu", mu)
+    check_number("p", p, lower=0.0, strict=False)
+    check_number("tol", tol, lower=0.0, strict=False)
     seq = np.asarray(seq, dtype=float)
     if np.any(seq < 0):
         raise ValueError("sequence must be nonnegative")

@@ -1,5 +1,5 @@
-"""Norms, the weighted metric of the primal-dual map, and the Cholesky
-factorization behind them.
+"""Norms, the weighted metric of the primal-dual map, the Cholesky
+factorization behind them, and the range check of every numeric parameter.
 
 Everything here is plain numpy on small dense matrices.  Values are immutable
 after construction and safe to share across threads.
@@ -12,12 +12,14 @@ a stack row's norm equals its vector norm bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "check_number",
     "NormSpec",
     "WeightedMetric",
     "L1",
@@ -33,6 +35,21 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
+
+
+def check_number(name, value, kind=float, lower=0.0, strict=True):
+    """``value`` if it is a finite real number, not a bool, an integer when
+    ``kind`` is int, and above ``lower`` (at least ``lower`` unless
+    ``strict``); else a ValueError naming the parameter, value and rule."""
+    if (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+            and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value))
+            and (value > lower if strict else value >= lower)):
+        return value
+    rule = (f"{'above' if strict else 'at least'} {lower:g}" if lower
+            else "positive" if strict else "nonnegative")
+    noun = "an integer" if kind is int else "finite"
+    raise ValueError(f"{name} must be {noun} and {rule}, got {value!r}")
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -226,8 +243,8 @@ def primal_dual_metric(beta, eta, b_mat):
     step-size pair.  The coupling blocks are exact transposes, so the
     matrix is symmetric as assembled.
     """
-    if beta <= 0 or eta <= 0:
-        raise ValueError("step sizes beta and eta must be positive")
+    check_number("beta", beta)
+    check_number("eta", eta)
     b = np.atleast_2d(np.asarray(b_mat, dtype=float))
     m, n = b.shape
     w = np.zeros((n + m, n + m))
@@ -245,7 +262,9 @@ def read_matrix(path):
         tokens = handle.read().split()
     if len(tokens) < 2:
         raise ValueError(f"matrix file {path} is missing the 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    rows, cols = (check_number(f"{name} in the header of matrix file {path}",
+                               int(token), int, 0, strict=False)
+                  for name, token in zip(("rows", "cols"), tokens))
     values = [float(t) for t in tokens[2:]]
     if len(values) != rows * cols:
         raise ValueError(

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import _matvec, norm, primal_dual_metric
+from .metrics import _matvec, check_number, norm, primal_dual_metric
 
 __all__ = [
     "Operator",
@@ -78,8 +78,7 @@ class Operator:
     label: str = "operator"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("operator dimension must be at least 1")
+        check_number("dim", self.dim, int, 1, strict=False)
         if self.fixed_point_hint is not None:
             hint = np.asarray(self.fixed_point_hint, dtype=float).reshape(-1)
             if hint.shape != (self.dim,):
@@ -117,8 +116,7 @@ class Operator:
 
 def gradient_step(grad_f, beta, dim, fixed_point_hint=None, label="gradient-step"):
     """Explicit gradient step x - beta * grad_f(x) for beta > 0."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_number("beta", beta)
 
     def step(x):
         return x - beta * np.asarray(grad_f(x), dtype=float)
@@ -134,7 +132,9 @@ def soft_threshold(lam, x):
     the Moreau form x - clip(x, -lam, lam), three ufuncs, whose bits equal
     sign(x) * max(|x| - lam, 0) but for the sign of a zero in the dead zone.
     """
-    if lam < 0:
+    # not check_number: t * lam overflows to +inf for a huge lam, where the
+    # shrinkage is 0, and an inline compare keeps the per-step cost down
+    if not lam >= 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
     return x - np.minimum(np.maximum(x, -lam), lam)
@@ -147,7 +147,8 @@ def block_soft_threshold(lam, x):
     row included, map to zero without a division warning, and rows whose
     squares overflow shrink by their finite norm without an overflow warning.
     """
-    if lam < 0:
+    # inline and admitting +inf, as in soft_threshold
+    if not lam >= 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
     nrm = np.asarray(norm(x))[..., None]
@@ -158,15 +159,13 @@ def block_soft_threshold(lam, x):
 
 def l1_prox(lam=1.0):
     """Prox family of lam * |.|_1: (t, x) -> componentwise shrinkage by t*lam."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_number("lam", lam, lower=0.0, strict=False)
     return _stackable(lambda t, x: soft_threshold(t * lam, x))
 
 
 def l2_prox(lam=1.0):
     """Prox family of lam * |.|_2: (t, x) -> radial shrinkage by t*lam."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_number("lam", lam, lower=0.0, strict=False)
     return _stackable(lambda t, x: block_soft_threshold(t * lam, x))
 
 
@@ -179,8 +178,7 @@ def box_prox(lower, upper):
 
 def prox_operator(prox, scale, dim, fixed_point_hint=None, label="prox"):
     """Wrap a prox family at a fixed scale as an Operator."""
-    if scale <= 0:
-        raise ValueError("prox scale must be positive")
+    check_number("scale", scale)
     return Operator(dim, _stackable(lambda x: prox(scale, x), prox), fixed_point_hint,
                     label)
 
@@ -226,8 +224,7 @@ def compose(s, t):
 def proximal_gradient(grad_f, prox_g, beta, dim, fixed_point_hint=None,
                       label="prox-grad"):
     """Forward-backward map: prox of beta*g after a beta gradient step on f."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_number("beta", beta)
 
     def step(x):
         return prox_g(beta, x - beta * np.asarray(grad_f(x), dtype=float))

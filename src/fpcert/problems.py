@@ -11,7 +11,7 @@ import numpy as np
 
 from . import operators
 from .iterate import StopReason, picard
-from .metrics import _matvec, primal_dual_metric
+from .metrics import _matvec, check_number, primal_dual_metric
 
 __all__ = [
     "ProblemSpec",
@@ -136,8 +136,7 @@ def separable_smooth_l1_problem(coeffs, b, lam):
         raise ValueError("coeffs and b must be finite")
     if np.any(coeffs <= 0):
         raise ValueError("coeffs must be positive")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_number("lam", lam, lower=0.0, strict=False)
     solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)
     return ProblemSpec(
         kind="separable_smooth_l1",
@@ -167,8 +166,7 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
         raise ValueError("coupling matrix column count does not match the primal dimension")
     if not np.isfinite(b_coupling).all():
         raise ValueError("coupling matrix must be finite")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_number("lam", lam, lower=0.0, strict=False)
 
     return ProblemSpec(
         kind="analysis_l1",
@@ -209,10 +207,8 @@ class StepSizeBounds:
 
 def step_size_bounds(lipschitz, b_norm=0.0, beta=None):
     """Step-size bounds: beta below 2/L and, given beta, the matching eta bound."""
-    if lipschitz <= 0:
-        raise ValueError("lipschitz constant must be positive")
-    if b_norm < 0:
-        raise ValueError("b_norm must be nonnegative")
+    check_number("lipschitz", lipschitz)
+    check_number("b_norm", b_norm, lower=0.0, strict=False)
     beta_max = 2.0 / lipschitz
     eta_max = None
     if beta is not None:
@@ -267,8 +263,7 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     explicit vector to override it.
     """
     beta, eta = default_step_sizes(problem, beta, eta)
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    check_number("beta", beta)
     if isinstance(hint, str) and hint == "auto":
         hint = problem.exact_solution
     h, g = problem.quadratic
@@ -346,8 +341,7 @@ def reference_solution(problem, tol=1e-8):
     orders tighter than ``tol``; failure to converge within 10**6 steps
     raises ReferenceError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_number("tol", tol)
     if problem.exact_solution is not None:
         return Reference(
             value=problem.exact_solution.copy(),

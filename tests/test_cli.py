@@ -422,6 +422,8 @@ class TestUsageErrors:
              "problem"),                               # infinite separable b
             ("solve", {"problem": "huge_int_b.json"}, [],
              "b"),                                     # integer beyond a double
+            ("solve", {"problem": "negative_header_a.json"}, [],
+             "A"),                                     # negative matrix-file header
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -465,6 +467,9 @@ class TestUsageErrors:
             "kind": "separable_smooth_l1", "coeffs": "nan.txt", "b": [1, 1]})
         write_config(tmp_path / "inf_b.json", {
             "kind": "separable_smooth_l1", "coeffs": [1, 2], "b": [1, float("inf")]})
+        (tmp_path / "negative.txt").write_text("-2 -2\n1 0 0 1\n")
+        write_config(tmp_path / "negative_header_a.json", {
+            "kind": "least_squares", "A": "negative.txt", "b": [1, 1]})
         write_config(tmp_path / "huge_int_b.json", {
             "kind": "least_squares", "A": [[1, 0], [0, 1]], "b": [1, 10**400]})
         write_config(tmp_path / "far.json",
@@ -543,6 +548,13 @@ class TestProblemConfig:
     def test_unknown_kind_rejected(self, tmp_path):
         config = write_config(tmp_path / "problem.json", {"kind": "quadratic"})
         with pytest.raises(UsageError, match="field 'kind'"):
+            load_problem_config(config)
+
+    def test_negative_matrix_header_named(self, tmp_path):
+        (tmp_path / "A.txt").write_text("-2 -2\n1 0 0 1\n")
+        config = write_config(tmp_path / "problem.json",
+                              {"kind": "least_squares", "A": "A.txt", "b": [1.0, 1.0]})
+        with pytest.raises(UsageError, match="field 'A': rows in the header of matrix"):
             load_problem_config(config)
 
     def test_missing_field_named(self, tmp_path):

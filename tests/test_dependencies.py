@@ -136,3 +136,57 @@ def test_spectral_check_sees_svd_eig_and_ord_two_norms():
               "        return linalg.eig(self.a)\n")
     assert spectral_calls(source) == [(4, "f"), (5, "f"), (7, "f"), (8, None),
                                       (11, "C")]
+
+
+def _bare_bound(test):
+    """Whether ``test`` compares a name or attribute with a numeric constant
+    by ``<`` or ``<=`` alone, a test that NaN passes."""
+    sides = [test.left, *test.comparators] if isinstance(test, ast.Compare) else []
+    return (bool(sides) and all(isinstance(op, (ast.Lt, ast.LtE)) for op in test.ops)
+            and any(isinstance(s, (ast.Name, ast.Attribute)) for s in sides)
+            and any(isinstance(s, ast.Constant) and type(s.value) in (int, float)
+                    for s in sides))
+
+
+def nan_blind_guards(source):
+    """Lines of each ``if`` that raises on a bare ``<``/``<=`` bound of a
+    parameter or attribute, alone or in an ``or``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If)
+                and any(isinstance(s, ast.Raise) for s in node.body)):
+            continue
+        test = node.test
+        tests = (test.values if isinstance(test, ast.BoolOp)
+                 and isinstance(test.op, ast.Or) else [test])
+        if any(_bare_bound(t) for t in tests):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numeric_parameters_are_bounded_by_check_number(path):
+    # one range rule: metrics.check_number rejects NaN, which passes a bare
+    # "x <= 0" guard
+    assert nan_blind_guards(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_check_sees_bare_bounds_alone_and_in_an_or():
+    source = ("def f(x, n, self):\n"
+              "    if x <= 0:\n"
+              "        raise ValueError\n"
+              "    if n < 1 or n > len(self.items):\n"
+              "        raise ValueError\n"
+              "    if self.dim < 1:\n"
+              "        raise ValueError\n"
+              "    if 0.5 <= x:\n"
+              "        raise ValueError\n"
+              "    if not 0 < x < 1:\n"
+              "        raise ValueError\n"
+              "    if x < 0:\n"
+              "        return 0.0\n"
+              "    if n < len(self.items) or x >= 1:\n"
+              "        raise ValueError\n"
+              "    if x < 0 and n < 1:\n"
+              "        raise ValueError\n")
+    assert nan_blind_guards(source) == [2, 4, 6, 8]

@@ -379,8 +379,9 @@ class TestLittleOProxy:
         assert report.verdict
 
     def test_tail_start_outside_the_sequence_raises(self):
-        for tail_start in (-1, 4):
-            with pytest.raises(ValueError, match="tail_start outside the sequence"):
+        for tail_start, message in ((-1, "tail_start must be an integer and nonnegative"),
+                                    (4, "tail_start outside the sequence")):
+            with pytest.raises(ValueError, match=message):
                 little_o_proxy([1.0, 2.0, 3.0], 2.0, tail_start=tail_start)
         # the default and the end of the sequence stay valid, on the empty
         # sequence too

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpcert.certify import (SamplingPlan, certify, composition_mu, estimate_mu,
+                            gan_slack, mu_hat, psi, range_region)
+from fpcert.cli import _scalar
+from fpcert.iterate import (check_residual_summability, fit_rate, little_o_proxy, picard,
+                            recurrence_bound, verify_recurrence_bound)
 from fpcert.metrics import (
     L1,
     L2,
     NotPositiveDefiniteError,
     _matvec,
+    check_number,
     cholesky_factor,
     norm,
     primal_dual_metric,
@@ -17,6 +23,13 @@ from fpcert.metrics import (
     weighted_norm,
     write_matrix,
 )
+from fpcert.operators import (Operator, affine, block_soft_threshold, gradient_step,
+                              l1_prox, l2_prox, prox_operator, proximal_gradient,
+                              soft_threshold)
+from fpcert.problems import (analysis_l1_problem, build_operator, reference_solution,
+                             separable_smooth_l1_problem, step_size_bounds)
+
+NAN, INF = float("nan"), float("inf")
 
 
 def random_spd(rng, n, jitter=0.1):
@@ -268,3 +281,145 @@ class TestMatrixIO:
         path.write_text("")
         with pytest.raises(ValueError, match="header"):
             read_matrix(path)
+
+    def test_negative_header_rejected_naming_the_file(self, tmp_path):
+        # -2 x -2 holds the 4 values given, which numpy would then misread
+        # as a reshape to two unknown dimensions
+        path = tmp_path / "negative.txt"
+        path.write_text("-2 -2\n1 2 3 4\n")
+        with pytest.raises(ValueError, match="rows in the header of matrix file") as info:
+            read_matrix(path)
+        assert str(path) in str(info.value)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value, kind", [
+        (1, float), (2.5, float), (np.float64(3.0), float), (np.float32(0.5), float),
+        (7, int), (np.int64(4), int), (10**400, int), (10**400, float)])
+    def test_a_valid_value_is_returned_as_given(self, value, kind):
+        assert check_number("x", value, kind) is value
+
+    @pytest.mark.parametrize("value, kind, lower, strict, rule", [
+        (0.0, float, 0.0, True, "finite and positive"),
+        (-1e-300, float, 0.0, False, "finite and nonnegative"),
+        (1, int, 2, False, "an integer and at least 2"),
+        (2.0, int, 1, False, "an integer and at least 1"),
+        (2.5, int, 0, False, "an integer and nonnegative"),
+        (0.5, float, 0.5, True, "finite and above 0.5"),
+        (True, int, 0, False, "an integer and nonnegative"),
+        (False, float, 0.0, False, "finite and nonnegative"),
+        ("1", float, 0.0, True, "finite and positive"),
+        (None, float, 0.0, True, "finite and positive"),
+        (NAN, float, -INF, True, "finite and above -inf"),
+        (INF, float, 0.0, False, "finite and nonnegative"),
+        (-INF, float, -1.0, False, "finite and at least -1"),
+    ])
+    def test_an_invalid_value_is_named_with_the_rule(self, value, kind, lower, strict,
+                                                     rule):
+        with pytest.raises(ValueError) as info:
+            check_number("x", value, kind, lower, strict)
+        assert str(info.value) == f"x must be {rule}, got {value!r}"
+
+    def test_the_bound_itself_passes_unless_strict(self):
+        assert check_number("x", 0.0, lower=0.0, strict=False) == 0.0
+        assert check_number("n", 2, int, 2, strict=False) == 2
+
+
+def _trace():
+    return picard(affine(0.5, [0.0]), [1.0], 20, ref=[0.0])
+
+
+def _separable():
+    return separable_smooth_l1_problem([1.0, 2.0], [1.0, 1.0], 0.1)
+
+
+_OP = affine(0.5, [1.0, 2.0])
+_GAN = {"gamma": 2.0, "mu": 0.5}
+FINITE, INTEGER = (NAN, INF), (NAN, INF, 2.5)
+
+# (call site, the parameter its message names, bad values it is called with)
+BAD_PARAMETERS = [
+    ("sampling-plan", lambda v: SamplingPlan(n_pairs=v), "n_pairs", INTEGER),
+    ("sampling-plan", lambda v: SamplingPlan(radius_scales=(1.0, v)),
+     "radius_scales", FINITE),
+    ("certify", lambda v: certify(_OP, "gan", {**_GAN, "gamma": v}), "gamma", FINITE),
+    ("certify", lambda v: certify(_OP, "gan", {**_GAN, "mu": v}), "mu", FINITE),
+    ("certify", lambda v: certify(_OP, "contractive", {"rho": v}), "rho", FINITE),
+    ("certify", lambda v: certify(_OP, "gan", _GAN, tol=v), "tol", FINITE),
+    ("gan-slack", lambda v: gan_slack(_OP, [1.0, 0.0], [0.0, 0.0], 2.0, v), "mu",
+     FINITE),
+    ("estimate-mu", lambda v: estimate_mu(_OP, v), "gamma", FINITE),
+    ("psi", lambda v: psi(0.5, v), "gamma", FINITE),
+    ("mu-hat", lambda v: mu_hat(0.5, v), "gamma", FINITE),
+    ("composition-mu", lambda v: composition_mu(v, 1.0, 2.0), "mu1", FINITE),
+    ("composition-mu", lambda v: composition_mu(1.0, v, 2.0), "mu2", FINITE),
+    ("composition-mu", lambda v: composition_mu(1.0, 1.0, v), "gamma", FINITE),
+    ("range-region", lambda v: range_region([1.0, 0.0], [0.0, 0.0], v, 1.0, 5),
+     "gamma", FINITE),
+    ("range-region", lambda v: range_region([1.0, 0.0], [0.0, 0.0], 2.0, v, 5),
+     "mu", FINITE),
+    ("range-region", lambda v: range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1.0, v),
+     "resolution", INTEGER),
+    ("picard", lambda v: picard(_OP, [0.0, 0.0], v), "max_iter", INTEGER),
+    ("picard", lambda v: picard(_OP, [0.0, 0.0], 10, res_tol=v), "res_tol", FINITE),
+    ("fit-rate", lambda v: fit_rate(0.5 ** np.arange(10), "exponential", v),
+     "tail_start", INTEGER),
+    ("little-o", lambda v: little_o_proxy([1.0, 0.5, 0.25], 2.0, v), "tail_start",
+     INTEGER),
+    ("little-o", lambda v: little_o_proxy([1.0, 0.5, 0.25], v), "gamma", FINITE),
+    ("summability", lambda v: check_residual_summability(_trace(), v, 1.0), "gamma",
+     FINITE),
+    ("summability", lambda v: check_residual_summability(_trace(), 2.0, v), "mu",
+     FINITE),
+    ("recurrence-bound", lambda v: recurrence_bound(v, 1.0, [1.0, 1.0], 0, 2),
+     "a_start", FINITE),
+    ("recurrence-bound", lambda v: recurrence_bound(1.0, v, [1.0, 1.0], 0, 2), "p",
+     FINITE),
+    ("verify-recurrence", lambda v: verify_recurrence_bound([1.0, 0.5], 1.0, v), "mu",
+     FINITE),
+    ("verify-recurrence", lambda v: verify_recurrence_bound([1.0, 0.5], v, 0.5), "p",
+     FINITE),
+    ("verify-recurrence",
+     lambda v: verify_recurrence_bound([1.0, 0.5], 1.0, 0.5, tol=v), "tol", FINITE),
+    ("primal-dual-metric", lambda v: primal_dual_metric(v, 1.0, np.eye(1)), "beta",
+     FINITE),
+    ("primal-dual-metric", lambda v: primal_dual_metric(1.0, v, np.eye(1)), "eta",
+     FINITE),
+    ("operator", lambda v: Operator(v, lambda x: x), "dim", INTEGER),
+    ("gradient-step", lambda v: gradient_step(lambda x: x, v, 2), "beta", FINITE),
+    ("proximal-gradient", lambda v: proximal_gradient(lambda x: x, l1_prox(), v, 2),
+     "beta", FINITE),
+    ("l1-prox", l1_prox, "lam", FINITE),
+    ("l2-prox", l2_prox, "lam", FINITE),
+    ("prox-operator", lambda v: prox_operator(l1_prox(1.0), v, 2), "scale", FINITE),
+    # the per-step kernels admit +inf, see test_soft_threshold_shrinks_everything_at_inf
+    ("soft-threshold", lambda v: soft_threshold(v, [1.0]), "threshold", (NAN,)),
+    ("block-soft-threshold", lambda v: block_soft_threshold(v, [1.0]), "threshold",
+     (NAN,)),
+    ("separable-l1", lambda v: separable_smooth_l1_problem([1, 2], [1, 1], v), "lam",
+     FINITE),
+    ("analysis-l1",
+     lambda v: analysis_l1_problem(np.eye(2), [1.0, 1.0], [[1.0, 0.0]], v), "lam",
+     FINITE),
+    ("step-size-bounds", step_size_bounds, "lipschitz", FINITE),
+    ("step-size-bounds", lambda v: step_size_bounds(1.0, v), "b_norm", FINITE),
+    ("build-operator", lambda v: build_operator(_separable(), v), "beta", FINITE),
+    ("reference-solution", lambda v: reference_solution(_separable(), v), "tol",
+     FINITE),
+    ("cli-scalar", lambda v: _scalar("gamma", v, float, 0.0, True), "gamma",
+     (NAN, INF, -1.0)),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{site}-{name}-{value}")
+    for site, call, name, values in BAD_PARAMETERS for value in values])
+def test_every_bound_check_rejects_a_bad_value_naming_its_parameter(call, name, value):
+    # NaN fails every comparison, so a bare "x <= 0" test lets it through
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
+def test_soft_threshold_shrinks_everything_at_inf():
+    # the prox families pass t * lam, which overflows to +inf for a huge lam
+    np.testing.assert_array_equal(soft_threshold(INF, [3.0, -1e300, 0.0]), [0.0] * 3)
