@@ -103,18 +103,11 @@ class SamplingPlan:
 
     def __post_init__(self):
         check_number("n_pairs", self.n_pairs, int, 1, strict=False)
+        check_number("seed", self.seed, int, 0, strict=False)
         if len(self.radius_scales) == 0:
             raise ValueError("radius_scales must be nonempty")
         for scale in self.radius_scales:
             check_number("radius_scales", scale)
-
-
-def _plan_center(dim, hint):
-    return np.zeros(dim) if hint is None else hint
-
-
-def _straddle_count(plan):
-    return max(1, plan.n_pairs // 10)
 
 
 def sample_pairs(plan, dim, hint=None):
@@ -128,7 +121,7 @@ def sample_pairs(plan, dim, hint=None):
     scales = plan.radius_scales
     blocks = [(out, plan.n_pairs, scale) for scale in scales for out in (0, 1)]
     if hint is not None:
-        k = _straddle_count(plan)
+        k = max(1, plan.n_pairs // 10)
         blocks += [(out, k, sign * scale) for scale in scales
                    for out, sign in ((0, 1.0), (1, -1.0))]
     return tuple(_draw(plan, dim, hint, blocks))
@@ -150,7 +143,7 @@ def _draw(plan, dim, hint, blocks):
     temporary; a negative scale gives center - |scale| * draws.
     """
     rng = np.random.default_rng(plan.seed)
-    center = _plan_center(dim, hint)
+    center = np.zeros(dim) if hint is None else hint
     outputs = range(1 + max(out for out, _, _ in blocks))
     arrays = [np.empty((sum(c for o, c, _ in blocks if o == out), dim))
               for out in outputs]
@@ -282,12 +275,16 @@ def _sample(op, plan, norm_spec, points):
 
     Pairs come from :func:`sample_pairs`.  With ``points`` they come from
     :func:`sample_points` with the hint as every y, and points within
-    DENOMINATOR_CUTOFF of the hint are dropped.
+    DENOMINATOR_CUTOFF of the hint are dropped; an operator without a hint
+    raises ValueError.
     """
     hint = op.fixed_point_hint
     if not points:
         xs, ys = sample_pairs(plan, op.dim, hint)
         return xs, ys, _triples(op, xs, ys, norm_spec), 0
+    if hint is None:
+        raise ValueError("a claim measured against the fixed point requires a "
+                         "fixed_point_hint")
     xs = sample_points(plan, op.dim, hint)
     ys = np.broadcast_to(hint, xs.shape)
     triple = _triples(op, xs, ys, norm_spec, fixed=True)
@@ -364,10 +361,7 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     rho = params.get("rho")
     _check_params(prop, gamma, mu, rho)
     check_number("tol", tol, lower=0.0, strict=False)
-    points = PROPERTIES[prop].points
-    if points and op.fixed_point_hint is None:
-        raise ValueError(f"property {prop!r} requires a fixed_point_hint")
-    sample = _sample(op, plan, norm_spec, points)
+    sample = _sample(op, plan, norm_spec, PROPERTIES[prop].points)
     return _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol)
 
 
@@ -446,8 +440,6 @@ def estimate_fp_ratio(op, norm_spec=L2, plan=None):
     reported.
     """
     plan = plan or SamplingPlan()
-    if op.fixed_point_hint is None:
-        raise ValueError("estimate_fp_ratio requires a fixed_point_hint")
     _, _, (d, a, _), _ = _sample(op, plan, norm_spec, points=True)
     return float(np.max(a / d))
 

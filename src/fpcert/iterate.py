@@ -408,7 +408,7 @@ def check_sandwich(trace, mu):
     lies in (0, 1] and is taken from an exponent-1 certificate.  Each side
     allows ``SANDWICH_TOL`` of rounding.
     """
-    if trace.stop_reason is not StopReason.RESIDUAL_TOL:
+    if not trace.converged:
         raise ValueError("sandwich check needs a trace stopped by the residual tolerance")
     if not 0 < mu <= 1.0 + 1e-9:
         raise ValueError("mu must lie in (0, 1]")

@@ -153,7 +153,8 @@ def block_soft_threshold(lam, x):
     x = np.asarray(x, dtype=float)
     nrm = np.asarray(norm(x))[..., None]
     absorbed = nrm <= lam  # False on a NaN row, which stays NaN
-    ratio = lam / np.where(absorbed, np.inf, nrm)
+    # an absorbed row takes 0 / 1, never lam / inf, which is NaN at lam = inf
+    ratio = np.where(absorbed, 0.0, lam) / np.where(absorbed, 1.0, nrm)
     return np.where(absorbed, 0.0, (1.0 - ratio) * x)
 
 
@@ -203,9 +204,10 @@ def affine(alpha, z, label=None):
 def compose(s, t):
     """The composition s(t(x)).
 
-    The fixed-point hint survives only when both factors carry hints and the
-    hints coincide to within 1e-8; a shared fixed point of both factors is a
-    fixed point of the composition, but nothing weaker is.
+    The fixed-point hint survives only when both factors carry hints and
+    they coincide to within 1e-8 * (1 + |t's hint|), the drift an Operator
+    admits at that hint; a shared fixed point of both factors is a fixed
+    point of the composition, but nothing weaker is.
     """
     if s.dim != t.dim:
         raise ValueError(
@@ -213,7 +215,8 @@ def compose(s, t):
         )
     hint = None
     if s.fixed_point_hint is not None and t.fixed_point_hint is not None:
-        if norm(s.fixed_point_hint - t.fixed_point_hint) <= HINT_TOL:
+        gap = norm(s.fixed_point_hint - t.fixed_point_hint)
+        if gap <= HINT_TOL * (1.0 + norm(t.fixed_point_hint)):
             hint = t.fixed_point_hint
     return Operator(
         s.dim, _stackable(lambda x: s(t(x)), s.fn, t.fn), hint,

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators
-from .iterate import StopReason, picard
+from .iterate import picard
 from .metrics import _matvec, check_number, primal_dual_metric
 
 __all__ = [
@@ -70,13 +70,23 @@ class ProblemSpec:
     def grad_f(self):
         """x -> H x - g, on a vector and row by row on a (k, n) stack."""
         h, g = self.quadratic
-        if h.ndim == 1:
-            def grad(x):
-                return h * x - g
-        else:
-            def grad(x):
-                return _matvec(h, x) - g
-        return operators._stackable(grad)
+        return _affine_step(h, -g)
+
+
+def _affine_step(lin, shift):
+    """x -> lin x + shift, stack-marked, as one product and one in-place add;
+    ``lin`` is an (n, n) matrix or the (n,) diagonal of a diagonal one."""
+    if lin.ndim == 1:
+        def step(x):
+            y = lin * x
+            y += shift
+            return y
+    else:
+        def step(x):
+            y = _matvec(lin, x)
+            y += shift
+            return y
+    return operators._stackable(step)
 
 
 def _data_fit(a_mat, b):
@@ -136,13 +146,13 @@ def separable_smooth_l1_problem(coeffs, b, lam):
         raise ValueError("coeffs and b must be finite")
     if np.any(coeffs <= 0):
         raise ValueError("coeffs must be positive")
-    check_number("lam", lam, lower=0.0, strict=False)
+    prox_g = operators.l1_prox(lam)  # checks lam before it divides
     solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)
     return ProblemSpec(
         kind="separable_smooth_l1",
         lipschitz=float(np.max(coeffs)),
         lower_lipschitz=float(np.min(coeffs)),
-        prox_g=operators.l1_prox(lam),
+        prox_g=prox_g,
         exact_solution=solution,
         dims=(len(b), 0),
         quadratic=(coeffs, coeffs * b),
@@ -166,12 +176,12 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
         raise ValueError("coupling matrix column count does not match the primal dimension")
     if not np.isfinite(b_coupling).all():
         raise ValueError("coupling matrix must be finite")
-    check_number("lam", lam, lower=0.0, strict=False)
+    prox_g = operators.l1_prox(lam)
 
     return ProblemSpec(
         kind="analysis_l1",
         lipschitz=float(np.linalg.norm(a, 2)) ** 2,
-        prox_g=operators.l1_prox(lam),
+        prox_g=prox_g,
         b_mat=b_coupling,
         b_norm=float(np.linalg.norm(b_coupling, 2)),
         dims=(a.shape[1], b_coupling.shape[0]),
@@ -272,19 +282,10 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     primal = 1.0 - beta * h if h.ndim == 1 else np.eye(n) - beta * h
     shift = beta * g
     if problem.b_mat is None:
-        if h.ndim == 1:
-            def forward(x):
-                y = primal * x
-                y += shift
-                return y
-        else:
-            def forward(x):
-                y = _matvec(primal, x)
-                y += shift
-                return y
+        forward = _affine_step(primal, shift)
         if prox is None:
             return operators.Operator(
-                n, operators._stackable(forward), hint,
+                n, forward, hint,
                 f"{problem.label} gradient-step(beta={beta:g})",
             )
 
@@ -351,7 +352,7 @@ def reference_solution(problem, tol=1e-8):
         )
     op = build_operator(problem)
     trace = picard(op, np.zeros(op.dim), 10**6, res_tol=tol * 1e-3)
-    if trace.stop_reason is not StopReason.RESIDUAL_TOL:
+    if not trace.converged:
         raise ReferenceError(
             f"reference iteration stopped with {trace.stop_reason.value} at "
             f"residual {trace.final_residual:.3e}"

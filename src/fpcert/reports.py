@@ -93,11 +93,15 @@ def dumps_json(obj):
     return "".join(parts) + "\n"
 
 
-def write_json(path, obj):
-    text = dumps_json(obj)
+def _write(path, chunks):
+    """Write the strings ``chunks`` to ``path`` as UTF-8 with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
     return path
+
+
+def write_json(path, obj):
+    return _write(path, [dumps_json(obj)])
 
 
 def trace_csv(trace, params=None):
@@ -112,10 +116,7 @@ def trace_csv(trace, params=None):
 
 def write_trace_csv(path, trace, params=None):
     """Write :func:`trace_csv` to ``path``, ``TRACE_CHUNK_ROWS`` rows at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for chunk in _trace_chunks(trace, params):
-            handle.write(chunk)
-    return path
+    return _write(path, _trace_chunks(trace, params))
 
 
 def _trace_rows(lo, residuals, errors):
@@ -198,6 +199,4 @@ def region_csv(grid):
 
 
 def write_region_csv(path, grid):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(region_csv(grid))
-    return path
+    return _write(path, [region_csv(grid)])

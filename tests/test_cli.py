@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from fpcert.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, SCALAR_PARAMS, UsageError,
                         load_problem_config, main)
-from fpcert.metrics import write_matrix
+from fpcert.metrics import primal_dual_metric, write_matrix
 from fpcert.operators import prox_operator, l1_prox
 from fpcert.certify import gan_slack
+from fpcert.problems import analysis_l1_problem, default_step_sizes
 
 
 def write_config(path, payload):
@@ -61,6 +62,22 @@ class TestCertifyCommand:
         slack = gan_slack(op, cert["witness_x"], cert["witness_y"],
                           cert["gamma"], cert["mu"])
         assert abs(slack - cert["min_slack"]) <= 1e-12
+
+    def test_weighted_norm_certificate_records_the_coupled_metric(self, tmp_path):
+        data = {"A": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], "b": [1.0, -1.0, 0.5],
+                "B": [[1.0, -1.0]], "lambda": 0.3}
+        write_config(tmp_path / "problem.json", {"kind": "analysis_l1", **data})
+        cfg = write_config(tmp_path / "run.json", {
+            "problem": "problem.json", "property": "nonexpansive", "norm": "w",
+            "params": {"n_pairs": 20}})
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        cert = json.loads((out / "certificate.json").read_text())
+        spec = analysis_l1_problem(data["A"], data["b"], data["B"], data["lambda"])
+        beta, eta = default_step_sizes(spec)
+        weight = primal_dual_metric(beta, eta, spec.b_mat).norm_spec().weight
+        assert cert["norm"] == "weighted"
+        np.testing.assert_array_equal(cert["norm_weight"], weight)
 
     def test_byte_identical_reruns(self, tmp_path, soft_threshold_config):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -424,6 +441,9 @@ class TestUsageErrors:
              "b"),                                     # integer beyond a double
             ("solve", {"problem": "negative_header_a.json"}, [],
              "A"),                                     # negative matrix-file header
+            ("solve", {}, [], "problem"),              # solve without target
+            ("solve", {"problem": "missing_file_a.json"}, [],
+             "A"),                                     # matrix file missing
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -470,6 +490,8 @@ class TestUsageErrors:
         (tmp_path / "negative.txt").write_text("-2 -2\n1 0 0 1\n")
         write_config(tmp_path / "negative_header_a.json", {
             "kind": "least_squares", "A": "negative.txt", "b": [1, 1]})
+        write_config(tmp_path / "missing_file_a.json", {
+            "kind": "least_squares", "A": "nowhere.txt", "b": [1, 1]})
         write_config(tmp_path / "huge_int_b.json", {
             "kind": "least_squares", "A": [[1, 0], [0, 1]], "b": [1, 10**400]})
         write_config(tmp_path / "far.json",

@@ -93,6 +93,8 @@ class TestPicard:
             picard(identity(1), [1.0], 5, -1.0)
         with pytest.raises(ValueError):
             picard(identity(2), [1.0], 5, 0.0)
+        with pytest.raises(ValueError, match="reference"):
+            picard(identity(2), [1.0, 2.0], 5, 0.0, ref=[0.0])
 
     def test_residuals_monotone_for_nonexpansive_maps(self):
         rng = np.random.default_rng(0)

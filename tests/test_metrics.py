@@ -342,6 +342,8 @@ BAD_PARAMETERS = [
     ("sampling-plan", lambda v: SamplingPlan(n_pairs=v), "n_pairs", INTEGER),
     ("sampling-plan", lambda v: SamplingPlan(radius_scales=(1.0, v)),
      "radius_scales", FINITE),
+    ("sampling-plan", lambda v: SamplingPlan(seed=v), "seed",
+     (True, 2.5, NAN, "3", -1)),
     ("certify", lambda v: certify(_OP, "gan", {**_GAN, "gamma": v}), "gamma", FINITE),
     ("certify", lambda v: certify(_OP, "gan", {**_GAN, "mu": v}), "mu", FINITE),
     ("certify", lambda v: certify(_OP, "contractive", {"rho": v}), "rho", FINITE),

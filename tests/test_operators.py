@@ -226,6 +226,15 @@ class TestCompose:
             warnings.simplefilter("error")
             assert compose(s, t).fixed_point_hint is None
 
+    def test_hint_kept_when_hints_agree_at_large_scale(self):
+        # the two hints of one fixed point round apart by far more than 1e-8
+        z = 1e9 * np.random.default_rng(0).standard_normal(3)
+        s = affine(0.3, 0.7 * z)
+        t = affine(0.9, 0.1 * z)
+        assert norm(s.fixed_point_hint - t.fixed_point_hint) > 1e-8
+        np.testing.assert_array_equal(compose(s, t).fixed_point_hint,
+                                      t.fixed_point_hint)
+
     def test_hint_dropped_when_one_side_missing(self):
         s = identity(1)
         t = affine(0.5, [1.0])
@@ -385,6 +394,14 @@ class TestStacks:
         np.testing.assert_array_equal(zero_lam, xs)
         for row, got in zip(xs, out):
             np.testing.assert_array_equal(got, block_soft_threshold(5.0, row))
+
+    def test_block_shrinkage_at_an_infinite_threshold(self):
+        # warns on no row: the suite turns a RuntimeWarning into an error
+        xs = np.array([[3.0, -4.0], [0.0, 0.0], [1e300, 1e300]])
+        np.testing.assert_array_equal(block_soft_threshold(np.inf, xs[0]), [0.0, 0.0])
+        np.testing.assert_array_equal(block_soft_threshold(np.inf, xs), np.zeros((3, 2)))
+        # 10 * 1e308 overflows to an infinite threshold
+        np.testing.assert_array_equal(l2_prox(1e308)(10.0, xs[0]), [0.0, 0.0])
 
     def test_block_shrinkage_rows_whose_squares_overflow(self):
         xs = np.array([[3e200, -4e200, 1.0], [1.0, 2.0, 2.0], [1.5e308, 1.5e308, 0.0]])

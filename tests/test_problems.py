@@ -391,6 +391,15 @@ class TestReferenceSolution:
         assert ref.value.shape == (5,)
         assert ref.state.shape == (9,)
 
+    def test_iteration_that_stops_short_raises(self, monkeypatch):
+        def three_steps(op, x0, max_iter, res_tol):
+            return picard(op, x0, 3, res_tol)
+
+        monkeypatch.setattr(problems, "picard", three_steps)
+        p = analysis_l1_problem(np.eye(2), [1.0, 2.0], [[1.0, -1.0]], 0.3)
+        with pytest.raises(problems.ReferenceError, match="stopped with max_iter"):
+            reference_solution(p, 1e-8)
+
     def test_tolerance_validated(self):
         p = least_squares_problem(np.eye(2), [1.0, 2.0])
         with pytest.raises(ValueError):
