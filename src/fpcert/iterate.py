@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import L2, NormSpec, _norm_fn, check_number, norm
+from .metrics import L2, NormSpec, _norm_fn, check_number
 
 __all__ = [
     "StopReason",
@@ -35,6 +35,8 @@ __all__ = [
     "NonFiniteIterateError",
     "DIVERGENCE_FACTOR",
     "ERROR_BLOCK",
+    "BLOCK_MIN",
+    "BLOCK_SHARE",
     "SANDWICH_FIT_R2",
     "SUMMABILITY_TOL",
     "SANDWICH_TOL",
@@ -51,10 +53,17 @@ SANDWICH_FIT_R2 = 0.99
 SUMMABILITY_TOL = 1e-10
 SANDWICH_TOL = 1e-8
 
-# Iterates held at once by picard to take their reference errors as one
-# stack norm: enough that the per-block cost is negligible, few enough that
-# the buffer stays small (256 rows of 100 doubles are 200 kB).
+# Iterates held at once by picard to take their residuals and reference
+# errors as one stack norm each: enough that the per-block cost is
+# negligible, few enough that the buffer stays small (257 rows of 100
+# doubles are 200 kB).
 ERROR_BLOCK = 256
+
+# A map with a kernel is stepped in blocks of min(ERROR_BLOCK,
+# max(BLOCK_MIN, k // BLOCK_SHARE)) steps after k steps taken, so it runs at
+# most max(BLOCK_MIN - 1, k / BLOCK_SHARE) steps past the stopping step k.
+BLOCK_MIN = 16
+BLOCK_SHARE = 8
 
 
 class StopReason(enum.Enum):
@@ -110,18 +119,27 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     although the iterates are finite.  A non-finite iterate raises
     NonFiniteIterateError naming the step.  Overflow, or a non-finite
     start, raises no numpy warning during the run: those two outcomes
-    report it.
+    report it.  The three rules are one scalar rule, applied to the
+    residuals in step order.
 
     The arguments and the norm's kind and weight dimension are checked
-    once.  Every step, the first included, has one body: it calls ``op.fn``
+    once.  A map whose ``op.fn`` carries an in-place kernel ``into`` (see
+    :mod:`fpcert.operators`) runs a block of steps at a time: the kernel
+    writes each iterate into the next row of one (ERROR_BLOCK + 1, n)
+    buffer, the block's residuals are one stack ``metrics.norm`` of the
+    consecutive-row differences and its errors one stack norm against
+    ``ref``, and the stop rule then reads the residuals.  A block after k
+    steps holds min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps,
+    so the kernel, which is pure, runs at most max(15, k / 8) steps past
+    the stopping step k; their values are discarded, and an overflow among
+    them raises nothing.  Any other map runs one step at a time and is
+    never called past the stopping step: each step calls ``op.fn``
     directly, converts its output to float, checks that it keeps the
-    iterate's shape (else the operator's named ``ValueError``), and tests it
-    for non-finite entries; that test reads the residual first and scans
-    the iterate only when the residual is not finite.  Reference
-    errors are taken per block: up to ``ERROR_BLOCK`` iterates are kept and
-    measured with one stack :func:`norm`, whose rows equal vector norms, so
-    residuals and errors equal a loop of ``op(x)`` and :func:`norm` bit for
-    bit, and ``op.fn`` is never called past the stopping step.
+    iterate's shape (else the operator's named ``ValueError``) and takes
+    its residual, and up to ``ERROR_BLOCK`` iterates are kept to take their
+    errors as one stack norm.  Stack norms equal vector norms row by row,
+    so on either path residuals and errors equal a loop of ``op(x)`` and
+    ``metrics.norm`` bit for bit.
 
     Parameters
     ----------
@@ -149,8 +167,54 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
         if ref.shape != (op.dim,):
             raise ValueError("reference vector dimension mismatch")
 
+    # resolved once; it takes an (n,) vector or a (k, n) stack
+    dist = _norm_fn(norm_spec, x.shape)
+    into = getattr(op.fn, "into", None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if into is None:
+            x, residuals, errors, stop = _run_steps(op, x, max_iter, res_tol, ref, dist)
+        else:
+            x, residuals, errors, stop = _run_blocks(into, x, max_iter, res_tol, ref,
+                                                     dist)
+
+    return IterationTrace(
+        x0=np.asarray(x0, dtype=float).reshape(-1).copy(),
+        x_final=x,
+        residuals=residuals,
+        norm_spec=norm_spec,
+        k_final=len(residuals),
+        stop_reason=stop or StopReason.MAX_ITER,
+        ref=ref,
+        errors_to_ref=errors,
+        label=op.label,
+    )
+
+
+def _stop(k, r, guard, res_tol, x_k):
+    """The stop rule at step k, whose residual is ``r`` and iterate ``x_k``:
+    DIVERGED, RESIDUAL_TOL, or None to go on.
+
+    A non-finite iterate raises NonFiniteIterateError.  A non-finite entry
+    of the iterate makes the residual non-finite whatever the previous
+    iterate holds, so a finite ``r`` clears it without a scan.  ``guard`` is
+    the divergence bound, read from step 2 on.
+    """
+    if not math.isfinite(r) and not np.isfinite(x_k).all():
+        raise NonFiniteIterateError(k)
+    if k > 1 and (r > guard or r == math.inf):
+        return StopReason.DIVERGED
+    if r <= res_tol:
+        return StopReason.RESIDUAL_TOL
+    return None
+
+
+def _run_steps(op, x, max_iter, res_tol, ref, dist):
+    """picard's loop for a map without a kernel: one ``op.fn`` call a step.
+
+    Returns the last iterate, the residuals, the errors to ``ref`` (None
+    without one) and the stop reason (None at ``max_iter``).
+    """
     fn, shape = op.fn, x.shape
-    dist = _norm_fn(norm_spec, shape)
     # packed doubles: a 10^5-step run holds 0.8 MB per column, not 3.2 MB of
     # float objects
     residuals = array("d")
@@ -160,48 +224,64 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
         block = np.empty((min(ERROR_BLOCK, max_iter + 1), x.size))
         block[0] = x
         filled = 1
-    guard = None
-    stop = StopReason.MAX_ITER
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_iter + 1):
-            x_next = np.asarray(fn(x), dtype=float)
-            if x_next.shape != shape:
-                raise op._shape_error(x_next.shape, shape)
-            r = dist(x_next - x)
-            # a non-finite entry of x_next makes x_next - x, and so r,
-            # non-finite whatever x holds: a finite r clears it
-            if not math.isfinite(r) and not np.isfinite(x_next).all():
-                raise NonFiniteIterateError(k)
-            residuals.append(r)
-            x = x_next
-            if block is not None:
-                if filled == len(block):
-                    errors.append(norm(block - ref, norm_spec))
-                    filled = 0
-                block[filled] = x
-                filled += 1
-            if guard is None:
-                guard = DIVERGENCE_FACTOR * (1.0 + r)
-            elif r > guard or r == math.inf:
-                stop = StopReason.DIVERGED
-                break
-            if r <= res_tol:
-                stop = StopReason.RESIDUAL_TOL
-                break
+    guard = stop = None
+    for k in range(1, max_iter + 1):
+        x_next = np.asarray(fn(x), dtype=float)
+        if x_next.shape != shape:
+            raise op._shape_error(x_next.shape, shape)
+        r = dist(x_next - x)
+        if k == 1:
+            guard = DIVERGENCE_FACTOR * (1.0 + r)
+        stop = _stop(k, r, guard, res_tol, x_next)
+        residuals.append(r)
+        x = x_next
         if block is not None:
-            errors.append(norm(block[:filled] - ref, norm_spec))
+            if filled == len(block):
+                errors.append(dist(block - ref))
+                filled = 0
+            block[filled] = x
+            filled += 1
+        if stop is not None:
+            break
+    if block is not None:
+        errors.append(dist(block[:filled] - ref))
+        errors = np.concatenate(errors)
+    return x, np.array(residuals), errors, stop
 
-    return IterationTrace(
-        x0=np.asarray(x0, dtype=float).reshape(-1).copy(),
-        x_final=x,
-        residuals=np.array(residuals),
-        norm_spec=norm_spec,
-        k_final=len(residuals),
-        stop_reason=stop,
-        ref=ref,
-        errors_to_ref=None if errors is None else np.concatenate(errors),
-        label=op.label,
-    )
+
+def _run_blocks(into, x, max_iter, res_tol, ref, dist):
+    """picard's loop for a map with a kernel: blocks of steps written in
+    place, whose residuals and errors are one stack norm each.
+
+    Returns what :func:`_run_steps` returns.
+    """
+    rows = np.empty((min(ERROR_BLOCK, max_iter) + 1, x.size))
+    rows[0] = x
+    views = list(rows)  # row views, indexed without numpy's dispatch
+    residuals = []
+    errors = None if ref is None else [dist(rows[:1] - ref)]
+    k = 0
+    guard = stop = None
+    while stop is None and k < max_iter:
+        height = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
+        for x_j, x_next in zip(views[:height], views[1:height + 1]):
+            into(x_j, x_next)
+        r = dist(rows[1:height + 1] - rows[:height])
+        steps = r.tolist()
+        if k == 0:
+            guard = DIVERGENCE_FACTOR * (1.0 + steps[0])
+        for j, rj in enumerate(steps, 1):
+            stop = _stop(k + j, rj, guard, res_tol, views[j])
+            if stop is not None:
+                height = j
+                break
+        residuals.append(r[:height])
+        if errors is not None:
+            errors.append(dist(rows[1:height + 1] - ref))
+        k += height
+        rows[0] = rows[height]
+    return (rows[0].copy(), np.concatenate(residuals),
+            None if errors is None else np.concatenate(errors), stop)
 
 
 def _report_dict(report):

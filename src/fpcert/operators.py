@@ -12,6 +12,18 @@ whatever stack it sits in.  A vector runs through the same code as a stack
 row, so every built-in gives a stack row the same bits as its vector image;
 ``TestStacks.test_stack_matches_vector_rows`` asserts this exactly.
 
+Every built-in map, and every built-in prox family, is written once, as an
+in-place kernel that its ``fn`` carries as ``fn.into``: ``into(x, out)``
+writes T x into ``out``, a C-contiguous float array of x's shape that
+shares no memory with x, and returns it; ``into(x, None)`` returns T x in
+a fresh array, as a numpy ufunc does (a prox family's kernel is
+``into(t, x, out)`` and also accepts ``out`` = x).  ``fn(x)`` is
+``into(x, None)`` of x as a float array, so the two agree bit for bit.  A
+kernel is pure, reading nothing but x and the map's data, and reentrant:
+it keeps no scratch state between calls.  A map built from a part without
+a kernel carries none itself.  :func:`fpcert.iterate.picard` steps a map
+with a kernel in place.
+
 Operators are immutable after construction; ``apply`` is pure and reentrant,
 so instances are safe to call concurrently.
 """
@@ -58,6 +70,42 @@ def _stackable(fn, *parts):
     return fn
 
 
+def _from_kernel(into, *parts):
+    """The map, or prox family, that the kernel ``into`` computes.
+
+    ``fn(*args, x)`` is ``into(*args, x, None)`` with x as a float array.
+    ``fn`` carries ``into`` as its kernel when each of ``parts`` has one,
+    and declares stacks when each of them does.
+    """
+    def fn(*args):
+        return into(*args[:-1], np.asarray(args[-1], dtype=float), None)
+
+    if all(getattr(part, "into", None) for part in parts):
+        fn.into = into
+    return _stackable(fn, *parts)
+
+
+def _into(fn):
+    """The kernel of ``fn``, a map or a prox family: its own, or, for a
+    callable without one, a kernel that writes the callable's image."""
+    into = getattr(fn, "into", None)
+    if into is not None:
+        return into
+
+    def copying(*args):
+        *head, out = args
+        if out is None:
+            return fn(*head)
+        image = np.asarray(fn(*head), dtype=float)
+        if image.shape != out.shape:
+            raise ValueError(f"map returned shape {image.shape} instead of "
+                             f"{out.shape}")
+        out[...] = image
+        return out
+
+    return copying
+
+
 @dataclass(eq=False)
 class Operator:
     """A dimension-tagged self-map of real n-space.
@@ -83,10 +131,8 @@ class Operator:
             hint = np.asarray(self.fixed_point_hint, dtype=float).reshape(-1)
             if hint.shape != (self.dim,):
                 raise ValueError("fixed_point_hint dimension does not match operator")
-            with np.errstate(over="ignore", invalid="ignore"):
-                drift = norm(self(hint) - hint)
-            bound = HINT_TOL * (1.0 + norm(hint))
-            if not drift <= bound:
+            drift = _hint_drift(self, hint)
+            if drift is not None:
                 raise ValueError(
                     f"fixed_point_hint of '{self.label}' moves by {drift:.3e} "
                     "under the operator"
@@ -114,6 +160,15 @@ class Operator:
         )
 
 
+def _hint_drift(apply, hint):
+    """How far ``apply`` moves ``hint`` when that is past the bound
+    HINT_TOL * (1 + |hint|) of a fixed-point hint, NaN included; else None.
+    An image that overflows or turns NaN raises no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = norm(apply(hint) - hint)
+    return None if drift <= HINT_TOL * (1.0 + norm(hint)) else drift
+
+
 def gradient_step(grad_f, beta, dim, fixed_point_hint=None, label="gradient-step"):
     """Explicit gradient step x - beta * grad_f(x) for beta > 0."""
     check_number("beta", beta)
@@ -132,12 +187,18 @@ def soft_threshold(lam, x):
     the Moreau form x - clip(x, -lam, lam), three ufuncs, whose bits equal
     sign(x) * max(|x| - lam, 0) but for the sign of a zero in the dead zone.
     """
+    return _soft_into(lam, np.asarray(x, dtype=float), None)
+
+
+def _soft_into(lam, x, out):
+    """Kernel of :func:`soft_threshold`: x - clip(x, -lam, lam) into ``out``."""
     # not check_number: t * lam overflows to +inf for a huge lam, where the
     # shrinkage is 0, and an inline compare keeps the per-step cost down
     if not lam >= 0:
         raise ValueError("threshold must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    return x - np.minimum(np.maximum(x, -lam), lam)
+    clipped = np.maximum(x, -lam)
+    np.minimum(clipped, lam, out=clipped)
+    return np.subtract(x, clipped, out=out)
 
 
 def block_soft_threshold(lam, x):
@@ -147,41 +208,48 @@ def block_soft_threshold(lam, x):
     row included, map to zero without a division warning, and rows whose
     squares overflow shrink by their finite norm without an overflow warning.
     """
+    return _block_soft_into(lam, np.asarray(x, dtype=float), None)
+
+
+def _block_soft_into(lam, x, out):
+    """Kernel of :func:`block_soft_threshold`: the shrunk rows into ``out``."""
     # inline and admitting +inf, as in soft_threshold
     if not lam >= 0:
         raise ValueError("threshold must be nonnegative")
-    x = np.asarray(x, dtype=float)
     nrm = np.asarray(norm(x))[..., None]
     absorbed = nrm <= lam  # False on a NaN row, which stays NaN
     # an absorbed row takes 0 / 1, never lam / inf, which is NaN at lam = inf
     ratio = np.where(absorbed, 0.0, lam) / np.where(absorbed, 1.0, nrm)
-    return np.where(absorbed, 0.0, (1.0 - ratio) * x)
+    out = np.multiply(1.0 - ratio, x, out=out)
+    np.copyto(out, 0.0, where=absorbed)
+    return out
 
 
 def l1_prox(lam=1.0):
     """Prox family of lam * |.|_1: (t, x) -> componentwise shrinkage by t*lam."""
     check_number("lam", lam, lower=0.0, strict=False)
-    return _stackable(lambda t, x: soft_threshold(t * lam, x))
+    return _from_kernel(lambda t, x, out: _soft_into(t * lam, x, out))
 
 
 def l2_prox(lam=1.0):
     """Prox family of lam * |.|_2: (t, x) -> radial shrinkage by t*lam."""
     check_number("lam", lam, lower=0.0, strict=False)
-    return _stackable(lambda t, x: block_soft_threshold(t * lam, x))
+    return _from_kernel(lambda t, x, out: _block_soft_into(t * lam, x, out))
 
 
 def box_prox(lower, upper):
     """Prox family of a box indicator: projection, insensitive to the scale."""
     if np.any(np.asarray(lower) > np.asarray(upper)):
         raise ValueError("box bounds are inverted")
-    return _stackable(lambda t, x: np.clip(np.asarray(x, dtype=float), lower, upper))
+    return _from_kernel(lambda t, x, out: np.clip(x, lower, upper, out=out))
 
 
 def prox_operator(prox, scale, dim, fixed_point_hint=None, label="prox"):
     """Wrap a prox family at a fixed scale as an Operator."""
     check_number("scale", scale)
-    return Operator(dim, _stackable(lambda x: prox(scale, x), prox), fixed_point_hint,
-                    label)
+    prox_into = _into(prox)
+    return Operator(dim, _from_kernel(lambda x, out: prox_into(scale, x, out), prox),
+                    fixed_point_hint, label)
 
 
 def identity(dim):
@@ -198,30 +266,36 @@ def affine(alpha, z, label=None):
     hint = z / (1.0 - alpha) if alpha != 1.0 else None
     if label is None:
         label = f"affine(a={alpha:g})"
-    return Operator(len(z), _stackable(lambda x: alpha * x + z), hint, label)
+
+    def into(x, out):
+        out = np.multiply(x, alpha, out=out)
+        out += z
+        return out
+
+    return Operator(len(z), _from_kernel(into), hint, label)
 
 
 def compose(s, t):
     """The composition s(t(x)).
 
-    The fixed-point hint survives only when both factors carry hints and
-    they coincide to within 1e-8 * (1 + |t's hint|), the drift an Operator
-    admits at that hint; a shared fixed point of both factors is a fixed
-    point of the composition, but nothing weaker is.
+    The fixed-point hint survives only when both factors carry hints, they
+    coincide to within 1e-8 * (1 + |t's hint|), the drift an Operator
+    admits at that hint, and the composition moves t's hint by no more than
+    that; a shared fixed point of both factors is a fixed point of the
+    composition, but nothing weaker is, and an expansive s can move a hint
+    that each factor keeps past the bound.  A hint that fails is dropped.
     """
     if s.dim != t.dim:
         raise ValueError(
             f"cannot compose '{s.label}' (dim {s.dim}) with '{t.label}' (dim {t.dim})"
         )
-    hint = None
-    if s.fixed_point_hint is not None and t.fixed_point_hint is not None:
-        gap = norm(s.fixed_point_hint - t.fixed_point_hint)
-        if gap <= HINT_TOL * (1.0 + norm(t.fixed_point_hint)):
-            hint = t.fixed_point_hint
-    return Operator(
-        s.dim, _stackable(lambda x: s(t(x)), s.fn, t.fn), hint,
-        label=f"({s.label} o {t.label})",
-    )
+    fn = _stackable(lambda x: s(t(x)), s.fn, t.fn)
+    hint = t.fixed_point_hint
+    if (s.fixed_point_hint is None or hint is None
+            or not norm(s.fixed_point_hint - hint) <= HINT_TOL * (1.0 + norm(hint))
+            or _hint_drift(fn, hint) is not None):
+        hint = None
+    return Operator(s.dim, fn, hint, label=f"({s.label} o {t.label})")
 
 
 def proximal_gradient(grad_f, prox_g, beta, dim, fixed_point_hint=None,

@@ -74,19 +74,18 @@ class ProblemSpec:
 
 
 def _affine_step(lin, shift):
-    """x -> lin x + shift, stack-marked, as one product and one in-place add;
-    ``lin`` is an (n, n) matrix or the (n,) diagonal of a diagonal one."""
-    if lin.ndim == 1:
-        def step(x):
-            y = lin * x
-            y += shift
-            return y
-    else:
-        def step(x):
-            y = _matvec(lin, x)
-            y += shift
-            return y
-    return operators._stackable(step)
+    """x -> lin x + shift, a map with an in-place kernel: one product into
+    the output, then an in-place add; ``lin`` is an (n, n) matrix or the
+    (n,) diagonal of a diagonal one."""
+    def into(x, out):
+        if lin.ndim == 1:
+            out = np.multiply(lin, x, out=out)
+        else:
+            out = _matvec(lin, x, out)
+        out += shift
+        return out
+
+    return operators._from_kernel(into)
 
 
 def _data_fit(a_mat, b):
@@ -288,12 +287,14 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
                 n, forward, hint,
                 f"{problem.label} gradient-step(beta={beta:g})",
             )
+        forward_into, prox_into = forward.into, operators._into(prox)
 
-        def step(x):
-            return prox(beta, forward(x))
+        def into(x, out):
+            out = forward_into(x, out)
+            return prox_into(beta, out, out)
 
         return operators.Operator(
-            n, operators._stackable(step, prox), hint,
+            n, operators._from_kernel(into, prox), hint,
             f"{problem.label} prox-grad(beta={beta:g})",
         )
 
@@ -306,15 +307,17 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     mat[n:, n:] = np.eye(m) / eta - 2.0 * beta * (b @ b.T)
     shift = np.concatenate([shift, 2.0 * (b @ shift)])
 
-    def step(v):
-        w = _matvec(mat, v)
-        w += shift
-        s = w[..., n:]
-        w[..., n:] = eta * (s - prox(1.0 / eta, s))
-        return w
+    def into(v, out):
+        out = _matvec(mat, v, out)
+        out += shift
+        s = out[..., n:]
+        # s - (s - clip(s)), not clip(s): the two differ in the last bits
+        np.subtract(s, prox(1.0 / eta, s), out=s)
+        np.multiply(s, eta, out=s)
+        return out
 
     return operators.Operator(
-        n + m, operators._stackable(step, prox), hint,
+        n + m, operators._from_kernel(into, prox), hint,
         f"{problem.label} primal-dual(beta={beta:g}, eta={eta:g})",
     )
 

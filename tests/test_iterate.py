@@ -9,6 +9,7 @@ from fpcert import reports
 from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat, range_region
 from fpcert.cli import main
 from fpcert.iterate import (
+    BLOCK_MIN,
     ERROR_BLOCK,
     IterationTrace,
     NonFiniteIterateError,
@@ -143,6 +144,14 @@ def reference_loop(op, x0, max_iter, res_tol, ref, norm_spec):
     return np.array(residuals), np.array(errors)
 
 
+def reference_final(op, x0, steps):
+    """The iterate after ``steps`` calls of ``op``."""
+    x = np.asarray(x0, dtype=float)
+    for _ in range(steps):
+        x = op(x)
+    return x
+
+
 def counted(op):
     """``op`` with its map's calls recorded in the returned list."""
     calls = []
@@ -209,6 +218,59 @@ class TestPicardMatchesReferenceLoop:
         trace = picard(counting, x0, k_final, 0.0, ref=ref, norm_spec=spec)
         residuals, errors = reference_loop(op, x0, k_final, 0.0, ref, spec)
         assert trace.k_final == len(calls) == k_final
+        assert trace.residuals.tobytes() == residuals.tobytes()
+        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+
+    @pytest.mark.parametrize("stop", [StopReason.MAX_ITER, StopReason.RESIDUAL_TOL])
+    @pytest.mark.parametrize("k_final", [1, 15, 16, 17, ERROR_BLOCK - 1, ERROR_BLOCK,
+                                         ERROR_BLOCK + 1, 2 * ERROR_BLOCK + 3])
+    @pytest.mark.parametrize("kind", ["l2", "l1", "weighted"])
+    def test_kernel_path_at_block_edges_bit_for_bit(self, kind, k_final, stop):
+        # the built-in maps step in place, a block at a time; a tolerance
+        # stop leaves rows computed past it, which must not leak out
+        slow, slow_ref = _slow_least_squares()
+        op, spec, ref = {"l2": (slow, L2, slow_ref), "l1": (slow, L1, slow_ref),
+                         "weighted": _problem_ops()[2]}[kind]
+        assert op.fn.into is not None
+        x0 = np.random.default_rng(k_final).standard_normal(op.dim) * 3.0
+        residuals, errors = reference_loop(op, x0, k_final, 0.0, ref, spec)
+        if stop is StopReason.MAX_ITER:
+            trace = picard(op, x0, k_final, 0.0, ref=ref, norm_spec=spec)
+        else:
+            # every earlier residual lies above the last, so the run stops
+            # exactly there, with budget to spare
+            assert (residuals[:-1] > residuals[-1]).all()
+            trace = picard(op, x0, 4 * k_final + 100, residuals[-1], ref=ref,
+                           norm_spec=spec)
+        assert trace.stop_reason is stop
+        assert trace.k_final == k_final
+        assert trace.residuals.tobytes() == residuals.tobytes()
+        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+        assert trace.x_final.tobytes() == reference_final(op, x0, k_final).tobytes()
+        assert trace.x_final.flags.owndata  # no view of the run's buffer
+
+    def test_over_long_step_diverges_cleanly_on_the_kernel_path(self):
+        # beta = 2.5/L multiplies the top error component by -1.5 a step; from
+        # a start near the double range the iterates past the stopping step,
+        # which the block computes, overflow, and that raises nothing
+        rng = np.random.default_rng(5)
+        problem = least_squares_problem(rng.standard_normal((8, 3)),
+                                        rng.standard_normal(8))
+        op = build_operator(problem, beta=2.5 / problem.lipschitz)
+        x0, ref = 1e305 * rng.standard_normal(3), problem.exact_solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = picard(op, x0, 10_000, 0.0, ref=ref)
+        assert trace.stop_reason is StopReason.DIVERGED
+        # blocks before step 8 * BLOCK_MIN hold BLOCK_MIN steps; iterating
+        # to the end of the stopping block overflows
+        assert trace.k_final < 8 * BLOCK_MIN
+        x = trace.x_final
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(-trace.k_final % BLOCK_MIN):
+                x = op(x)
+        assert not np.isfinite(x).all()
+        residuals, errors = reference_loop(op, x0, trace.k_final, -1.0, ref, L2)
         assert trace.residuals.tobytes() == residuals.tobytes()
         assert trace.errors_to_ref.tobytes() == errors.tobytes()
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from fpcert.operators import (
     soft_threshold,
 )
 from fpcert.problems import (
+    ProblemSpec,
     analysis_l1_problem,
     build_operator,
     least_squares_problem,
@@ -234,6 +236,15 @@ class TestCompose:
         assert norm(s.fixed_point_hint - t.fixed_point_hint) > 1e-8
         np.testing.assert_array_equal(compose(s, t).fixed_point_hint,
                                       t.fixed_point_hint)
+
+    def test_hint_dropped_when_the_composition_moves_it(self):
+        # the hints lie 3e-9 apart, within tolerance, but the expansive s
+        # moves t's hint by 2.7e-8, past the 2e-8 an Operator admits there
+        s = affine(10.0, [-9.0 * (1 + 3e-9)])
+        t = affine(0.5, [0.5])
+        op = compose(s, t)
+        assert op.fixed_point_hint is None
+        np.testing.assert_array_equal(op([3.0]), s(t([3.0])))
 
     def test_hint_dropped_when_one_side_missing(self):
         s = identity(1)
@@ -448,3 +459,82 @@ class TestStacks:
             identity(3)(np.ones((2, 4)))
         with pytest.raises(ValueError, match="dimension"):
             identity(3)(np.ones((2, 2, 3)))
+
+
+# every built-in map and prox family with an in-place kernel, by the name of
+# its constructor; the maps of user callables carry none
+KERNEL_MAPS = {name: STACK_CASES[name].fn for name in
+               ["soft_threshold", "block_soft_threshold", "box_prox", "identity",
+                "affine", "build_least_squares", "build_separable", "build_analysis_l1"]}
+KERNEL_MAPS["grad_f"] = least_squares_problem(
+    np.random.default_rng(43).standard_normal((8, 5)), np.ones(8)).grad_f
+KERNEL_MAPS["grad_f_diagonal"] = separable_smooth_l1_problem(
+    [0.5, 1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5, 0.0, 2.0], 0.3).grad_f
+KERNEL_FAMILIES = {"l1_prox": l1_prox(0.7), "l2_prox": l2_prox(0.7),
+                   "box_prox": box_prox(-1.0, 2.0)}
+
+
+def _kernel_stack(dim, seed):
+    """A stack of 33 rows with signed zeros and entries in the dead zones
+    of the prox maps above, whose images hold zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    xs = _stack(Operator(dim, declared(lambda x: x)), k=33, seed=seed)
+    xs[0] = -0.0
+    xs[1] = 0.0
+    xs[2] = rng.uniform(-0.5, 0.5, dim)
+    xs[3] = np.where(rng.random(dim) < 0.5, -0.0, rng.uniform(-0.5, 0.5, dim))
+    return xs
+
+
+class TestKernels:
+    def test_maps_of_user_callables_carry_no_kernel(self):
+        kernels = {name for name, op in STACK_CASES.items() if hasattr(op.fn, "into")}
+        assert kernels == set(KERNEL_MAPS) - {"grad_f", "grad_f_diagonal"}
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+    def test_kernel_writes_the_image_bit_for_bit(self, name):
+        # into(x, out) and fn(x) agree by bytes, zeros' signs included, on
+        # stacks and on each row as a vector; out starts as NaN, so a kernel
+        # that leaves an entry unwritten fails
+        fn = KERNEL_MAPS[name]
+        dim = 8 if name == "build_analysis_l1" else 5
+        for seed in range(10):
+            xs = _kernel_stack(dim, seed)
+            out = np.full_like(xs, np.nan)
+            assert fn.into(xs, out) is out
+            assert out.tobytes() == fn(xs).tobytes()
+            for x, row in zip(xs, out):
+                vec = np.full_like(x, np.nan)
+                assert fn.into(x, vec) is vec
+                assert vec.tobytes() == fn(x).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
+    def test_family_kernel_writes_the_prox_bit_for_bit_in_place_too(self, name):
+        prox = KERNEL_FAMILIES[name]
+        for t, seed in itertools.product([0.5, 1.3], range(5)):
+            xs = _kernel_stack(4, seed)
+            expected = prox(t, xs)
+            assert expected.tobytes() == np.array([prox(t, x) for x in xs]).tobytes()
+            out = np.full_like(xs, np.nan)
+            assert prox.into(t, xs, out).tobytes() == expected.tobytes()
+            assert prox.into(t, xs, xs) is xs
+            assert xs.tobytes() == expected.tobytes()
+
+    def test_map_from_a_family_without_a_kernel_carries_none(self):
+        # a user's prox family, the built-in l1 prox's arithmetic without its
+        # kernel: the maps built from it have no kernel and the same bits
+        problem = separable_smooth_l1_problem([0.5, 1.0, 2.0], [1.0, -0.2, 3.0], 0.3)
+        plain = ProblemSpec(**{**vars(problem),
+                               "prox_g": lambda t, x: soft_threshold(0.3 * t, x)})
+        for built, user in [(build_operator(problem), build_operator(plain)),
+                            (prox_operator(problem.prox_g, 1.3, 3),
+                             prox_operator(plain.prox_g, 1.3, 3))]:
+            assert not hasattr(user.fn, "into")
+            xs = _kernel_stack(3, 0)
+            assert user(xs).tobytes() == built(xs).tobytes()
+
+    def test_family_without_a_kernel_that_changes_shape_raises(self):
+        problem = separable_smooth_l1_problem([0.5, 1.0], [1.0, -0.2], 0.3)
+        bad = ProblemSpec(**{**vars(problem), "prox_g": lambda t, x: x[..., :1]})
+        with pytest.raises(ValueError, match=r"returned shape \(1,\) instead of \(2,\)"):
+            build_operator(bad, hint=None)(np.ones(2))

@@ -10,6 +10,7 @@ from fpcert.iterate import picard
 from fpcert.metrics import L1, NotPositiveDefiniteError, primal_dual_metric, write_matrix
 from fpcert.operators import gradient_step, primal_dual, proximal_gradient
 from fpcert.problems import (
+    ProblemSpec,
     RankDeficientError,
     analysis_l1_problem,
     build_operator,
@@ -273,6 +274,30 @@ class TestPrecomposedMaps:
         op = build_operator(problem)
         np.testing.assert_array_equal(op.fixed_point_hint, problem.exact_solution)
 
+    def test_dual_block_takes_both_subtractions_of_the_moreau_form(self):
+        # the new dual block is eta * (s - prox(1/eta, s)) at the pre-image s
+        # the prox sees, bit for bit; eta * clip(s) equals it in exact
+        # arithmetic only
+        problem = PRECOMPOSED["analysis_l1"]
+        seen = []
+
+        def recording(t, s):
+            seen.append((t, s.copy()))
+            return problem.prox_g(t, s)
+
+        _, eta = default_step_sizes(problem)
+        op = build_operator(ProblemSpec(**{**vars(problem), "prox_g": recording}),
+                            hint=None)
+        rng = np.random.default_rng(25)
+        xs = 10.0 ** rng.uniform(-2.0, 3.0, (40, 1)) * rng.standard_normal((40, op.dim))
+        got = op(xs)
+        assert len(seen) == len(xs)
+        for (t, s), row in zip(seen, got):
+            assert t == 1.0 / eta
+            assert row[problem.n:].tobytes() == (eta * (s - problem.prox_g(t, s))).tobytes()
+        # the built-in prox's kernel gives the same bits
+        assert build_operator(problem, hint=None)(xs).tobytes() == got.tobytes()
+
     def test_primal_dual_reference_state_is_accepted_as_the_hint(self):
         problem = PRECOMPOSED["analysis_l1"]
         state = reference_solution(problem).state
@@ -323,9 +348,9 @@ class TestPrecomposedMaps:
         calls = []
         matvec = problems._matvec
 
-        def counting(mat, x):
+        def counting(mat, x, *out):
             calls.append(x.shape)
-            return matvec(mat, x)
+            return matvec(mat, x, *out)
 
         monkeypatch.setattr(problems, "_matvec", counting)
         for x in (np.ones(op.dim), np.ones((7, op.dim))):
