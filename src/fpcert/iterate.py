@@ -119,27 +119,31 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     although the iterates are finite.  A non-finite iterate raises
     NonFiniteIterateError naming the step.  Overflow, or a non-finite
     start, raises no numpy warning during the run: those two outcomes
-    report it.  The three rules are one scalar rule, applied to the
-    residuals in step order.
+    report it.  The three rules are one scalar rule.
 
     The arguments and the norm's kind and weight dimension are checked
     once.  A map whose ``op.fn`` carries an in-place kernel ``into`` (see
     :mod:`fpcert.operators`) runs a block of steps at a time: the kernel
     writes each iterate into the next row of one (ERROR_BLOCK + 1, n)
-    buffer, the block's residuals are one stack ``metrics.norm`` of the
-    consecutive-row differences and its errors one stack norm against
-    ``ref``, and the stop rule then reads the residuals.  A block after k
-    steps holds min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps,
-    so the kernel, which is pure, runs at most max(15, k / 8) steps past
-    the stopping step k; their values are discarded, and an overflow among
-    them raises nothing.  Any other map runs one step at a time and is
-    never called past the stopping step: each step calls ``op.fn``
-    directly, converts its output to float, checks that it keeps the
-    iterate's shape (else the operator's named ``ValueError``) and takes
-    its residual, and up to ``ERROR_BLOCK`` iterates are kept to take their
-    errors as one stack norm.  Stack norms equal vector norms row by row,
-    so on either path residuals and errors equal a loop of ``op(x)`` and
-    ``metrics.norm`` bit for bit.
+    buffer, and the block's residuals are one stack ``metrics.norm`` of the
+    consecutive-row differences.  One numpy pass over them flags the steps
+    where the stop rule can act (a non-finite residual, one above the
+    guard, or one at ``res_tol``), and the scalar rule reads the flagged
+    steps in step order, so the run ends where a step-by-step reading would
+    end it; the errors of the steps it keeps are one stack norm against
+    ``ref``.
+    A block after k steps holds min(ERROR_BLOCK, max(BLOCK_MIN, k //
+    BLOCK_SHARE)) steps, so the kernel, which is pure, runs at most
+    max(15, k / 8) steps past the stopping step k; their values are
+    discarded, and an overflow among them raises nothing.  Any other map
+    runs one step at a time and is never called past the stopping step:
+    each step calls ``op.fn`` directly, converts its output to float,
+    checks that it keeps the iterate's shape (else the operator's named
+    ``ValueError``), takes its residual and reads the stop rule, and up to
+    ``ERROR_BLOCK`` iterates are kept to take their errors as one stack
+    norm.  Stack norms equal vector norms row by row, so on either path
+    residuals and errors equal a loop of ``op(x)`` and ``metrics.norm`` bit
+    for bit.
 
     Parameters
     ----------
@@ -263,17 +267,21 @@ def _run_blocks(into, x, max_iter, res_tol, ref, dist):
     k = 0
     guard = stop = None
     while stop is None and k < max_iter:
-        height = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
-        for x_j, x_next in zip(views[:height], views[1:height + 1]):
+        span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
+        for x_j, x_next in zip(views[:span], views[1:span + 1]):
             into(x_j, x_next)
-        r = dist(rows[1:height + 1] - rows[:height])
-        steps = r.tolist()
+        r = dist(rows[1:span + 1] - rows[:span])
         if k == 0:
-            guard = DIVERGENCE_FACTOR * (1.0 + steps[0])
-        for j, rj in enumerate(steps, 1):
-            stop = _stop(k + j, rj, guard, res_tol, views[j])
+            guard = DIVERGENCE_FACTOR * (1.0 + float(r[0]))
+        # _stop can act only on a non-finite residual, one above the guard or
+        # one at res_tol; at step 1 an infinite residual makes the guard
+        # infinite too, so non-finiteness is flagged by itself
+        flagged = ~np.isfinite(r) | (r > guard) | (r <= res_tol)
+        height = span
+        for j in flagged.nonzero()[0].tolist():
+            stop = _stop(k + j + 1, float(r[j]), guard, res_tol, views[j + 1])
             if stop is not None:
-                height = j
+                height = j + 1
                 break
         residuals.append(r[:height])
         if errors is not None:

@@ -24,6 +24,12 @@ it keeps no scratch state between calls.  A map built from a part without
 a kernel carries none itself.  :func:`fpcert.iterate.picard` steps a map
 with a kernel in place.
 
+A built-in prox family also carries ``fn.bind``: ``bind(t)`` is its map
+kernel ``(x, out)`` at the scale t, whose constants (the threshold
+``t * lam``) are formed and checked once.  A map binds its family once,
+when it is built, so a step pays no per-scale work; a family without
+``bind`` is bound through a kernel that copies its image.
+
 Operators are immutable after construction; ``apply`` is pure and reentrant,
 so instances are safe to call concurrently.
 """
@@ -71,32 +77,51 @@ def _stackable(fn, *parts):
 
 
 def _from_kernel(into, *parts):
-    """The map, or prox family, that the kernel ``into`` computes.
+    """The map that the kernel ``into`` computes.
 
-    ``fn(*args, x)`` is ``into(*args, x, None)`` with x as a float array.
-    ``fn`` carries ``into`` as its kernel when each of ``parts`` has one,
-    and declares stacks when each of them does.
+    ``fn(x)`` is ``into(x, None)`` with x as a float array.  ``fn`` carries
+    ``into`` as its kernel when each of ``parts`` has one, and declares
+    stacks when each of them does.
     """
-    def fn(*args):
-        return into(*args[:-1], np.asarray(args[-1], dtype=float), None)
+    def fn(x):
+        return into(np.asarray(x, dtype=float), None)
 
     if all(getattr(part, "into", None) for part in parts):
         fn.into = into
     return _stackable(fn, *parts)
 
 
-def _into(fn):
-    """The kernel of ``fn``, a map or a prox family: its own, or, for a
-    callable without one, a kernel that writes the callable's image."""
-    into = getattr(fn, "into", None)
-    if into is not None:
-        return into
+def _family(bind):
+    """The prox family whose map kernel at scale t is ``bind(t)``.
 
-    def copying(*args):
-        *head, out = args
+    ``bind`` resolves every constant of the scale, and checks it, once; the
+    family carries it as ``fn.bind``.  ``fn(t, x)`` is ``bind(t)(x, None)``
+    with x as a float array, and the family's kernel ``fn.into(t, x, out)``
+    is ``bind(t)(x, out)``.
+    """
+    def fn(t, x):
+        return bind(t)(np.asarray(x, dtype=float), None)
+
+    fn.into = lambda t, x, out: bind(t)(x, out)
+    fn.bind = bind
+    return _stackable(fn)
+
+
+def _bind(prox, scale):
+    """The map kernel ``(x, out)`` of the prox family ``prox`` at ``scale``.
+
+    It is the family's own binding, resolved once; else, for a callable
+    without one, a kernel that writes the family's image after checking its
+    shape.
+    """
+    bind = getattr(prox, "bind", None)
+    if bind is not None:
+        return bind(scale)
+
+    def copying(x, out):
         if out is None:
-            return fn(*head)
-        image = np.asarray(fn(*head), dtype=float)
+            return prox(scale, x)
+        image = np.asarray(prox(scale, x), dtype=float)
         if image.shape != out.shape:
             raise ValueError(f"map returned shape {image.shape} instead of "
                              f"{out.shape}")
@@ -187,18 +212,29 @@ def soft_threshold(lam, x):
     the Moreau form x - clip(x, -lam, lam), three ufuncs, whose bits equal
     sign(x) * max(|x| - lam, 0) but for the sign of a zero in the dead zone.
     """
-    return _soft_into(lam, np.asarray(x, dtype=float), None)
+    return _soft(lam)(np.asarray(x, dtype=float), None)
 
 
-def _soft_into(lam, x, out):
-    """Kernel of :func:`soft_threshold`: x - clip(x, -lam, lam) into ``out``."""
+def _check_threshold(lam):
     # not check_number: t * lam overflows to +inf for a huge lam, where the
-    # shrinkage is 0, and an inline compare keeps the per-step cost down
+    # shrinkage is 0
     if not lam >= 0:
         raise ValueError("threshold must be nonnegative")
-    clipped = np.maximum(x, -lam)
-    np.minimum(clipped, lam, out=clipped)
-    return np.subtract(x, clipped, out=out)
+
+
+def _soft(lam):
+    """Kernel of :func:`soft_threshold` at ``lam``: x - clip(x, -lam, lam)
+    into ``out``."""
+    _check_threshold(lam)
+    # 0-d arrays: a ufunc takes them faster than Python scalars, same bits
+    low, high = np.array(-lam, dtype=float), np.array(lam, dtype=float)
+
+    def into(x, out):
+        clipped = np.maximum(x, low)
+        np.minimum(clipped, high, out=clipped)
+        return np.subtract(x, clipped, out=out)
+
+    return into
 
 
 def block_soft_threshold(lam, x):
@@ -208,48 +244,53 @@ def block_soft_threshold(lam, x):
     row included, map to zero without a division warning, and rows whose
     squares overflow shrink by their finite norm without an overflow warning.
     """
-    return _block_soft_into(lam, np.asarray(x, dtype=float), None)
+    return _block_soft(lam)(np.asarray(x, dtype=float), None)
 
 
-def _block_soft_into(lam, x, out):
-    """Kernel of :func:`block_soft_threshold`: the shrunk rows into ``out``."""
-    # inline and admitting +inf, as in soft_threshold
-    if not lam >= 0:
-        raise ValueError("threshold must be nonnegative")
-    nrm = np.asarray(norm(x))[..., None]
-    absorbed = nrm <= lam  # False on a NaN row, which stays NaN
-    # an absorbed row takes 0 / 1, never lam / inf, which is NaN at lam = inf
-    ratio = np.where(absorbed, 0.0, lam) / np.where(absorbed, 1.0, nrm)
-    out = np.multiply(1.0 - ratio, x, out=out)
-    np.copyto(out, 0.0, where=absorbed)
-    return out
+def _block_soft(lam):
+    """Kernel of :func:`block_soft_threshold` at ``lam``: the shrunk rows
+    into ``out``."""
+    _check_threshold(lam)
+
+    def into(x, out):
+        nrm = np.asarray(norm(x))[..., None]
+        absorbed = nrm <= lam  # False on a NaN row, which stays NaN
+        # an absorbed row takes 0 / 1, never lam / inf, which is NaN at lam = inf
+        ratio = np.where(absorbed, 0.0, lam) / np.where(absorbed, 1.0, nrm)
+        out = np.multiply(1.0 - ratio, x, out=out)
+        np.copyto(out, 0.0, where=absorbed)
+        return out
+
+    return into
 
 
 def l1_prox(lam=1.0):
     """Prox family of lam * |.|_1: (t, x) -> componentwise shrinkage by t*lam."""
     check_number("lam", lam, lower=0.0, strict=False)
-    return _from_kernel(lambda t, x, out: _soft_into(t * lam, x, out))
+    return _family(lambda t: _soft(t * lam))
 
 
 def l2_prox(lam=1.0):
     """Prox family of lam * |.|_2: (t, x) -> radial shrinkage by t*lam."""
     check_number("lam", lam, lower=0.0, strict=False)
-    return _from_kernel(lambda t, x, out: _block_soft_into(t * lam, x, out))
+    return _family(lambda t: _block_soft(t * lam))
 
 
 def box_prox(lower, upper):
     """Prox family of a box indicator: projection, insensitive to the scale."""
     if np.any(np.asarray(lower) > np.asarray(upper)):
         raise ValueError("box bounds are inverted")
-    return _from_kernel(lambda t, x, out: np.clip(x, lower, upper, out=out))
+
+    def into(x, out):
+        return np.clip(x, lower, upper, out=out)
+
+    return _family(lambda t: into)
 
 
 def prox_operator(prox, scale, dim, fixed_point_hint=None, label="prox"):
     """Wrap a prox family at a fixed scale as an Operator."""
     check_number("scale", scale)
-    prox_into = _into(prox)
-    return Operator(dim, _from_kernel(lambda x, out: prox_into(scale, x, out), prox),
-                    fixed_point_hint, label)
+    return Operator(dim, _from_kernel(_bind(prox, scale), prox), fixed_point_hint, label)
 
 
 def identity(dim):
@@ -267,8 +308,10 @@ def affine(alpha, z, label=None):
     if label is None:
         label = f"affine(a={alpha:g})"
 
+    scale = np.array(alpha, dtype=float)  # a 0-d array, as in _soft
+
     def into(x, out):
-        out = np.multiply(x, alpha, out=out)
+        out = np.multiply(x, scale, out=out)
         out += z
         return out
 
@@ -302,9 +345,10 @@ def proximal_gradient(grad_f, prox_g, beta, dim, fixed_point_hint=None,
                       label="prox-grad"):
     """Forward-backward map: prox of beta*g after a beta gradient step on f."""
     check_number("beta", beta)
+    prox = _bind(prox_g, beta)
 
     def step(x):
-        return prox_g(beta, x - beta * np.asarray(grad_f(x), dtype=float))
+        return prox(x - beta * np.asarray(grad_f(x), dtype=float), None)
 
     return Operator(dim, _stackable(step, grad_f, prox_g), fixed_point_hint, label)
 
@@ -339,12 +383,13 @@ def primal_dual(grad_f, prox_g, b_mat, beta, eta, fixed_point_hint=None,
     m, n = b.shape
     primal_dual_metric(beta, eta, b)  # validates positive definiteness
     bt = b.T
+    prox = _bind(prox_g, 1.0 / eta)
 
     def step(v):
         x, y = v[..., :n], v[..., n:]
         x_new = x - beta * (np.asarray(grad_f(x), dtype=float) + _matvec(bt, y))
         shifted = y / eta + _matvec(b, 2.0 * x_new - x)
-        y_new = eta * (shifted - prox_g(1.0 / eta, shifted))
+        y_new = eta * (shifted - prox(shifted, None))
         return np.concatenate([x_new, y_new], axis=-1)
 
     step = _stackable(step, grad_f, prox_g)

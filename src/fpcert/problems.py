@@ -76,14 +76,17 @@ class ProblemSpec:
 def _affine_step(lin, shift):
     """x -> lin x + shift, a map with an in-place kernel: one product into
     the output, then an in-place add; ``lin`` is an (n, n) matrix or the
-    (n,) diagonal of a diagonal one."""
-    def into(x, out):
-        if lin.ndim == 1:
+    (n,) diagonal of a diagonal one, whose product is picked here, once."""
+    if lin.ndim == 1:
+        def into(x, out):
             out = np.multiply(lin, x, out=out)
-        else:
+            out += shift
+            return out
+    else:
+        def into(x, out):
             out = _matvec(lin, x, out)
-        out += shift
-        return out
+            out += shift
+            return out
 
     return operators._from_kernel(into)
 
@@ -287,11 +290,11 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
                 n, forward, hint,
                 f"{problem.label} gradient-step(beta={beta:g})",
             )
-        forward_into, prox_into = forward.into, operators._into(prox)
+        forward_into, prox_into = forward.into, operators._bind(prox, beta)
 
         def into(x, out):
             out = forward_into(x, out)
-            return prox_into(beta, out, out)
+            return prox_into(out, out)
 
         return operators.Operator(
             n, operators._from_kernel(into, prox), hint,
@@ -306,14 +309,16 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     mat[n:, :n] = b @ (2.0 * primal - np.eye(n))
     mat[n:, n:] = np.eye(m) / eta - 2.0 * beta * (b @ b.T)
     shift = np.concatenate([shift, 2.0 * (b @ shift)])
+    dual_prox = operators._bind(prox, 1.0 / eta)
+    dual_scale = np.array(eta, dtype=float)  # a 0-d array, as in operators._soft
 
     def into(v, out):
         out = _matvec(mat, v, out)
         out += shift
         s = out[..., n:]
         # s - (s - clip(s)), not clip(s): the two differ in the last bits
-        np.subtract(s, prox(1.0 / eta, s), out=s)
-        np.multiply(s, eta, out=s)
+        np.subtract(s, dual_prox(s, None), out=s)
+        np.multiply(s, dual_scale, out=s)
         return out
 
     return operators.Operator(

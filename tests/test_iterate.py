@@ -309,6 +309,22 @@ class TestPicardMatchesReferenceLoop:
                            norm_spec=spec)
             assert len(calls) == step
 
+    @pytest.mark.parametrize("spec", [L2, L1, weighted_norm(np.diag([2.0]))],
+                             ids=["l2", "l1", "weighted"])
+    def test_non_finite_iterate_of_a_kernel_names_its_step(self, spec):
+        # a built-in map steps in blocks, its stop rule read once per block;
+        # an iterate that overflows at step 1 has an infinite residual, which
+        # makes the divergence guard infinite too, and one that overflows at
+        # step 2 follows a finite first step
+        for alpha, x0, step in [(1e300, [1e10], 1), (1e200, [1.0], 2)]:
+            op = affine(alpha, [0.0])
+            assert op.fn.into is not None
+            for ref in [None, [0.0]]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteIterateError, match=f"step {step}$"):
+                        picard(op, x0, 5, ref=ref, norm_spec=spec)
+
     def test_shape_change_mid_run_raises_the_named_error(self):
         for step in [1, 3]:
             calls = []

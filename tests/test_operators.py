@@ -424,6 +424,27 @@ class TestStacks:
         np.testing.assert_allclose(out[0], [2.4e200, -3.2e200, 0.8], rtol=1e-15)
         np.testing.assert_array_equal(out[1], np.zeros(3))
 
+    def test_block_shrinkage_vector_equals_its_stack_row_by_bytes(self):
+        # a vector and each row of a stack shrink alike by bytes: absorbed
+        # rows, negative zeros included, come out +0.0, and NaN, infinite
+        # and overflowing rows agree too, in place and into a fresh array
+        xs = np.array([[-1.0, -0.0, 2.0], [-0.0, -0.0, -0.0], [0.3, -0.4, 0.0],
+                       [np.nan, 1.0, 0.0], [np.inf, -1.0, 0.0],
+                       [3e200, -4e200, 1.0], [1.5e308, -1.5e308, 0.0],
+                       [6.0, -8.0, 0.5]])
+        for lam in [0.0, 0.5, 5.0, 1e200, np.inf]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stack = block_soft_threshold(lam, xs)
+                into = l2_prox(1.0).into
+                for x, row in zip(xs, stack):
+                    assert block_soft_threshold(lam, x).tobytes() == row.tobytes()
+                    out = np.full_like(x, np.nan)
+                    assert into(lam, x, out) is out
+                    assert out.tobytes() == row.tobytes()
+                    x = x.copy()
+                    assert into(lam, x, x).tobytes() == row.tobytes()
+
     def test_stack_capable_fn_with_wrong_shape_raises(self):
         op = Operator(2, declared(lambda x: x[..., :1]), label="truncating")
         with pytest.raises(ValueError, match="'truncating' returned shape"):
