@@ -179,7 +179,7 @@ def _euclidean(x):
         x = np.ascontiguousarray(x)
         r = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
     over = np.isinf(r)
-    if over.any():
+    if np.count_nonzero(over):
         r[over] = [_euclidean(row) for row in x[over]]
     return r
 

@@ -1,16 +1,19 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from helpers import assert_same_text
 
+from fpcert import reports
 from fpcert.certify import range_region
 from fpcert.iterate import IterationTrace, StopReason, picard
 from fpcert.metrics import L1
 from fpcert.operators import affine, identity
 from fpcert.reports import (
     TRACE_CHUNK_ROWS,
+    TRACE_NUMPY_ROWS,
     dumps_json,
     format_float,
     region_csv,
@@ -230,6 +233,145 @@ class TestTraceBytes:
         assert "Infinity" in trace_csv(diverged)
         assert traces["one_step"].k_final == 1
         assert traces["longer_than_a_chunk"].k_final > 2 * TRACE_CHUNK_ROWS
+
+
+def _powers_of_ten():
+    values = []
+    for k in range(-307, 308):
+        p = float(f"1e{k}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    return np.array(values + [-v for v in values])
+
+
+def _log_uniform():
+    rng = np.random.default_rng(23)
+    values = 10.0 ** rng.uniform(-323, 308, 200_000)
+    return np.where(rng.random(values.size) < 0.5, -values, values)
+
+
+def _bit_patterns():
+    rng = np.random.default_rng(24)
+    return rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+
+
+CELL_VALUES = {
+    # subnormals included
+    "powers_of_two": lambda: np.array([math.ldexp(1.0, k) for k in range(-1074, 1024)]),
+    "powers_of_ten_and_neighbours": _powers_of_ten,
+    "zeros_and_least_subnormal": lambda: np.array([0.0, -0.0, 5e-324, -5e-324]),
+    # where %.17g switches between fixed and scientific forms
+    "switch_points": lambda: np.array([1e-5, 9.9999999999999995e-05, 1e-4, 1e16, 1e17,
+                                       99999999999999999.0, 9999999999999998.0]),
+    "integers_and_eighths": lambda: np.concatenate(
+        [[2.0 ** 53 + 2], np.arange(3000.0), np.arange(3000) / 8.0]),
+    # 18-digit values whose 17-digit rounding is an exact tie, and near ties
+    "ties": lambda: np.concatenate([1e15 + np.arange(500) + 0.25,
+                                    1e15 + np.arange(500) + 0.75,
+                                    np.nextafter(1e15 + np.arange(500) + 0.25, 0.0)]),
+    "log_uniform": _log_uniform,
+    "bit_patterns": _bit_patterns,
+}
+
+
+def reference_rows(lo, columns):
+    """Rows k = lo, lo + 1, ... with one cell of each column, rendered one
+    cell at a time; a single column leaves the error column blank."""
+    rows = []
+    for i, cells in enumerate(zip(*columns)):
+        rendered = [reference_format_float(c) for c in cells] + [""] * (2 - len(cells))
+        rows.append(f"{lo + i},{rendered[0]},{rendered[1]}\n")
+    return "".join(rows)
+
+
+def _trace(residuals, errors):
+    return IterationTrace(x0=np.zeros(1), x_final=np.zeros(1), residuals=residuals,
+                          norm_spec=L1, k_final=len(residuals),
+                          stop_reason=StopReason.MAX_ITER, errors_to_ref=errors)
+
+
+def _mixed_cells(count, seed):
+    """Cells of every form: fixed and scientific, 1e-4 <= |x| < 1 and
+    10 <= |x| < 1e17, negatives, zeros and values the numpy pass hands back."""
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-30, 20, count)
+    values[rng.random(count) < 0.1] *= -1
+    values[rng.random(count) < 0.02] = 0.0
+    values[rng.random(count) < 0.02] = 1e-300
+    return values
+
+
+class TestNumpyCells:
+    @pytest.mark.parametrize("name", sorted(CELL_VALUES))
+    def test_cells_match_the_cell_renderer(self, name):
+        values = CELL_VALUES[name]()
+        # each value is a residual on one row and an error on another
+        errors = values[::-1].copy()
+        for lo in range(1, len(values) + 1, TRACE_CHUNK_ROWS):
+            chunk = slice(lo - 1, lo - 1 + TRACE_CHUNK_ROWS)
+            columns = [values[chunk], errors[chunk]]
+            assert_same_text(reports._numpy_rows(lo, columns), reference_rows(lo, columns))
+
+    @pytest.mark.parametrize("digits", range(1, 13))
+    def test_rows_across_a_change_in_the_digits_of_k(self, digits):
+        lo = max(1, 10 ** digits - TRACE_NUMPY_ROWS // 2)
+        columns = [_mixed_cells(TRACE_NUMPY_ROWS, digits),
+                   _mixed_cells(TRACE_NUMPY_ROWS, digits + 100)]
+        assert_same_text(reports._trace_rows(lo, *columns), reference_rows(lo, columns))
+        assert_same_text(reports._trace_rows(lo, columns[0], None),
+                         reference_rows(lo, columns[:1]))
+
+    def test_k_digit_edges_of_a_long_trace(self):
+        # k crosses 10, 100, ..., 100000 inside numpy-rendered chunks
+        residuals = _mixed_cells(100_005, 1)
+        errors = _mixed_cells(100_006, 2)
+        for trace in (_trace(residuals, errors), _trace(residuals, None)):
+            assert_same_text(trace_csv(trace), reference_trace_csv(trace))
+
+    @pytest.mark.parametrize("k_final", sorted({
+        1, TRACE_NUMPY_ROWS - 1, TRACE_NUMPY_ROWS, TRACE_NUMPY_ROWS + 1,
+        TRACE_CHUNK_ROWS - 1, TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1,
+        TRACE_CHUNK_ROWS + TRACE_NUMPY_ROWS - 1, TRACE_CHUNK_ROWS + TRACE_NUMPY_ROWS,
+        TRACE_CHUNK_ROWS + TRACE_NUMPY_ROWS + 1}))
+    @pytest.mark.parametrize("with_errors", [True, False], ids=["errors", "blank_errors"])
+    def test_chunk_and_cutoff_edges(self, k_final, with_errors):
+        residuals = _mixed_cells(k_final, k_final)
+        errors = _mixed_cells(k_final + 1, k_final + 1) if with_errors else None
+        trace = _trace(residuals, errors)
+        assert_same_text(trace_csv(trace), reference_trace_csv(trace))
+
+    @pytest.mark.parametrize("rows", [TRACE_NUMPY_ROWS - 1, TRACE_NUMPY_ROWS,
+                                      TRACE_CHUNK_ROWS])
+    def test_non_finite_cells_inside_a_chunk(self, rows):
+        residuals = _mixed_cells(rows, 5)
+        errors = _mixed_cells(rows, 6)
+        middle = rows // 2
+        residuals[[1, middle, middle + 1]] = [np.inf, np.nan, -np.inf]
+        errors[[middle - 1, middle, rows - 2]] = [np.nan, np.inf, -np.inf]
+        text = reports._trace_rows(7, residuals, errors)
+        assert_same_text(text, reference_rows(7, [residuals, errors]))
+        assert "inf" not in text and "nan" not in text
+        assert_same_text(reports._trace_rows(7, residuals, None),
+                         reference_rows(7, [residuals]))
+
+    def test_an_exponent_guess_off_by_one_falls_back(self, monkeypatch):
+        # np.log10 may be a few ulps off; a guess of X one too high or one
+        # too low must leave the cell to format_float, not print it wrong
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + np.arange(a.size) % 3 - 1)
+        columns = [_mixed_cells(300, 11), _mixed_cells(300, 12)]
+        assert_same_text(reports._numpy_rows(1, columns), reference_rows(1, columns))
+
+    def test_the_cutoff_picks_the_renderer(self, monkeypatch):
+        calls = []
+        numpy_rows = reports._numpy_rows
+        monkeypatch.setattr(reports, "_numpy_rows",
+                            lambda lo, columns: calls.append(lo) or numpy_rows(lo, columns))
+        cells = _mixed_cells(TRACE_NUMPY_ROWS, 9)
+        reports._trace_rows(1, cells[:-1], None)
+        assert calls == []
+        reports._trace_rows(1, cells, None)
+        assert calls == [1]
+        assert TRACE_NUMPY_ROWS < TRACE_CHUNK_ROWS
 
 
 class TestRegionCsv:
