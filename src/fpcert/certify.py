@@ -15,6 +15,13 @@ and ``Certificate.recompute_slack`` pass their pair through the same kernel
 as a batch of one.  A row's image and norms do not depend on the rows stacked
 with it, so a witness reproduces its slack bit for bit and the minimum does
 not depend on the order in which rows are evaluated.
+
+A stack of more than ``TRIPLE_BLOCK // n`` rows of dimension n is evaluated
+in blocks of that many rows, each block's image and norms written into the
+triple's preallocated arrays, so the temporaries of a block stay near
+``TRIPLE_BLOCK`` elements whatever the sample size; a smaller stack is
+evaluated in one pass.  Since rows are independent, the triple has the same
+bits either way.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
     "PROPERTIES",
     "DEFAULT_TOL",
     "DENOMINATOR_CUTOFF",
+    "TRIPLE_BLOCK",
 ]
 
 
@@ -82,6 +90,9 @@ DEFAULT_TOL = 1e-10
 
 # Pairs the operator fixes carry no information about mu; their quotient is 0/0.
 DENOMINATOR_CUTOFF = 1e-14
+
+# Elements (rows times dimension) of one block of a stacked norm triple.
+TRIPLE_BLOCK = 16384
 
 SAMPLED_EVIDENCE_NOTE = "sampled evidence: PASS reports failure to refute, not a proof"
 
@@ -252,10 +263,25 @@ def gan_slack(op, x, y, gamma, mu, norm_spec=L2):
 def _triples(op, xs, ys, norm_spec, fixed=False):
     """Norm triples (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) of stacked rows.
 
-    T is applied once per stack, to ``xs`` and to ``ys``.  With ``fixed``
-    every y is the fixed-point hint and Ty is taken to be y, so the triple is
-    (|x-y|, |Tx-y|, |x-Tx|).
+    T is applied once per block of at most ``TRIPLE_BLOCK // n`` rows, to
+    the block's ``xs`` and ``ys``.  With ``fixed`` every y is the
+    fixed-point hint and Ty is taken to be y, so the triple is (|x-y|,
+    |Tx-y|, |x-Tx|).
     """
+    step = max(1, TRIPLE_BLOCK // xs.shape[1])
+    if len(xs) <= step:
+        return _block_triple(op, xs, ys, norm_spec, fixed)
+    triple = tuple(np.empty(len(xs)) for _ in range(3))
+    for start in range(0, len(xs), step):
+        rows = slice(start, start + step)
+        for out, part in zip(triple, _block_triple(op, xs[rows], ys[rows],
+                                                   norm_spec, fixed)):
+            out[rows] = part
+    return triple
+
+
+def _block_triple(op, xs, ys, norm_spec, fixed):
+    """The norm triple of one block of rows, in one pass."""
     tx = op(xs)
     ty = ys if fixed else op(ys)
     return (
@@ -516,7 +542,9 @@ def range_region(x, xhat, gamma, mu, resolution=201):
         raise ValueError("x and xhat must differ")
 
     offsets = _symmetric_offsets(radius, resolution)
-    o1, o2 = np.meshgrid(offsets, offsets)  # rows scan the second coordinate
+    # a row of first coordinates against a column of second ones, so rows
+    # scan the second coordinate
+    o1, o2 = offsets[None, :], offsets[:, None]
     half = 0.5 * gamma
     lhs = (o1**2 + o2**2) ** half + mu * ((o1 - d[0]) ** 2 + (o2 - d[1]) ** 2) ** half
     rhs = (d[0] ** 2 + d[1] ** 2) ** half

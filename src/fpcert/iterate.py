@@ -318,10 +318,12 @@ class RateFit:
 
 
 def _least_squares_line(xs, ys):
+    # numpy sums, not BLAS dot products: a BLAS that splits a long product
+    # across threads rounds it differently at each thread count
     xbar, ybar = np.mean(xs), np.mean(ys)
     dx = xs - xbar
-    denom = float(dx @ dx)
-    slope = float(dx @ (ys - ybar)) / denom
+    denom = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * (ys - ybar))) / denom
     intercept = ybar - slope * xbar
     fitted = slope * xs + intercept
     ss_res = float(np.sum((ys - fitted) ** 2))

@@ -30,6 +30,13 @@ kernel ``(x, out)`` at the scale t, whose constants (the threshold
 when it is built, so a step pays no per-scale work; a family without
 ``bind`` is bound through a kernel that copies its image.
 
+The shrinkage and box kernels call numpy's ``clip`` ufunc itself, one pass,
+not the ``np.clip`` wrapper, which calls the same ufunc after a dispatch of
+its own.  Componentwise shrinkage by t is the Moreau form
+x - clip(x, -t, t), whose bits equal those of x - min(max(x, -t), t) for
+every t > 0; at t = 0 the two differ only in the sign of a zero: the clip
+form maps -0.0 to +0.0 (see :func:`soft_threshold`).
+
 Operators are immutable after construction; ``apply`` is pure and reentrant,
 so instances are safe to call concurrently.
 """
@@ -40,6 +47,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 from .metrics import _matvec, check_number, norm, primal_dual_metric
 
@@ -209,8 +221,11 @@ def soft_threshold(lam, x):
 
     Components above lam move down by lam, components below -lam move up by
     lam, and everything in between collapses to zero.  It is evaluated in
-    the Moreau form x - clip(x, -lam, lam), three ufuncs, whose bits equal
+    the Moreau form x - clip(x, -lam, lam), two ufunc passes (numpy's
+    ``clip`` ufunc and a subtraction), whose bits equal
     sign(x) * max(|x| - lam, 0) but for the sign of a zero in the dead zone.
+    At lam = 0 the map is the identity except on -0.0, which it maps to
+    +0.0: clip keeps the -0.0, and -0.0 - (-0.0) is +0.0.
     """
     return _soft(lam)(np.asarray(x, dtype=float), None)
 
@@ -224,15 +239,13 @@ def _check_threshold(lam):
 
 def _soft(lam):
     """Kernel of :func:`soft_threshold` at ``lam``: x - clip(x, -lam, lam)
-    into ``out``."""
+    into ``out``, through the ``clip`` ufunc."""
     _check_threshold(lam)
     # 0-d arrays: a ufunc takes them faster than Python scalars, same bits
     low, high = np.array(-lam, dtype=float), np.array(lam, dtype=float)
 
     def into(x, out):
-        clipped = np.maximum(x, low)
-        np.minimum(clipped, high, out=clipped)
-        return np.subtract(x, clipped, out=out)
+        return np.subtract(x, _clip(x, low, high), out=out)
 
     return into
 
@@ -282,7 +295,7 @@ def box_prox(lower, upper):
         raise ValueError("box bounds are inverted")
 
     def into(x, out):
-        return np.clip(x, lower, upper, out=out)
+        return _clip(x, lower, upper, out=out)
 
     return _family(lambda t: into)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fpcert.certify import (
+    TRIPLE_BLOCK,
     EstimateError,
     SamplingPlan,
     certify,
@@ -15,6 +16,7 @@ from fpcert.certify import (
     range_region,
     sample_pairs,
     sample_points,
+    _triples,
 )
 from fpcert.metrics import L1, L2, norm, primal_dual_metric, weighted_norm
 from fpcert.operators import (
@@ -32,6 +34,7 @@ from fpcert.problems import (
     build_operator,
     default_step_sizes,
     least_squares_problem,
+    separable_smooth_l1_problem,
 )
 
 
@@ -347,6 +350,50 @@ class TestKernelAgainstPairLoop:
                 assert abs(est - max(ref, 0.0)) <= 1e-12 * scale
             ref = loop_fp_ratio(op, spec, self.PLAN)
             assert abs(estimate_fp_ratio(op, spec, self.PLAN) - ref) <= 1e-12 * ref
+
+
+class TestTriplesInBlocks:
+    """A stack of more than TRIPLE_BLOCK // n rows is evaluated in blocks;
+    every row's triple is the one it has alone, by bytes."""
+
+    DIM = 100
+    STEP = TRIPLE_BLOCK // DIM
+
+    @classmethod
+    def operator(cls):
+        rng = np.random.default_rng(40)
+        problem = separable_smooth_l1_problem(rng.uniform(0.5, 2.0, cls.DIM),
+                                              rng.standard_normal(cls.DIM), 0.3)
+        built = build_operator(problem)
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            return built.fn(x)
+
+        fn.takes_stacks = True
+        return Operator(cls.DIM, fn, built.fixed_point_hint), calls
+
+    @pytest.mark.parametrize("k", [STEP - 1, STEP, STEP + 1, 2 * STEP + 3])
+    def test_rows_equal_their_triples_alone(self, k):
+        op, calls = self.operator()
+        rng = np.random.default_rng(k)
+        g = rng.standard_normal((self.DIM, self.DIM))
+        xs = 3.0 * rng.standard_normal((k, self.DIM))
+        blocks = [min(self.STEP, k - start) for start in range(0, k, self.STEP)]
+        for spec in (L2, L1, weighted_norm(g @ g.T + 0.5 * np.eye(self.DIM))):
+            for fixed in (False, True):
+                ys = (np.broadcast_to(op.fixed_point_hint, xs.shape) if fixed
+                      else rng.standard_normal((k, self.DIM)))
+                calls.clear()
+                triple = _triples(op, xs, ys, spec, fixed)
+                assert calls == (blocks if fixed else
+                                 [rows for block in blocks for rows in (block, block)])
+                alone = [_triples(op, xs[i:i + 1], ys[i:i + 1], spec, fixed)
+                         for i in range(k)]
+                for term, column in zip(triple, zip(*alone)):
+                    assert term.shape == (k,)
+                    assert term.tobytes() == np.concatenate(column).tobytes()
 
 
 class TestEstimateMu:
@@ -673,6 +720,22 @@ class TestRangeRegion:
         for gamma in (1.0, 3.0):
             grid = range_region([1.0, 0.0], [0.0, 0.0], gamma, 0.5, resolution=201)
             np.testing.assert_array_equal(grid.mask, grid.mask[::-1, :])
+
+    @pytest.mark.parametrize("resolution, gamma, mu", [
+        (2, 2.0, 1.0), (21, 0.5, 3.0), (201, 1.0, 0.5), (268, 2.0, 1.0),
+        (334, 3.0, 2.0), (401, 2.0, 0.5)])
+    def test_mask_equals_the_meshgrid_evaluation(self, resolution, gamma, mu):
+        rng = np.random.default_rng(resolution)
+        for _ in range(3):
+            x, xhat = rng.uniform(-3.0, 3.0, 2), rng.uniform(-3.0, 3.0, 2)
+            grid = range_region(x, xhat, gamma, mu, resolution)
+            o1, o2 = np.meshgrid(grid.offsets, grid.offsets)
+            d, half = x - xhat, 0.5 * gamma
+            lhs = ((o1**2 + o2**2) ** half
+                   + mu * ((o1 - d[0]) ** 2 + (o2 - d[1]) ** 2) ** half)
+            assert grid.mask.shape == (resolution, resolution)
+            np.testing.assert_array_equal(grid.mask,
+                                          lhs <= (d[0] ** 2 + d[1] ** 2) ** half)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="differ"):

@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fpcert
 from fpcert import reports
 from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat, range_region
 from fpcert.cli import main
@@ -441,6 +445,36 @@ class TestFitRate:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="model"):
             fit_rate(np.ones(10), "linear")
+
+
+FIT_BITS_SCRIPT = """
+import numpy as np
+from fpcert.iterate import fit_rate, little_o_proxy
+rng = np.random.default_rng(5)
+seq = np.arange(1.0, 20001.0) ** -1.5 * (1.0 + 0.1 * rng.random(20000))
+bits = []
+for model in ("polynomial", "exponential"):
+    fit = fit_rate(seq, model, tail_start=0)
+    bits += [fit.exponent_p, fit.rho, fit.r_squared]
+bits.append(little_o_proxy(seq, 1.0, tail_start=0).slope)
+print(" ".join("-" if b is None else float(b).hex() for b in bits))
+"""
+
+
+class TestBlasThreadCount:
+    def test_fits_have_the_same_bits_at_one_and_two_threads(self):
+        # a BLAS dot product over 20 000 points is split across threads, and
+        # so rounded differently, at each thread count; the fits take none
+        src = os.path.dirname(os.path.dirname(fpcert.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", FIT_BITS_SCRIPT], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 7
+        assert outputs[0] == outputs[1]
 
 
 class TestLittleOProxy:

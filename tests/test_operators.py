@@ -141,6 +141,60 @@ class TestSoftThreshold:
         assert soft_threshold(lam, [hi])[0] >= soft_threshold(lam, [lo])[0]
 
 
+def _moreau_max_min(t, x):
+    """x - min(max(x, -t), t), the shrinkage as a max/min pair of ufuncs."""
+    clipped = np.maximum(x, np.array(-t))
+    np.minimum(clipped, np.array(t), out=clipped)
+    return x - clipped
+
+
+class TestClipKernel:
+    """The shrinkage kernel, one ``clip`` ufunc, against the max/min pair."""
+
+    THRESHOLDS = [5e-324, 1e-300, 0.3, 1.0, 2.5, 1e300, np.inf]
+
+    @staticmethod
+    def values(t):
+        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+        for edge in (t, -t):
+            special += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
+        rng = np.random.default_rng(24)
+        magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 400)
+        signs = rng.choice([-1.0, 1.0], 400)
+        return np.concatenate([special, signs * magnitudes])
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_equals_the_max_min_form_by_bytes(self, t):
+        prox = l1_prox(1.0)  # scale t, threshold t * 1.0 == t
+        values = self.values(t)
+        stack = values[: 20 * (len(values) // 20)].reshape(20, -1)
+        with np.errstate(invalid="ignore"):  # inf - inf at t = inf
+            for x in (values, stack, stack[:, ::3], stack[::2, 1::2], values[::-1]):
+                expected = _moreau_max_min(t, x).tobytes()
+                assert soft_threshold(t, x).tobytes() == expected
+                assert prox(t, x).tobytes() == expected
+                out = np.full(x.shape, np.nan)
+                assert prox.into(t, x, out) is out
+                assert out.tobytes() == expected
+                inplace = x.copy()
+                assert prox.into(t, inplace, inplace) is inplace
+                assert inplace.tobytes() == expected
+                strided = np.empty(x.shape + (2,))[..., 0]  # every other double
+                strided[...] = x
+                assert prox.into(t, strided, strided) is strided
+                assert strided.tobytes() == expected
+
+    def test_zero_threshold_maps_minus_zero_to_plus_zero_only(self):
+        x = self.values(0.0)
+        got = soft_threshold(0.0, x)
+        minus_zero = (x == 0.0) & np.signbit(x)
+        assert minus_zero.any()
+        assert got[minus_zero].tobytes() == np.zeros(minus_zero.sum()).tobytes()
+        assert got[~minus_zero].tobytes() == x[~minus_zero].tobytes()
+        # the one place where clip and the max/min pair part: the pair keeps -0.0
+        assert _moreau_max_min(0.0, x).tobytes() == x.tobytes()
+
+
 class TestBlockSoftThreshold:
     def test_radial_shrink(self):
         np.testing.assert_allclose(block_soft_threshold(1.0, [3.0, 4.0]), [2.4, 3.2])
@@ -166,6 +220,12 @@ class TestProxFamilies:
         prox = box_prox(-1.0, 1.0)
         np.testing.assert_array_equal(prox(0.1, np.array([2.0, -3.0, 0.5])),
                                       [1.0, -1.0, 0.5])
+
+    def test_box_family_equals_np_clip_by_bytes(self):
+        x = np.array([[2.0, -3.0, 0.5, -0.0], [np.nan, np.inf, -1.0, 1e-300]])
+        for lower, upper in ((-1.0, 1.0), ([-1.0, 0.0, 0.0, -0.0], [1.0, 1.0, 0.5, 0.0])):
+            prox = box_prox(lower, upper)
+            assert prox(0.1, x).tobytes() == np.clip(x, lower, upper).tobytes()
 
     def test_prox_operator_wraps_family(self):
         op = prox_operator(l1_prox(1.0), 2.0, 1, fixed_point_hint=[0.0])
