@@ -533,6 +533,8 @@ def range_region(x, xhat, gamma, mu, resolution=201):
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     if x.shape != (2,) or xhat.shape != (2,):
         raise ValueError("range_region is defined for 2-vectors")
+    if not (np.isfinite(x).all() and np.isfinite(xhat).all()):
+        raise ValueError("x and xhat must be finite")
     check_number("gamma", gamma)
     check_number("mu", mu)
     check_number("resolution", resolution, int, 2, strict=False)

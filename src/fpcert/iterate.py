@@ -542,20 +542,22 @@ def check_sandwich(trace, mu):
 def recurrence_bound(a_start, p, b, start, k):
     """Closed-form decay bound for a_{j+1} <= a_j (1 - b_j a_j^p).
 
-    Returns ``(a_start^(-p) + p * sum(b[start:k]))^(-1/p)`` for k > start;
-    a vanished ``a_start`` short-circuits to 0 since the sequence has already
-    converged.
+    Returns ``(a_start^(-p) + p * sum(b[start:k]))^(-1/p)`` for integers
+    k > start >= 0 and weights b >= 0 (NaN rejected); a vanished ``a_start``
+    short-circuits to 0 since the sequence has already converged.
     """
     if check_number("a_start", a_start, lower=0.0, strict=False) == 0.0:
         return 0.0
     check_number("p", p)
+    check_number("start", start, int, 0, strict=False)
+    check_number("k", k, int, 0, strict=False)
     if k <= start:
         raise ValueError("k must exceed start")
     b = np.asarray(b, dtype=float)
     if len(b) < k:
         raise ValueError("b does not cover indices start..k-1")
     window = b[start:k]
-    if np.any(window < 0):
+    if not np.all(window >= 0):
         raise ValueError("b must be nonnegative")
     return float((a_start ** (-p) + p * np.sum(window)) ** (-1.0 / p))
 
@@ -584,7 +586,7 @@ def verify_recurrence_bound(seq, p, mu, tol=1e-12):
     check_number("p", p, lower=0.0, strict=False)
     check_number("tol", tol, lower=0.0, strict=False)
     seq = np.asarray(seq, dtype=float)
-    if np.any(seq < 0):
+    if not np.all(seq >= 0):
         raise ValueError("sequence must be nonnegative")
     n = len(seq)
     if n < 2:

@@ -92,13 +92,15 @@ L1 = NormSpec("l1")
 def weighted_norm(weight):
     """Build a NormSpec for the norm induced by a symmetric PD matrix.
 
-    The matrix must be symmetric to within a 1e-12 relative tolerance; it is
-    symmetrized before factorization so that floating-point assembly noise
-    does not leak into the factor.
+    The matrix must be finite and symmetric to within a 1e-12 relative
+    tolerance; it is symmetrized before factorization so that floating-point
+    assembly noise does not leak into the factor.
     """
     w = np.asarray(weight, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weight matrix must be square")
+    if not np.isfinite(w).all():
+        raise ValueError("weight matrix must be finite")
     scale = max(float(np.max(np.abs(w))), np.finfo(float).tiny)
     if float(np.max(np.abs(w - w.T))) > SYMMETRY_RTOL * scale:
         raise ValueError("weight matrix is not symmetric within tolerance")
@@ -211,8 +213,8 @@ def cholesky_factor(m):
     """Lower-triangular Cholesky factor of a symmetric matrix.
 
     Positive definiteness is decided by factorization success: a pivot at or
-    below ``PIVOT_RTOL * max(diagonal)`` raises NotPositiveDefiniteError
-    naming the offending pivot.
+    below ``PIVOT_RTOL * max(diagonal)``, or NaN, raises
+    NotPositiveDefiniteError naming the offending pivot.
     """
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
@@ -220,7 +222,7 @@ def cholesky_factor(m):
     low = np.zeros_like(a)
     for j in range(n):
         pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= threshold:
+        if not pivot > threshold:
             raise NotPositiveDefiniteError(j, float(pivot))
         ljj = np.sqrt(pivot)
         low[j, j] = ljj

@@ -12,23 +12,21 @@ whatever stack it sits in.  A vector runs through the same code as a stack
 row, so every built-in gives a stack row the same bits as its vector image;
 ``TestStacks.test_stack_matches_vector_rows`` asserts this exactly.
 
-Every built-in map, and every built-in prox family, is written once, as an
-in-place kernel that its ``fn`` carries as ``fn.into``: ``into(x, out)``
-writes T x into ``out``, a C-contiguous float array of x's shape that
-shares no memory with x, and returns it; ``into(x, None)`` returns T x in
-a fresh array, as a numpy ufunc does (a prox family's kernel is
-``into(t, x, out)`` and also accepts ``out`` = x).  ``fn(x)`` is
-``into(x, None)`` of x as a float array, so the two agree bit for bit.  A
-kernel is pure, reading nothing but x and the map's data, and reentrant:
-it keeps no scratch state between calls.  A map built from a part without
-a kernel carries none itself.  :func:`fpcert.iterate.picard` steps a map
-with a kernel in place.
+Every built-in map is written once, as an in-place kernel that its ``fn``
+carries as ``fn.into``: ``into(x, out)`` writes T x into ``out``, a
+C-contiguous float array of x's shape that shares no memory with x, and
+returns it; ``into(x, None)`` returns T x in a fresh array, as a numpy
+ufunc does.  ``fn(x)`` is ``into(x, None)`` of x as a float array, so the
+two agree bit for bit.  A kernel is pure, reading nothing but x and the
+map's data, and reentrant: it keeps no scratch state between calls.
+:func:`fpcert.iterate.picard` steps a map with a kernel in place.
 
-A built-in prox family also carries ``fn.bind``: ``bind(t)`` is its map
-kernel ``(x, out)`` at the scale t, whose constants (the threshold
-``t * lam``) are formed and checked once.  A map binds its family once,
-when it is built, so a step pays no per-scale work; a family without
-``bind`` is bound through a kernel that copies its image.
+A built-in prox family is written once too, as ``fn.bind``: ``bind(t)`` is
+its map kernel ``(x, out)`` at the scale t, which also accepts ``out`` = x,
+and whose constants (the threshold ``t * lam``) are formed and checked
+once.  A map binds its family once, when it is built, so a step pays no
+per-scale work; a family without ``bind`` is bound through a kernel that
+copies its image, and a map built from it carries no kernel.
 
 The shrinkage and box kernels call numpy's ``clip`` ufunc itself, one pass,
 not the ``np.clip`` wrapper, which calls the same ufunc after a dispatch of
@@ -88,19 +86,19 @@ def _stackable(fn, *parts):
     return fn
 
 
-def _from_kernel(into, *parts):
-    """The map that the kernel ``into`` computes.
+def _from_kernel(into, *families):
+    """The map that the kernel ``into`` computes from the prox ``families``.
 
     ``fn(x)`` is ``into(x, None)`` with x as a float array.  ``fn`` carries
-    ``into`` as its kernel when each of ``parts`` has one, and declares
-    stacks when each of them does.
+    ``into`` as its kernel when each of ``families`` has a ``bind``, and
+    declares stacks when each of them does.
     """
     def fn(x):
         return into(np.asarray(x, dtype=float), None)
 
-    if all(getattr(part, "into", None) for part in parts):
+    if all(getattr(family, "bind", None) for family in families):
         fn.into = into
-    return _stackable(fn, *parts)
+    return _stackable(fn, *families)
 
 
 def _family(bind):
@@ -108,13 +106,11 @@ def _family(bind):
 
     ``bind`` resolves every constant of the scale, and checks it, once; the
     family carries it as ``fn.bind``.  ``fn(t, x)`` is ``bind(t)(x, None)``
-    with x as a float array, and the family's kernel ``fn.into(t, x, out)``
-    is ``bind(t)(x, out)``.
+    with x as a float array.
     """
     def fn(t, x):
         return bind(t)(np.asarray(x, dtype=float), None)
 
-    fn.into = lambda t, x, out: bind(t)(x, out)
     fn.bind = bind
     return _stackable(fn)
 
@@ -291,8 +287,8 @@ def l2_prox(lam=1.0):
 
 def box_prox(lower, upper):
     """Prox family of a box indicator: projection, insensitive to the scale."""
-    if np.any(np.asarray(lower) > np.asarray(upper)):
-        raise ValueError("box bounds are inverted")
+    if not np.all(np.asarray(lower) <= np.asarray(upper)):
+        raise ValueError("box bounds are inverted or NaN")
 
     def into(x, out):
         return _clip(x, lower, upper, out=out)

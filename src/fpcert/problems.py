@@ -146,7 +146,7 @@ def separable_smooth_l1_problem(coeffs, b, lam):
         raise ValueError("coeffs and b must have equal length")
     if not (np.isfinite(coeffs).all() and np.isfinite(b).all()):
         raise ValueError("coeffs and b must be finite")
-    if np.any(coeffs <= 0):
+    if not np.all(coeffs > 0):
         raise ValueError("coeffs must be positive")
     prox_g = operators.l1_prox(lam)  # checks lam before it divides
     solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)

@@ -6,9 +6,9 @@ JSON output is strict JSON: a non-finite float (an infinite residual, a NaN
 fit) is written as ``null``.  CSV cells keep ``Infinity``, ``-Infinity`` and
 ``NaN``.
 
-A trace.csv chunk of ``TRACE_NUMPY_ROWS`` rows or more is rendered by a
-fixed sequence of numpy passes, with the bytes of ``"%d,%.17g,%.17g\n"``
-row for row.  A cell x with X = floor(log10|x|) prints the 17-digit integer
+Every trace.csv chunk is rendered by one fixed sequence of numpy passes,
+with the bytes of ``"%d,%.17g,%.17g\n"`` row for row.  A cell x with
+X = floor(log10|x|) prints the 17-digit integer
 D = round(|x| * 10**(16 - X)).  The pass guesses X from ``np.log10``, holds
 10**(16 - X) as a double-double hi + lo built from exact integers, and
 forms |x| * hi exactly with Dekker's two-product; adding |x| * lo leaves
@@ -47,11 +47,6 @@ JSON_INDENT = 2
 # cost is small, few enough that a chunk's numpy passes stay in cache and a
 # long trace is never held as all its cells at once.
 TRACE_CHUNK_ROWS = 1024
-# A chunk of fewer rows, all finite, is rendered by one `%` template over its
-# rows.  The numpy passes cost about 60 us a chunk plus 0.3 us a row against
-# the template's 1.3 us a row (a 2-vCPU x86 guest, numpy 2.4); they break
-# even near 56 rows and are 1.3x faster at 80.
-TRACE_NUMPY_ROWS = 80
 # The numpy pass rounds a scaled cell only when its fraction lies this far
 # from 1/2 or farther; the scaled value errs by less than 2**-47.
 DECIMAL_TIE_MARGIN = 2.0 ** -30
@@ -143,37 +138,6 @@ def trace_csv(trace, params=None):
 def write_trace_csv(path, trace, params=None):
     """Write :func:`trace_csv` to ``path``, ``TRACE_CHUNK_ROWS`` rows at a time."""
     return _write(path, _trace_chunks(trace, params))
-
-
-def _trace_rows(lo, residuals, errors):
-    """The trace.csv rows k = lo, lo + 1, ...: ``residuals[i]`` and
-    ``errors[i]`` are the cells of row lo + i, and ``errors`` None leaves
-    that column blank.
-
-    A chunk of ``TRACE_NUMPY_ROWS`` rows or more, or one with a non-finite
-    cell, is rendered by :func:`_numpy_rows`, whose cells are ``%.17g``
-    exactly: a cell's scaled 17-digit value errs by less than 2**-47 and is
-    rounded only when it lies ``DECIMAL_TIE_MARGIN`` (2**-30) or more from
-    a tie, and every other cell (0 and -0, |x| outside [1e-250, 1e250], a
-    non-finite value, a near-tie, a misjudged exponent) is rendered by
-    :func:`format_float`.  Any other chunk is rendered with one ``%`` format
-    over a repeated row template, whose ``%.17g`` is :func:`format_float` on
-    finite cells.
-    """
-    columns = [residuals] if errors is None else [residuals, errors]
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    if (len(columns[0]) >= TRACE_NUMPY_ROWS
-            or not all(np.isfinite(c).all() for c in columns)):
-        return _numpy_rows(lo, columns)
-    cells = [c.tolist() for c in columns]
-    ks = range(lo, lo + len(cells[0]))
-    width = 1 + len(cells)
-    flat = [None] * (width * len(ks))
-    flat[0::width] = ks
-    for i, column in enumerate(cells, 1):
-        flat[i::width] = column
-    row = "%d,%.17g,\n" if errors is None else "%d,%.17g,%.17g\n"
-    return (row * len(ks)) % tuple(flat)
 
 
 # Each cell of a numpy-rendered row has a slot of fixed width in the row
@@ -320,11 +284,14 @@ def _decimal_slots(values, slots, t):
 
 
 def _numpy_rows(lo, columns):
-    """:func:`_trace_rows` by numpy passes: every row written into a
-    (rows, bytes) uint8 buffer as k's digits, one slot per cell and the line
-    end; the bytes a row does not print are zeroed and deleted in one
-    ``bytes.translate``.  An undecided cell prints its comma alone, and its
-    :func:`format_float` text is spliced in after it."""
+    """The trace.csv rows k = lo, lo + 1, ...: ``columns[j][i]`` is cell j
+    of row lo + i, and one column leaves the error column blank.
+
+    Every row is written into a (rows, bytes) uint8 buffer as k's digits,
+    one slot per cell and the line end; the bytes a row does not print are
+    zeroed and deleted in one ``bytes.translate``.  An undecided cell prints
+    its comma alone, and its :func:`format_float` text is spliced in after
+    it."""
     t = _decimal_tables()
     n, cells = len(columns[0]), len(columns) * len(_SLOT)
     kw = 4 * ((len(str(lo + n - 1)) + 3) // 4)  # k's digits, four at a time
@@ -386,8 +353,10 @@ def _trace_chunks(trace, params):
     yield "\n".join(lines) + "\n"
     for lo in range(1, trace.k_final + 1, TRACE_CHUNK_ROWS):
         hi = min(lo + TRACE_CHUNK_ROWS, trace.k_final + 1)
-        yield _trace_rows(lo, trace.residuals[lo - 1:hi - 1],
-                          None if errors is None else errors[lo:hi])
+        columns = [trace.residuals[lo - 1:hi - 1]]
+        if errors is not None:
+            columns.append(errors[lo:hi])
+        yield _numpy_rows(lo, columns)
 
 
 def region_csv(grid):

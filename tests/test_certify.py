@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -740,6 +742,15 @@ class TestRangeRegion:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             range_region([1.0, 1.0], [1.0, 1.0], 2.0, 1.0)
+
+    @pytest.mark.parametrize("x, xhat", [([np.inf, 0.0], [0.0, 0.0]),
+                                         ([1.0, 0.0], [0.0, -np.inf]),
+                                         ([np.nan, 0.0], [0.0, 0.0])])
+    def test_non_finite_points_rejected_without_warnings(self, x, xhat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and xhat must be finite"):
+                range_region(x, xhat, 2.0, 1.0, 5)
 
     def test_header_metadata(self):
         grid = range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1.0, resolution=21)

@@ -148,9 +148,17 @@ def _bare_bound(test):
                     for s in sides))
 
 
+def _any_argument(test):
+    """The argument of ``np.any(test)``, else ``test``."""
+    if (isinstance(test, ast.Call) and isinstance(test.func, ast.Attribute)
+            and test.func.attr == "any" and len(test.args) == 1):
+        return test.args[0]
+    return test
+
+
 def nan_blind_guards(source):
     """Lines of each ``if`` that raises on a bare ``<``/``<=`` bound of a
-    parameter or attribute, alone or in an ``or``."""
+    parameter or attribute, alone, in an ``or`` or inside ``np.any``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.If)
@@ -159,7 +167,7 @@ def nan_blind_guards(source):
         test = node.test
         tests = (test.values if isinstance(test, ast.BoolOp)
                  and isinstance(test.op, ast.Or) else [test])
-        if any(_bare_bound(t) for t in tests):
+        if any(_bare_bound(_any_argument(t)) for t in tests):
             lines.append(node.lineno)
     return lines
 
@@ -188,5 +196,13 @@ def test_guard_check_sees_bare_bounds_alone_and_in_an_or():
               "    if n < len(self.items) or x >= 1:\n"
               "        raise ValueError\n"
               "    if x < 0 and n < 1:\n"
+              "        raise ValueError\n"
+              "    if np.any(x < 0):\n"
+              "        raise ValueError\n"
+              "    if n > 2 or np.any(self.b <= 0.0):\n"
+              "        raise ValueError\n"
+              "    if not np.all(x >= 0):\n"
+              "        raise ValueError\n"
+              "    if np.any(x < 0) and n < 1:\n"
               "        raise ValueError\n")
-    assert nan_blind_guards(source) == [2, 4, 6, 8]
+    assert nan_blind_guards(source) == [2, 4, 6, 8, 18, 20]

@@ -614,8 +614,25 @@ class TestRecurrenceBound:
         with pytest.raises(ValueError):
             recurrence_bound(1.0, 1.0, -np.ones(5), 0, 5)
 
+    def test_rejects_a_nan_weight(self):
+        # NaN passes a bare "b < 0" test, and the bound came out NaN
+        with pytest.raises(ValueError, match="b must be nonnegative"):
+            recurrence_bound(1.0, 1.0, [1.0, np.nan, 1.0], 0, 3)
+
+    @pytest.mark.parametrize("start, k", [(-2, 3), (1.5, 3), (0, 2.5), (0, np.nan)])
+    def test_start_and_k_are_nonnegative_integers(self, start, k):
+        # a negative start took an empty window and returned a_start; a
+        # fractional one raised a raw slice TypeError
+        with pytest.raises(ValueError, match="an integer and nonnegative"):
+            recurrence_bound(1.0, 1.0, np.ones(5), start, k)
+
 
 class TestVerifyRecurrence:
+    def test_rejects_a_nan_entry(self):
+        # NaN passes a bare "seq < 0" test, and the report read PASS
+        with pytest.raises(ValueError, match="sequence must be nonnegative"):
+            verify_recurrence_bound([1.0, np.nan, 0.5], 1.0, 0.5)
+
     def test_synthesized_equality_sequence(self):
         for p, mu in [(1.0, 0.1), (0.5, 0.2), (2.0, 0.05)]:
             seq = [1.0]

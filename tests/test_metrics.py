@@ -118,6 +118,15 @@ class TestNorm:
         with pytest.raises(ValueError, match="symmetric"):
             weighted_norm(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected_without_warnings(self, bad):
+        # a NaN weight gave NaN norms, an infinite one a RuntimeWarning
+        for w in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="weight matrix must be finite"):
+                    weighted_norm(w)
+
     def test_non_pd_weight_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefiniteError):
             weighted_norm(-np.eye(2))
@@ -225,6 +234,14 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_factor(singular)
         assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1)])
+    def test_a_nan_pivot_is_rejected(self, where):
+        # NaN passes a bare "pivot <= threshold" test
+        w = np.eye(2)
+        w[where] = np.nan
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_factor(w)
 
 
 class TestPrimalDualMetric:

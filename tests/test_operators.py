@@ -174,14 +174,14 @@ class TestClipKernel:
                 assert soft_threshold(t, x).tobytes() == expected
                 assert prox(t, x).tobytes() == expected
                 out = np.full(x.shape, np.nan)
-                assert prox.into(t, x, out) is out
+                assert prox.bind(t)(x, out) is out
                 assert out.tobytes() == expected
                 inplace = x.copy()
-                assert prox.into(t, inplace, inplace) is inplace
+                assert prox.bind(t)(inplace, inplace) is inplace
                 assert inplace.tobytes() == expected
                 strided = np.empty(x.shape + (2,))[..., 0]  # every other double
                 strided[...] = x
-                assert prox.into(t, strided, strided) is strided
+                assert prox.bind(t)(strided, strided) is strided
                 assert strided.tobytes() == expected
 
     def test_zero_threshold_maps_minus_zero_to_plus_zero_only(self):
@@ -226,6 +226,13 @@ class TestProxFamilies:
         for lower, upper in ((-1.0, 1.0), ([-1.0, 0.0, 0.0, -0.0], [1.0, 1.0, 0.5, 0.0])):
             prox = box_prox(lower, upper)
             assert prox(0.1, x).tobytes() == np.clip(x, lower, upper).tobytes()
+
+    def test_box_family_rejects_inverted_and_nan_bounds(self):
+        # NaN passes a bare "lower > upper" test, and its box maps to NaN
+        for lower, upper in ((1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan),
+                             ([0.0, np.nan], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="box bounds are inverted"):
+                box_prox(lower, upper)
 
     def test_prox_operator_wraps_family(self):
         op = prox_operator(l1_prox(1.0), 2.0, 1, fixed_point_hint=[0.0])
@@ -496,14 +503,14 @@ class TestStacks:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 stack = block_soft_threshold(lam, xs)
-                into = l2_prox(1.0).into
+                bind = l2_prox(1.0).bind
                 for x, row in zip(xs, stack):
                     assert block_soft_threshold(lam, x).tobytes() == row.tobytes()
                     out = np.full_like(x, np.nan)
-                    assert into(lam, x, out) is out
+                    assert bind(lam)(x, out) is out
                     assert out.tobytes() == row.tobytes()
                     x = x.copy()
-                    assert into(lam, x, x).tobytes() == row.tobytes()
+                    assert bind(lam)(x, x).tobytes() == row.tobytes()
 
     def test_stack_capable_fn_with_wrong_shape_raises(self):
         op = Operator(2, declared(lambda x: x[..., :1]), label="truncating")
@@ -592,13 +599,14 @@ class TestKernels:
     @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
     def test_family_kernel_writes_the_prox_bit_for_bit_in_place_too(self, name):
         prox = KERNEL_FAMILIES[name]
+        assert not hasattr(prox, "into")  # bind(t) is the family's one kernel
         for t, seed in itertools.product([0.5, 1.3], range(5)):
             xs = _kernel_stack(4, seed)
             expected = prox(t, xs)
             assert expected.tobytes() == np.array([prox(t, x) for x in xs]).tobytes()
             out = np.full_like(xs, np.nan)
-            assert prox.into(t, xs, out).tobytes() == expected.tobytes()
-            assert prox.into(t, xs, xs) is xs
+            assert prox.bind(t)(xs, out).tobytes() == expected.tobytes()
+            assert prox.bind(t)(xs, xs) is xs
             assert xs.tobytes() == expected.tobytes()
 
     def test_map_from_a_family_without_a_kernel_carries_none(self):

@@ -13,7 +13,6 @@ from fpcert.metrics import L1
 from fpcert.operators import affine, identity
 from fpcert.reports import (
     TRACE_CHUNK_ROWS,
-    TRACE_NUMPY_ROWS,
     dumps_json,
     format_float,
     region_csv,
@@ -313,12 +312,32 @@ class TestNumpyCells:
 
     @pytest.mark.parametrize("digits", range(1, 13))
     def test_rows_across_a_change_in_the_digits_of_k(self, digits):
-        lo = max(1, 10 ** digits - TRACE_NUMPY_ROWS // 2)
-        columns = [_mixed_cells(TRACE_NUMPY_ROWS, digits),
-                   _mixed_cells(TRACE_NUMPY_ROWS, digits + 100)]
-        assert_same_text(reports._trace_rows(lo, *columns), reference_rows(lo, columns))
-        assert_same_text(reports._trace_rows(lo, columns[0], None),
+        lo = max(1, 10 ** digits - 40)
+        columns = [_mixed_cells(80, digits), _mixed_cells(80, digits + 100)]
+        assert_same_text(reports._numpy_rows(lo, columns), reference_rows(lo, columns))
+        assert_same_text(reports._numpy_rows(lo, columns[:1]),
                          reference_rows(lo, columns[:1]))
+
+    @pytest.mark.parametrize("rows", range(1, 101))
+    def test_every_short_chunk_is_the_percent_template(self, rows):
+        # every chunk, however short, goes through the numpy pass; k starts
+        # at 1 and just below a change in its digit count
+        residuals = _mixed_cells(rows, rows)
+        errors = _mixed_cells(rows, rows + 1000)
+        for lo in (1, max(1, 10 ** (1 + rows % 6) - rows // 2)):
+            ks = range(lo, lo + rows)
+            assert_same_text(
+                reports._numpy_rows(lo, [residuals, errors]),
+                "".join("%d,%.17g,%.17g\n" % c for c in zip(ks, residuals, errors)))
+            assert_same_text(reports._numpy_rows(lo, [residuals]),
+                             "".join("%d,%.17g,\n" % c for c in zip(ks, residuals)))
+        # and a non-finite cell is spliced in as format_float renders it
+        residuals[rows // 2] = [np.inf, np.nan, -np.inf][rows % 3]
+        errors[-1] = [np.nan, -np.inf, np.inf][rows % 3]
+        for columns in ([residuals, errors], [residuals]):
+            assert_same_text(reports._numpy_rows(lo, columns), reference_rows(lo, columns))
+        trace = _trace(residuals, np.concatenate([[0.5], errors]))
+        assert_same_text(trace_csv(trace), reference_trace_csv(trace))
 
     def test_k_digit_edges_of_a_long_trace(self):
         # k crosses 10, 100, ..., 100000 inside numpy-rendered chunks
@@ -328,10 +347,9 @@ class TestNumpyCells:
             assert_same_text(trace_csv(trace), reference_trace_csv(trace))
 
     @pytest.mark.parametrize("k_final", sorted({
-        1, TRACE_NUMPY_ROWS - 1, TRACE_NUMPY_ROWS, TRACE_NUMPY_ROWS + 1,
+        1, 79, 80, 81,
         TRACE_CHUNK_ROWS - 1, TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1,
-        TRACE_CHUNK_ROWS + TRACE_NUMPY_ROWS - 1, TRACE_CHUNK_ROWS + TRACE_NUMPY_ROWS,
-        TRACE_CHUNK_ROWS + TRACE_NUMPY_ROWS + 1}))
+        TRACE_CHUNK_ROWS + 79, TRACE_CHUNK_ROWS + 80, TRACE_CHUNK_ROWS + 81}))
     @pytest.mark.parametrize("with_errors", [True, False], ids=["errors", "blank_errors"])
     def test_chunk_and_cutoff_edges(self, k_final, with_errors):
         residuals = _mixed_cells(k_final, k_final)
@@ -339,18 +357,17 @@ class TestNumpyCells:
         trace = _trace(residuals, errors)
         assert_same_text(trace_csv(trace), reference_trace_csv(trace))
 
-    @pytest.mark.parametrize("rows", [TRACE_NUMPY_ROWS - 1, TRACE_NUMPY_ROWS,
-                                      TRACE_CHUNK_ROWS])
+    @pytest.mark.parametrize("rows", [79, 80, TRACE_CHUNK_ROWS])
     def test_non_finite_cells_inside_a_chunk(self, rows):
         residuals = _mixed_cells(rows, 5)
         errors = _mixed_cells(rows, 6)
         middle = rows // 2
         residuals[[1, middle, middle + 1]] = [np.inf, np.nan, -np.inf]
         errors[[middle - 1, middle, rows - 2]] = [np.nan, np.inf, -np.inf]
-        text = reports._trace_rows(7, residuals, errors)
+        text = reports._numpy_rows(7, [residuals, errors])
         assert_same_text(text, reference_rows(7, [residuals, errors]))
         assert "inf" not in text and "nan" not in text
-        assert_same_text(reports._trace_rows(7, residuals, None),
+        assert_same_text(reports._numpy_rows(7, [residuals]),
                          reference_rows(7, [residuals]))
 
     def test_an_exponent_guess_off_by_one_falls_back(self, monkeypatch):
@@ -360,18 +377,6 @@ class TestNumpyCells:
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + np.arange(a.size) % 3 - 1)
         columns = [_mixed_cells(300, 11), _mixed_cells(300, 12)]
         assert_same_text(reports._numpy_rows(1, columns), reference_rows(1, columns))
-
-    def test_the_cutoff_picks_the_renderer(self, monkeypatch):
-        calls = []
-        numpy_rows = reports._numpy_rows
-        monkeypatch.setattr(reports, "_numpy_rows",
-                            lambda lo, columns: calls.append(lo) or numpy_rows(lo, columns))
-        cells = _mixed_cells(TRACE_NUMPY_ROWS, 9)
-        reports._trace_rows(1, cells[:-1], None)
-        assert calls == []
-        reports._trace_rows(1, cells, None)
-        assert calls == [1]
-        assert TRACE_NUMPY_ROWS < TRACE_CHUNK_ROWS
 
 
 class TestRegionCsv:
