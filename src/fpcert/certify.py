@@ -26,6 +26,7 @@ bits either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -198,12 +199,8 @@ class Certificate:
 
     def recompute_slack(self, op):
         """Re-evaluate the witness slack; certificates must reproduce it."""
-        xs = np.asarray(self.witness_x, dtype=float)[None]
-        ys = np.asarray(self.witness_y, dtype=float)[None]
-        fixed = PROPERTIES[self.property_name].points
-        triple = _triples(op, xs, ys, self.norm_spec, fixed)
-        slacks = _slacks(self.property_name, triple, self.gamma, self.mu, self.rho)
-        return float(slacks[0])
+        return _pair_slack(op, self.witness_x, self.witness_y, self.norm_spec,
+                           self.property_name, self.gamma, self.mu, self.rho)
 
     def to_dict(self):
         payload = {
@@ -255,9 +252,17 @@ def gan_slack(op, x, y, gamma, mu, norm_spec=L2):
     value equals the sampled slack of the same pair bit for bit.
     """
     _check_params("gan", gamma, mu, None)
+    return _pair_slack(op, x, y, norm_spec, "gan", gamma, mu)
+
+
+def _pair_slack(op, x, y, norm_spec, prop, gamma=None, mu=None, rho=None):
+    """The slack of ``prop`` at one pair, evaluated as a batch of one."""
     xs = np.asarray(x, dtype=float)[None]
     ys = np.asarray(y, dtype=float)[None]
-    return float(_slacks("gan", _triples(op, xs, ys, norm_spec), gamma, mu)[0])
+    triple = _triples(op, xs, ys, norm_spec, PROPERTIES[prop].points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slacks, _ = _worst(prop, triple, gamma, mu, rho)
+    return float(slacks[0])
 
 
 def _triples(op, xs, ys, norm_spec, fixed=False):
@@ -291,9 +296,38 @@ def _block_triple(op, xs, ys, norm_spec, fixed):
     )
 
 
-def _slacks(prop, triple, gamma=None, mu=None, rho=None):
-    """Slack of ``prop`` at every row of a norm triple; negative refutes it."""
-    return PROPERTIES[prop].slack(*triple, gamma, mu, rho)
+def _worst(prop, triple, gamma=None, mu=None, rho=None):
+    """The slack of ``prop`` at every row of a norm triple, negative where
+    the row refutes it, and the index of the least slack, or of the first
+    NaN.
+
+    A GAN row whose powers overflow has the plain slack inf - inf = NaN.
+    The slack is homogeneous of degree gamma in (d, a, b), so such a row is
+    re-evaluated on the triple divided by s = max(d, a, b) and multiplied
+    by s^gamma: its sign is exact, and past the largest double its value is
+    -inf or inf.  The NaN that ``argmin`` returns triggers it, so every
+    other row keeps its bits and a claim without a NaN row pays nothing.
+    Callers run it with numpy's overflow and invalid warnings off, once per
+    claim, since the plain powers of such a row overflow.
+    """
+    slacks = PROPERTIES[prop].slack(*triple, gamma, mu, rho)
+    worst = int(np.argmin(slacks))
+    if prop == "gan" and math.isnan(slacks[worst]):
+        rows = np.flatnonzero(np.isnan(slacks))
+        d, a, b, power = _unit_powers(triple, rows, gamma)
+        unit = d - a - mu * b
+        slacks[rows] = np.where(unit == 0.0, 0.0, unit * power)
+        worst = int(np.argmin(slacks))
+    return slacks, worst
+
+
+def _unit_powers(triple, rows, gamma):
+    """(d/s)^gamma, (a/s)^gamma, (b/s)^gamma and s^gamma at ``rows`` of a
+    norm triple (d, a, b), with s = max(d, a, b): the powers of the GAN
+    slack and of the quotient of :func:`estimate_mu`, taken at unit scale."""
+    d, a, b = (t[rows] for t in triple)
+    s = np.maximum(np.maximum(d, a), b)
+    return (d / s) ** gamma, (a / s) ** gamma, (b / s) ** gamma, s**gamma
 
 
 def _sample(op, plan, norm_spec, points):
@@ -331,8 +365,8 @@ def _check_params(prop, gamma, mu, rho):
 
 def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
     xs, ys, triple, skipped = sample
-    slacks = _slacks(prop, triple, gamma, mu, rho)
-    worst = int(np.argmin(slacks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slacks, worst = _worst(prop, triple, gamma, mu, rho)
     min_slack = float(slacks[worst])
     return Certificate(
         property_name=prop,
@@ -395,22 +429,38 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
     """Empirical upper bound on the admissible mu at a given exponent.
 
     Evaluates ``(|x-y|^g - |Tx-Ty|^g) / |(I-T)x-(I-T)y|^g`` over the plan and
-    returns the infimum.  Pairs whose denominator is at most 1e-14 are
-    skipped (they are fixed by the displacement map and carry no
-    information); if every pair is skipped an EstimateError is raised.  Any
-    nonpositive quotient collapses the estimate to 0.
+    returns the infimum, a finite float.  Pairs whose denominator is at
+    most 1e-14 are skipped (they are fixed by the displacement map and carry
+    no information); if every pair is skipped an EstimateError is raised.
+    Any nonpositive quotient collapses the estimate to 0.  The quotient is
+    homogeneous of degree 0, so where the least one is NaN or infinite,
+    its powers having overflowed, every such row is re-evaluated on its
+    norm triple divided by the triple's largest norm; a least quotient that
+    is still NaN or past the largest double raises EstimateError.
     """
     check_number("gamma", gamma)
     plan = plan or SamplingPlan()
-    _, _, (d, a, b), _ = _sample(op, plan, norm_spec, points=False)
-    denom = b**gamma
-    eligible = denom > DENOMINATOR_CUTOFF
-    if not np.any(eligible):
+    _, _, triple, _ = _sample(op, plan, norm_spec, points=False)
+    d, a, b = triple
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = b**gamma
+        eligible = np.flatnonzero(denom > DENOMINATOR_CUTOFF)
+        if not eligible.size:
+            raise EstimateError(
+                "operator is indistinguishable from the identity on all sampled pairs"
+            )
+        quotients = (d[eligible] ** gamma - a[eligible] ** gamma) / denom[eligible]
+        low = float(np.min(quotients))
+        if not low < math.inf:
+            rows = np.flatnonzero(~np.isfinite(quotients))
+            d, a, b, _ = _unit_powers(triple, eligible[rows], gamma)
+            quotients[rows] = (d - a) / b
+            low = float(np.min(quotients))
+    if not low < math.inf:
         raise EstimateError(
-            "operator is indistinguishable from the identity on all sampled pairs"
+            f"no finite mu estimate at gamma={gamma:g}: the least sampled "
+            f"quotient is {low}"
         )
-    quotients = (d[eligible] ** gamma - a[eligible] ** gamma) / denom[eligible]
-    low = float(np.min(quotients))
     return 0.0 if low <= 0.0 else low
 
 
@@ -436,18 +486,20 @@ def estimate_min_gamma(op, mu, norm_spec=L2, plan=None, bracket=(0.1, 2.0),
     sample = _sample(op, plan, norm_spec, points=False)
 
     def passes(gamma):
-        return np.min(_slacks("gan", sample[2], gamma, mu)) >= -DEFAULT_TOL
+        slacks, worst = _worst("gan", sample[2], gamma, mu)
+        return slacks[worst] >= -DEFAULT_TOL
 
-    if not passes(hi):
-        raise ValueError(f"bracket precondition violated: gamma={hi} does not pass")
-    if passes(lo):
-        raise ValueError(f"bracket precondition violated: gamma={lo} passes")
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not passes(hi):
+            raise ValueError(f"bracket precondition violated: gamma={hi} does not pass")
+        if passes(lo):
+            raise ValueError(f"bracket precondition violated: gamma={lo} passes")
+        while hi - lo > 1e-3:
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid
     if not return_certificate:
         return hi
     cert = _certificate("gan", sample, hi, mu, None, norm_spec, plan, DEFAULT_TOL)
@@ -527,7 +579,11 @@ def range_region(x, xhat, gamma, mu, resolution=201):
     The grid covers the square circumscribing the ball around ``xhat`` whose
     radius is the distance to ``x``, with ``resolution`` cells per axis; a
     cell is marked true when its center satisfies the inequality (boundary
-    included).  Distances are Euclidean.
+    included).  Distances are Euclidean.  The region scales with that
+    radius, so the inequality is evaluated at unit radius, on the cell
+    centers of ``[-1, 1]`` and ``(x - xhat) / radius``: the mask is the
+    same at every scale, with no overflow or underflow, and the radius
+    itself is the rescaled norm of :func:`fpcert.metrics.norm`.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
@@ -538,19 +594,25 @@ def range_region(x, xhat, gamma, mu, resolution=201):
     check_number("gamma", gamma)
     check_number("mu", mu)
     check_number("resolution", resolution, int, 2, strict=False)
-    d = x - xhat
-    radius = float(np.linalg.norm(d))
+    with np.errstate(over="ignore"):
+        d = x - xhat
+    radius = norm(d)
     if radius == 0.0:
         raise ValueError("x and xhat must differ")
+    if not 2.0 * radius < math.inf:
+        raise ValueError("x and xhat are too far apart: 2 |x - xhat| overflows")
 
-    offsets = _symmetric_offsets(radius, resolution)
+    unit = _symmetric_offsets(1.0, resolution)
+    e = d / radius
     # a row of first coordinates against a column of second ones, so rows
     # scan the second coordinate
-    o1, o2 = offsets[None, :], offsets[:, None]
+    o1, o2 = unit[None, :], unit[:, None]
     half = 0.5 * gamma
-    lhs = (o1**2 + o2**2) ** half + mu * ((o1 - d[0]) ** 2 + (o2 - d[1]) ** 2) ** half
-    rhs = (d[0] ** 2 + d[1] ** 2) ** half
+    with np.errstate(over="ignore"):
+        lhs = (o1**2 + o2**2) ** half + mu * ((o1 - e[0]) ** 2 + (o2 - e[1]) ** 2) ** half
+    rhs = (e[0] ** 2 + e[1] ** 2) ** half
     mask = lhs <= rhs
+    offsets = _symmetric_offsets(radius, resolution)
     bounds = (
         float(xhat[0] - radius),
         float(xhat[0] + radius),

@@ -18,6 +18,11 @@ from typing import Optional
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
+
 __all__ = [
     "check_number",
     "NormSpec",
@@ -35,6 +40,13 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
+
+# Below this Euclidean norm a vector's squares may have lost bits to
+# underflow, or vanished; such a norm is re-evaluated on the rescaled vector.
+# The stack path takes the band [_TINY_NORM, max double] as 0-d arrays for
+# the ``clip`` ufunc, which takes them faster than Python scalars.
+_TINY_NORM = 2.0**-500
+_NORM_BAND = np.array(_TINY_NORM), np.array(np.finfo(float).max)
 
 
 def check_number(name, value, kind=float, lower=0.0, strict=True):
@@ -163,27 +175,41 @@ def _euclidean(x):
     stack, which numpy evaluates with that same BLAS ``dot`` once per row;
     so a row's norm is its vector norm bit for bit.  A one-column stack
     takes its row squares as ``x * x``, the one product such a ``dot``
-    makes, without a BLAS call per row.  An infinite norm of a finite vector
-    only had its squares overflow, and is re-evaluated with the vector
-    scaled by its largest |x_i|; a stack sends just its infinite rows
-    through that rule.
+    makes, without a BLAS call per row.  A norm that is infinite, or below
+    ``_TINY_NORM``, of a finite nonzero vector only had its squares overflow
+    or underflow, and is re-evaluated as s |x / s| with s its largest
+    |x_i|; a stack sends just those rows through that rule, all at once, and
+    a zero row keeps its norm 0.
     """
     if x.ndim < 2:
         x = x.ravel(order="K")
         r = math.sqrt(x.dot(x))
-        if math.isinf(r) and np.isfinite(x).all():
+        if not _TINY_NORM <= r < math.inf:
             scale = float(np.max(np.abs(x)))
-            r = scale * float(np.linalg.norm(x / scale))
+            if 0.0 < scale < math.inf:
+                x = x / scale
+                r = scale * math.sqrt(x.dot(x))
         return r
-    if x.shape[-1] == 1:
-        r = np.sqrt((x * x)[..., 0])
-    else:
-        x = np.ascontiguousarray(x)
-        r = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
-    over = np.isinf(r)
-    if np.count_nonzero(over):
-        r[over] = [_euclidean(row) for row in x[over]]
+    x = np.ascontiguousarray(x)
+    r = np.sqrt(_row_squares(x))
+    # rows outside the band, NaN ones too; the common one is a zero row,
+    # which one any() over them all clears
+    extreme = _clip(r, *_NORM_BAND) != r
+    if np.count_nonzero(extreme) and x.compress(extreme, axis=0).any():
+        rows = np.flatnonzero(extreme)
+        scale = np.max(np.abs(x[rows]), axis=-1)
+        fix = (0.0 < scale) & (scale < math.inf)
+        rows, scale = rows[fix], scale[fix]
+        r[rows] = scale * np.sqrt(_row_squares(x[rows] / scale[:, None]))
     return r
+
+
+def _row_squares(x):
+    """The squared Euclidean norm of each row of a contiguous (k, n) stack,
+    each the one BLAS ``dot`` of a vector, or ``x * x`` for n = 1."""
+    if x.shape[-1] == 1:
+        return (x * x)[..., 0]
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def _check_weight_dim(spec, shape):
@@ -201,8 +227,9 @@ def norm(x, spec=L2):
     Euclidean norm of ``factor.T @ x``.  A vector gives a float and a (k, n)
     stack the array of its k row norms, both through one dispatch on the
     norm's kind; either is finite, without a warning, wherever the norm is a
-    double, even where its squares overflow.  A row's norm equals its norm
-    as a vector bit for bit, whatever stack it sits in.
+    double, even where its squares overflow, and keeps its bits where they
+    underflow.  A row's norm equals its norm as a vector bit for bit,
+    whatever stack it sits in.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):

@@ -12,14 +12,16 @@ whatever stack it sits in.  A vector runs through the same code as a stack
 row, so every built-in gives a stack row the same bits as its vector image;
 ``TestStacks.test_stack_matches_vector_rows`` asserts this exactly.
 
-Every built-in map is written once, as an in-place kernel that its ``fn``
-carries as ``fn.into``: ``into(x, out)`` writes T x into ``out``, a
-C-contiguous float array of x's shape that shares no memory with x, and
-returns it; ``into(x, None)`` returns T x in a fresh array, as a numpy
-ufunc does.  ``fn(x)`` is ``into(x, None)`` of x as a float array, so the
-two agree bit for bit.  A kernel is pure, reading nothing but x and the
+Every built-in map is written once, as an in-place kernel that is its
+``fn`` and that ``fn`` carries as ``fn.into``: ``fn(x, out)`` writes T x
+into ``out``, a C-contiguous float array of x's shape that shares no
+memory with x, and returns it; ``fn(x)`` returns T x in a fresh array, as
+a numpy ufunc does.  A kernel takes x as the float array that
+``Operator.__call__`` hands it.  It is pure, reading nothing but x and the
 map's data, and reentrant: it keeps no scratch state between calls.
-:func:`fpcert.iterate.picard` steps a map with a kernel in place.
+:func:`fpcert.iterate.picard` steps a map with a kernel in place.  Every
+affine product x -> L x + c of a built-in map, a scale, a diagonal or a
+matrix L, goes through the one kernel ``_affine``.
 
 A built-in prox family is written once too, as ``fn.bind``: ``bind(t)`` is
 its map kernel ``(x, out)`` at the scale t, which also accepts ``out`` = x,
@@ -46,12 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-try:
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy 1.x
-    from numpy.core.umath import clip as _clip
-
-from .metrics import _matvec, check_number, norm, primal_dual_metric
+from .metrics import _clip, _matvec, check_number, norm, primal_dual_metric
 
 __all__ = [
     "Operator",
@@ -87,18 +84,33 @@ def _stackable(fn, *parts):
 
 
 def _from_kernel(into, *families):
-    """The map that the kernel ``into`` computes from the prox ``families``.
-
-    ``fn(x)`` is ``into(x, None)`` with x as a float array.  ``fn`` carries
-    ``into`` as its kernel when each of ``families`` has a ``bind``, and
-    declares stacks when each of them does.
+    """The map that the kernel ``into`` computes from the prox ``families``:
+    ``into`` itself, which carries itself as its kernel ``into.into`` when
+    each of ``families`` has a ``bind``, and declares stacks when each of
+    them does.
     """
-    def fn(x):
-        return into(np.asarray(x, dtype=float), None)
-
     if all(getattr(family, "bind", None) for family in families):
-        fn.into = into
-    return _stackable(fn, *families)
+        into.into = into
+    return _stackable(into, *families)
+
+
+def _affine(lin, shift):
+    """The map x -> lin x + shift as its kernel: one product into the
+    output, then an in-place add.  ``lin`` is a 0-d scale, the (n,)
+    diagonal of a diagonal matrix or an (n, n) matrix, whose product is
+    picked here, once."""
+    if lin.ndim == 2:
+        def into(x, out=None):
+            out = _matvec(lin, x, out)
+            out += shift
+            return out
+    else:
+        def into(x, out=None):
+            out = np.multiply(lin, x, out=out)
+            out += shift
+            return out
+
+    return _from_kernel(into)
 
 
 def _family(bind):
@@ -126,7 +138,7 @@ def _bind(prox, scale):
     if bind is not None:
         return bind(scale)
 
-    def copying(x, out):
+    def copying(x, out=None):
         if out is None:
             return prox(scale, x)
         image = np.asarray(prox(scale, x), dtype=float)
@@ -240,7 +252,7 @@ def _soft(lam):
     # 0-d arrays: a ufunc takes them faster than Python scalars, same bits
     low, high = np.array(-lam, dtype=float), np.array(lam, dtype=float)
 
-    def into(x, out):
+    def into(x, out=None):
         return np.subtract(x, _clip(x, low, high), out=out)
 
     return into
@@ -261,7 +273,7 @@ def _block_soft(lam):
     into ``out``."""
     _check_threshold(lam)
 
-    def into(x, out):
+    def into(x, out=None):
         nrm = np.asarray(norm(x))[..., None]
         absorbed = nrm <= lam  # False on a NaN row, which stays NaN
         # an absorbed row takes 0 / 1, never lam / inf, which is NaN at lam = inf
@@ -290,7 +302,7 @@ def box_prox(lower, upper):
     if not np.all(np.asarray(lower) <= np.asarray(upper)):
         raise ValueError("box bounds are inverted or NaN")
 
-    def into(x, out):
+    def into(x, out=None):
         return _clip(x, lower, upper, out=out)
 
     return _family(lambda t: into)
@@ -317,14 +329,8 @@ def affine(alpha, z, label=None):
     if label is None:
         label = f"affine(a={alpha:g})"
 
-    scale = np.array(alpha, dtype=float)  # a 0-d array, as in _soft
-
-    def into(x, out):
-        out = np.multiply(x, scale, out=out)
-        out += z
-        return out
-
-    return Operator(len(z), _from_kernel(into), hint, label)
+    # a 0-d array, as in _soft
+    return Operator(len(z), _affine(np.array(alpha, dtype=float), z), hint, label)
 
 
 def compose(s, t):

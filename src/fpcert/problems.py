@@ -11,7 +11,7 @@ import numpy as np
 
 from . import operators
 from .iterate import picard
-from .metrics import _matvec, check_number, primal_dual_metric
+from .metrics import check_number, primal_dual_metric
 
 __all__ = [
     "ProblemSpec",
@@ -70,25 +70,7 @@ class ProblemSpec:
     def grad_f(self):
         """x -> H x - g, on a vector and row by row on a (k, n) stack."""
         h, g = self.quadratic
-        return _affine_step(h, -g)
-
-
-def _affine_step(lin, shift):
-    """x -> lin x + shift, a map with an in-place kernel: one product into
-    the output, then an in-place add; ``lin`` is an (n, n) matrix or the
-    (n,) diagonal of a diagonal one, whose product is picked here, once."""
-    if lin.ndim == 1:
-        def into(x, out):
-            out = np.multiply(lin, x, out=out)
-            out += shift
-            return out
-    else:
-        def into(x, out):
-            out = _matvec(lin, x, out)
-            out += shift
-            return out
-
-    return operators._from_kernel(into)
+        return operators._affine(h, -g)
 
 
 def _data_fit(a_mat, b):
@@ -253,7 +235,9 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     """Fixed-point map for a problem at the given (or default) step sizes.
 
     The map is precomposed from ``problem.quadratic`` = (H, g) at the step
-    sizes, so one step makes one affine product and the problem's prox.
+    sizes, so one step makes one affine product, through the kernel
+    ``operators._affine``, and the problem's prox; the map's ``fn`` is its
+    in-place kernel.
     Without a coupling matrix it is the forward-backward step
 
         T x = prox of beta*g at  M x + c,   M = I - beta*H,  c = beta*g,
@@ -284,16 +268,16 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     primal = 1.0 - beta * h if h.ndim == 1 else np.eye(n) - beta * h
     shift = beta * g
     if problem.b_mat is None:
-        forward = _affine_step(primal, shift)
+        forward = operators._affine(primal, shift)
         if prox is None:
             return operators.Operator(
                 n, forward, hint,
                 f"{problem.label} gradient-step(beta={beta:g})",
             )
-        forward_into, prox_into = forward.into, operators._bind(prox, beta)
+        prox_into = operators._bind(prox, beta)
 
-        def into(x, out):
-            out = forward_into(x, out)
+        def into(x, out=None):
+            out = forward(x, out)
             return prox_into(out, out)
 
         return operators.Operator(
@@ -308,16 +292,15 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     mat[:n, n:] = -beta * b.T
     mat[n:, :n] = b @ (2.0 * primal - np.eye(n))
     mat[n:, n:] = np.eye(m) / eta - 2.0 * beta * (b @ b.T)
-    shift = np.concatenate([shift, 2.0 * (b @ shift)])
+    product = operators._affine(mat, np.concatenate([shift, 2.0 * (b @ shift)]))
     dual_prox = operators._bind(prox, 1.0 / eta)
     dual_scale = np.array(eta, dtype=float)  # a 0-d array, as in operators._soft
 
-    def into(v, out):
-        out = _matvec(mat, v, out)
-        out += shift
+    def into(v, out=None):
+        out = product(v, out)
         s = out[..., n:]
         # s - (s - clip(s)), not clip(s): the two differ in the last bits
-        np.subtract(s, dual_prox(s, None), out=s)
+        np.subtract(s, dual_prox(s), out=s)
         np.multiply(s, dual_scale, out=s)
         return out
 

@@ -18,6 +18,7 @@ from fpcert.certify import (
     range_region,
     sample_pairs,
     sample_points,
+    _symmetric_offsets,
     _triples,
 )
 from fpcert.metrics import L1, L2, norm, primal_dual_metric, weighted_norm
@@ -540,6 +541,40 @@ class TestOverflowingScales:
             assert cert.recompute_slack(op) == cert.min_slack
         assert estimate_fp_ratio(op, plan=plan) == 0.5
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_gan_claims_hold_where_powers_overflow(self, scale):
+        # |x-y|^2 is not a double, so the plain slack is inf - inf; the
+        # scale-free slack keeps its sign: psi(0.5, 2) = 3
+        op = affine(0.5, np.zeros(3))
+        plan = SamplingPlan(n_pairs=50, radius_scales=(scale,), seed=1)
+        cert = certify(op, "gan", {"gamma": 2.0, "mu": 0.5}, plan=plan)
+        assert cert.verdict == "PASS" and cert.min_slack == np.inf
+        cert = certify(op, "gan", {"gamma": 2.0, "mu": 4.0}, plan=plan)
+        assert cert.verdict == "FAIL" and cert.min_slack == -np.inf
+        assert cert.recompute_slack(op) == cert.min_slack
+        assert gan_slack(op, cert.witness_x, cert.witness_y, 2.0, 4.0) == cert.min_slack
+        # 2^gamma - 1 >= 0.5 from gamma = log2(1.5) on
+        assert abs(estimate_min_gamma(op, 0.5, plan=plan) - np.log2(1.5)) <= 1e-3
+
+    def test_estimate_mu_where_powers_overflow(self):
+        # at gamma = 400 every informative pair's powers overflow
+        for z in (np.zeros(3), [1.0, 2.0]):
+            assert estimate_mu(affine(0.5, z), 400) == pytest.approx(2.0**400 - 1,
+                                                                     rel=1e-10)
+        # psi(0.999, 400) is about 1e1200, which no double holds
+        with pytest.raises(EstimateError, match="no finite mu estimate"):
+            estimate_mu(affine(0.999, np.zeros(3)), 400)
+
+    def test_contractive_slack_where_squares_underflow(self):
+        # |x-y|^2 underflows at 1e-170; the slack 0.4 d - 0.5 d is negative
+        op = affine(0.5, np.zeros(3))
+        plan = SamplingPlan(n_pairs=50, radius_scales=(1e-170,), seed=1)
+        cert = certify(op, "contractive", {"rho": 0.4}, plan=plan, tol=0.0)
+        assert cert.verdict == "FAIL"
+        distance = norm(cert.witness_x - cert.witness_y)
+        assert cert.min_slack == pytest.approx(-0.1 * distance, rel=1e-12)
+        assert cert.recompute_slack(op) == cert.min_slack
+
 
 class TestFormulas:
     def test_psi_at_zero_is_one(self):
@@ -731,13 +766,39 @@ class TestRangeRegion:
         for _ in range(3):
             x, xhat = rng.uniform(-3.0, 3.0, 2), rng.uniform(-3.0, 3.0, 2)
             grid = range_region(x, xhat, gamma, mu, resolution)
-            o1, o2 = np.meshgrid(grid.offsets, grid.offsets)
-            d, half = x - xhat, 0.5 * gamma
+            # the inequality is evaluated at unit radius
+            radius = norm(x - xhat)
+            unit = _symmetric_offsets(1.0, resolution)
+            o1, o2 = np.meshgrid(unit, unit)
+            e, half = (x - xhat) / radius, 0.5 * gamma
             lhs = ((o1**2 + o2**2) ** half
-                   + mu * ((o1 - d[0]) ** 2 + (o2 - d[1]) ** 2) ** half)
+                   + mu * ((o1 - e[0]) ** 2 + (o2 - e[1]) ** 2) ** half)
             assert grid.mask.shape == (resolution, resolution)
             np.testing.assert_array_equal(grid.mask,
-                                          lhs <= (d[0] ** 2 + d[1] ** 2) ** half)
+                                          lhs <= (e[0] ** 2 + e[1] ** 2) ** half)
+            np.testing.assert_array_equal(grid.offsets,
+                                          _symmetric_offsets(radius, resolution))
+
+    @pytest.mark.parametrize("resolution, gamma, mu", [(5, 2.0, 1.0), (21, 0.5, 0.3),
+                                                       (40, 3.0, 0.5)])
+    def test_mask_is_the_same_at_every_scale(self, resolution, gamma, mu):
+        # at 1e200 the squares overflowed, and at 1e-170 the radius was 0
+        unit = range_region([1.0, 0.0], [0.0, 0.0], gamma, mu, resolution)
+        assert unit.mask.any()
+        for scale in (1e200, 1e-160, 1e-170, 1e-200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = range_region([scale, 0.0], [0.0, 0.0], gamma, mu, resolution)
+            np.testing.assert_array_equal(grid.mask, unit.mask)
+            assert grid.bounds == (-scale, scale, -scale, scale)
+        assert np.count_nonzero(range_region([1e200, 0.0], [0.0, 0.0], 2.0, 1.0, 5).mask) == 5
+
+    def test_points_whose_distance_overflows_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, xhat in (([1e308, 0.0], [-1e308, 0.0]), ([1.7e308, 0.0], [0.0, 0.0])):
+                with pytest.raises(ValueError, match="too far apart"):
+                    range_region(x, xhat, 2.0, 1.0, 5)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="differ"):

@@ -236,6 +236,19 @@ class TestRatesCommand:
         for key in ("summability", "sandwich"):
             assert checks[key] == {"skipped": "mu estimate is 0"}
 
+    def test_mu_estimate_whose_powers_overflow(self, tmp_path, capsys):
+        # at gamma = 400 the sampled powers overflow; the estimate was NaN
+        # and the summability check ended in a traceback
+        write_config(tmp_path / "op.json",
+                     {"type": "affine", "alpha": 0.5, "z": [1.0, 2.0]})
+        cfg = write_config(tmp_path / "run.json",
+                           {"operator": "op.json", "params": {"gamma": 400}})
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_FAIL)
+        assert "Traceback" not in capsys.readouterr().err
+        checks = json.loads((out / "checks.json").read_text(), parse_constant=_reject_constant)
+        assert checks["summability"]["mu"] == pytest.approx(2.0**400 - 1, rel=1e-10)
+
     def test_two_step_trace_passes_the_little_o_proxy(self, tmp_path):
         # alpha = 1e-12 lands within 1e-11 of z in one step and stops on the
         # next: a one-point tail shows no trend and cannot refute the proxy
@@ -318,6 +331,19 @@ class TestRegionCommand:
         lines = (out / "region.csv").read_text().splitlines()
         cells = [l for l in lines if not l.startswith("#")]
         assert len(cells) == 21
+
+    def test_grid_far_from_the_origin(self, tmp_path):
+        # the squares of 1e200 overflowed: every cell was 0, the bounds inf
+        cfg = write_config(tmp_path / "run.json", {
+            "x": [1e200, 0.0], "xhat": [0.0, 0.0], "resolution": 5,
+            "params": {"gamma": 2.0, "mu": 1.0},
+        })
+        out = tmp_path / "out"
+        assert main(["region", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "region.csv").read_text().splitlines()
+        assert "# bounds: -9.9999999999999997e+199 9.9999999999999997e+199 " \
+               "-9.9999999999999997e+199 9.9999999999999997e+199" in lines
+        assert sum(l.count("1") for l in lines if not l.startswith("#")) == 5
 
     def test_coincident_points_are_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", {

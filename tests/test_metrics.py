@@ -37,6 +37,14 @@ def random_spd(rng, n, jitter=0.1):
     return g @ g.T + jitter * np.eye(n)
 
 
+def rescaled_norm(v):
+    """The rescale rule for squares that overflow or underflow: s |v / s|,
+    with s the largest |v_i|."""
+    v = np.asarray(v, dtype=float)
+    scale = float(np.max(np.abs(v)))
+    return scale * float(np.linalg.norm(v / scale))
+
+
 class TestNorm:
     def test_l2_pythagorean(self):
         assert norm([3.0, 4.0], L2) == 5.0
@@ -82,15 +90,51 @@ class TestNorm:
             x = magnitude * rng.standard_normal(n)
             # strided views are measured as numpy measures them, contiguously
             for v in (x, x[::-1], x[::2], np.asarray(x.tolist())):
-                assert norm(v, L2) == float(np.linalg.norm(v))
+                # below 2**-500 numpy's squares lose bits or vanish, and the
+                # norm takes the rescale rule instead
+                plain = float(np.linalg.norm(v))
+                assert norm(v, L2) == (plain if plain >= 2.0**-500 else rescaled_norm(v))
                 assert norm(v, L1) == float(np.sum(np.abs(v)))
 
     def test_overflowing_squares_follow_the_rescale_rule(self):
         x = np.array([3e200, -4e200, 1e199])
-        scale = float(np.max(np.abs(x)))
         with np.errstate(over="ignore"):
             assert np.linalg.norm(x) == np.inf
-        assert norm(x, L2) == scale * float(np.linalg.norm(x / scale))
+        assert norm(x, L2) == rescaled_norm(x)
+
+    @pytest.mark.parametrize("x", [[1e-200, 0.0], [3e-160, 4e-160], [-5e-324, 0.0],
+                                   [1e-155, 2e-170, -3e-160]])
+    def test_underflowing_squares_follow_the_rescale_rule(self, x):
+        # numpy's norm of [1e-200, 0] is 0.0, and of [3e-160, 4e-160] is off
+        # by 5.6e-6 relative: the squares are subnormal or vanish
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(x, L2) == rescaled_norm(x)
+            assert norm(np.array([x, np.zeros(len(x)), x]), L2).tolist() == \
+                [rescaled_norm(x), 0.0, rescaled_norm(x)]
+        assert norm([1e-200, 0.0]) == 1e-200
+        assert norm([3e-160, 4e-160]) == pytest.approx(5e-160, rel=1e-15)
+
+    def test_stack_norm_rescales_underflowing_rows_among_zero_rows(self):
+        # zero rows are common (a prox's dead zone maps pairs to one point)
+        # and keep their norm 0; tiny rows get their vector norms bit for bit
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 5, 12):
+            stack = rng.standard_normal((60, n))
+            stack *= 10.0 ** rng.uniform(-300, 200, (60, 1))
+            stack[::4] = 0.0
+            stack[[5, 9]] = -0.0
+            stack[7, 0] = 5e-324
+            for spec in (L2, weighted_norm(random_spd(rng, n))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = norm(stack, spec)
+                    vector = [norm(row, spec) for row in stack]
+                np.testing.assert_array_equal(rows, vector)
+                assert (rows[::4] == 0.0).all() and (rows[[5, 9]] == 0.0).all()
+            rows = norm(stack, L2)
+            assert (rows[stack.any(axis=1)] > 0.0).all()
+            assert rows[7] >= 5e-324
 
     def test_l1_sum_of_absolutes(self):
         assert norm([3.0, -4.0], L1) == 7.0
@@ -161,13 +205,16 @@ class TestNorm:
             vector = np.array([norm(row, spec) for row in stack])
             np.testing.assert_array_equal(rows, vector)
         # one column: squares that underflow, are subnormal or overflow,
-        # where sqrt(x * x) and |x| part ways
+        # where sqrt(x * x) and |x| part ways, but the rescaled norm is |x|
         column = rng.standard_normal((300, 1)) * 10.0 ** rng.uniform(-200, 200, (300, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = norm(column, L2)
+        with np.errstate(over="ignore"):
+            squares = np.sqrt(column[:, 0] * column[:, 0])
         np.testing.assert_array_equal(rows, [norm(row, L2) for row in column])
-        assert (rows != np.abs(column[:, 0])).any()
+        assert (squares != np.abs(column[:, 0])).any()
+        np.testing.assert_array_equal(rows, np.abs(column[:, 0]))
 
     @pytest.mark.parametrize("layout", ["contiguous", "column_slice", "every_other",
                                         "reversed"])

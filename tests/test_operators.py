@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fpcert.metrics import L1, L2, NotPositiveDefiniteError, norm
 from fpcert.operators import (
     Operator,
+    _affine,
     affine,
     block_soft_threshold,
     box_prox,
@@ -595,6 +596,31 @@ class TestKernels:
                 vec = np.full_like(x, np.nan)
                 assert fn.into(x, vec) is vec
                 assert vec.tobytes() == fn(x).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+    def test_the_kernel_is_the_map(self, name):
+        # fn is the kernel itself, called without out, and carries itself
+        fn = KERNEL_MAPS[name]
+        assert fn.into is fn
+        dim = 8 if name == "build_analysis_l1" else 5
+        op = STACK_CASES.get(name, Operator(dim, fn))
+        assert op.fn is fn
+        for seed in range(5):
+            xs = _kernel_stack(dim, seed)
+            assert fn(xs).tobytes() == op(xs).tobytes() == op(xs.tolist()).tobytes()
+            for x in xs:
+                assert fn(x).tobytes() == op(x).tobytes() == op(x.tolist()).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, -1.25, 0.0, 1.0, 3.0, 1e-300])
+    def test_affine_is_the_affine_kernel_at_a_scale(self, alpha):
+        # x * a and a * x round alike: IEEE multiplication commutes
+        z = np.random.default_rng(7).standard_normal(6)
+        op, kernel = affine(alpha, z), _affine(np.full(6, alpha), z)
+        for seed in range(5):
+            xs = _kernel_stack(6, seed)
+            assert op(xs).tobytes() == kernel(xs).tobytes()
+            for x in xs:
+                assert op(x).tobytes() == kernel(x).tobytes()
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
     def test_family_kernel_writes_the_prox_bit_for_bit_in_place_too(self, name):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fpcert import problems
+from fpcert import operators, problems
 from fpcert.certify import SamplingPlan, certify, estimate_mu
 from fpcert.cli import main
 from fpcert.iterate import picard
@@ -346,13 +346,13 @@ class TestPrecomposedMaps:
     def test_one_step_makes_one_matrix_vector_product(self, monkeypatch, kind, products):
         op = build_operator(PRECOMPOSED[kind], hint=None)
         calls = []
-        matvec = problems._matvec
+        matvec = operators._matvec
 
         def counting(mat, x, *out):
             calls.append(x.shape)
             return matvec(mat, x, *out)
 
-        monkeypatch.setattr(problems, "_matvec", counting)
+        monkeypatch.setattr(operators, "_matvec", counting)
         for x in (np.ones(op.dim), np.ones((7, op.dim))):
             calls.clear()
             op(x)
