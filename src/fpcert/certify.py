@@ -175,11 +175,11 @@ class Certificate:
 
     The witness pair attains ``min_slack`` and can be re-evaluated through
     :meth:`recompute_slack`; for the point-based properties the second
-    witness slot holds the fixed-point hint.
+    witness slot holds the fixed-point hint.  The verdict is PASS iff
+    ``min_slack >= -tol``; it is read off the two, not stored.
     """
 
     property_name: str
-    verdict: str
     min_slack: float
     witness_x: np.ndarray
     witness_y: np.ndarray
@@ -195,7 +195,11 @@ class Certificate:
 
     @property
     def passed(self):
-        return self.verdict == "PASS"
+        return bool(self.min_slack >= -self.tol)
+
+    @property
+    def verdict(self):
+        return "PASS" if self.passed else "FAIL"
 
     def recompute_slack(self, op):
         """Re-evaluate the witness slack; certificates must reproduce it."""
@@ -367,11 +371,9 @@ def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
     xs, ys, triple, skipped = sample
     with np.errstate(over="ignore", invalid="ignore"):
         slacks, worst = _worst(prop, triple, gamma, mu, rho)
-    min_slack = float(slacks[worst])
     return Certificate(
         property_name=prop,
-        verdict="PASS" if min_slack >= -tol else "FAIL",
-        min_slack=min_slack,
+        min_slack=float(slacks[worst]),
         witness_x=xs[worst].copy(),
         witness_y=ys[worst].copy(),
         n_checked=int(slacks.size),

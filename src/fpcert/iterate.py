@@ -87,19 +87,21 @@ class IterationTrace:
     ``residuals[k]`` is the distance between iterates k and k+1 in the trace
     norm, for k = 0..k_final-1.  When a reference vector ``ref`` was
     supplied, ``errors_to_ref[k]`` is the distance from iterate k to it,
-    k = 0..k_final; both are None otherwise.  Iterates themselves are not
-    kept: every trajectory claim reads these distances.
+    k = 0..k_final; both are None otherwise.  Iterates themselves, x0 too,
+    are not kept: every trajectory claim reads these distances.
     """
 
-    x0: np.ndarray
     x_final: np.ndarray
     residuals: np.ndarray
     norm_spec: NormSpec
-    k_final: int
     stop_reason: StopReason
     ref: Optional[np.ndarray] = None
     errors_to_ref: Optional[np.ndarray] = None
     label: str = ""
+
+    @property
+    def k_final(self):
+        return len(self.residuals)
 
     @property
     def converged(self):
@@ -182,11 +184,9 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
                                                      dist)
 
     return IterationTrace(
-        x0=np.asarray(x0, dtype=float).reshape(-1).copy(),
         x_final=x,
         residuals=residuals,
         norm_spec=norm_spec,
-        k_final=len(residuals),
         stop_reason=stop or StopReason.MAX_ITER,
         ref=ref,
         errors_to_ref=errors,

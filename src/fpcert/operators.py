@@ -176,9 +176,10 @@ class Operator:
             hint = np.asarray(self.fixed_point_hint, dtype=float).reshape(-1)
             if hint.shape != (self.dim,):
                 raise ValueError("fixed_point_hint dimension does not match operator")
-            drift = _hint_drift(self, hint)
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift = _hint_drift(self(hint), hint)
             if drift is not None:
-                raise ValueError(
+                raise _DriftingHint(
                     f"fixed_point_hint of '{self.label}' moves by {drift:.3e} "
                     "under the operator"
                 )
@@ -205,12 +206,13 @@ class Operator:
         )
 
 
-def _hint_drift(apply, hint):
-    """How far ``apply`` moves ``hint`` when that is past the bound
-    HINT_TOL * (1 + |hint|) of a fixed-point hint, NaN included; else None.
-    An image that overflows or turns NaN raises no warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = norm(apply(hint) - hint)
+class _DriftingHint(ValueError):
+    """A fixed-point hint that its map moves past :func:`_hint_drift`'s bound."""
+
+
+def _hint_drift(point, hint):
+    """|point - hint| when past HINT_TOL * (1 + |hint|), NaN included; else None."""
+    drift = norm(point - hint)
     return None if drift <= HINT_TOL * (1.0 + norm(hint)) else drift
 
 
@@ -342,18 +344,23 @@ def compose(s, t):
     that; a shared fixed point of both factors is a fixed point of the
     composition, but nothing weaker is, and an expansive s can move a hint
     that each factor keeps past the bound.  A hint that fails is dropped.
+    The last test is the Operator's own check, so each factor runs once at
+    the hint.
     """
     if s.dim != t.dim:
         raise ValueError(
             f"cannot compose '{s.label}' (dim {s.dim}) with '{t.label}' (dim {t.dim})"
         )
     fn = _stackable(lambda x: s(t(x)), s.fn, t.fn)
+    label = f"({s.label} o {t.label})"
     hint = t.fixed_point_hint
-    if (s.fixed_point_hint is None or hint is None
-            or not norm(s.fixed_point_hint - hint) <= HINT_TOL * (1.0 + norm(hint))
-            or _hint_drift(fn, hint) is not None):
-        hint = None
-    return Operator(s.dim, fn, hint, label=f"({s.label} o {t.label})")
+    if (s.fixed_point_hint is not None and hint is not None
+            and _hint_drift(s.fixed_point_hint, hint) is None):
+        try:
+            return Operator(s.dim, fn, hint, label)
+        except _DriftingHint:
+            pass
+    return Operator(s.dim, fn, None, label)
 
 
 def proximal_gradient(grad_f, prox_g, beta, dim, fixed_point_hint=None,

@@ -26,7 +26,12 @@ __all__ = [
     "reference_solution",
     "RankDeficientError",
     "ReferenceError",
+    "REFERENCE_TOL",
 ]
+
+# The tolerance of a computed reference solution.
+REFERENCE_TOL = 1e-8
+
 
 class RankDeficientError(ValueError):
     """Raised when a design matrix fails the full-column-rank check."""
@@ -234,25 +239,24 @@ def default_step_sizes(problem, beta=None, eta=None):
 def build_operator(problem, beta=None, eta=None, hint="auto"):
     """Fixed-point map for a problem at the given (or default) step sizes.
 
-    The map is precomposed from ``problem.quadratic`` = (H, g) at the step
-    sizes, so one step makes one affine product, through the kernel
-    ``operators._affine``, and the problem's prox; the map's ``fn`` is its
-    in-place kernel.
-    Without a coupling matrix it is the forward-backward step
-
-        T x = prox of beta*g at  M x + c,   M = I - beta*H,  c = beta*g,
-
-    a gradient step when the problem has no prox, with M a vector applied
-    elementwise for a diagonal H.  With a coupling matrix B it is the
-    primal-dual update of :func:`operators.primal_dual`: one square product
+    Every map is built down one path from ``problem.quadratic`` = (H, g) at
+    the step sizes: one affine product, through the kernel
+    ``operators._affine``, then the stage the data picks, then one Operator
+    whose ``fn`` is its in-place kernel.  Without a coupling matrix the
+    product is M x + c, M = I - beta*H, c = beta*g, with M a vector applied
+    elementwise for a diagonal H, and the stage is the prox of beta*g (the
+    forward-backward step), or none for a problem without a prox (a
+    gradient step).  With a coupling matrix B the map is the primal-dual
+    update of :func:`operators.primal_dual`: the square product
 
         [x'; s] = [[M, -beta*B^T], [B(2M - I), I/eta - 2*beta*B B^T]] [x; y]
                   + [c; 2*beta*B g]
 
-    gives the new primal block x' and the dual pre-image s, and the new dual
-    block is eta * (s - prox of g/eta at s).  A (beta, eta) pair whose
-    coupled metric is not positive definite raises NotPositiveDefiniteError,
-    and a beta that is not positive raises ValueError for every kind.
+    gives the new primal block x' and the dual pre-image s, and the stage,
+    the dual line, makes the new dual block eta * (s - prox of g/eta at s).
+    A (beta, eta) pair whose coupled metric is not positive definite raises
+    NotPositiveDefiniteError, and a beta that is not positive raises
+    ValueError for every kind.
 
     The exact solution, when the problem has one, is attached as the
     operator's fixed-point hint; pass ``hint=None`` to suppress that or an
@@ -264,50 +268,40 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
         hint = problem.exact_solution
     h, g = problem.quadratic
     n, m = problem.dims
-    prox = problem.prox_g
-    primal = 1.0 - beta * h if h.ndim == 1 else np.eye(n) - beta * h
+    b, prox = problem.b_mat, problem.prox_g
+    lin = 1.0 - beta * h if h.ndim == 1 else np.eye(n) - beta * h
     shift = beta * g
-    if problem.b_mat is None:
-        forward = operators._affine(primal, shift)
-        if prox is None:
-            return operators.Operator(
-                n, forward, hint,
-                f"{problem.label} gradient-step(beta={beta:g})",
-            )
+    if b is not None:
+        primal_dual_metric(beta, eta, b)  # validates positive definiteness
+        lin = np.diag(lin) if lin.ndim == 1 else lin  # a diagonal H as its matrix
+        lin = np.block([
+            [lin, -beta * b.T],
+            [b @ (2.0 * lin - np.eye(n)), np.eye(m) / eta - 2.0 * beta * (b @ b.T)]])
+        shift = np.concatenate([shift, 2.0 * (b @ shift)])
+    product = operators._affine(lin, shift)
+    if b is not None:
+        steps = f"primal-dual(beta={beta:g}, eta={eta:g})"
+        dual_prox = operators._bind(prox, 1.0 / eta)
+        dual_scale = np.array(eta, dtype=float)  # a 0-d array, as in operators._soft
+
+        def kernel(v, out=None):
+            out = product(v, out)
+            s = out[..., n:]
+            # s - (s - clip(s)), not clip(s): the two differ in the last bits
+            np.subtract(s, dual_prox(s), out=s)
+            np.multiply(s, dual_scale, out=s)
+            return out
+    elif prox is not None:
+        steps = f"prox-grad(beta={beta:g})"
         prox_into = operators._bind(prox, beta)
 
-        def into(x, out=None):
-            out = forward(x, out)
+        def kernel(x, out=None):
+            out = product(x, out)
             return prox_into(out, out)
-
-        return operators.Operator(
-            n, operators._from_kernel(into, prox), hint,
-            f"{problem.label} prox-grad(beta={beta:g})",
-        )
-
-    b = problem.b_mat
-    primal_dual_metric(beta, eta, b)  # validates positive definiteness
-    mat = np.empty((n + m, n + m))
-    mat[:n, :n] = primal
-    mat[:n, n:] = -beta * b.T
-    mat[n:, :n] = b @ (2.0 * primal - np.eye(n))
-    mat[n:, n:] = np.eye(m) / eta - 2.0 * beta * (b @ b.T)
-    product = operators._affine(mat, np.concatenate([shift, 2.0 * (b @ shift)]))
-    dual_prox = operators._bind(prox, 1.0 / eta)
-    dual_scale = np.array(eta, dtype=float)  # a 0-d array, as in operators._soft
-
-    def into(v, out=None):
-        out = product(v, out)
-        s = out[..., n:]
-        # s - (s - clip(s)), not clip(s): the two differ in the last bits
-        np.subtract(s, dual_prox(s), out=s)
-        np.multiply(s, dual_scale, out=s)
-        return out
-
-    return operators.Operator(
-        n + m, operators._from_kernel(into, prox), hint,
-        f"{problem.label} primal-dual(beta={beta:g}, eta={eta:g})",
-    )
+    else:
+        steps, kernel = f"gradient-step(beta={beta:g})", None
+    fn = product if kernel is None else operators._from_kernel(kernel, prox)
+    return operators.Operator(n + m, fn, hint, f"{problem.label} {steps}")
 
 
 @dataclass(eq=False)
@@ -325,32 +319,25 @@ class Reference:
     state: Optional[np.ndarray] = None
 
 
-def reference_solution(problem, tol=1e-8):
+def reference_solution(problem):
     """Reference minimizer for a problem.
 
     Closed-form solutions pass through unchanged.  Otherwise the problem's
     own fixed-point iteration is run from zero at a residual tolerance three
-    orders tighter than ``tol``; failure to converge within 10**6 steps
-    raises ReferenceError.
+    orders tighter than ``REFERENCE_TOL``; failure to converge within 10**6
+    steps raises ReferenceError.
     """
-    check_number("tol", tol)
-    if problem.exact_solution is not None:
-        return Reference(
-            value=problem.exact_solution.copy(),
-            residual=0.0,
-            closed_form=True,
-            state=problem.exact_solution.copy(),
-        )
-    op = build_operator(problem)
-    trace = picard(op, np.zeros(op.dim), 10**6, res_tol=tol * 1e-3)
-    if not trace.converged:
-        raise ReferenceError(
-            f"reference iteration stopped with {trace.stop_reason.value} at "
-            f"residual {trace.final_residual:.3e}"
-        )
-    return Reference(
-        value=trace.x_final[: problem.n].copy(),
-        residual=trace.final_residual,
-        closed_form=False,
-        state=trace.x_final.copy(),
-    )
+    closed_form = problem.exact_solution is not None
+    if closed_form:
+        state, residual = problem.exact_solution.copy(), 0.0
+    else:
+        op = build_operator(problem)
+        trace = picard(op, np.zeros(op.dim), 10**6, res_tol=REFERENCE_TOL * 1e-3)
+        if not trace.converged:
+            raise ReferenceError(
+                f"reference iteration stopped with {trace.stop_reason.value} at "
+                f"residual {trace.final_residual:.3e}"
+            )
+        state, residual = trace.x_final, trace.final_residual
+    return Reference(value=state[: problem.n].copy(), residual=residual,
+                     closed_form=closed_form, state=state)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -172,6 +173,15 @@ class TestCertify:
         cert = certify(op, "contractive", {"rho": 0.5}, plan=SamplingPlan(seed=2))
         assert cert.passed
         assert cert.min_slack == pytest.approx(0.0, abs=1e-9)
+
+    def test_verdict_is_read_off_the_slack(self):
+        cert = certify(affine(0.5, [0.0, 0.0]), "nonexpansive", {},
+                       plan=SamplingPlan(n_pairs=10))
+        assert "verdict" not in {f.name for f in dataclasses.fields(cert)}
+        assert (cert.verdict, cert.passed) == ("PASS", True)
+        cert.min_slack = -2.0 * cert.tol
+        assert (cert.verdict, cert.passed) == ("FAIL", False)
+        assert cert.to_dict()["verdict"] == "FAIL"
 
     def test_soft_threshold_is_gan_at_exponent_one(self):
         cert = certify(soft_threshold_op(), "gan", {"gamma": 1.0, "mu": 1.0},

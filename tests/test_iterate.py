@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -54,6 +55,11 @@ class TestPicard:
         assert trace.stop_reason is StopReason.MAX_ITER
         assert trace.k_final == 10
         assert trace.x_final.shape == (1,)
+
+    def test_trace_stores_the_step_count_once(self):
+        trace = picard(affine(0.5, [0.0]), [1.0], 10, 0.0)
+        assert not {"x0", "k_final"} & {f.name for f in dataclasses.fields(trace)}
+        assert trace.k_final == len(trace.residuals) == 10
 
     def test_identity_stops_immediately(self):
         trace = picard(identity(2), [3.0, 4.0], 50, 0.0)
@@ -387,8 +393,7 @@ class TestPicardMatchesReferenceLoop:
         converged = residuals[-1] <= 1e-9
         assert code == (0 if converged else 2)
         expected = IterationTrace(
-            x0=x0, x_final=None, residuals=residuals, norm_spec=norm_spec,
-            k_final=len(residuals),
+            x_final=None, residuals=residuals, norm_spec=norm_spec,
             stop_reason=StopReason.RESIDUAL_TOL if converged else StopReason.MAX_ITER,
             errors_to_ref=None if ref is None else errors, label=op.label,
         )

@@ -26,7 +26,7 @@ from fpcert.metrics import (
 from fpcert.operators import (Operator, affine, block_soft_threshold, gradient_step,
                               l1_prox, l2_prox, prox_operator, proximal_gradient,
                               soft_threshold)
-from fpcert.problems import (analysis_l1_problem, build_operator, reference_solution,
+from fpcert.problems import (analysis_l1_problem, build_operator,
                              separable_smooth_l1_problem, step_size_bounds)
 
 NAN, INF = float("nan"), float("inf")
@@ -470,8 +470,6 @@ BAD_PARAMETERS = [
     ("step-size-bounds", step_size_bounds, "lipschitz", FINITE),
     ("step-size-bounds", lambda v: step_size_bounds(1.0, v), "b_norm", FINITE),
     ("build-operator", lambda v: build_operator(_separable(), v), "beta", FINITE),
-    ("reference-solution", lambda v: reference_solution(_separable(), v), "tol",
-     FINITE),
     ("cli-scalar", lambda v: _scalar("gamma", v, float, 0.0, True), "gamma",
      (NAN, INF, -1.0)),
 ]

@@ -314,6 +314,26 @@ class TestCompose:
         assert op.fixed_point_hint is None
         np.testing.assert_array_equal(op([3.0]), s(t([3.0])))
 
+    @pytest.mark.parametrize("s, kept", [
+        (affine(0.5, [0.5]), True),
+        (affine(10.0, [-9.0 * (1 + 3e-9)]), False),
+    ], ids=["hint-kept", "hint-moved"])
+    def test_each_factor_runs_once_at_a_shared_hint(self, s, kept):
+        calls = []
+
+        def counted(op):
+            def fn(x):
+                calls.append(op.label)
+                return op.fn(x)
+
+            return Operator(op.dim, fn, op.fixed_point_hint, op.label)
+
+        s, t = counted(s), counted(affine(0.5, [0.5]))
+        calls.clear()
+        op = compose(s, t)
+        assert sorted(calls) == sorted([s.label, t.label])
+        assert (op.fixed_point_hint is not None) == kept
+
     def test_hint_dropped_when_one_side_missing(self):
         s = identity(1)
         t = affine(0.5, [1.0])

@@ -194,8 +194,7 @@ def _late_infinity_trace():
     residuals[-1] = np.inf
     errors = np.linspace(3.0, 4.0, k_final + 1)
     errors[TRACE_CHUNK_ROWS + 3] = np.nan
-    return IterationTrace(x0=np.zeros(1), x_final=np.zeros(1), residuals=residuals,
-                          norm_spec=L1, k_final=k_final,
+    return IterationTrace(x_final=np.zeros(1), residuals=residuals, norm_spec=L1,
                           stop_reason=StopReason.DIVERGED, errors_to_ref=errors)
 
 
@@ -283,8 +282,7 @@ def reference_rows(lo, columns):
 
 
 def _trace(residuals, errors):
-    return IterationTrace(x0=np.zeros(1), x_final=np.zeros(1), residuals=residuals,
-                          norm_spec=L1, k_final=len(residuals),
+    return IterationTrace(x_final=np.zeros(1), residuals=residuals, norm_spec=L1,
                           stop_reason=StopReason.MAX_ITER, errors_to_ref=errors)
 
 
