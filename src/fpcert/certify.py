@@ -564,8 +564,12 @@ class RegionGrid:
     gamma: float
     mu: float
     bounds: tuple
-    resolution: int
     offsets: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def resolution(self):
+        """Cells per axis, read off the mask."""
+        return self.mask.shape[0]
 
 
 def _symmetric_offsets(radius, resolution):
@@ -628,6 +632,5 @@ def range_region(x, xhat, gamma, mu, resolution=201):
         gamma=float(gamma),
         mu=float(mu),
         bounds=bounds,
-        resolution=int(resolution),
         offsets=offsets,
     )

@@ -11,13 +11,15 @@ field readers.
 
 Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
 (an iterate that overflows included), 1 on a usage error (malformed config,
-missing file, bad field).  Runs with a fixed seed are byte-for-byte
+missing file, bad field, a ``dim``, ``resolution`` or ``n_pairs`` whose
+arrays do not fit in memory).  Runs with a fixed seed are byte-for-byte
 reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -128,6 +130,18 @@ STRING_FIELDS = {"problem": None, "operator": None, "output_dir": None,
                  "property": "gan", "norm": "l2", "model": "exponential"}
 
 
+@contextlib.contextmanager
+def _sized_by(field_name, size):
+    """A block whose ``MemoryError`` becomes a UsageError naming the field
+    ``field_name``, whose value ``size`` set the arrays that did not fit."""
+    try:
+        yield
+    except MemoryError as err:
+        raise UsageError(
+            f"field '{field_name}': {size!r} is too large, the arrays it sizes "
+            "do not fit in memory") from err
+
+
 def load_run_config(path, command, overrides):
     """The checked run config at ``path`` for ``command``, as a plain dict.
 
@@ -196,10 +210,11 @@ def load_operator_config(path):
             "soft_threshold": (operators.l1_prox, "soft-threshold"),
             "block_soft_threshold": (operators.l2_prox, "block-soft-threshold"),
         }[kind]
-        return operators.prox_operator(
-            prox(lam), 1.0, dim,
-            fixed_point_hint=np.zeros(dim), label=f"{name}(lam={lam:g})",
-        )
+        with _sized_by("dim", dim):
+            return operators.prox_operator(
+                prox(lam), 1.0, dim,
+                fixed_point_hint=np.zeros(dim), label=f"{name}(lam={lam:g})",
+            )
     if kind == "affine":
         alpha = _scalar("alpha", config.get("alpha", 1.0))
         z = _numbers("z", config.get("z", [0.0]))
@@ -208,7 +223,8 @@ def load_operator_config(path):
         except ValueError as err:
             raise UsageError(f"field 'alpha'/'z': {err}") from err
     if kind == "identity":
-        return operators.identity(dim)
+        with _sized_by("dim", dim):
+            return operators.identity(dim)
     raise UsageError(f"field 'type': unknown operator type {config.get('type')!r}")
 
 
@@ -343,10 +359,11 @@ def _run_certify(config):
     params = {key: config["params"][key] for key in ("gamma", "mu", "rho")
               if key in config["params"]}
     tol = config["params"].get("tol", DEFAULT_TOL)
-    try:
-        cert = certify(op, prop, params, norm_spec, plan, tol=tol)
-    except ValueError as err:
-        raise UsageError(f"field 'params': {err}") from err
+    with _sized_by("n_pairs", plan.n_pairs):
+        try:
+            cert = certify(op, prop, params, norm_spec, plan, tol=tol)
+        except ValueError as err:
+            raise UsageError(f"field 'params': {err}") from err
     out = _output_dir(config)
     reports.write_json(os.path.join(out, "certificate.json"), cert.to_dict())
     return EXIT_OK if cert.passed else EXIT_FAIL
@@ -400,10 +417,11 @@ def _run_rates(config):
 
     # each check's report, or the reason it was skipped
     checks = {"little_o_proxy": little_o_proxy(trace.residuals, gamma)}
-    skipped = "no fixed point available" if trace.ref is None else None
+    skipped = "no fixed point available" if trace.errors_to_ref is None else None
     if skipped is None and mu is None:
         try:
-            mu = estimate_mu(op, gamma, norm_spec, plan)
+            with _sized_by("n_pairs", plan.n_pairs):
+                mu = estimate_mu(op, gamma, norm_spec, plan)
         except EstimateError as err:
             # no sampled pair was informative, so there is no estimate
             skipped = str(err)
@@ -438,10 +456,11 @@ def _run_region(config):
     gamma = params.get("gamma", 2.0)
     mu = params.get("mu", 1.0)
     resolution = _scalar("resolution", config.get("resolution", 201), int, 2)
-    try:
-        grid = range_region(x, xhat, gamma, mu, resolution)
-    except ValueError as err:
-        raise UsageError(f"field 'x'/'xhat': {err}") from err
+    with _sized_by("resolution", resolution):
+        try:
+            grid = range_region(x, xhat, gamma, mu, resolution)
+        except ValueError as err:
+            raise UsageError(f"field 'x'/'xhat': {err}") from err
     out = _output_dir(config)
     reports.write_region_csv(os.path.join(out, "region.csv"), grid)
     return EXIT_OK

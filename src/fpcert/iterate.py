@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .metrics import L2, NormSpec, _norm_fn, check_number
+from .operators import _image
 
 __all__ = [
     "StopReason",
@@ -85,17 +86,17 @@ class IterationTrace:
     """Record of one fixed-point run.
 
     ``residuals[k]`` is the distance between iterates k and k+1 in the trace
-    norm, for k = 0..k_final-1.  When a reference vector ``ref`` was
-    supplied, ``errors_to_ref[k]`` is the distance from iterate k to it,
-    k = 0..k_final; both are None otherwise.  Iterates themselves, x0 too,
-    are not kept: every trajectory claim reads these distances.
+    norm, for k = 0..k_final-1.  When :func:`picard` was given a reference
+    vector ``ref``, ``errors_to_ref[k]`` is the distance from iterate k to
+    it, k = 0..k_final; it is None otherwise.  Iterates themselves, x0 and
+    the reference too, are not kept: every trajectory claim reads these
+    distances.
     """
 
     x_final: np.ndarray
     residuals: np.ndarray
     norm_spec: NormSpec
     stop_reason: StopReason
-    ref: Optional[np.ndarray] = None
     errors_to_ref: Optional[np.ndarray] = None
     label: str = ""
 
@@ -158,8 +159,7 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     res_tol : float
         Residual stopping tolerance (0 stops only on an exact fixed point).
     ref : array_like, optional
-        Reference solution; kept as ``trace.ref`` and measured against in
-        ``trace.errors_to_ref``.
+        Reference solution, measured against in ``trace.errors_to_ref``.
     norm_spec : NormSpec
         Norm for residuals and reference distances.
     """
@@ -188,7 +188,6 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
         residuals=residuals,
         norm_spec=norm_spec,
         stop_reason=stop or StopReason.MAX_ITER,
-        ref=ref,
         errors_to_ref=errors,
         label=op.label,
     )
@@ -218,7 +217,7 @@ def _run_steps(op, x, max_iter, res_tol, ref, dist):
     Returns the last iterate, the residuals, the errors to ``ref`` (None
     without one) and the stop reason (None at ``max_iter``).
     """
-    fn, shape = op.fn, x.shape
+    fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
     # packed doubles: a 10^5-step run holds 0.8 MB per column, not 3.2 MB of
     # float objects
     residuals = array("d")
@@ -230,9 +229,7 @@ def _run_steps(op, x, max_iter, res_tol, ref, dist):
         filled = 1
     guard = stop = None
     for k in range(1, max_iter + 1):
-        x_next = np.asarray(fn(x), dtype=float)
-        if x_next.shape != shape:
-            raise op._shape_error(x_next.shape, shape)
+        x_next = _image(fn(x), shape, what)
         r = dist(x_next - x)
         if k == 1:
             guard = DIVERGENCE_FACTOR * (1.0 + r)
@@ -335,6 +332,23 @@ def _least_squares_line(xs, ys):
     return slope, intercept, min(max(r2, 0.0), 1.0)
 
 
+def _tail(seq, tail_start, allow_empty):
+    """``(tail_start, tail, ks)`` of a sequence indexed from k = 1: the
+    start, the midpoint when None, the tail ``seq[tail_start:]`` and its
+    indices k as floats.  A start below 0 or past the last entry raises
+    ``ValueError``; with ``allow_empty`` the start at the end, whose tail
+    is empty, is admitted.
+    """
+    seq = np.asarray(seq, dtype=float)
+    if tail_start is None:
+        tail_start = len(seq) // 2
+    last = len(seq) if allow_empty else len(seq) - 1
+    if check_number("tail_start", tail_start, int, 0, strict=False) > last:
+        raise ValueError("tail_start outside the sequence")
+    ks = np.arange(tail_start + 1, len(seq) + 1, dtype=float)
+    return tail_start, seq[tail_start:], ks
+
+
 def fit_rate(seq, model, tail_start=None):
     """Fit a decay model to the tail of a sequence.
 
@@ -343,18 +357,12 @@ def fit_rate(seq, model, tail_start=None):
     truncate the tail at the first nonpositive entry; at least 5 positive
     points must remain.
     """
-    seq = np.asarray(seq, dtype=float)
-    if tail_start is None:
-        tail_start = len(seq) // 2
-    if check_number("tail_start", tail_start, int, 0, strict=False) >= len(seq):
-        raise ValueError("tail_start outside the sequence")
-    tail = seq[tail_start:]
+    tail_start, tail, ks = _tail(seq, tail_start, allow_empty=False)
     nonpositive = np.nonzero(tail <= 0.0)[0]
     if nonpositive.size:
-        tail = tail[: nonpositive[0]]
+        tail, ks = tail[: nonpositive[0]], ks[: nonpositive[0]]
     if len(tail) < 5:
         raise ValueError("tail has fewer than 5 positive points")
-    ks = np.arange(tail_start + 1, tail_start + 1 + len(tail), dtype=float)
     model = model.strip().lower()
     if model == "polynomial":
         slope, _, r2 = _least_squares_line(np.log(ks), np.log(tail))
@@ -395,13 +403,7 @@ def little_o_proxy(seq, gamma, tail_start=None):
     ``len(seq)`` raises ``ValueError``.
     """
     check_number("gamma", gamma)
-    seq = np.asarray(seq, dtype=float)
-    if tail_start is None:
-        tail_start = len(seq) // 2
-    if check_number("tail_start", tail_start, int, 0, strict=False) > len(seq):
-        raise ValueError("tail_start outside the sequence")
-    tail = seq[tail_start:]
-    ks = np.arange(tail_start + 1, tail_start + 1 + len(tail), dtype=float)
+    tail_start, tail, ks = _tail(seq, tail_start, allow_empty=True)
     normalized = ks ** (1.0 / gamma) * tail
     if len(normalized) and not np.any(normalized):
         return LittleOReport(gamma, 0.0, 0.0, 0.0, tail_start, True,
@@ -433,8 +435,9 @@ class SummabilityReport:
 
 
 def _reference_errors(trace, check):
-    """``trace.errors_to_ref``, or a ``ValueError`` naming the missing reference."""
-    if trace.ref is None:
+    """``trace.errors_to_ref``, or a ``ValueError`` naming the missing
+    reference when the trace was run without one."""
+    if trace.errors_to_ref is None:
         raise ValueError(f"{check} check needs a trace run with a reference (ref)")
     return trace.errors_to_ref
 
@@ -559,7 +562,13 @@ def recurrence_bound(a_start, p, b, start, k):
     window = b[start:k]
     if not np.all(window >= 0):
         raise ValueError("b must be nonnegative")
-    return float((a_start ** (-p) + p * np.sum(window)) ** (-1.0 / p))
+    return float(_decay_bound(a_start, p, p * np.sum(window)))
+
+
+def _decay_bound(a_start, p, growth):
+    """(a_start^(-p) + growth)^(-1/p), the closed-form bound for p > 0,
+    where ``growth`` is p times the weights summed since the start."""
+    return (a_start ** (-p) + growth) ** (-1.0 / p)
 
 
 @dataclass(eq=False)
@@ -605,7 +614,7 @@ def verify_recurrence_bound(seq, p, mu, tol=1e-12):
     elif p == 0:
         bounds = a_start * (1.0 - mu) ** steps
     else:
-        bounds = (a_start ** (-p) + p * mu * steps) ** (-1.0 / p)
+        bounds = _decay_bound(a_start, p, p * mu * steps)
     over = np.nonzero(seq[start + 1:] > bounds + tol)[0].tolist()
     violations = [(start + 1 + j, float(seq[start + 1 + j]), float(bounds[j]))
                   for j in over]

@@ -179,16 +179,14 @@ def _euclidean(x):
     ``_TINY_NORM``, of a finite nonzero vector only had its squares overflow
     or underflow, and is re-evaluated as s |x / s| with s its largest
     |x_i|; a stack sends just those rows through that rule, all at once, and
-    a zero row keeps its norm 0.
+    a zero row keeps its norm 0.  A vector outside that band is taken as a
+    stack of one row, so the rule is written once.
     """
     if x.ndim < 2:
         x = x.ravel(order="K")
         r = math.sqrt(x.dot(x))
         if not _TINY_NORM <= r < math.inf:
-            scale = float(np.max(np.abs(x)))
-            if 0.0 < scale < math.inf:
-                x = x / scale
-                r = scale * math.sqrt(x.dot(x))
+            return float(_euclidean(x[None])[0])
         return r
     x = np.ascontiguousarray(x)
     r = np.sqrt(_row_squares(x))

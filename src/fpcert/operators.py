@@ -141,11 +141,7 @@ def _bind(prox, scale):
     def copying(x, out=None):
         if out is None:
             return prox(scale, x)
-        image = np.asarray(prox(scale, x), dtype=float)
-        if image.shape != out.shape:
-            raise ValueError(f"map returned shape {image.shape} instead of "
-                             f"{out.shape}")
-        out[...] = image
+        out[...] = _image(prox(scale, x), out.shape, "map")
         return out
 
     return copying
@@ -194,16 +190,16 @@ class Operator:
             )
         if x.ndim == 2 and not _takes_stacks(self.fn):
             return np.array([self(row) for row in x]).reshape(x.shape)
-        y = np.asarray(self.fn(x), dtype=float)
-        if y.shape != x.shape:
-            raise self._shape_error(y.shape, x.shape)
-        return y
+        return _image(self.fn(x), x.shape, f"operator '{self.label}'")
 
-    def _shape_error(self, got, expected):
-        """The error for ``fn`` returning shape ``got`` for input shape ``expected``."""
-        return ValueError(
-            f"operator '{self.label}' returned shape {got} instead of {expected}"
-        )
+
+def _image(y, shape, what):
+    """The output ``y`` of the map ``what`` as a float array, or a
+    ValueError naming ``what`` when it is not of ``shape``."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != shape:
+        raise ValueError(f"{what} returned shape {y.shape} instead of {shape}")
+    return y
 
 
 class _DriftingHint(ValueError):

@@ -83,26 +83,23 @@ def _emit(obj, parts, level):
         parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), parts, level)
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, list, tuple)):
+        # one layout: each item is a key prefix, empty in a list, and a value
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = ((f"{json.dumps(str(key), ensure_ascii=False)}: ", value)
+                     for key, value in obj.items())
+        else:
+            brackets, items = "[]", (("", value) for value in obj)
         if not obj:
-            parts.append("{}")
+            parts.append(brackets)
             return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(f"{pad_in}{json.dumps(str(key), ensure_ascii=False)}: ")
+        parts.append(brackets[0] + "\n")
+        for i, (prefix, value) in enumerate(items):
+            parts.append(pad_in + prefix)
             _emit(value, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(obj):
-            parts.append(pad_in)
-            _emit(value, parts, level + 1)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "]")
+        parts.append(pad + brackets[1])
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -728,6 +728,11 @@ class TestClassInclusions:
 
 
 class TestRangeRegion:
+    def test_resolution_is_read_off_the_mask(self):
+        grid = range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1.0, resolution=13)
+        assert grid.resolution == grid.mask.shape[0] == 13
+        assert "resolution" not in {f.name for f in dataclasses.fields(grid)}
+
     def test_exponent_two_region_is_the_halfway_disk(self):
         grid = range_region([1.0, 0.0], [0.0, 0.0], 2.0, 1.0, resolution=201)
         o1, o2 = np.meshgrid(grid.offsets, grid.offsets)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpcert
 from fpcert.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, SCALAR_PARAMS, UsageError,
                         load_problem_config, main)
 from fpcert.metrics import primal_dual_metric, write_matrix
@@ -559,6 +562,78 @@ class TestUsageErrors:
                            {"operator": "op.json", "x0": [1.0]})
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+# (command, operator config or None, run config, callee that allocates, the
+# field that sizes it, a size whose arrays do not fit in memory)
+OVERSIZED = {
+    "region-resolution": ("region", None, {"x": [1.0, 0.0], "xhat": [0.0, 0.0]},
+                          "fpcert.cli.range_region", "resolution", 1000000),
+    "soft-threshold-dim": ("solve", {"type": "soft_threshold"}, {},
+                           "fpcert.operators.prox_operator", "dim", 10**12),
+    "identity-dim": ("solve", {"type": "identity"}, {},
+                     "fpcert.operators.identity", "dim", 10**12),
+    "certify-n-pairs": ("certify", {"type": "affine", "alpha": 0.5, "z": [1.0, 2.0]},
+                        {"property": "nonexpansive"}, "fpcert.cli.certify", "n_pairs",
+                        2000000000),
+    "rates-n-pairs": ("rates", {"type": "affine", "alpha": 0.5, "z": [1.0, 2.0]}, {},
+                      "fpcert.cli.estimate_mu", "n_pairs", 2000000000),
+}
+
+
+def _oversized_run(tmp_path, case, size):
+    """The command and run config of ``case`` with its field set to ``size``,
+    the callee that allocates, and the field."""
+    command, operator, run, callee, field, _ = OVERSIZED[case]
+    if field == "dim":
+        operator = {**operator, "dim": size}
+    elif field == "n_pairs":
+        run = {**run, "params": {"n_pairs": size}}
+    else:
+        run = {**run, field: size}
+    if operator is not None:
+        write_config(tmp_path / "op.json", operator)
+        run = {"operator": "op.json", **run}
+    return command, write_config(tmp_path / "run.json", run), callee, field
+
+
+class TestOversizedInputs:
+    @pytest.mark.parametrize("case", OVERSIZED)
+    def test_memory_error_is_a_usage_error_naming_the_size(self, tmp_path, capsys,
+                                                           monkeypatch, case):
+        # a small size: the callee raises as an oversized one would
+        command, cfg, callee, field = _oversized_run(tmp_path, case, 3)
+        monkeypatch.setattr(callee, _out_of_memory)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"fpcert: error: field '{field}': 3 is too large")
+        assert "memory" in err
+
+    @pytest.mark.parametrize("case", ["region-resolution", "soft-threshold-dim"])
+    def test_oversized_run_exits_one_under_an_address_space_limit(self, tmp_path, case):
+        # the limit makes the allocation fail at once, so nothing is allocated
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+        command, cfg, _, field = _oversized_run(tmp_path, case, OVERSIZED[case][-1])
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard}))\n"
+                  "from fpcert.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(fpcert.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script, command, "--config", cfg,
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stderr.startswith(f"fpcert: error: field '{field}':")
+        assert "Traceback" not in done.stderr
 
 
 class TestProblemConfig:

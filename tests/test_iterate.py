@@ -61,6 +61,12 @@ class TestPicard:
         assert not {"x0", "k_final"} & {f.name for f in dataclasses.fields(trace)}
         assert trace.k_final == len(trace.residuals) == 10
 
+    def test_trace_keeps_the_errors_not_the_reference(self):
+        with_ref = picard(affine(0.5, [0.0]), [1.0], 10, 0.0, ref=[0.0])
+        assert "ref" not in {f.name for f in dataclasses.fields(with_ref)}
+        assert with_ref.errors_to_ref[0] == 1.0
+        assert picard(affine(0.5, [0.0]), [1.0], 10, 0.0).errors_to_ref is None
+
     def test_identity_stops_immediately(self):
         trace = picard(identity(2), [3.0, 4.0], 50, 0.0)
         assert trace.k_final == 1
@@ -441,6 +447,18 @@ class TestFitRate:
         seq = np.concatenate([0.5 ** np.arange(1.0, 40.0), np.zeros(5)])
         fit = fit_rate(seq, "exponential", tail_start=10)
         assert fit.rho == pytest.approx(0.5, abs=1e-9)
+        # a power law is fitted at its own indices k, which start past tail_start
+        seq = np.concatenate([np.arange(1.0, 41.0) ** -3.0, [0.0, 1.0]])
+        fit = fit_rate(seq, "polynomial", tail_start=20)
+        assert fit.exponent_p == pytest.approx(3.0, abs=1e-9)
+
+    def test_tail_start_at_the_end_raises(self):
+        # unlike the little-o proxy's tail, a fit's tail may not be empty
+        seq = 0.5 ** np.arange(1.0, 11.0)
+        with pytest.raises(ValueError, match="tail_start outside the sequence"):
+            fit_rate(seq, "exponential", len(seq))
+        with pytest.raises(ValueError, match="fewer than 5"):
+            fit_rate(seq, "exponential", len(seq) - 1)
 
     def test_short_tail_rejected(self):
         with pytest.raises(ValueError, match="fewer than 5"):

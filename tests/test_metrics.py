@@ -96,6 +96,23 @@ class TestNorm:
                 assert norm(v, L2) == (plain if plain >= 2.0**-500 else rescaled_norm(v))
                 assert norm(v, L1) == float(np.sum(np.abs(v)))
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_a_vector_outside_the_band_is_a_stack_of_one_row(self, n):
+        # the rescale rule is written once, for stacks; a vector that takes
+        # it, or whose norm is 0, inf or NaN, gets its one-row stack's norm
+        rng = np.random.default_rng(n)
+        vectors = [scale * rng.uniform(-1.0, 1.0, n)
+                   for scale in (1e-300, 2.0**-520, 1e200, 1.7e308)]
+        vectors += [np.full(n, value) for value in (0.0, -0.0, np.inf, np.nan)]
+        for x in vectors:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = norm(x)
+                assert type(got) is float
+                assert repr(got) == repr(float(norm(x[None])[0]))
+            if np.isfinite(x).all() and x.any():
+                assert got == rescaled_norm(x)
+
     def test_overflowing_squares_follow_the_rescale_rule(self):
         x = np.array([3e200, -4e200, 1e199])
         with np.errstate(over="ignore"):
@@ -267,6 +284,8 @@ class TestNorm:
             assert norm(np.zeros(4), s) == 0.0
             x = rng.standard_normal(4)
             assert norm(x, s) > 0.0
+        # the empty vector too, whose norm is its one-row stack's
+        assert norm(np.zeros(0)) == norm(np.zeros((1, 0)))[0] == 0.0
 
 
 class TestCholesky:

@@ -121,6 +121,13 @@ class TestJson:
         with pytest.raises(TypeError, match=f"cannot serialize object of type {name}$"):
             dumps_json({"nested": [value]})
 
+    def test_containers_take_the_stdlib_layout(self):
+        # dicts, lists and tuples share one layout, empty ones included
+        payload = {"a": [1, "x", True, None, {}], "b": {"c": (2, [], ()), "d": {"e": False}},
+                   "": [[[]], [{}], "caf\u00e9", -7], "f": (), "g": {}}
+        for obj in (payload, {}, [], (), [{}], ((1,), {"k": [None]}), [[[[0]]]]):
+            assert dumps_json(obj) == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
     def test_tuples_render_as_lists(self):
         assert dumps_json({"t": (1, (2.5, "x")), "e": ()}) == \
             dumps_json({"t": [1, [2.5, "x"]], "e": []})
