@@ -12,8 +12,8 @@ field readers.
 Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
 (an iterate that overflows included), 1 on a usage error (malformed config,
 missing file, bad field, a ``dim``, ``resolution`` or ``n_pairs`` whose
-arrays do not fit in memory).  Runs with a fixed seed are byte-for-byte
-reproducible.
+arrays do not fit in memory), which writes no product file.  Runs with a
+fixed seed are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -191,8 +191,9 @@ def load_run_config(path, command, overrides):
         raise UsageError(
             f"field 'problem': {command} needs a problem or operator config")
     config["model"] = config["model"].strip().lower()
-    if command == "rates" and config["model"] not in ("exponential", "polynomial"):
-        raise UsageError("field 'model' must be 'exponential' or 'polynomial'")
+    if command == "rates" and config["model"] not in fit_rate.models:
+        raise UsageError(
+            f"field 'model' must be {' or '.join(map(repr, fit_rate.models))}")
     if config["norm"] not in ("l2", "l1", "w"):
         raise UsageError("field 'norm' must be 'l2', 'l1' or 'w'")
     return config
@@ -370,11 +371,11 @@ def _run_certify(config):
 
 
 def _run_trace(config):
-    """Run the configured target and write its ``trace.csv``.
+    """Run the configured target; its runner writes the ``trace.csv`` last.
 
     The reference of ``error_to_ref`` is the operator's fixed-point hint,
     which every problem with a closed-form solution carries.  Returns the
-    operator, the norm, the trace, the output directory and the step sizes.
+    operator, the norm, the trace and the step sizes.
     """
     op, _, norm_spec, steps = _resolve_target(config)
     x0 = config.get("x0")
@@ -382,13 +383,11 @@ def _run_trace(config):
     trace = picard(op, x0, max_iter=config["params"].get("max_iter", 100_000),
                    res_tol=config["params"].get("tol", 1e-10),
                    ref=op.fixed_point_hint, norm_spec=norm_spec)
-    out = _output_dir(config)
-    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
-    return op, norm_spec, trace, out, steps
+    return op, norm_spec, trace, steps
 
 
 def _run_solve(config):
-    _, _, trace, out, steps = _run_trace(config)
+    _, _, trace, steps = _run_trace(config)
     summary = {
         "stop_reason": trace.stop_reason.value,
         "k_final": trace.k_final,
@@ -397,6 +396,8 @@ def _run_solve(config):
         "operator": trace.label,
     }
     summary.update(steps)
+    out = _output_dir(config)
+    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
     reports.write_json(os.path.join(out, "summary.json"), summary)
     return EXIT_OK if trace.converged else EXIT_FAIL
 
@@ -404,7 +405,7 @@ def _run_solve(config):
 def _run_rates(config):
     plan = _plan(config)
     mu = config["params"].get("mu")
-    op, norm_spec, trace, out, _ = _run_trace(config)
+    op, norm_spec, trace, steps = _run_trace(config)
 
     gamma = config["params"].get("gamma", 2.0)
     failed = trace.stop_reason is StopReason.DIVERGED
@@ -413,7 +414,6 @@ def _run_rates(config):
     except ValueError as err:
         # the trace leaves too short a tail to fit; the model name is valid
         fit = {"error": str(err)}
-    reports.write_json(os.path.join(out, "rate_fit.json"), fit)
 
     # each check's report, or the reason it was skipped
     checks = {"little_o_proxy": little_o_proxy(trace.residuals, gamma)}
@@ -445,6 +445,9 @@ def _run_rates(config):
             payload[name] = report.to_dict()
             failed = failed or not report.verdict
     payload["stop_reason"] = trace.stop_reason.value
+    out = _output_dir(config)
+    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
+    reports.write_json(os.path.join(out, "rate_fit.json"), fit)
     reports.write_json(os.path.join(out, "checks.json"), payload)
     return EXIT_FAIL if failed else EXIT_OK
 

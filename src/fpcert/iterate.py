@@ -355,7 +355,7 @@ def fit_rate(seq, model, tail_start=None):
     The sequence is indexed from k = 1.  ``tail_start`` defaults to the
     midpoint, since asymptotic rates are polluted by early iterates.  Zeros
     truncate the tail at the first nonpositive entry; at least 5 positive
-    points must remain.
+    points must remain.  ``model`` is one of ``fit_rate.models``.
     """
     tail_start, tail, ks = _tail(seq, tail_start, allow_empty=False)
     nonpositive = np.nonzero(tail <= 0.0)[0]
@@ -371,6 +371,10 @@ def fit_rate(seq, model, tail_start=None):
         slope, _, r2 = _least_squares_line(ks, np.log(tail))
         return RateFit("exponential", None, float(np.exp(slope)), r2, tail_start)
     raise ValueError(f"unknown model {model!r}")
+
+
+# the names fit_rate accepts; the CLI checks a config's model against them
+fit_rate.models = ("exponential", "polynomial")
 
 
 @dataclass(eq=False)

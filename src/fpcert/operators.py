@@ -21,7 +21,9 @@ a numpy ufunc does.  A kernel takes x as the float array that
 map's data, and reentrant: it keeps no scratch state between calls.
 :func:`fpcert.iterate.picard` steps a map with a kernel in place.  Every
 affine product x -> L x + c of a built-in map, a scale, a diagonal or a
-matrix L, goes through the one kernel ``_affine``.
+matrix L, goes through the one kernel ``_affine``, which then runs the
+map's stage, if any, in place on its output, so each map of
+:func:`fpcert.problems.build_operator` is one ``_affine`` kernel.
 
 A built-in prox family is written once too, as ``fn.bind``: ``bind(t)`` is
 its map kernel ``(x, out)`` at the scale t, which also accepts ``out`` = x,
@@ -94,23 +96,19 @@ def _from_kernel(into, *families):
     return _stackable(into, *families)
 
 
-def _affine(lin, shift):
-    """The map x -> lin x + shift as its kernel: one product into the
-    output, then an in-place add.  ``lin`` is a 0-d scale, the (n,)
-    diagonal of a diagonal matrix or an (n, n) matrix, whose product is
-    picked here, once."""
-    if lin.ndim == 2:
-        def into(x, out=None):
-            out = _matvec(lin, x, out)
-            out += shift
-            return out
-    else:
-        def into(x, out=None):
-            out = np.multiply(lin, x, out=out)
-            out += shift
-            return out
+def _affine(lin, shift, stage=None, *families):
+    """The map x -> stage(lin x + shift) as its kernel: one product into the
+    output, an in-place add, then the kernel ``stage`` of the prox
+    ``families``, if given, run in place as ``stage(out, out)``.  ``lin`` is
+    a 0-d scale, the (n,) diagonal of a diagonal matrix or an (n, n) matrix."""
+    matrix = lin.ndim == 2
 
-    return _from_kernel(into)
+    def into(x, out=None):
+        out = _matvec(lin, x, out) if matrix else np.multiply(lin, x, out=out)
+        out += shift
+        return out if stage is None else stage(out, out)
+
+    return _from_kernel(into, *families)
 
 
 def _family(bind):

@@ -240,9 +240,9 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     """Fixed-point map for a problem at the given (or default) step sizes.
 
     Every map is built down one path from ``problem.quadratic`` = (H, g) at
-    the step sizes: one affine product, through the kernel
-    ``operators._affine``, then the stage the data picks, then one Operator
-    whose ``fn`` is its in-place kernel.  Without a coupling matrix the
+    the step sizes: one ``operators._affine`` kernel, an affine product
+    followed, in place on its output, by the stage the data picks, as the
+    ``fn`` of one Operator.  Without a coupling matrix the
     product is M x + c, M = I - beta*H, c = beta*g, with M a vector applied
     elementwise for a diagonal H, and the stage is the prox of beta*g (the
     forward-backward step), or none for a problem without a prox (a
@@ -278,29 +278,22 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
             [lin, -beta * b.T],
             [b @ (2.0 * lin - np.eye(n)), np.eye(m) / eta - 2.0 * beta * (b @ b.T)]])
         shift = np.concatenate([shift, 2.0 * (b @ shift)])
-    product = operators._affine(lin, shift)
-    if b is not None:
         steps = f"primal-dual(beta={beta:g}, eta={eta:g})"
         dual_prox = operators._bind(prox, 1.0 / eta)
         dual_scale = np.array(eta, dtype=float)  # a 0-d array, as in operators._soft
 
-        def kernel(v, out=None):
-            out = product(v, out)
+        def stage(v, out):
             s = out[..., n:]
             # s - (s - clip(s)), not clip(s): the two differ in the last bits
             np.subtract(s, dual_prox(s), out=s)
             np.multiply(s, dual_scale, out=s)
             return out
     elif prox is not None:
-        steps = f"prox-grad(beta={beta:g})"
-        prox_into = operators._bind(prox, beta)
-
-        def kernel(x, out=None):
-            out = product(x, out)
-            return prox_into(out, out)
+        steps, stage = f"prox-grad(beta={beta:g})", operators._bind(prox, beta)
     else:
-        steps, kernel = f"gradient-step(beta={beta:g})", None
-    fn = product if kernel is None else operators._from_kernel(kernel, prox)
+        steps, stage = f"gradient-step(beta={beta:g})", None
+    families = () if stage is None else (prox,)
+    fn = operators._affine(lin, shift, stage, *families)
     return operators.Operator(n + m, fn, hint, f"{problem.label} {steps}")
 
 

@@ -465,6 +465,16 @@ class TestEstimateMinGamma:
                                plan=SamplingPlan(n_pairs=50, seed=15),
                                bracket=(1.5, 2.0))
 
+    @pytest.mark.parametrize("alpha, bracket, message", [
+        (0.5, (2.0, 1.0), "0 < lo < hi"),
+        (0.5, (0.0, 1.0), "0 < lo < hi"),
+        (2.0, (0.5, 2.0), "gamma=2.0 does not pass"),
+    ], ids=["reversed", "zero-lo", "expansive-hi-fails"])
+    def test_bad_bracket_rejected(self, alpha, bracket, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_min_gamma(affine(alpha, [0.0]), 1.0,
+                               plan=SamplingPlan(n_pairs=50, seed=15), bracket=bracket)
+
     def test_operator_evaluated_once_per_sampled_row(self):
         calls = []
 
@@ -535,6 +545,12 @@ class TestFpRatio:
     def test_requires_hint(self):
         with pytest.raises(ValueError, match="hint"):
             estimate_fp_ratio(Operator(1, lambda x: 0.5 * x), plan=SamplingPlan(seed=0))
+
+    def test_points_within_the_cutoff_of_the_hint_raise(self):
+        # every point lies within 1e-20 of the hint, so no ratio has a denominator
+        plan = SamplingPlan(n_pairs=10, radius_scales=(1e-20,), seed=0)
+        with pytest.raises(EstimateError, match="coincided with the fixed point"):
+            estimate_fp_ratio(affine(0.5, [1.0, 0.0]), plan=plan)
 
 
 class TestOverflowingScales:
@@ -818,6 +834,11 @@ class TestRangeRegion:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             range_region([1.0, 1.0], [1.0, 1.0], 2.0, 1.0)
+
+    def test_points_other_than_2_vectors_rejected(self):
+        for x, xhat in (([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([1.0, 0.0], [0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="defined for 2-vectors"):
+                range_region(x, xhat, 2.0, 1.0, 5)
 
     @pytest.mark.parametrize("x, xhat", [([np.inf, 0.0], [0.0, 0.0]),
                                          ([1.0, 0.0], [0.0, -np.inf]),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -348,6 +349,16 @@ class TestRegionCommand:
                "-9.9999999999999997e+199 9.9999999999999997e+199" in lines
         assert sum(l.count("1") for l in lines if not l.startswith("#")) == 5
 
+    def test_default_output_dir_is_the_command_and_a_timestamp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "run.json", {
+            "x": [1.0, 0.0], "xhat": [0.0, 0.0], "resolution": 5,
+        })
+        assert main(["region", "--config", cfg]) == EXIT_OK
+        [out] = [path for path in tmp_path.iterdir() if path.is_dir()]
+        assert re.fullmatch(r"region-\d{8}-\d{6}", out.name)
+        assert (out / "region.csv").exists()
+
     def test_coincident_points_are_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", {
             "x": [1.0, 1.0], "xhat": [1.0, 1.0],
@@ -473,6 +484,10 @@ class TestUsageErrors:
             ("solve", {}, [], "problem"),              # solve without target
             ("solve", {"problem": "missing_file_a.json"}, [],
              "A"),                                     # matrix file missing
+            ("solve", {"operator": "op.json", "params": {"max_iter": True}}, [],
+             "max_iter"),                              # boolean scalar param
+            ("solve", {"problem": "number_a.json"}, [],
+             "A"),                                     # matrix neither path nor list
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -521,6 +536,8 @@ class TestUsageErrors:
             "kind": "least_squares", "A": "negative.txt", "b": [1, 1]})
         write_config(tmp_path / "missing_file_a.json", {
             "kind": "least_squares", "A": "nowhere.txt", "b": [1, 1]})
+        write_config(tmp_path / "number_a.json", {
+            "kind": "least_squares", "A": 3, "b": [1, 1]})
         write_config(tmp_path / "huge_int_b.json", {
             "kind": "least_squares", "A": [[1, 0], [0, 1]], "b": [1, 10**400]})
         write_config(tmp_path / "far.json",
@@ -613,6 +630,8 @@ class TestOversizedInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"fpcert: error: field '{field}': 3 is too large")
         assert "memory" in err
+        # a usage error writes no product file
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["region-resolution", "soft-threshold-dim"])
     def test_oversized_run_exits_one_under_an_address_space_limit(self, tmp_path, case):

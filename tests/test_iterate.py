@@ -452,6 +452,14 @@ class TestFitRate:
         fit = fit_rate(seq, "polynomial", tail_start=20)
         assert fit.exponent_p == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("model", ["exponential", "polynomial"])
+    def test_constant_tail_fits_exactly(self, model):
+        # a constant tail leaves no variance to explain; the flat line fits it
+        fit = fit_rate(np.ones(10), model)
+        assert fit.r_squared == 1.0
+        assert (fit.rho, fit.exponent_p) == ((1.0, None) if model == "exponential"
+                                             else (None, 0.0))
+
     def test_tail_start_at_the_end_raises(self):
         # unlike the little-o proxy's tail, a fit's tail may not be empty
         seq = 0.5 ** np.arange(1.0, 11.0)
@@ -636,6 +644,8 @@ class TestRecurrenceBound:
             recurrence_bound(1.0, 1.0, np.ones(5), 3, 3)
         with pytest.raises(ValueError):
             recurrence_bound(1.0, 1.0, -np.ones(5), 0, 5)
+        with pytest.raises(ValueError, match="b does not cover"):
+            recurrence_bound(1.0, 1.0, np.ones(3), 0, 5)
 
     def test_rejects_a_nan_weight(self):
         # NaN passes a bare "b < 0" test, and the bound came out NaN
@@ -666,6 +676,14 @@ class TestVerifyRecurrence:
             assert report.verdict
             assert report.violations == []
             assert report.premise_from == 0
+
+    @pytest.mark.parametrize("seq, premise_from", [
+        ([], None), ([0.5], 0), ([1.0, 0.5, 2.0], None),
+    ], ids=["empty", "one-entry", "premise-only-at-the-end"])
+    def test_nothing_to_check_passes_vacuously(self, seq, premise_from):
+        report = verify_recurrence_bound(seq, 1.0, 0.5)
+        assert report.premise_from == premise_from
+        assert (report.n_checked, report.violations, report.verdict) == (0, [], True)
 
     def test_all_zero_sequence_vacuous_pass(self):
         report = verify_recurrence_bound(np.zeros(10), 1.0, 0.5)

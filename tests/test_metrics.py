@@ -13,6 +13,7 @@ from fpcert.iterate import (check_residual_summability, fit_rate, little_o_proxy
 from fpcert.metrics import (
     L1,
     L2,
+    NormSpec,
     NotPositiveDefiniteError,
     _matvec,
     check_number,
@@ -174,6 +175,16 @@ class TestNorm:
         spec = weighted_norm(np.eye(3))
         with pytest.raises(ValueError):
             norm([1.0, 2.0], spec)
+
+    @pytest.mark.parametrize("weight", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0]],
+                             ids=["rectangular", "vector"])
+    def test_non_square_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="weight matrix must be square"):
+            weighted_norm(weight)
+
+    def test_unknown_norm_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown norm kind 'linf'"):
+            norm([1.0, 2.0], NormSpec("linf"))
 
     def test_non_symmetric_weight_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

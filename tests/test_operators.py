@@ -47,6 +47,8 @@ class TestOperatorType:
         with pytest.raises(ValueError, match="hint"):
             affine_like = Operator(1, lambda x: 0.5 * x, fixed_point_hint=[1.0])
             del affine_like
+        with pytest.raises(ValueError, match="fixed_point_hint dimension"):
+            Operator(2, lambda x: x, fixed_point_hint=[1.0, 2.0, 3.0])
 
     def test_non_finite_hint_image_rejected_without_warnings(self):
         with warnings.catch_warnings():

@@ -163,6 +163,8 @@ class TestSeparable:
             separable_smooth_l1_problem([0.0], [1.0], 0.5)
         with pytest.raises(ValueError):
             separable_smooth_l1_problem([1.0], [1.0], -0.5)
+        with pytest.raises(ValueError, match="equal length"):
+            separable_smooth_l1_problem([1.0, 2.0], [1.0], 0.5)
 
     @pytest.mark.parametrize("coeffs, b", [
         ([1.0, np.nan], [1.0, 2.0]), ([1.0, np.inf], [1.0, 2.0]),
@@ -391,6 +393,10 @@ class TestStepSizeBounds:
         eta = bounds.eta_max
         assert bounds.coupling_holds(0.5, 0.999 * eta)
         assert not bounds.coupling_holds(0.5, 1.001 * eta)
+        # two negative steps make the product positive; no step at or below 0 holds
+        assert (1.0 / -0.5 - 1.0) * (1.0 / -0.5 - 1.0) > bounds.b_norm ** 2
+        assert not bounds.coupling_holds(-0.5, -0.5)
+        assert not bounds.coupling_holds(0.0, eta)
 
     def test_coupling_across_random_admissible_pairs(self):
         rng = np.random.default_rng(6)
