@@ -16,12 +16,11 @@ as a batch of one.  A row's image and norms do not depend on the rows stacked
 with it, so a witness reproduces its slack bit for bit and the minimum does
 not depend on the order in which rows are evaluated.
 
-A stack of more than ``TRIPLE_BLOCK // n`` rows of dimension n is evaluated
-in blocks of that many rows, each block's image and norms written into the
+A stack of rows of dimension n is evaluated in blocks of at most
+``TRIPLE_BLOCK // n`` rows, each block's image and norms written into the
 triple's preallocated arrays, so the temporaries of a block stay near
-``TRIPLE_BLOCK`` elements whatever the sample size; a smaller stack is
-evaluated in one pass.  Since rows are independent, the triple has the same
-bits either way.
+``TRIPLE_BLOCK`` elements whatever the sample size.  Since rows are
+independent, the triple has the same bits however the rows are blocked.
 """
 
 from __future__ import annotations
@@ -278,8 +277,6 @@ def _triples(op, xs, ys, norm_spec, fixed=False):
     |Tx-y|, |x-Tx|).
     """
     step = max(1, TRIPLE_BLOCK // xs.shape[1])
-    if len(xs) <= step:
-        return _block_triple(op, xs, ys, norm_spec, fixed)
     triple = tuple(np.empty(len(xs)) for _ in range(3))
     for start in range(0, len(xs), step):
         rows = slice(start, start + step)

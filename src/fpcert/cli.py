@@ -12,8 +12,14 @@ field readers.
 Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
 (an iterate that overflows included), 1 on a usage error (malformed config,
 missing file, bad field, a ``dim``, ``resolution`` or ``n_pairs`` whose
-arrays do not fit in memory), which writes no product file.  Runs with a
-fixed seed are byte-for-byte reproducible.
+arrays do not fit in memory, the iteration's buffer of a ``solve`` or
+``rates`` run included), which writes no product file.  Runs with a fixed
+seed are byte-for-byte reproducible.
+
+Without ``--out`` or ``output_dir`` a run writes into a new directory named
+for the command and the time to the second; a name an earlier run took
+gets ``-2``, ``-3``, ... appended, so runs in the same second never share
+a directory.  An explicit output directory may already exist.
 """
 
 from __future__ import annotations
@@ -337,12 +343,18 @@ def _plan(config):
 
 
 def _output_dir(config):
+    """The run's output directory, created; the default one is new."""
     out = config["output_dir"]
-    if out is None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        out = f"{config['command']}-{stamp}"
-    os.makedirs(out, exist_ok=True)
-    return out
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        return out
+    out = stem = f"{config['command']}-{time.strftime('%Y%m%d-%H%M%S')}"
+    for i in itertools.count(2):
+        try:
+            os.makedirs(out)
+            return out
+        except FileExistsError:
+            out = f"{stem}-{i}"
 
 
 def _run_certify(config):
@@ -380,9 +392,10 @@ def _run_trace(config):
     op, _, norm_spec, steps = _resolve_target(config)
     x0 = config.get("x0")
     x0 = np.zeros(op.dim) if x0 is None else _numbers("x0", x0, op.dim)
-    trace = picard(op, x0, max_iter=config["params"].get("max_iter", 100_000),
-                   res_tol=config["params"].get("tol", 1e-10),
-                   ref=op.fixed_point_hint, norm_spec=norm_spec)
+    with _sized_by("dim" if config["operator"] else "problem", op.dim):
+        trace = picard(op, x0, max_iter=config["params"].get("max_iter", 100_000),
+                       res_tol=config["params"].get("tol", 1e-10),
+                       ref=op.fixed_point_hint, norm_spec=norm_spec)
     return op, norm_spec, trace, steps
 
 

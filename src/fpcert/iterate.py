@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -54,9 +53,9 @@ SANDWICH_FIT_R2 = 0.99
 SUMMABILITY_TOL = 1e-10
 SANDWICH_TOL = 1e-8
 
-# Iterates held at once by picard to take their residuals and reference
-# errors as one stack norm each: enough that the per-block cost is
-# negligible, few enough that the buffer stays small (257 rows of 100
+# Iterates held at once by picard to take their reference errors, and a
+# kernel's residuals, as one stack norm each: enough that the per-block cost
+# is negligible, few enough that the buffer stays small (257 rows of 100
 # doubles are 200 kB).
 ERROR_BLOCK = 256
 
@@ -125,28 +124,28 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     report it.  The three rules are one scalar rule.
 
     The arguments and the norm's kind and weight dimension are checked
-    once.  A map whose ``op.fn`` carries an in-place kernel ``into`` (see
-    :mod:`fpcert.operators`) runs a block of steps at a time: the kernel
-    writes each iterate into the next row of one (ERROR_BLOCK + 1, n)
-    buffer, and the block's residuals are one stack ``metrics.norm`` of the
-    consecutive-row differences.  One numpy pass over them flags the steps
-    where the stop rule can act (a non-finite residual, one above the
-    guard, or one at ``res_tol``), and the scalar rule reads the flagged
-    steps in step order, so the run ends where a step-by-step reading would
-    end it; the errors of the steps it keeps are one stack norm against
-    ``ref``.
-    A block after k steps holds min(ERROR_BLOCK, max(BLOCK_MIN, k //
-    BLOCK_SHARE)) steps, so the kernel, which is pure, runs at most
-    max(15, k / 8) steps past the stopping step k; their values are
-    discarded, and an overflow among them raises nothing.  Any other map
-    runs one step at a time and is never called past the stopping step:
-    each step calls ``op.fn`` directly, converts its output to float,
-    checks that it keeps the iterate's shape (else the operator's named
-    ``ValueError``), takes its residual and reads the stop rule, and up to
-    ``ERROR_BLOCK`` iterates are kept to take their errors as one stack
-    norm.  Stack norms equal vector norms row by row, so on either path
-    residuals and errors equal a loop of ``op(x)`` and ``metrics.norm`` bit
-    for bit.
+    once.  Every map runs through one loop: a block of steps at a time,
+    each iterate written into the next row of one (min(ERROR_BLOCK,
+    max_iter) + 1, n) buffer, so the errors of a block's steps are one
+    stack ``metrics.norm`` against ``ref``.  Only the block body differs.
+    A map whose ``op.fn`` carries an in-place kernel ``into`` (see
+    :mod:`fpcert.operators`) writes the rows itself, and the block's
+    residuals are one stack norm of the consecutive-row differences.  One
+    numpy pass over them flags the steps where the stop rule can act (a
+    non-finite residual, one above the guard, or one at ``res_tol``), and
+    the scalar rule reads the flagged steps in step order, so the run ends
+    where a step-by-step reading would end it.  A block after k steps holds
+    min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the
+    kernel, which is pure, runs at most max(15, k / 8) steps past the
+    stopping step k; their values are discarded, and an overflow among
+    them raises nothing.  Any other map is called once a step and never
+    past the stopping step: each step calls ``op.fn`` on x0's copy or on
+    its own last image, never on a row of the buffer, converts its output
+    to float, checks that it keeps the iterate's shape (else the operator's
+    named ``ValueError``), copies it into the next row, takes its residual
+    and reads the stop rule.  Stack norms equal vector norms row by row, so
+    for every map residuals and errors equal a loop of ``op(x)`` and
+    ``metrics.norm`` bit for bit.
 
     Parameters
     ----------
@@ -175,13 +174,8 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
 
     # resolved once; it takes an (n,) vector or a (k, n) stack
     dist = _norm_fn(norm_spec, x.shape)
-    into = getattr(op.fn, "into", None)
     with np.errstate(over="ignore", invalid="ignore"):
-        if into is None:
-            x, residuals, errors, stop = _run_steps(op, x, max_iter, res_tol, ref, dist)
-        else:
-            x, residuals, errors, stop = _run_blocks(into, x, max_iter, res_tol, ref,
-                                                     dist)
+        x, residuals, errors, stop = _run(op, x, max_iter, res_tol, ref, dist)
 
     return IterationTrace(
         x_final=x,
@@ -211,76 +205,60 @@ def _stop(k, r, guard, res_tol, x_k):
     return None
 
 
-def _run_steps(op, x, max_iter, res_tol, ref, dist):
-    """picard's loop for a map without a kernel: one ``op.fn`` call a step.
+def _run(op, x, max_iter, res_tol, ref, dist):
+    """picard's loop: blocks of steps whose iterates fill the rows of one
+    buffer, and whose errors to ``ref`` are one stack norm per block.
 
-    Returns the last iterate, the residuals, the errors to ``ref`` (None
-    without one) and the stop reason (None at ``max_iter``).
-    """
-    fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
-    # packed doubles: a 10^5-step run holds 0.8 MB per column, not 3.2 MB of
-    # float objects
-    residuals = array("d")
-    errors = block = None
-    if ref is not None:
-        errors = []
-        block = np.empty((min(ERROR_BLOCK, max_iter + 1), x.size))
-        block[0] = x
-        filled = 1
-    guard = stop = None
-    for k in range(1, max_iter + 1):
-        x_next = _image(fn(x), shape, what)
-        r = dist(x_next - x)
-        if k == 1:
-            guard = DIVERGENCE_FACTOR * (1.0 + r)
-        stop = _stop(k, r, guard, res_tol, x_next)
-        residuals.append(r)
-        x = x_next
-        if block is not None:
-            if filled == len(block):
-                errors.append(dist(block - ref))
-                filled = 0
-            block[filled] = x
-            filled += 1
-        if stop is not None:
-            break
-    if block is not None:
-        errors.append(dist(block[:filled] - ref))
-        errors = np.concatenate(errors)
-    return x, np.array(residuals), errors, stop
-
-
-def _run_blocks(into, x, max_iter, res_tol, ref, dist):
-    """picard's loop for a map with a kernel: blocks of steps written in
-    place, whose residuals and errors are one stack norm each.
-
-    Returns what :func:`_run_steps` returns.
+    A map with a kernel writes a block in place and takes its residuals as
+    one stack norm; any other map is called once a step.  Returns the last
+    iterate, the residuals, the errors (None without ``ref``) and the stop
+    reason (None at ``max_iter``).
     """
     rows = np.empty((min(ERROR_BLOCK, max_iter) + 1, x.size))
     rows[0] = x
     views = list(rows)  # row views, indexed without numpy's dispatch
     residuals = []
     errors = None if ref is None else [dist(rows[:1] - ref)]
+    into = getattr(op.fn, "into", None)
+    fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
     k = 0
     guard = stop = None
     while stop is None and k < max_iter:
-        span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
-        for x_j, x_next in zip(views[:span], views[1:span + 1]):
-            into(x_j, x_next)
-        r = dist(rows[1:span + 1] - rows[:span])
-        if k == 0:
-            guard = DIVERGENCE_FACTOR * (1.0 + float(r[0]))
-        # _stop can act only on a non-finite residual, one above the guard or
-        # one at res_tol; at step 1 an infinite residual makes the guard
-        # infinite too, so non-finiteness is flagged by itself
-        flagged = ~np.isfinite(r) | (r > guard) | (r <= res_tol)
-        height = span
-        for j in flagged.nonzero()[0].tolist():
-            stop = _stop(k + j + 1, float(r[j]), guard, res_tol, views[j + 1])
-            if stop is not None:
-                height = j + 1
-                break
-        residuals.append(r[:height])
+        if into is not None:
+            span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
+            for x_j, x_next in zip(views[:span], views[1:span + 1]):
+                into(x_j, x_next)
+            r = dist(rows[1:span + 1] - rows[:span])
+            if k == 0:
+                guard = DIVERGENCE_FACTOR * (1.0 + float(r[0]))
+            # _stop can act only on a non-finite residual, one above the guard
+            # or one at res_tol; at step 1 an infinite residual makes the
+            # guard infinite too, so non-finiteness is flagged by itself
+            flagged = ~np.isfinite(r) | (r > guard) | (r <= res_tol)
+            height = span
+            for j in flagged.nonzero()[0].tolist():
+                stop = _stop(k + j + 1, float(r[j]), guard, res_tol, views[j + 1])
+                if stop is not None:
+                    height = j + 1
+                    break
+            r = r[:height]
+        else:
+            # the map is handed x0's copy, then its own images: never a row,
+            # which later steps overwrite
+            r = []
+            for step, row in enumerate(views[1:max_iter - k + 1], k + 1):
+                x_next = _image(fn(x), shape, what)
+                row[...] = x_next
+                r_step = dist(x_next - x)
+                if step == 1:
+                    guard = DIVERGENCE_FACTOR * (1.0 + r_step)
+                stop = _stop(step, r_step, guard, res_tol, x_next)
+                r.append(r_step)
+                x = x_next
+                if stop is not None:
+                    break
+            height = len(r)
+        residuals.append(r)
         if errors is not None:
             errors.append(dist(rows[1:height + 1] - ref))
         k += height

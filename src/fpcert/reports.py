@@ -14,14 +14,15 @@ D = round(|x| * 10**(16 - X)).  The pass guesses X from ``np.log10``, holds
 forms |x| * hi exactly with Dekker's two-product; adding |x| * lo leaves
 the scaled value y with an error below 2**-47.  D is round(y) unless the
 fraction of y lies within ``DECIMAL_TIE_MARGIN`` (2**-30) of 1/2, so every
-D it keeps is exact.  Cells the pass cannot decide are rendered by
-:func:`format_float`, one at a time: 0 and -0, values outside
-[1e-250, 1e250], non-finite values, near-ties, and a guess of X that put y
-outside [10**16, 10**17).  The digits of D, a '.', the "0.000" of a small
+D it keeps is exact.  The digits of D, a '.', the "0.000" of a small
 fixed-form cell, the sign and the exponent sit in a fixed-width byte slot
 of a row buffer; a mask looked up by sign, form and count of significant
 digits zeroes the bytes a cell does not print, and one ``bytes.translate``
-deletes them.
+deletes them.  A cell the pass cannot decide prints its comma alone, and
+the row that holds it is rendered again, cell by cell, by
+:func:`format_float`: undecided are 0 and -0, values outside
+[1e-250, 1e250], non-finite values, near-ties, and a guess of X that put
+y outside [10**16, 10**17).
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ class _DecimalTables:
                         row[_E] = row[_EXP] = True
                         row[_EXP + 23 - form:_EXP + 4] = True
         self.masks = masks * np.uint8(255)  # 0xff keeps a byte, 0 drops it
-        self.lengths = masks.sum(axis=1)
 
 
 @functools.cache
@@ -287,8 +287,9 @@ def _numpy_rows(lo, columns):
     Every row is written into a (rows, bytes) uint8 buffer as k's digits,
     one slot per cell and the line end; the bytes a row does not print are
     zeroed and deleted in one ``bytes.translate``.  An undecided cell prints
-    its comma alone, and its :func:`format_float` text is spliced in after
-    it."""
+    its comma alone; only when a chunk holds one is its text split into
+    lines, and each row holding one is rendered again, cell by cell, by
+    :func:`format_float`, which gives a decided cell its numpy bytes."""
     t = _decimal_tables()
     n, cells = len(columns[0]), len(columns) * len(_SLOT)
     kw = 4 * ((len(str(lo + n - 1)) + 3) // 4)  # k's digits, four at a time
@@ -298,9 +299,8 @@ def _numpy_rows(lo, columns):
     values = np.empty((n, len(columns)))
     for i, column in enumerate(columns):
         values[:, i] = column
-    values = values.ravel()
     slots = buf[:, kw:kw + cells].reshape(n, len(columns), len(_SLOT))
-    keys = _decimal_slots(values, slots, t)
+    keys = _decimal_slots(values.ravel(), slots, t)
     slots &= t.masks.take(keys, axis=0).reshape(slots.shape)
     k = np.arange(lo, lo + n)
     for j in range(kw - 4, -1, -4):
@@ -310,22 +310,14 @@ def _numpy_rows(lo, columns):
     for digits in range(1, kw):  # rows whose k has at most this many digits
         buf[:max(10 ** digits - lo, 0), kw - 1 - digits] = 0
     text = buf.tobytes().translate(None, b"\0").decode("ascii")
-    undecided = (keys == t.empty).nonzero()[0]
+    undecided = (keys == t.empty).reshape(n, -1).any(axis=1).nonzero()[0]
     if not undecided.size:
         return text
-    # a row's first segment is k's digits and its first cell, each further
-    # cell one more, and the line end before a row counts in its first
-    # segment; an undecided cell's text goes where its segment ends
-    lengths = t.lengths.take(keys).reshape(n, len(columns))
-    lengths[:, 0] += np.count_nonzero(buf[:, :kw], axis=1)
-    lengths[1:, 0] += len(tail)
-    ends = np.cumsum(lengths).take(undecided).tolist()
-    parts, start = [], 0
-    for end, value in zip(ends, values.take(undecided).tolist()):
-        parts += [text[start:end], format_float(value)]
-        start = end
-    parts.append(text[start:])
-    return "".join(parts)
+    lines = text.splitlines(keepends=True)
+    for i in undecided.tolist():
+        rendered = map(format_float, values[i].tolist())
+        lines[i] = ",".join([str(lo + i), *rendered]) + tail.decode()
+    return "".join(lines)
 
 
 def _trace_chunks(trace, params):

@@ -359,6 +359,20 @@ class TestRegionCommand:
         assert re.fullmatch(r"region-\d{8}-\d{6}", out.name)
         assert (out / "region.csv").exists()
 
+    def test_default_output_dirs_of_one_second_are_distinct(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("fpcert.cli.time.strftime", lambda fmt: "20260101-120000")
+        for resolution in (5, 7):
+            cfg = write_config(tmp_path / "run.json", {
+                "x": [1.0, 0.0], "xhat": [0.0, 0.0], "resolution": resolution,
+            })
+            assert main(["region", "--config", cfg]) == EXIT_OK
+        for name, resolution in [("region-20260101-120000", 5),
+                                 ("region-20260101-120000-2", 7)]:
+            lines = (tmp_path / name / "region.csv").read_text().splitlines()
+            assert len([l for l in lines if not l.startswith("#")]) == resolution
+        assert len([path for path in tmp_path.iterdir() if path.is_dir()]) == 2
+
     def test_coincident_points_are_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", {
             "x": [1.0, 1.0], "xhat": [1.0, 1.0],
@@ -599,6 +613,10 @@ OVERSIZED = {
                         2000000000),
     "rates-n-pairs": ("rates", {"type": "affine", "alpha": 0.5, "z": [1.0, 2.0]}, {},
                       "fpcert.cli.estimate_mu", "n_pairs", 2000000000),
+    "solve-picard-dim": ("solve", {"type": "soft_threshold"}, {}, "fpcert.cli.picard",
+                         "dim", 20000000),
+    "rates-picard-dim": ("rates", {"type": "identity"}, {}, "fpcert.cli.picard",
+                         "dim", 20000000),
 }
 
 
@@ -633,7 +651,8 @@ class TestOversizedInputs:
         # a usage error writes no product file
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["region-resolution", "soft-threshold-dim"])
+    @pytest.mark.parametrize("case", ["region-resolution", "soft-threshold-dim",
+                                      "solve-picard-dim"])
     def test_oversized_run_exits_one_under_an_address_space_limit(self, tmp_path, case):
         # the limit makes the allocation fail at once, so nothing is allocated
         resource = pytest.importorskip("resource")

@@ -219,7 +219,7 @@ class TestPicardMatchesReferenceLoop:
         assert trace.residuals.tobytes() == residuals.tobytes()
         assert trace.errors_to_ref.tobytes() == errors.tobytes()
 
-    @pytest.mark.parametrize("k_final", [ERROR_BLOCK - 1, ERROR_BLOCK, ERROR_BLOCK + 1,
+    @pytest.mark.parametrize("k_final", [1, ERROR_BLOCK - 1, ERROR_BLOCK, ERROR_BLOCK + 1,
                                          2 * ERROR_BLOCK + 3])
     @pytest.mark.parametrize("kind", ["l2", "l1", "weighted"])
     def test_errors_at_block_edges_bit_for_bit(self, kind, k_final):
@@ -229,13 +229,48 @@ class TestPicardMatchesReferenceLoop:
         slow, slow_ref = _slow_least_squares()
         op, spec, ref = {"l2": (slow, L2, slow_ref), "l1": (slow, L1, slow_ref),
                          "weighted": _problem_ops()[2]}[kind]
-        counting, calls = counted(op)
         x0 = np.random.default_rng(k_final).standard_normal(op.dim) * 3.0
-        trace = picard(counting, x0, k_final, 0.0, ref=ref, norm_spec=spec)
         residuals, errors = reference_loop(op, x0, k_final, 0.0, ref, spec)
-        assert trace.k_final == len(calls) == k_final
-        assert trace.residuals.tobytes() == residuals.tobytes()
-        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+        # every earlier residual lies above the last, so a tolerance at it
+        # stops the run exactly there, with budget to spare
+        assert (residuals[:-1] > residuals[-1]).all()
+        for (max_iter, res_tol, stop), run_ref in itertools.product(
+                [(k_final, 0.0, StopReason.MAX_ITER),
+                 (4 * k_final + 100, residuals[-1], StopReason.RESIDUAL_TOL)],
+                [ref, None]):
+            counting, calls = counted(op)
+            trace = picard(counting, x0, max_iter, res_tol, ref=run_ref, norm_spec=spec)
+            assert trace.stop_reason is stop
+            assert trace.k_final == len(calls) == k_final
+            assert trace.residuals.tobytes() == residuals.tobytes()
+            if run_ref is None:
+                assert trace.errors_to_ref is None
+            else:
+                assert trace.errors_to_ref.tobytes() == errors.tobytes()
+            assert trace.x_final.tobytes() == reference_final(op, x0, k_final).tobytes()
+
+    @pytest.mark.parametrize("with_ref", [True, False], ids=["ref", "no-ref"])
+    def test_map_without_a_kernel_is_handed_only_its_own_images(self, with_ref):
+        # the map is handed x0's copy, then each image it returned, and no
+        # array it was handed changes after the call: no row of a buffer
+        slow, slow_ref = _slow_least_squares()
+        handed, copies, images = [], [], []
+
+        def fn(x):
+            handed.append(x)
+            copies.append(x.copy())
+            images.append(slow.fn(x))
+            return images[-1]
+
+        op = Operator(slow.dim, fn, label="recording")
+        x0 = np.random.default_rng(3).standard_normal(op.dim)
+        trace = picard(op, x0, 2 * ERROR_BLOCK + 3, 0.0,
+                       ref=slow_ref if with_ref else None)
+        assert len(handed) == trace.k_final == 2 * ERROR_BLOCK + 3
+        assert handed[0] is not x0 and handed[0].tobytes() == x0.tobytes()
+        for x, copy in zip(handed, copies):
+            assert x.tobytes() == copy.tobytes()
+        assert all(x is image for x, image in zip(handed[1:], images))
 
     @pytest.mark.parametrize("stop", [StopReason.MAX_ITER, StopReason.RESIDUAL_TOL])
     @pytest.mark.parametrize("k_final", [1, 15, 16, 17, ERROR_BLOCK - 1, ERROR_BLOCK,
