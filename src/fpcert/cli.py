@@ -13,13 +13,17 @@ Exit codes: 0 on PASS / converged, 2 on FAIL / diverged / non-converged
 (an iterate that overflows included), 1 on a usage error (malformed config,
 missing file, bad field, a ``dim``, ``resolution`` or ``n_pairs`` whose
 arrays do not fit in memory, the iteration's buffer of a ``solve`` or
-``rates`` run included), which writes no product file.  Runs with a fixed
-seed are byte-for-byte reproducible.
+``rates`` run included, an output path that cannot be written).  Runs with
+a fixed seed are byte-for-byte reproducible.
 
-Without ``--out`` or ``output_dir`` a run writes into a new directory named
-for the command and the time to the second; a name an earlier run took
-gets ``-2``, ``-3``, ... appended, so runs in the same second never share
-a directory.  An explicit output directory may already exist.
+Each runner returns its verdict and its product files without writing
+them; :func:`main` writes them all in one place, after the run's last
+check.  So a usage error writes no product file, and one met while writing
+removes the files the run wrote.  Without ``--out`` or ``output_dir`` a run
+writes into a new directory named for the command and the time to the
+second; a name an earlier run took gets ``-2``, ``-3``, ... appended, so
+runs in the same second never share a directory.  An explicit output
+directory may already exist.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ def _read_json(path, field_name):
     except OSError as err:
         raise UsageError(
             f"field '{field_name}': cannot read {path} ({err.strerror})") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise UsageError(f"field '{field_name}': not valid JSON ({err})") from err
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        reason = "nested too deeply" if isinstance(err, RecursionError) else err
+        raise UsageError(f"field '{field_name}': not valid JSON ({reason})") from err
     if not isinstance(raw, dict):
         raise UsageError(f"field '{field_name}': top level must be an object")
     return raw
@@ -342,21 +347,6 @@ def _plan(config):
     return SamplingPlan(**kwargs)
 
 
-def _output_dir(config):
-    """The run's output directory, created; the default one is new."""
-    out = config["output_dir"]
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        return out
-    out = stem = f"{config['command']}-{time.strftime('%Y%m%d-%H%M%S')}"
-    for i in itertools.count(2):
-        try:
-            os.makedirs(out)
-            return out
-        except FileExistsError:
-            out = f"{stem}-{i}"
-
-
 def _run_certify(config):
     op, problem, norm_spec, _ = _resolve_target(config)
     prop = config["property"]
@@ -377,13 +367,11 @@ def _run_certify(config):
             cert = certify(op, prop, params, norm_spec, plan, tol=tol)
         except ValueError as err:
             raise UsageError(f"field 'params': {err}") from err
-    out = _output_dir(config)
-    reports.write_json(os.path.join(out, "certificate.json"), cert.to_dict())
-    return EXIT_OK if cert.passed else EXIT_FAIL
+    return cert.passed, [("certificate.json", reports.write_json, cert.to_dict())]
 
 
 def _run_trace(config):
-    """Run the configured target; its runner writes the ``trace.csv`` last.
+    """Run the configured target's iteration for ``solve`` or ``rates``.
 
     The reference of ``error_to_ref`` is the operator's fixed-point hint,
     which every problem with a closed-form solution carries.  Returns the
@@ -409,10 +397,8 @@ def _run_solve(config):
         "operator": trace.label,
     }
     summary.update(steps)
-    out = _output_dir(config)
-    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
-    reports.write_json(os.path.join(out, "summary.json"), summary)
-    return EXIT_OK if trace.converged else EXIT_FAIL
+    return trace.converged, [("trace.csv", reports.write_trace_csv, trace, steps),
+                             ("summary.json", reports.write_json, summary)]
 
 
 def _run_rates(config):
@@ -458,11 +444,9 @@ def _run_rates(config):
             payload[name] = report.to_dict()
             failed = failed or not report.verdict
     payload["stop_reason"] = trace.stop_reason.value
-    out = _output_dir(config)
-    reports.write_trace_csv(os.path.join(out, "trace.csv"), trace, steps)
-    reports.write_json(os.path.join(out, "rate_fit.json"), fit)
-    reports.write_json(os.path.join(out, "checks.json"), payload)
-    return EXIT_FAIL if failed else EXIT_OK
+    return not failed, [("trace.csv", reports.write_trace_csv, trace, steps),
+                        ("rate_fit.json", reports.write_json, fit),
+                        ("checks.json", reports.write_json, payload)]
 
 
 def _run_region(config):
@@ -477,9 +461,38 @@ def _run_region(config):
             grid = range_region(x, xhat, gamma, mu, resolution)
         except ValueError as err:
             raise UsageError(f"field 'x'/'xhat': {err}") from err
-    out = _output_dir(config)
-    reports.write_region_csv(os.path.join(out, "region.csv"), grid)
-    return EXIT_OK
+    return True, [("region.csv", reports.write_region_csv, grid)]
+
+
+def _write_products(config, products):
+    """Create the run's output directory and write ``products`` into it.
+
+    ``products`` lists ``(file name, writer, *args)`` in write order, and
+    ``writer(path, *args)`` writes each file.  An explicit output directory
+    may already exist; the default one is new.  An OSError removes the files
+    this run wrote or began to write and is a UsageError naming the path.
+    """
+    out = path = config["output_dir"]
+    written = []
+    try:
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+        else:
+            stem = f"{config['command']}-{time.strftime('%Y%m%d-%H%M%S')}"
+            retries = (f"{stem}-{i}" for i in itertools.count(2))
+            for out in itertools.chain([stem], retries):
+                with contextlib.suppress(FileExistsError):
+                    os.makedirs(path := out)
+                    break
+        for name, writer, *args in products:
+            written.append(path := os.path.join(out, name))
+            writer(path, *args)
+    except OSError as err:
+        for done in written:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise UsageError(
+            f"field 'output_dir': cannot write {path} ({err.strerror})") from err
 
 
 # Each subcommand's runner and help line.
@@ -526,7 +539,9 @@ def main(argv=None):
         # overflow is reported through the exit status and the output files,
         # so numpy's own warnings would only clutter stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return runner(config)
+            passed, products = runner(config)
+            _write_products(config, products)
+        return EXIT_OK if passed else EXIT_FAIL
     except NonFiniteIterateError as err:
         print(f"fpcert: {args.command} failed: {err}", file=sys.stderr)
         return EXIT_FAIL

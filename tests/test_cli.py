@@ -21,6 +21,10 @@ from fpcert.certify import gan_slack
 from fpcert.problems import analysis_l1_problem, default_step_sizes
 
 
+# a list nested 100 000 deep, beyond the JSON decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def write_config(path, payload):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
@@ -502,6 +506,12 @@ class TestUsageErrors:
              "max_iter"),                              # boolean scalar param
             ("solve", {"problem": "number_a.json"}, [],
              "A"),                                     # matrix neither path nor list
+            ("region", '{"params": ' + DEEP + "}", [],
+             "config"),                                # run config nested too deeply
+            ("solve", {"problem": "deep_problem.json"}, [],
+             "problem"),                               # problem nested too deeply
+            ("solve", {"operator": "deep_op.json"}, [],
+             "operator"),                              # operator nested too deeply
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -556,9 +566,17 @@ class TestUsageErrors:
             "kind": "least_squares", "A": [[1, 0], [0, 1]], "b": [1, 10**400]})
         write_config(tmp_path / "far.json",
                      {"type": "affine", "alpha": 0.5, "z": [1e308, 1e308]})
+        (tmp_path / "deep_problem.json").write_text('{"kind": "least_squares", "A": '
+                                                    + DEEP + "}")
+        (tmp_path / "deep_op.json").write_text('{"z": ' + DEEP + "}")
         for i, (command, payload, args, field_name) in enumerate(corpus):
-            cfg = write_config(tmp_path / f"bad{i}.json", payload)
-            assert main([command, "--config", cfg,
+            cfg = tmp_path / f"bad{i}.json"
+            if isinstance(payload, str):
+                # JSON text that json.dump cannot produce
+                cfg.write_text(payload)
+            else:
+                write_config(cfg, payload)
+            assert main([command, "--config", str(cfg),
                          "--out", str(tmp_path / f"o{i}"), *args]) == EXIT_USAGE
             err = capsys.readouterr().err
             assert f"'{field_name}" in err
@@ -593,6 +611,29 @@ class TestUsageErrors:
                            {"operator": "op.json", "x0": [1.0]})
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, out", [
+        ("region", "taken.txt"),                       # an existing regular file
+        ("region", "taken.txt/sub"),                   # a path below a regular file
+        ("region", "x" * 300),                         # a name too long
+        ("solve", "po"),                               # summary.json a directory
+    ])
+    def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys,
+                                                     command, out):
+        (tmp_path / "taken.txt").write_text("kept\n")
+        (tmp_path / "po" / "summary.json").mkdir(parents=True)
+        write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
+        cfg = write_config(tmp_path / "run.json", {
+            "operator": "op.json", "x": [1.0, 0.0], "xhat": [0.0, 0.0],
+            "resolution": 5})
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("fpcert: error: field 'output_dir': cannot write ")
+        assert "Traceback" not in err
+        # the trace.csv written before summary.json failed is removed
+        assert sorted(p.name for p in (tmp_path / "po").iterdir()) == ["summary.json"]
+        assert (tmp_path / "taken.txt").read_text() == "kept\n"
 
 
 def _out_of_memory(*args, **kwargs):

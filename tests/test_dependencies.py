@@ -206,3 +206,36 @@ def test_guard_check_sees_bare_bounds_alone_and_in_an_or():
               "    if np.any(x < 0) and n < 1:\n"
               "        raise ValueError\n")
     assert nan_blind_guards(source) == [2, 4, 6, 8, 18, 20]
+
+
+def product_writes(source):
+    """(line, enclosing top-level definition or None) of each call of
+    ``os.makedirs`` or a ``reports.write_*`` writer."""
+    return sorted(
+        (node.lineno, getattr(top, "name", None))
+        for top in ast.parse(source).body for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and re.fullmatch(r"os\.makedirs|reports\.write_\w+", ast.unparse(node.func))
+    )
+
+
+def test_cli_writes_products_in_one_place():
+    # runners return their products; one writer makes the output directory
+    # and writes them, so a usage error writes no product file
+    source = Path(fpcert.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    assert [call for call in product_writes(source)
+            if call[1] != "_write_products"] == []
+
+
+def test_product_write_check_sees_makedirs_and_report_writers():
+    source = ("import os\n"
+              "def _write_products(config, products):\n"
+              "    os.makedirs(config['output_dir'])\n"
+              "def _run_region(config):\n"
+              "    os.makedirs('out', exist_ok=True)\n"
+              "    reports.write_region_csv('out/region.csv', grid)\n"
+              "    return True, [('region.csv', reports.write_region_csv, grid)]\n"
+              "reports.write_json('a.json', {})\n"
+              "reports.dumps_json({})\n")
+    assert product_writes(source) == [(3, "_write_products"), (5, "_run_region"),
+                                      (6, "_run_region"), (8, None)]
