@@ -16,6 +16,11 @@ arrays do not fit in memory, the iteration's buffer of a ``solve`` or
 ``rates`` run included, an output path that cannot be written).  Runs with
 a fixed seed are byte-for-byte reproducible.
 
+One rule turns a rejected input into a usage error: each call that reads
+or uses a field runs inside :func:`_field`, which turns the library's
+ValueError, an OSError and, for a size field, a MemoryError into a
+UsageError naming the field.  No other handler raises a UsageError.
+
 Each runner returns its verdict and its product files without writing
 them; :func:`main` writes them all in one place, after the run's last
 check.  So a usage error writes no product file, and one met while writing
@@ -82,29 +87,52 @@ SCALAR_PARAMS = {
 }
 
 
+@contextlib.contextmanager
+def _field(*names, size=None):
+    """A block whose rejected input is a UsageError naming the field(s) ``names``.
+
+    This is the one place a library error becomes a usage error.  A
+    UsageError passes unchanged; a ValueError becomes ``field '<name>':
+    <message>``, and an OSError, met reading an input file, ``field
+    '<name>': cannot read <file> (<reason>)``.  With ``size`` given, a
+    MemoryError says that the value ``size`` of the field sets arrays that
+    do not fit in memory; without it, a MemoryError passes unchanged.
+    """
+    label = "field " + "/".join(f"'{name}'" for name in names)
+    try:
+        yield
+    except UsageError:
+        raise
+    except ValueError as err:
+        raise UsageError(f"{label}: {err}") from err
+    except OSError as err:
+        raise UsageError(
+            f"{label}: cannot read {err.filename} ({err.strerror})") from err
+    except MemoryError as err:
+        if size is None:
+            raise
+        raise UsageError(f"{label}: {size!r} is too large, the arrays it sizes "
+                         "do not fit in memory") from err
+
+
 def _scalar(field_name, value, kind=float, lower=None, strict=False):
     """``value`` as a finite ``kind`` at least ``lower``, or above it if strict.
 
     Numbers and numeric strings pass, bounded by :func:`check_number`;
     anything else is a UsageError naming the field.
     """
-    noun = "an integer" if kind is int else "a number"
     try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
-        number = float(value)
-        if not math.isfinite(number) or (kind is int and not number.is_integer()):
-            raise ValueError("not finite, or not integral")
-        number = int(value) if kind is int and isinstance(value, int) else kind(number)
+        # a boolean or a value float() rejects reads as NaN, which fails below
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(
-            f"field '{field_name}' must be {noun}, got {value!r}"
-        ) from None
+        number = math.nan
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"field '{field_name}' must be {noun}, got {value!r}")
+    number = int(value) if kind is int and isinstance(value, int) else kind(number)
     if lower is not None:
-        try:
+        with _field(field_name):
             check_number(field_name, number, kind, lower, strict)
-        except ValueError as err:
-            raise UsageError(f"field '{field_name}': {err}") from None
     return number
 
 
@@ -122,35 +150,21 @@ def _numbers(field_name, value, size=None, positive=False):
 
 def _read_json(path, field_name):
     """The JSON object in the file at ``path``; errors name ``field_name``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as err:
-        raise UsageError(
-            f"field '{field_name}': cannot read {path} ({err.strerror})") from err
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
-        reason = "nested too deeply" if isinstance(err, RecursionError) else err
-        raise UsageError(f"field '{field_name}': not valid JSON ({reason})") from err
-    if not isinstance(raw, dict):
-        raise UsageError(f"field '{field_name}': top level must be an object")
+    with _field(field_name):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+            reason = "nested too deeply" if isinstance(err, RecursionError) else err
+            raise ValueError(f"not valid JSON ({reason})") from err
+        if not isinstance(raw, dict):
+            raise ValueError("top level must be an object")
     return raw
 
 
 # String fields of the run config and their defaults (None: no default).
 STRING_FIELDS = {"problem": None, "operator": None, "output_dir": None,
                  "property": "gan", "norm": "l2", "model": "exponential"}
-
-
-@contextlib.contextmanager
-def _sized_by(field_name, size):
-    """A block whose ``MemoryError`` becomes a UsageError naming the field
-    ``field_name``, whose value ``size`` set the arrays that did not fit."""
-    try:
-        yield
-    except MemoryError as err:
-        raise UsageError(
-            f"field '{field_name}': {size!r} is too large, the arrays it sizes "
-            "do not fit in memory") from err
 
 
 def load_run_config(path, command, overrides):
@@ -194,10 +208,8 @@ def load_run_config(path, command, overrides):
         if has_problem == has_operator:
             raise UsageError(
                 "field 'problem'/'operator': certify needs exactly one of them")
-        try:
+        with _field("property"):
             config["property"] = normalize_property(config["property"])
-        except ValueError as err:
-            raise UsageError(f"field 'property': {err}") from None
     if command in ("solve", "rates") and not (has_problem or has_operator):
         raise UsageError(
             f"field 'problem': {command} needs a problem or operator config")
@@ -222,7 +234,7 @@ def load_operator_config(path):
             "soft_threshold": (operators.l1_prox, "soft-threshold"),
             "block_soft_threshold": (operators.l2_prox, "block-soft-threshold"),
         }[kind]
-        with _sized_by("dim", dim):
+        with _field("dim", size=dim):
             return operators.prox_operator(
                 prox(lam), 1.0, dim,
                 fixed_point_hint=np.zeros(dim), label=f"{name}(lam={lam:g})",
@@ -230,17 +242,13 @@ def load_operator_config(path):
     if kind == "affine":
         alpha = _scalar("alpha", config.get("alpha", 1.0))
         z = _numbers("z", config.get("z", [0.0]))
-        try:
+        with _field("alpha", "z"):
             return operators.affine(alpha, z)
-        except ValueError as err:
-            raise UsageError(f"field 'alpha'/'z': {err}") from err
     if kind == "identity":
-        with _sized_by("dim", dim):
+        with _field("dim", size=dim):
             return operators.identity(dim)
     raise UsageError(f"field 'type': unknown operator type {config.get('type')!r}")
 
-
-CONSTANT_RANGE = "its Lipschitz or coupling constant is 0 or overflows a double"
 
 # Each problem kind's config fields, in the order its constructor
 # problems.<kind>_problem takes them.  "lambda" is the scalar weight; every
@@ -259,25 +267,22 @@ def _array(config, field_name, base):
     if field_name not in config:
         raise UsageError(f"field '{field_name}' is required")
     entry = config[field_name]
-    try:
+    with _field(field_name):
         if isinstance(entry, str):
             return read_matrix(os.path.join(base, entry))
         if isinstance(entry, list):
-            array = np.asarray(entry, dtype=float)
+            try:
+                array = np.asarray(entry, dtype=float)
+            except (TypeError, OverflowError) as err:
+                raise ValueError(err) from err
             # the conversion takes True as 1.0; the innermost entries of a
             # list that converted are array.ndim - 1 levels down
             cells = entry
             for _ in range(array.ndim - 1):
                 cells = itertools.chain.from_iterable(cells)
             if bool in set(map(type, cells)):
-                raise TypeError("a boolean is not a number")
+                raise ValueError("a boolean is not a number")
             return array
-    except OSError as err:
-        raise UsageError(
-            f"field '{field_name}': cannot read {err.filename} ({err.strerror})"
-        ) from err
-    except (TypeError, ValueError, OverflowError) as err:
-        raise UsageError(f"field '{field_name}': {err}") from err
     raise UsageError(f"field '{field_name}' must be a matrix-file path or a list")
 
 
@@ -300,12 +305,8 @@ def load_problem_config(path, lam=None):
     base = os.path.dirname(path)
     args = [lam if name == "lambda" else _array(config, name, base)
             for name in PROBLEM_FIELDS[kind]]
-    try:
+    with _field("problem"):
         return getattr(problems, f"{kind}_problem")(*args)
-    except ValueError as err:
-        raise UsageError(f"field 'problem': {err}") from err
-    except ArithmeticError as err:
-        raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
 
 
 def _resolve_target(config):
@@ -317,14 +318,9 @@ def _resolve_target(config):
     problem, beta, eta = None, params.get("beta"), params.get("eta")
     if config["problem"]:
         problem = load_problem_config(config["problem"], params.get("lambda"))
-        try:
+        with _field("beta", "eta"):
             beta, eta = problems.default_step_sizes(problem, beta, eta)
             op = problems.build_operator(problem, beta, eta)
-        except ValueError as err:
-            raise UsageError(f"field 'beta'/'eta': {err}") from err
-        except ArithmeticError as err:
-            # L = 0 or an overflowing |B|^2: no step size can mend the problem
-            raise UsageError(f"field 'problem': {CONSTANT_RANGE}") from err
     else:
         op = load_operator_config(config["operator"])
     if config["norm"] != "w":
@@ -362,11 +358,8 @@ def _run_certify(config):
     params = {key: config["params"][key] for key in ("gamma", "mu", "rho")
               if key in config["params"]}
     tol = config["params"].get("tol", DEFAULT_TOL)
-    with _sized_by("n_pairs", plan.n_pairs):
-        try:
-            cert = certify(op, prop, params, norm_spec, plan, tol=tol)
-        except ValueError as err:
-            raise UsageError(f"field 'params': {err}") from err
+    with _field("n_pairs", size=plan.n_pairs), _field("params"):
+        cert = certify(op, prop, params, norm_spec, plan, tol=tol)
     return cert.passed, [("certificate.json", reports.write_json, cert.to_dict())]
 
 
@@ -380,7 +373,7 @@ def _run_trace(config):
     op, _, norm_spec, steps = _resolve_target(config)
     x0 = config.get("x0")
     x0 = np.zeros(op.dim) if x0 is None else _numbers("x0", x0, op.dim)
-    with _sized_by("dim" if config["operator"] else "problem", op.dim):
+    with _field("dim" if config["operator"] else "problem", size=op.dim):
         trace = picard(op, x0, max_iter=config["params"].get("max_iter", 100_000),
                        res_tol=config["params"].get("tol", 1e-10),
                        ref=op.fixed_point_hint, norm_spec=norm_spec)
@@ -418,12 +411,12 @@ def _run_rates(config):
     checks = {"little_o_proxy": little_o_proxy(trace.residuals, gamma)}
     skipped = "no fixed point available" if trace.errors_to_ref is None else None
     if skipped is None and mu is None:
-        try:
-            with _sized_by("n_pairs", plan.n_pairs):
+        with _field("n_pairs", size=plan.n_pairs):
+            try:
                 mu = estimate_mu(op, gamma, norm_spec, plan)
-        except EstimateError as err:
-            # no sampled pair was informative, so there is no estimate
-            skipped = str(err)
+            except EstimateError as err:
+                # no sampled pair was informative, so there is no estimate
+                skipped = str(err)
         if mu == 0.0:
             # an expansive map or an over-long step: no mu > 0 survives sampling
             skipped = "mu estimate is 0"
@@ -456,11 +449,8 @@ def _run_region(config):
     gamma = params.get("gamma", 2.0)
     mu = params.get("mu", 1.0)
     resolution = _scalar("resolution", config.get("resolution", 201), int, 2)
-    with _sized_by("resolution", resolution):
-        try:
-            grid = range_region(x, xhat, gamma, mu, resolution)
-        except ValueError as err:
-            raise UsageError(f"field 'x'/'xhat': {err}") from err
+    with _field("resolution", size=resolution), _field("x", "xhat"):
+        grid = range_region(x, xhat, gamma, mu, resolution)
     return True, [("region.csv", reports.write_region_csv, grid)]
 
 
@@ -470,29 +460,31 @@ def _write_products(config, products):
     ``products`` lists ``(file name, writer, *args)`` in write order, and
     ``writer(path, *args)`` writes each file.  An explicit output directory
     may already exist; the default one is new.  An OSError removes the files
-    this run wrote or began to write and is a UsageError naming the path.
+    this run wrote or began to write and is a UsageError naming the path; a
+    path no file can have (a NUL byte, a lone surrogate) is one naming the
+    reason.
     """
     out = path = config["output_dir"]
     written = []
-    try:
-        if out is not None:
-            os.makedirs(out, exist_ok=True)
-        else:
-            stem = f"{config['command']}-{time.strftime('%Y%m%d-%H%M%S')}"
-            retries = (f"{stem}-{i}" for i in itertools.count(2))
-            for out in itertools.chain([stem], retries):
-                with contextlib.suppress(FileExistsError):
-                    os.makedirs(path := out)
-                    break
-        for name, writer, *args in products:
-            written.append(path := os.path.join(out, name))
-            writer(path, *args)
-    except OSError as err:
-        for done in written:
-            with contextlib.suppress(OSError):
-                os.remove(done)
-        raise UsageError(
-            f"field 'output_dir': cannot write {path} ({err.strerror})") from err
+    with _field("output_dir"):
+        try:
+            if out is not None:
+                os.makedirs(out, exist_ok=True)
+            else:
+                stem = f"{config['command']}-{time.strftime('%Y%m%d-%H%M%S')}"
+                retries = (f"{stem}-{i}" for i in itertools.count(2))
+                for out in itertools.chain([stem], retries):
+                    with contextlib.suppress(FileExistsError):
+                        os.makedirs(path := out)
+                        break
+            for name, writer, *args in products:
+                written.append(path := os.path.join(out, name))
+                writer(path, *args)
+        except OSError as err:
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise ValueError(f"cannot write {path} ({err.strerror})") from err
 
 
 # Each subcommand's runner and help line.

@@ -65,14 +65,17 @@ def check_number(name, value, kind=float, lower=0.0, strict=True):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a factorization pivot falls below the acceptance threshold."""
+    """Raised when a factorization pivot falls to or below the acceptance
+    threshold, ``PIVOT_RTOL`` times the largest diagonal entry."""
 
-    def __init__(self, pivot_index, pivot_value):
+    def __init__(self, pivot_index, pivot_value, threshold):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        self.threshold = threshold
         super().__init__(
             f"matrix is not positive definite: pivot {pivot_index} "
-            f"evaluated to {pivot_value:.6e}"
+            f"evaluated to {pivot_value:.6e}, not above the acceptance threshold "
+            f"{threshold:.6e} ({PIVOT_RTOL:g} times the largest diagonal entry)"
         )
 
 
@@ -248,7 +251,7 @@ def cholesky_factor(m):
     for j in range(n):
         pivot = a[j, j] - low[j, :j] @ low[j, :j]
         if not pivot > threshold:
-            raise NotPositiveDefiniteError(j, float(pivot))
+            raise NotPositiveDefiniteError(j, float(pivot), threshold)
         ljj = np.sqrt(pivot)
         low[j, j] = ljj
         if j + 1 < n:

@@ -4,6 +4,7 @@ step-size bounds, and reference solutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,6 +90,16 @@ def _data_fit(a_mat, b):
     return a, b
 
 
+def _square(name, norm, strict=True):
+    """``norm`` squared, the problem constant ``name``: a ValueError naming
+    it when the square overflows a double or, if ``strict``, is 0."""
+    try:
+        square = float(norm) ** 2
+    except OverflowError:
+        square = math.inf
+    return check_number(name, square, lower=0.0, strict=strict)
+
+
 def least_squares_problem(a_mat, b):
     """Quadratic data-fit instance: f(x) = 0.5 * |Ax - b|^2.
 
@@ -99,6 +110,7 @@ def least_squares_problem(a_mat, b):
     solution is V (U^T b / s), which solves with A itself rather than the
     normal equations, so the condition number is not squared.  The smooth
     part's data H = A^T A and g = A^T b are assembled from the same SVD.
+    A gradient constant that is 0 or overflows a double raises ValueError.
     """
     a, b = _data_fit(a_mat, b)
     rows, n = a.shape
@@ -112,7 +124,7 @@ def least_squares_problem(a_mat, b):
     ub = u.T @ b
     return ProblemSpec(
         kind="least_squares",
-        lipschitz=float(s[0]) ** 2,
+        lipschitz=_square("Lipschitz constant |A|_2^2", s[0]),
         lower_lipschitz=float(s[-1]) ** 2,
         exact_solution=vt.T @ (ub / s),
         dims=(n, 0),
@@ -157,7 +169,8 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
     solution is attached: :func:`reference_solution` computes one by a tight
     run of the problem's own iteration, and the CLI runs this kind without a
     reference (no ``error_to_ref``, no fixed-point checks) until ROADMAP
-    item 4 attaches it.
+    item 4 attaches it.  A gradient constant |A|_2^2 that is 0 or
+    overflows a double, or a |B|_2^2 that overflows, raises ValueError.
     """
     a, b = _data_fit(a_mat, b)
     b_coupling = np.atleast_2d(np.asarray(b_mat, dtype=float))
@@ -166,13 +179,15 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
     if not np.isfinite(b_coupling).all():
         raise ValueError("coupling matrix must be finite")
     prox_g = operators.l1_prox(lam)
+    b_norm = float(np.linalg.norm(b_coupling, 2))
+    _square("coupling constant |B|_2^2", b_norm, strict=False)
 
     return ProblemSpec(
         kind="analysis_l1",
-        lipschitz=float(np.linalg.norm(a, 2)) ** 2,
+        lipschitz=_square("Lipschitz constant |A|_2^2", np.linalg.norm(a, 2)),
         prox_g=prox_g,
         b_mat=b_coupling,
-        b_norm=float(np.linalg.norm(b_coupling, 2)),
+        b_norm=b_norm,
         dims=(a.shape[1], b_coupling.shape[0]),
         quadratic=(a.T @ a, a.T @ b),
         label=f"analysis-l1[{a.shape[1]}+{b_coupling.shape[0]}]",

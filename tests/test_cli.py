@@ -512,6 +512,12 @@ class TestUsageErrors:
              "problem"),                               # problem nested too deeply
             ("solve", {"operator": "deep_op.json"}, [],
              "operator"),                              # operator nested too deeply
+            ("certify", {"operator": "a\u0000b"}, [],
+             "operator"),                              # NUL byte in the operator path
+            ("solve", {"operator": "a\ud800b"}, [],
+             "operator"),                              # lone surrogate in the path
+            ("solve", {"problem": "a\u0000b"}, [],
+             "problem"),                               # NUL byte in the problem path
         ]
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         write_config(tmp_path / "negative.json",
@@ -612,28 +618,38 @@ class TestUsageErrors:
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("command, out", [
-        ("region", "taken.txt"),                       # an existing regular file
-        ("region", "taken.txt/sub"),                   # a path below a regular file
-        ("region", "x" * 300),                         # a name too long
-        ("solve", "po"),                               # summary.json a directory
-    ])
+    @pytest.mark.parametrize("command, out, reason", [
+        # given by --out
+        ("region", "taken.txt", "cannot write "),      # an existing regular file
+        ("region", "taken.txt/sub", "cannot write "),  # a path below a regular file
+        ("region", "x" * 300, "cannot write "),        # a name too long
+        ("solve", "po", "cannot write "),              # summary.json a directory
+        # given by the run config's output_dir, which no path can hold
+        ("region", {"output_dir": "a\u0000b"}, "embedded null byte"),
+        ("solve", {"output_dir": "a\u0000b"}, "embedded null byte"),
+        ("solve", {"output_dir": "a\ud800b"}, "'utf-8' codec can't encode"),
+    ], ids=["file", "below-a-file", "long-name", "product-a-directory", "nul-region",
+            "nul-solve", "surrogate-solve"])
     def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys,
-                                                     command, out):
+                                                     monkeypatch, command, out,
+                                                     reason):
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "taken.txt").write_text("kept\n")
         (tmp_path / "po" / "summary.json").mkdir(parents=True)
         write_config(tmp_path / "op.json", {"type": "identity", "dim": 1})
         cfg = write_config(tmp_path / "run.json", {
             "operator": "op.json", "x": [1.0, 0.0], "xhat": [0.0, 0.0],
-            "resolution": 5})
-        assert main([command, "--config", cfg,
-                     "--out", str(tmp_path / out)]) == EXIT_USAGE
+            "resolution": 5, **(out if isinstance(out, dict) else {})})
+        before = sorted(os.listdir(tmp_path))
+        args = [] if isinstance(out, dict) else ["--out", str(tmp_path / out)]
+        assert main([command, "--config", cfg, *args]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("fpcert: error: field 'output_dir': cannot write ")
+        assert err.startswith(f"fpcert: error: field 'output_dir': {reason}")
         assert "Traceback" not in err
         # the trace.csv written before summary.json failed is removed
         assert sorted(p.name for p in (tmp_path / "po").iterdir()) == ["summary.json"]
         assert (tmp_path / "taken.txt").read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 def _out_of_memory(*args, **kwargs):

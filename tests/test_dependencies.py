@@ -239,3 +239,51 @@ def test_product_write_check_sees_makedirs_and_report_writers():
               "reports.dumps_json({})\n")
     assert product_writes(source) == [(3, "_write_products"), (5, "_run_region"),
                                       (6, "_run_region"), (8, None)]
+
+
+def usage_error_handlers(source):
+    """(line, enclosing top-level definition or None) of each ``except``
+    handler with a ``raise`` of ``UsageError`` anywhere in its body."""
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc is not None and re.fullmatch(r"(\w+\.)*UsageError", ast.unparse(exc))
+
+    return sorted(
+        (handler.lineno, getattr(top, "name", None))
+        for top in ast.parse(source).body for handler in ast.walk(top)
+        if isinstance(handler, ast.ExceptHandler)
+        and any(isinstance(node, ast.Raise) and raised(node)
+                for stmt in handler.body for node in ast.walk(stmt))
+    )
+
+
+def test_cli_turns_errors_into_usage_errors_in_one_place():
+    # one rule: _field alone turns a library error into a usage error
+    # naming the field; every other site runs its call inside _field
+    source = Path(fpcert.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    assert [handler for handler in usage_error_handlers(source)
+            if handler[1] != "_field"] == []
+
+
+def test_usage_error_handler_check_sees_raises_in_handler_bodies():
+    source = ("def _field(name):\n"
+              "    try:\n"
+              "        yield\n"
+              "    except ValueError as err:\n"
+              "        raise UsageError(f'{name}: {err}') from err\n"
+              "def _read(path):\n"
+              "    try:\n"
+              "        return open(path)\n"
+              "    except OSError:\n"
+              "        if path:\n"
+              "            raise cli.UsageError('cannot read')\n"
+              "    except KeyError:\n"
+              "        raise ValueError('missing')\n"
+              "    except TypeError:\n"
+              "        raise\n"
+              "    raise UsageError('not in a handler')\n"
+              "try:\n"
+              "    pass\n"
+              "except TypeError:\n"
+              "    raise UsageError\n")
+    assert usage_error_handlers(source) == [(4, "_field"), (9, "_read"), (19, None)]

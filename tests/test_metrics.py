@@ -14,6 +14,7 @@ from fpcert.metrics import (
     L1,
     L2,
     NormSpec,
+    PIVOT_RTOL,
     NotPositiveDefiniteError,
     _matvec,
     check_number,
@@ -311,6 +312,14 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_factor(singular)
         assert err.value.pivot_index == 1
+
+    def test_a_positive_pivot_not_above_the_threshold_names_the_threshold(self):
+        # pivot 0 is positive, but not above 1e-12 times the largest diagonal
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_factor(np.diag([0.5, 1e12]))
+        assert (err.value.pivot_index, err.value.pivot_value) == (0, 0.5)
+        assert err.value.threshold == PIVOT_RTOL * 1e12
+        assert "not above the acceptance threshold 1.000000e+00" in str(err.value)
 
     @pytest.mark.parametrize("where", [(0, 0), (1, 1)])
     def test_a_nan_pivot_is_rejected(self, where):

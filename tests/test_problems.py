@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ class TestSpectralConstants:
                 analysis_l1_problem(a, b, np.eye(2), 0.1)
         with pytest.raises(ValueError, match="finite"):
             analysis_l1_problem(np.eye(2), np.ones(2), [[np.nan, 1.0]], 0.1)
+
+    @pytest.mark.parametrize("build, constant", [
+        (lambda: analysis_l1_problem(np.zeros((2, 2)), np.ones(2), [[1.0, 0.0]], 0.0),
+         "Lipschitz constant |A|_2^2"),
+        (lambda: analysis_l1_problem([[1e200, 0.0], [0.0, 1.0]], np.ones(2),
+                                     [[1.0, 0.0]], 0.0),
+         "Lipschitz constant |A|_2^2"),
+        (lambda: analysis_l1_problem(np.eye(2), np.ones(2), [[1e200, 0.0]], 0.0),
+         "coupling constant |B|_2^2"),
+        (lambda: least_squares_problem(designed([1e200, 1e200], rows=3), np.ones(3)),
+         "Lipschitz constant |A|_2^2"),
+        # s_max^2 underflows to 0, though the rank rule passes
+        (lambda: least_squares_problem([[1e-200]], [1.0]),
+         "Lipschitz constant |A|_2^2"),
+    ], ids=["analysis-zero-a", "analysis-huge-a", "analysis-huge-b",
+            "least-squares-huge", "least-squares-tiny"])
+    def test_degenerate_constant_rejected_at_construction(self, build, constant):
+        # no step size can mend a constant that is 0 or overflows a double
+        with pytest.raises(ValueError, match=re.escape(constant)):
+            build()
 
     def test_coupling_norm_is_taken_once_at_construction(self):
         rng = np.random.default_rng(5)
