@@ -128,15 +128,17 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     each iterate written into the next row of one (min(ERROR_BLOCK,
     max_iter) + 1, n) buffer, so the errors of a block's steps are one
     stack ``metrics.norm`` against ``ref``.  Only the block body differs.
-    A map whose ``op.fn`` carries an in-place kernel ``into`` (see
-    :mod:`fpcert.operators`) writes the rows itself, and the block's
-    residuals are one stack norm of the consecutive-row differences.  One
-    numpy pass over them flags the steps where the stop rule can act (a
-    non-finite residual, one above the guard, or one at ``res_tol``), and
-    the scalar rule reads the flagged steps in step order, so the run ends
-    where a step-by-step reading would end it.  A block after k steps holds
-    min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the
-    kernel, which is pure, runs at most max(15, k / 8) steps past the
+    A map whose ``op.fn`` carries a block kernel ``walk`` (see
+    :mod:`fpcert.operators`) is handed the block's rows in one
+    ``walk(rows[:span], rows[1:span + 1])`` call, which steps through them
+    in place, and the block's residuals are one stack norm of the
+    consecutive-row differences.  One numpy pass over them flags the steps
+    where the stop rule can act (a non-finite residual, one above the
+    guard, or one at ``res_tol``), and the scalar rule reads the flagged
+    steps in step order, so the run ends where a step-by-step reading
+    would end it.  A block after k steps holds min(ERROR_BLOCK,
+    max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the kernel, which is
+    pure, runs at most max(15, k / 8) steps past the
     stopping step k; their values are discarded, and an overflow among
     them raises nothing.  Any other map is called once a step and never
     past the stopping step: each step calls ``op.fn`` on x0's copy or on
@@ -209,25 +211,24 @@ def _run(op, x, max_iter, res_tol, ref, dist):
     """picard's loop: blocks of steps whose iterates fill the rows of one
     buffer, and whose errors to ``ref`` are one stack norm per block.
 
-    A map with a kernel writes a block in place and takes its residuals as
-    one stack norm; any other map is called once a step.  Returns the last
-    iterate, the residuals, the errors (None without ``ref``) and the stop
-    reason (None at ``max_iter``).
+    A map with a block kernel ``walk`` writes a block in place in one call
+    and takes its residuals as one stack norm; any other map is called once
+    a step.  Returns the last iterate, the residuals, the errors (None
+    without ``ref``) and the stop reason (None at ``max_iter``).
     """
     rows = np.empty((min(ERROR_BLOCK, max_iter) + 1, x.size))
     rows[0] = x
     views = list(rows)  # row views, indexed without numpy's dispatch
     residuals = []
     errors = None if ref is None else [dist(rows[:1] - ref)]
-    into = getattr(op.fn, "into", None)
+    walk = getattr(op.fn, "walk", None)
     fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
     k = 0
     guard = stop = None
     while stop is None and k < max_iter:
-        if into is not None:
+        if walk is not None:
             span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
-            for x_j, x_next in zip(views[:span], views[1:span + 1]):
-                into(x_j, x_next)
+            walk(views[:span], views[1:span + 1])
             r = dist(rows[1:span + 1] - rows[:span])
             if k == 0:
                 guard = DIVERGENCE_FACTOR * (1.0 + float(r[0]))

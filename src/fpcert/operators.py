@@ -13,24 +13,31 @@ row, so every built-in gives a stack row the same bits as its vector image;
 ``TestStacks.test_stack_matches_vector_rows`` asserts this exactly.
 
 Every built-in map is written once, as an in-place kernel that is its
-``fn`` and that ``fn`` carries as ``fn.into``: ``fn(x, out)`` writes T x
-into ``out``, a C-contiguous float array of x's shape that shares no
-memory with x, and returns it; ``fn(x)`` returns T x in a fresh array, as
-a numpy ufunc does.  A kernel takes x as the float array that
-``Operator.__call__`` hands it.  It is pure, reading nothing but x and the
-map's data, and reentrant: it keeps no scratch state between calls.
-:func:`fpcert.iterate.picard` steps a map with a kernel in place.  Every
-affine product x -> L x + c of a built-in map, a scale, a diagonal or a
-matrix L, goes through the one kernel ``_affine``, which then runs the
-map's stage, if any, in place on its output, so each map of
-:func:`fpcert.problems.build_operator` is one ``_affine`` kernel.
+``fn``: ``fn(x, out)`` writes T x into ``out``, a C-contiguous float array
+of x's shape that shares no memory with x, and returns it; ``fn(x)``
+returns T x in a fresh array, as a numpy ufunc does.  A kernel takes x as
+the float array that ``Operator.__call__`` hands it.  It is pure, reading
+nothing but x and the map's data, and reentrant: it keeps no scratch state
+between calls.  Its block kernel ``fn.walk(xs, outs)`` writes T ``xs[j]``
+into ``outs[j]`` for j in order, each a C-contiguous (n,) float vector
+sharing no memory with its ``xs[j]``, so ``outs[j]`` may be ``xs[j + 1]``;
+:func:`fpcert.iterate.picard` steps a map with a ``walk`` a block of rows
+of its buffer at a time.  ``walk`` gives each row the bytes of
+``fn(x, out)``.  Every affine product x -> L x + c of a built-in map, a
+scale, a diagonal or a matrix L, goes through the one kernel ``_affine``,
+which then runs the map's stage, if any, in place on its output, so each
+map of :func:`fpcert.problems.build_operator` is one ``_affine`` kernel.
+Its ``walk`` is one loop over the rows with the product bound once, and
+with the componentwise shrinkage of a stage written into that loop,
+clipping into one scratch row per ``walk`` call; any other stage is
+called on each row in place.
 
 A built-in prox family is written once too, as ``fn.bind``: ``bind(t)`` is
 its map kernel ``(x, out)`` at the scale t, which also accepts ``out`` = x,
 and whose constants (the threshold ``t * lam``) are formed and checked
 once.  A map binds its family once, when it is built, so a step pays no
 per-scale work; a family without ``bind`` is bound through a kernel that
-copies its image, and a map built from it carries no kernel.
+copies its image, and a map built from it carries no ``walk``.
 
 The shrinkage and box kernels call numpy's ``clip`` ufunc itself, one pass,
 not the ``np.clip`` wrapper, which calls the same ufunc after a dispatch of
@@ -46,7 +53,8 @@ so instances are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,30 +93,118 @@ def _stackable(fn, *parts):
     return fn
 
 
-def _from_kernel(into, *families):
+def _from_kernel(into, *families, walk=None):
     """The map that the kernel ``into`` computes from the prox ``families``:
-    ``into`` itself, which carries itself as its kernel ``into.into`` when
-    each of ``families`` has a ``bind``, and declares stacks when each of
-    them does.
+    ``into`` itself, which declares stacks when each of them does and,
+    when each of them has a ``bind``, carries the block kernel
+    ``into.walk``: ``walk``, or else a loop of ``into`` over the rows.
     """
     if all(getattr(family, "bind", None) for family in families):
-        into.into = into
+        if walk is None:
+            def walk(xs, outs):
+                for x, out in zip(xs, outs):
+                    into(x, out)
+
+        into.walk = walk
     return _stackable(into, *families)
+
+
+class _DualLine(NamedTuple):
+    """The primal-dual map's stage, its dual line: on the coordinates n: of
+    the affine image s, the new dual block eta * (s - prox(s)), where
+    ``prox`` is the kernel of the dual prox family at the scale 1/eta."""
+
+    n: int
+    eta: float
+    prox: Callable
+
+
+def _stage_kernel(stage):
+    """The in-place kernel ``(v, out)`` of an ``_affine`` stage: the stage
+    itself, or the dual line's kernel for a ``_DualLine``."""
+    if not isinstance(stage, _DualLine):
+        return stage
+    n, prox = stage.n, stage.prox
+    eta = np.array(stage.eta, dtype=float)  # a 0-d array, as in _soft
+
+    def dual(v, out):
+        s = out[..., n:]
+        # s - (s - clip(s)), not clip(s): the two differ in the last bits
+        np.subtract(s, prox(s), out=s)
+        np.multiply(s, eta, out=s)
+        return out
+
+    return dual
 
 
 def _affine(lin, shift, stage=None, *families):
     """The map x -> stage(lin x + shift) as its kernel: one product into the
-    output, an in-place add, then the kernel ``stage`` of the prox
-    ``families``, if given, run in place as ``stage(out, out)``.  ``lin`` is
-    a 0-d scale, the (n,) diagonal of a diagonal matrix or an (n, n) matrix."""
+    output, an in-place add, then the stage, if given, run in place.
+    ``lin`` is a 0-d scale, the (n,) diagonal of a diagonal matrix or an
+    (n, n) matrix.  The stage is the kernel of the prox ``families``, run as
+    ``stage(out, out)``, or a ``_DualLine``."""
     matrix = lin.ndim == 2
+    kernel = _stage_kernel(stage)
 
     def into(x, out=None):
         out = _matvec(lin, x, out) if matrix else np.multiply(lin, x, out=out)
         out += shift
-        return out if stage is None else stage(out, out)
+        return out if kernel is None else kernel(out, out)
 
-    return _from_kernel(into, *families)
+    return _from_kernel(into, *families, walk=_affine_walk(lin, shift, stage, kernel))
+
+
+def _affine_walk(lin, shift, stage, kernel):
+    """The block kernel of ``_affine(lin, shift, stage)``, whose stage runs
+    as ``kernel``: one loop over the rows making the numpy calls of the
+    map's kernel on each, in the same order.
+
+    The product is bound once, ``lin.dot`` or ``np.multiply`` with ``lin``,
+    its ``out`` passed by position, which a row needs no contiguous copy
+    for.  A shrinkage stage, the componentwise soft threshold as the stage
+    or as the dual line's prox, clips into one scratch row per call and
+    subtracts; any other stage is called as ``kernel(out, out)``.
+    """
+    product = lin.dot if lin.ndim == 2 else partial(np.multiply, lin)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    line = stage if isinstance(stage, _DualLine) else None
+    bounds = getattr(stage if line is None else line.prox, "threshold", None)
+    if stage is None:
+        def walk(xs, outs):
+            for x, out in zip(xs, outs):
+                product(x, out)
+                add(out, shift, out)
+    elif bounds is None:
+        def walk(xs, outs):
+            for x, out in zip(xs, outs):
+                product(x, out)
+                add(out, shift, out)
+                kernel(out, out)
+    elif line is None:
+        low, high = bounds
+
+        def walk(xs, outs):
+            clipped = np.empty(len(shift))
+            for x, out in zip(xs, outs):
+                product(x, out)
+                add(out, shift, out)
+                _clip(out, low, high, clipped)
+                subtract(out, clipped, out)
+    else:
+        n, (low, high) = line.n, bounds
+        eta = np.array(line.eta, dtype=float)
+
+        def walk(xs, outs):
+            shrunk = np.empty(len(shift) - n)
+            for x, out in zip(xs, outs):
+                product(x, out)
+                add(out, shift, out)
+                s = out[n:]
+                _clip(s, low, high, shrunk)
+                subtract(s, shrunk, shrunk)  # the dual prox's image
+                subtract(s, shrunk, s)
+                multiply(s, eta, s)
+    return walk
 
 
 def _family(bind):
@@ -251,6 +347,8 @@ def _soft(lam):
     def into(x, out=None):
         return np.subtract(x, _clip(x, low, high), out=out)
 
+    # the clip's bounds, for a loop that clips into a scratch row of its own
+    into.threshold = low, high
     return into
 
 

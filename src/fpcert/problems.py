@@ -90,14 +90,27 @@ def _data_fit(a_mat, b):
     return a, b
 
 
-def _square(name, norm, strict=True):
+def _square(name, norm, gradient=True):
     """``norm`` squared, the problem constant ``name``: a ValueError naming
-    it when the square overflows a double or, if ``strict``, is 0."""
+    it when the square overflows a double or, for a ``gradient`` constant,
+    fails :func:`_gradient_constant`."""
     try:
         square = float(norm) ** 2
     except OverflowError:
         square = math.inf
-    return check_number(name, square, lower=0.0, strict=strict)
+    if gradient:
+        return _gradient_constant(name, square)
+    return check_number(name, square, lower=0.0, strict=False)
+
+
+def _gradient_constant(name, lipschitz):
+    """The gradient constant L, ``name``: a ValueError naming it when it is
+    0, not finite, or so small that the default step 1/L overflows."""
+    check_number(name, lipschitz)
+    if math.isinf(1.0 / lipschitz):
+        raise ValueError(f"{name} is too small for a finite default step 1/L, "
+                         f"got {lipschitz!r}")
+    return lipschitz
 
 
 def least_squares_problem(a_mat, b):
@@ -110,7 +123,8 @@ def least_squares_problem(a_mat, b):
     solution is V (U^T b / s), which solves with A itself rather than the
     normal equations, so the condition number is not squared.  The smooth
     part's data H = A^T A and g = A^T b are assembled from the same SVD.
-    A gradient constant that is 0 or overflows a double raises ValueError.
+    A gradient constant that is 0, overflows a double or is too small for
+    a finite default step 1/L raises ValueError.
     """
     a, b = _data_fit(a_mat, b)
     rows, n = a.shape
@@ -137,7 +151,9 @@ def separable_smooth_l1_problem(coeffs, b, lam):
     """Separable quadratic plus an l1 penalty, solved componentwise.
 
     Each coordinate minimizes 0.5 * c_i (t - b_i)^2 + lam * |t|, whose
-    closed-form solution shrinks b_i toward zero by lam / c_i.
+    closed-form solution shrinks b_i toward zero by lam / c_i.  A gradient
+    constant max(c) too small for a finite default step 1/L raises
+    ValueError.
     """
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -147,11 +163,13 @@ def separable_smooth_l1_problem(coeffs, b, lam):
         raise ValueError("coeffs and b must be finite")
     if not np.all(coeffs > 0):
         raise ValueError("coeffs must be positive")
+    lipschitz = _gradient_constant("Lipschitz constant max(coeffs)", float(np.max(coeffs)))
     prox_g = operators.l1_prox(lam)  # checks lam before it divides
-    solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)
+    with np.errstate(over="ignore"):  # a shrinkage of inf takes b_i to 0
+        solution = b - np.sign(b) * np.minimum(np.abs(b), lam / coeffs)
     return ProblemSpec(
         kind="separable_smooth_l1",
-        lipschitz=float(np.max(coeffs)),
+        lipschitz=lipschitz,
         lower_lipschitz=float(np.min(coeffs)),
         prox_g=prox_g,
         exact_solution=solution,
@@ -169,8 +187,9 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
     solution is attached: :func:`reference_solution` computes one by a tight
     run of the problem's own iteration, and the CLI runs this kind without a
     reference (no ``error_to_ref``, no fixed-point checks) until ROADMAP
-    item 4 attaches it.  A gradient constant |A|_2^2 that is 0 or
-    overflows a double, or a |B|_2^2 that overflows, raises ValueError.
+    item 4 attaches it.  A gradient constant |A|_2^2 that is 0, overflows
+    a double or is too small for a finite default step 1/L, or a |B|_2^2
+    that overflows, raises ValueError.
     """
     a, b = _data_fit(a_mat, b)
     b_coupling = np.atleast_2d(np.asarray(b_mat, dtype=float))
@@ -180,7 +199,7 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
         raise ValueError("coupling matrix must be finite")
     prox_g = operators.l1_prox(lam)
     b_norm = float(np.linalg.norm(b_coupling, 2))
-    _square("coupling constant |B|_2^2", b_norm, strict=False)
+    _square("coupling constant |B|_2^2", b_norm, gradient=False)
 
     return ProblemSpec(
         kind="analysis_l1",
@@ -268,7 +287,8 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
                   + [c; 2*beta*B g]
 
     gives the new primal block x' and the dual pre-image s, and the stage,
-    the dual line, makes the new dual block eta * (s - prox of g/eta at s).
+    the dual line ``operators._DualLine(n, eta, prox of g/eta)``, makes the
+    new dual block eta * (s - prox of g/eta at s).
     A (beta, eta) pair whose coupled metric is not positive definite raises
     NotPositiveDefiniteError, and a beta that is not positive raises
     ValueError for every kind.
@@ -294,15 +314,7 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
             [b @ (2.0 * lin - np.eye(n)), np.eye(m) / eta - 2.0 * beta * (b @ b.T)]])
         shift = np.concatenate([shift, 2.0 * (b @ shift)])
         steps = f"primal-dual(beta={beta:g}, eta={eta:g})"
-        dual_prox = operators._bind(prox, 1.0 / eta)
-        dual_scale = np.array(eta, dtype=float)  # a 0-d array, as in operators._soft
-
-        def stage(v, out):
-            s = out[..., n:]
-            # s - (s - clip(s)), not clip(s): the two differ in the last bits
-            np.subtract(s, dual_prox(s), out=s)
-            np.multiply(s, dual_scale, out=s)
-            return out
+        stage = operators._DualLine(n, eta, operators._bind(prox, 1.0 / eta))
     elif prox is not None:
         steps, stage = f"prox-grad(beta={beta:g})", operators._bind(prox, beta)
     else:

@@ -428,6 +428,12 @@ class TestUsageErrors:
              "problem"),                               # |A|^2 overflows
             ("solve", {"problem": "huge_b.json"}, [],
              "problem"),                               # |B|^2 overflows
+            ("solve", {"problem": "tiny_ls.json"}, [],
+             "problem"),                               # 1/L overflows
+            ("solve", {"problem": "tiny_a.json"}, [],
+             "problem"),                               # 1/|A|^2 overflows
+            ("solve", {"problem": "tiny_coeffs.json"}, [],
+             "problem"),                               # 1/max(coeffs) overflows
             ("solve", {"operator": "far.json"}, [],
              "alpha"),                                 # hint overflows
             ("certify", {"operator": "op.json", "output_dir": 5,
@@ -529,8 +535,15 @@ class TestUsageErrors:
         write_config(tmp_path / "huge_ls.json", {
             "kind": "least_squares", "A": [[1e200, 0], [0, 1e200], [1, 1]],
             "b": [1, 1, 1]})
+        write_config(tmp_path / "tiny_ls.json", {
+            "kind": "least_squares", "A": [[1e-160, 0], [0, 1e-160], [0, 0]],
+            "b": [1, 1, 1]})
+        write_config(tmp_path / "tiny_coeffs.json", {
+            "kind": "separable_smooth_l1", "coeffs": [1e-320, 1e-320], "b": [1, 2],
+            "lambda": 0.1})
         for name, a_mat, b_mat in (("zero_a", [[0, 0], [0, 0]], [[1, 0]]),
                                    ("huge_a", [[1e200, 0], [0, 1]], [[1, 0]]),
+                                   ("tiny_a", [[1e-160, 0], [0, 1e-160]], [[1, 0]]),
                                    ("huge_b", [[1, 0], [0, 1]], [[1e200, 0]])):
             write_config(tmp_path / f"{name}.json", {
                 "kind": "analysis_l1", "A": a_mat, "b": [1, 1], "B": b_mat})

@@ -1,9 +1,11 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -209,6 +211,15 @@ def _slow_least_squares():
     return build_operator(problem), problem.exact_solution
 
 
+def _slow_separable(n=6, lam=0.001):
+    """An n-coordinate separable-l1 map whose slowest coordinate shrinks its
+    error by 1 - 0.002 a step at the default step size."""
+    rng = np.random.default_rng(53)
+    problem = separable_smooth_l1_problem(np.geomspace(1.0, 0.002, n),
+                                          3.0 * rng.standard_normal(n), lam)
+    return build_operator(problem), problem.exact_solution
+
+
 class TestPicardMatchesReferenceLoop:
     @pytest.mark.parametrize("case", range(3), ids=["l2", "l1", "weighted"])
     def test_residuals_and_errors_bit_for_bit(self, case):
@@ -275,14 +286,20 @@ class TestPicardMatchesReferenceLoop:
     @pytest.mark.parametrize("stop", [StopReason.MAX_ITER, StopReason.RESIDUAL_TOL])
     @pytest.mark.parametrize("k_final", [1, 15, 16, 17, ERROR_BLOCK - 1, ERROR_BLOCK,
                                          ERROR_BLOCK + 1, 2 * ERROR_BLOCK + 3])
-    @pytest.mark.parametrize("kind", ["l2", "l1", "weighted"])
+    @pytest.mark.parametrize("kind", ["l2", "l1", "weighted", "separable", "primal-dual"])
     def test_kernel_path_at_block_edges_bit_for_bit(self, kind, k_final, stop):
         # the built-in maps step in place, a block at a time; a tolerance
-        # stop leaves rows computed past it, which must not leak out
+        # stop leaves rows computed past it, which must not leak out.  The
+        # least-squares map walks without a stage, the separable map with
+        # the soft threshold and the primal-dual map with its dual line
         slow, slow_ref = _slow_least_squares()
+        separable, separable_ref = _slow_separable()
+        analysis, weighted, zero = _problem_ops()[2]
         op, spec, ref = {"l2": (slow, L2, slow_ref), "l1": (slow, L1, slow_ref),
-                         "weighted": _problem_ops()[2]}[kind]
-        assert op.fn.into is not None
+                         "weighted": (analysis, weighted, zero),
+                         "separable": (separable, L2, separable_ref),
+                         "primal-dual": (analysis, L1, zero)}[kind]
+        assert op.fn.walk is not None
         x0 = np.random.default_rng(k_final).standard_normal(op.dim) * 3.0
         residuals, errors = reference_loop(op, x0, k_final, 0.0, ref, spec)
         if stop is StopReason.MAX_ITER:
@@ -369,7 +386,7 @@ class TestPicardMatchesReferenceLoop:
         # step 2 follows a finite first step
         for alpha, x0, step in [(1e300, [1e10], 1), (1e200, [1.0], 2)]:
             op = affine(alpha, [0.0])
-            assert op.fn.into is not None
+            assert op.fn.walk is not None
             for ref in [None, [0.0]]:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -450,6 +467,47 @@ class TestPicardMatchesReferenceLoop:
             **steps,
         }
         assert (out / "summary.json").read_text() == reports.dumps_json(summary)
+
+
+class TestConcurrentRuns:
+    @pytest.mark.parametrize("kind", ["least-squares", "separable", "primal-dual"])
+    def test_two_threads_on_one_map_each_give_the_run_made_alone(self, kind):
+        # a block kernel keeps its scratch row inside one walk call, so two
+        # runs of one shared map at once keep the bytes each makes alone.
+        # Python switches threads only between a walk's steps, but numpy
+        # lets the other thread run inside a ufunc call on more than 500
+        # elements, as on the 5000 coordinates of the separable map, whose
+        # shrinkage clips into its scratch row and subtracts it; at lam =
+        # 0.3 its coordinates enter the dead zone at different steps in the
+        # two runs, so their clipped rows differ
+        if kind == "primal-dual":
+            op, spec, ref = _problem_ops()[2]
+        else:
+            op, ref = (_slow_least_squares() if kind == "least-squares"
+                       else _slow_separable(5000, 0.3))
+            spec = L2
+        starts = [np.random.default_rng(seed).standard_normal(op.dim) * 3.0
+                  for seed in (1, 2)]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def run(x0):
+            barrier.wait()
+            return picard(op, x0, 200, 0.0, ref=ref, norm_spec=spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, x0) for x0 in starts]
+                together = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for x0, trace in zip(starts, together):
+            alone = picard(op, x0, 200, 0.0, ref=ref, norm_spec=spec)
+            assert trace.k_final == alone.k_final == 200
+            assert trace.residuals.tobytes() == alone.residuals.tobytes()
+            assert trace.errors_to_ref.tobytes() == alone.errors_to_ref.tobytes()
+            assert trace.x_final.tobytes() == alone.x_final.tobytes()
 
 
 class TestFitRate:

@@ -10,6 +10,8 @@ from fpcert.metrics import L1, L2, NotPositiveDefiniteError, norm
 from fpcert.operators import (
     Operator,
     _affine,
+    _bind,
+    _DualLine,
     affine,
     block_soft_threshold,
     box_prox,
@@ -597,14 +599,106 @@ def _kernel_stack(dim, seed):
     return xs
 
 
+def _with_prox(problem, prox):
+    """The map of ``problem`` built with the prox family ``prox`` instead."""
+    return build_operator(ProblemSpec(**{**vars(problem), "prox_g": prox}), hint=None).fn
+
+
+def _stage_maps():
+    """One ``_affine`` map for each kind of stage its walk steps through,
+    by name, with its dimension; the maps of KERNEL_MAPS add the rest."""
+    rng = np.random.default_rng(44)
+    n, m = 5, 3
+    separable = separable_smooth_l1_problem(rng.uniform(0.5, 2.0, n),
+                                            rng.standard_normal(n), 0.3)
+    least = least_squares_problem(rng.standard_normal((8, n)), rng.standard_normal(8))
+    analysis = analysis_l1_problem(rng.standard_normal((8, n)), rng.standard_normal(8),
+                                   0.5 * rng.standard_normal((m, n)) / np.sqrt(n), 0.3)
+
+    def user(t, x):  # the l1 prox's arithmetic, without bind
+        return soft_threshold(0.3 * t, x)
+
+    lin = rng.standard_normal((n + m, n + m)) / np.sqrt(n + m)
+    shift = rng.standard_normal(n + m)
+    return {
+        "stage_none_diagonal": (_with_prox(separable, None), n),
+        "stage_soft_matrix": (_with_prox(least, l1_prox(0.3)), n),
+        "stage_block_shrinkage": (_with_prox(separable, l2_prox(0.3)), n),
+        "stage_box": (_with_prox(separable, box_prox(-1.0, 2.0)), n),
+        "stage_user_family": (_affine(lin[:n, :n], shift[:n], _bind(user, 1.3)), n),
+        "stage_dual_block_shrinkage": (_with_prox(analysis, l2_prox(0.3)), n + m),
+        "stage_dual_user_family": (
+            _affine(lin, shift, _DualLine(n, 0.7, _bind(user, 1.0 / 0.7))), n + m),
+    }
+
+
+# every map with a block kernel, with its dimension: KERNEL_MAPS holds the
+# maps without a stage, with the soft threshold as the stage (build_separable)
+# and with the dual line of the soft threshold (build_analysis_l1)
+WALK_MAPS = {name: (fn, 8 if name == "build_analysis_l1" else 5)
+             for name, fn in KERNEL_MAPS.items()}
+WALK_MAPS.update(_stage_maps())
+
+
 class TestKernels:
     def test_maps_of_user_callables_carry_no_kernel(self):
-        kernels = {name for name, op in STACK_CASES.items() if hasattr(op.fn, "into")}
+        kernels = {name for name, op in STACK_CASES.items() if hasattr(op.fn, "walk")}
         assert kernels == set(KERNEL_MAPS) - {"grad_f", "grad_f_diagonal"}
+        assert not any(hasattr(fn, "into") for fn in KERNEL_MAPS.values())
+
+    @pytest.mark.parametrize("name", sorted(WALK_MAPS))
+    def test_walk_writes_the_bytes_of_a_kernel_loop(self, name):
+        # walk(xs, outs) and a loop of fn(x, out) over the same rows agree
+        # by bytes, zeros' signs included; outs start as NaN, so a walk that
+        # leaves an entry unwritten fails
+        fn, dim = WALK_MAPS[name]
+        for seed in range(10):
+            xs = _kernel_stack(dim, seed)
+            outs, loop = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
+            assert fn.walk(list(xs), list(outs)) is None
+            for x, out in zip(xs, loop):
+                assert fn(x, out) is out
+            assert outs.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(WALK_MAPS))
+    def test_walk_steps_along_the_rows_it_writes(self, name):
+        # picard's call: each row written is the next row read, so the walk
+        # gives the iterates of fn from the first row
+        fn, dim = WALK_MAPS[name]
+        for seed in range(5):
+            rows = np.full((34, dim), np.nan)
+            rows[0] = _kernel_stack(dim, seed)[4 + seed]
+            views = list(rows)
+            fn.walk(views[:33], views[1:])
+            x = rows[0]
+            for row in rows[1:]:
+                x = fn(x)
+                assert row.tobytes() == x.tobytes()
+
+    def test_walk_hands_a_dual_prox_without_bind_what_the_loop_does(self):
+        # the dual line's prox sees the dual block s of each row, the same
+        # bytes at the same scale in the same order as a loop of fn(x, out)
+        seen = []
+
+        def recording(t, s):
+            seen.append((t, s.tobytes()))
+            return soft_threshold(0.3 * t, s)
+
+        rng = np.random.default_rng(45)
+        fn = _affine(rng.standard_normal((8, 8)) / np.sqrt(8), rng.standard_normal(8),
+                     _DualLine(5, 0.7, _bind(recording, 1.0 / 0.7)))
+        xs = _kernel_stack(8, 3)
+        fn.walk(list(xs), list(np.empty_like(xs)))
+        walked = seen[:]
+        del seen[:]
+        for x in xs:
+            fn(x, np.empty_like(x))
+        assert len(walked) == len(xs)
+        assert walked == seen
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
     def test_kernel_writes_the_image_bit_for_bit(self, name):
-        # into(x, out) and fn(x) agree by bytes, zeros' signs included, on
+        # fn(x, out) and fn(x) agree by bytes, zeros' signs included, on
         # stacks and on each row as a vector; out starts as NaN, so a kernel
         # that leaves an entry unwritten fails
         fn = KERNEL_MAPS[name]
@@ -612,18 +706,18 @@ class TestKernels:
         for seed in range(10):
             xs = _kernel_stack(dim, seed)
             out = np.full_like(xs, np.nan)
-            assert fn.into(xs, out) is out
+            assert fn(xs, out) is out
             assert out.tobytes() == fn(xs).tobytes()
             for x, row in zip(xs, out):
                 vec = np.full_like(x, np.nan)
-                assert fn.into(x, vec) is vec
+                assert fn(x, vec) is vec
                 assert vec.tobytes() == fn(x).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
     def test_the_kernel_is_the_map(self, name):
-        # fn is the kernel itself, called without out, and carries itself
+        # fn is the kernel itself, called without out, and carries its walk
         fn = KERNEL_MAPS[name]
-        assert fn.into is fn
+        assert callable(fn.walk)
         dim = 8 if name == "build_analysis_l1" else 5
         op = STACK_CASES.get(name, Operator(dim, fn))
         assert op.fn is fn
@@ -647,7 +741,7 @@ class TestKernels:
     @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
     def test_family_kernel_writes_the_prox_bit_for_bit_in_place_too(self, name):
         prox = KERNEL_FAMILIES[name]
-        assert not hasattr(prox, "into")  # bind(t) is the family's one kernel
+        assert not hasattr(prox, "walk")  # bind(t) is the family's one kernel
         for t, seed in itertools.product([0.5, 1.3], range(5)):
             xs = _kernel_stack(4, seed)
             expected = prox(t, xs)
@@ -666,7 +760,7 @@ class TestKernels:
         for built, user in [(build_operator(problem), build_operator(plain)),
                             (prox_operator(problem.prox_g, 1.3, 3),
                              prox_operator(plain.prox_g, 1.3, 3))]:
-            assert not hasattr(user.fn, "into")
+            assert not hasattr(user.fn, "walk")
             xs = _kernel_stack(3, 0)
             assert user(xs).tobytes() == built(xs).tobytes()
 

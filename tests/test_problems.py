@@ -132,10 +132,21 @@ class TestSpectralConstants:
         # s_max^2 underflows to 0, though the rank rule passes
         (lambda: least_squares_problem([[1e-200]], [1.0]),
          "Lipschitz constant |A|_2^2"),
+        # L is subnormal, about 1e-320, so the default step 1/L overflows
+        (lambda: least_squares_problem([[1e-160, 0.0], [0.0, 1e-160], [0.0, 0.0]],
+                                       np.ones(3)),
+         "Lipschitz constant |A|_2^2 is too small"),
+        (lambda: analysis_l1_problem([[1e-160, 0.0], [0.0, 1e-160]], np.ones(2),
+                                     [[1.0, 0.0]], 0.1),
+         "Lipschitz constant |A|_2^2 is too small"),
+        (lambda: separable_smooth_l1_problem([1e-320, 1e-320], [1.0, 2.0], 0.1),
+         "Lipschitz constant max(coeffs) is too small"),
     ], ids=["analysis-zero-a", "analysis-huge-a", "analysis-huge-b",
-            "least-squares-huge", "least-squares-tiny"])
+            "least-squares-huge", "least-squares-tiny", "least-squares-subnormal",
+            "analysis-subnormal", "separable-subnormal"])
     def test_degenerate_constant_rejected_at_construction(self, build, constant):
-        # no step size can mend a constant that is 0 or overflows a double
+        # no step size can mend a constant that is 0 or overflows a double,
+        # and none is the default for a constant whose 1/L overflows
         with pytest.raises(ValueError, match=re.escape(constant)):
             build()
 
@@ -194,6 +205,12 @@ class TestSeparable:
     def test_non_finite_data_rejected(self, coeffs, b):
         with pytest.raises(ValueError, match="coeffs and b must be finite"):
             separable_smooth_l1_problem(coeffs, b, 0.5)
+
+    def test_subnormal_coefficient_shrinks_its_coordinate_to_zero(self):
+        # lam / c_i overflows to an infinite shrinkage, which is no warning
+        p = separable_smooth_l1_problem([1.0, 1e-320], [1.0, 2.0], 0.1)
+        assert p.lipschitz == 1.0
+        np.testing.assert_array_equal(p.exact_solution, [0.9, 0.0])
 
     def test_closed_form_is_fixed_point(self):
         rng = np.random.default_rng(3)
