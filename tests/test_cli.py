@@ -3,8 +3,6 @@ import io
 import json
 import os
 import re
-import subprocess
-import sys
 import tempfile
 
 import numpy as np
@@ -12,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fpcert
 from fpcert.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, SCALAR_PARAMS, UsageError,
                         load_problem_config, main)
 from fpcert.metrics import primal_dual_metric, write_matrix
 from fpcert.operators import prox_operator, l1_prox
 from fpcert.certify import gan_slack
 from fpcert.problems import analysis_l1_problem, default_step_sizes
+from helpers import run_child, start_child
 
 
 # a list nested 100 000 deep, beyond the JSON decoder's recursion limit
@@ -220,15 +218,25 @@ class TestRatesCommand:
 
     def test_reruns_are_byte_identical(self, tmp_path):
         write_config(tmp_path / "op.json", {"type": "affine", "alpha": 0.5, "z": [1.0]})
-        cfg = write_config(tmp_path / "run.json", {
-            "operator": "op.json", "x0": [9.0],
-            "params": {"tol": 1e-12, "max_iter": 1000, "gamma": 2.0, "mu": 1.0},
-        })
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["rates", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-        assert main(["rates", "--config", cfg, "--out", str(out2)]) == EXIT_OK
-        for name in ("trace.csv", "rate_fit.json", "checks.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        a = [[2, 0, 1], [0, 1, 0], [1, 0, 3], [0, 2, 1]]
+        write_config(tmp_path / "ls.json",
+                     {"kind": "least_squares", "A": a, "b": [1, -2, 0.5, 3]})
+        write_config(tmp_path / "analysis.json", {
+            "kind": "analysis_l1", "A": a, "b": [1, -2, 0.5, 3],
+            "B": [[1, -1, 0], [0, 1, -1]], "lambda": 0.3})
+        # the gradient step, and the primal-dual map in its coupled metric,
+        # step in place through numpy's out= kernels
+        runs = [{"operator": "op.json", "x0": [9.0],
+                 "params": {"tol": 1e-12, "max_iter": 1000, "gamma": 2.0, "mu": 1.0}},
+                {"problem": "ls.json"},
+                {"problem": "analysis.json", "norm": "w"}]
+        for i, run in enumerate(runs):
+            cfg = write_config(tmp_path / f"run{i}.json", run)
+            out1, out2 = tmp_path / f"o{i}a", tmp_path / f"o{i}b"
+            assert main(["rates", "--config", cfg, "--out", str(out1)]) == EXIT_OK
+            assert main(["rates", "--config", cfg, "--out", str(out2)]) == EXIT_OK
+            for name in ("trace.csv", "rate_fit.json", "checks.json"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
     def test_mu_estimate_of_zero_records_fail(self, tmp_path):
@@ -377,6 +385,25 @@ class TestRegionCommand:
             assert len([l for l in lines if not l.startswith("#")]) == resolution
         assert len([path for path in tmp_path.iterdir() if path.is_dir()]) == 2
 
+    def test_two_processes_started_at_once_get_distinct_dirs(self, tmp_path):
+        # two runs started together mostly share their second, and each must
+        # make a directory of its own rather than share one
+        cfg = write_config(tmp_path / "run.json", {
+            "x": [1e200, 0.0], "xhat": [0.0, 0.0], "resolution": 5,
+        })
+        work = tmp_path / "work"
+        work.mkdir()
+        children = [start_child(["region", "--config", cfg], cwd=work)
+                    for _ in range(2)]
+        for child in children:
+            with child:
+                _, err = child.communicate(timeout=120)
+            assert child.returncode == EXIT_OK, err
+        outs = sorted(work.iterdir())
+        assert len(outs) == 2
+        assert all(re.fullmatch(r"region-\d{8}-\d{6}(-2)?", out.name) and
+                   (out / "region.csv").exists() for out in outs)
+
     def test_coincident_points_are_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", {
             "x": [1.0, 1.0], "xhat": [1.0, 1.0],
@@ -497,6 +524,8 @@ class TestUsageErrors:
              "kind"),                                  # kind an object
             ("solve", {"problem": "bool_a.json"}, [],
              "A"),                                     # boolean inline entry
+            ("solve", {"problem": "bool_coeffs.json"}, [],
+             "coeffs"),                                # boolean inline coefficient
             ("solve", {"problem": "nan_coeffs.json"}, [],
              "problem"),                               # nan in a coeffs file
             ("solve", {"problem": "inf_b.json"}, [],
@@ -569,6 +598,8 @@ class TestUsageErrors:
         write_config(tmp_path / "object_kind.json", {"kind": {}})
         write_config(tmp_path / "bool_a.json", {
             "kind": "least_squares", "A": [[True, 0], [0, 1]], "b": [1, 1]})
+        write_config(tmp_path / "bool_coeffs.json", {
+            "kind": "separable_smooth_l1", "coeffs": [True, 2], "b": [3, -1]})
         (tmp_path / "nan.txt").write_text("2 1\n1 nan\n")
         write_config(tmp_path / "nan_coeffs.json", {
             "kind": "separable_smooth_l1", "coeffs": "nan.txt", "b": [1, 1]})
@@ -721,27 +752,22 @@ class TestOversizedInputs:
         # a usage error writes no product file
         assert not (tmp_path / "out").exists()
 
+    # rates-n-pairs runs its trace before the sampling that does not fit
     @pytest.mark.parametrize("case", ["region-resolution", "soft-threshold-dim",
-                                      "solve-picard-dim"])
+                                      "solve-picard-dim", "rates-n-pairs"])
     def test_oversized_run_exits_one_under_an_address_space_limit(self, tmp_path, case):
         # the limit makes the allocation fail at once, so nothing is allocated
         resource = pytest.importorskip("resource")
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
         limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
         command, cfg, _, field = _oversized_run(tmp_path, case, OVERSIZED[case][-1])
-        script = ("import resource, sys\n"
-                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard}))\n"
-                  "from fpcert.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        src = os.path.dirname(os.path.dirname(fpcert.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        done = subprocess.run([sys.executable, "-c", script, command, "--config", cfg,
-                               "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == EXIT_USAGE, done.stderr
-        assert done.stderr.startswith(f"fpcert: error: field '{field}':")
-        assert "Traceback" not in done.stderr
+        code, _, err = run_child([command, "--config", cfg,
+                                  "--out", str(tmp_path / "out")], address_space=limit)
+        assert code == EXIT_USAGE, err
+        assert err.startswith(f"fpcert: error: field '{field}':")
+        assert "Traceback" not in err
+        # a usage error writes no product file
+        assert not (tmp_path / "out").exists()
 
 
 class TestProblemConfig:

@@ -287,3 +287,34 @@ def test_usage_error_handler_check_sees_raises_in_handler_bodies():
               "except TypeError:\n"
               "    raise UsageError\n")
     assert usage_error_handlers(source) == [(4, "_field"), (9, "_read"), (19, None)]
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def cli_calls(text):
+    """Line numbers of each call of the ``fpcert`` command or of ``python -m
+    fpcert.cli`` in a workflow's text, one entry per call; comment lines
+    are skipped."""
+    call = re.compile(r"(?<![\w./-])fpcert(\.cli)?(?![\w./-])")
+    return [number for number, line in enumerate(text.splitlines(), 1)
+            if not line.lstrip().startswith("#") for _ in call.finditer(line)]
+
+
+def test_ci_runs_the_installed_cli_at_most_three_times():
+    # tier-1 pins each CLI behaviour; CI adds one installed smoke run:
+    # fpcert --help and an inline solve run twice
+    assert len(cli_calls(WORKFLOW.read_text(encoding="utf-8"))) <= 3
+
+
+def test_cli_call_check_sees_commands_not_file_names():
+    source = ("steps:\n"
+              "  - run: pip install -e .\n"
+              "  - run: |\n"
+              "      # fpcert solve, in a comment\n"
+              "      fpcert --help\n"
+              "      OPENBLAS_NUM_THREADS=1 fpcert solve --config r.json --out fpcert-out\n"
+              "      (cd a; fpcert region --config ../r.json & fpcert region)\n"
+              "      python -m fpcert.cli rates --config fpcert.json\n"
+              "      cmp src/fpcert/a.csv b.csv\n")
+    assert cli_calls(source) == [5, 6, 7, 7, 8]

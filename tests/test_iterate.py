@@ -2,8 +2,6 @@ import concurrent.futures
 import dataclasses
 import itertools
 import json
-import os
-import subprocess
 import sys
 import threading
 import warnings
@@ -11,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-import fpcert
 from fpcert import reports
 from fpcert.certify import SamplingPlan, certify, estimate_mu, mu_hat, range_region
 from fpcert.cli import main
@@ -46,7 +43,7 @@ from fpcert.problems import (
     least_squares_problem,
     separable_smooth_l1_problem,
 )
-from helpers import assert_same_text
+from helpers import assert_same_text, run_child
 
 
 class TestPicard:
@@ -589,16 +586,31 @@ class TestBlasThreadCount:
     def test_fits_have_the_same_bits_at_one_and_two_threads(self):
         # a BLAS dot product over 20 000 points is split across threads, and
         # so rounded differently, at each thread count; the fits take none
-        src = os.path.dirname(os.path.dirname(fpcert.__file__))
         outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", FIT_BITS_SCRIPT], env=env,
-                                  capture_output=True, text=True, check=True)
-            outputs.append(done.stdout)
+        for threads in (1, 2):
+            code, out, err = run_child([], threads=threads, program=FIT_BITS_SCRIPT)
+            assert code == 0, err
+            outputs.append(out)
         assert len(outputs[0].split()) == 7
         assert outputs[0] == outputs[1]
+
+    def test_solve_trace_has_the_same_bytes_at_one_and_two_threads(self, tmp_path):
+        # a 120x100 design matrix is large enough for OpenBLAS to split some
+        # products across threads and round them differently at each thread
+        # count, A^T A by syrk among them; the map and its steps take none
+        a = np.vstack([2.0 * np.eye(100),
+                       0.3 * np.random.default_rng(7).standard_normal((20, 100))])
+        (tmp_path / "problem.json").write_text(json.dumps(
+            {"kind": "least_squares", "A": a.tolist(), "b": np.ones(120).tolist()}))
+        (tmp_path / "run.json").write_text(json.dumps({"problem": "problem.json"}))
+        traces = []
+        for threads in (1, 2):
+            out = tmp_path / f"out{threads}"
+            code, _, err = run_child(["solve", "--config", str(tmp_path / "run.json"),
+                                      "--out", str(out)], threads=threads)
+            assert code == 0, err
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
 
 
 class TestLittleOProxy:
