@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import L2, NormSpec, check_number, norm
+from .metrics import L2, NormSpec, _norm_fn, check_number, norm
 
 __all__ = [
     "SamplingPlan",
@@ -272,29 +272,24 @@ def _triples(op, xs, ys, norm_spec, fixed=False):
     """Norm triples (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) of stacked rows.
 
     T is applied once per block of at most ``TRIPLE_BLOCK // n`` rows, to
-    the block's ``xs`` and ``ys``.  With ``fixed`` every y is the
-    fixed-point hint and Ty is taken to be y, so the triple is (|x-y|,
-    |Tx-y|, |x-Tx|).
+    the block's ``xs`` and ``ys``, and each term is one stack norm of the
+    block, through the norm resolved once for the whole stack.  With
+    ``fixed`` every y is the fixed-point hint and Ty is taken to be y, so
+    the triple is (|x-y|, |Tx-y|, |x-Tx|).  As in :func:`norm`, a norm
+    whose squares overflow raises no warning.
     """
     step = max(1, TRIPLE_BLOCK // xs.shape[1])
-    triple = tuple(np.empty(len(xs)) for _ in range(3))
+    dist = _norm_fn(norm_spec, xs.shape)
+    d, a, b = triple = tuple(np.empty(len(xs)) for _ in range(3))
     for start in range(0, len(xs), step):
         rows = slice(start, start + step)
-        for out, part in zip(triple, _block_triple(op, xs[rows], ys[rows],
-                                                   norm_spec, fixed)):
-            out[rows] = part
+        x, y = xs[rows], ys[rows]
+        tx = op(x)
+        ty = y if fixed else op(y)
+        terms = x - y, tx - ty, (x - tx) - (y - ty)
+        with np.errstate(over="ignore"):
+            d[rows], a[rows], b[rows] = map(dist, terms)
     return triple
-
-
-def _block_triple(op, xs, ys, norm_spec, fixed):
-    """The norm triple of one block of rows, in one pass."""
-    tx = op(xs)
-    ty = ys if fixed else op(ys)
-    return (
-        norm(xs - ys, norm_spec),
-        norm(tx - ty, norm_spec),
-        norm((xs - tx) - (ys - ty), norm_spec),
-    )
 
 
 def _worst(prop, triple, gamma=None, mu=None, rho=None):

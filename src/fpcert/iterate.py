@@ -54,9 +54,10 @@ SUMMABILITY_TOL = 1e-10
 SANDWICH_TOL = 1e-8
 
 # Iterates held at once by picard to take their reference errors, and a
-# kernel's residuals, as one stack norm each: enough that the per-block cost
-# is negligible, few enough that the buffer stays small (257 rows of 100
-# doubles are 200 kB).
+# kernel's residuals with them, as one stack norm a block: enough that the
+# per-block cost is negligible, few enough that the buffers stay small (at
+# n = 100, 257 rows of 101 doubles and a kernel's 512 difference rows are
+# 600 kB).
 ERROR_BLOCK = 256
 
 # A map with a kernel is stepped in blocks of min(ERROR_BLOCK,
@@ -125,27 +126,31 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
 
     The arguments and the norm's kind and weight dimension are checked
     once.  Every map runs through one loop: a block of steps at a time,
-    each iterate written into the next row of one (min(ERROR_BLOCK,
-    max_iter) + 1, n) buffer, so the errors of a block's steps are one
-    stack ``metrics.norm`` against ``ref``.  Only the block body differs.
-    A map whose ``op.fn`` carries a block kernel ``walk`` (see
+    each iterate written into the first n columns of the next row of one
+    (min(ERROR_BLOCK, max_iter) + 1, n) buffer.  Only the block body
+    differs.  A map whose ``op.fn`` carries a block kernel ``walk`` (see
     :mod:`fpcert.operators`) is handed the block's rows in one
-    ``walk(rows[:span], rows[1:span + 1])`` call, which steps through them
-    in place, and the block's residuals are one stack norm of the
-    consecutive-row differences.  One numpy pass over them flags the steps
-    where the stop rule can act (a non-finite residual, one above the
-    guard, or one at ``res_tol``), and the scalar rule reads the flagged
-    steps in step order, so the run ends where a step-by-step reading
-    would end it.  A block after k steps holds min(ERROR_BLOCK,
-    max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the kernel, which is
-    pure, runs at most max(15, k / 8) steps past the
+    ``walk(rows[:span], iterates[1:span + 1])`` call, which steps through
+    them in place; for an ``augmented`` walk the buffer is n + 1 wide, its
+    last column is set to 1 once, and ``iterates`` are the rows' first n
+    columns, else they are the rows.  The block's consecutive-row
+    differences, then, given ``ref``, its iterates' differences to it, are
+    written into one preallocated (2 * span, n) buffer, and one stack norm
+    of them gives the block's residuals and errors.  One numpy pass over the
+    residuals flags the steps where the stop rule can act (a non-finite
+    residual, one above the guard, or one at ``res_tol``), and the scalar
+    rule reads the flagged steps in step order, so the run ends where a
+    step-by-step reading would end it.  A block after k steps holds
+    min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the
+    kernel, which is pure, runs at most max(15, k / 8) steps past the
     stopping step k; their values are discarded, and an overflow among
     them raises nothing.  Any other map is called once a step and never
     past the stopping step: each step calls ``op.fn`` on x0's copy or on
     its own last image, never on a row of the buffer, converts its output
     to float, checks that it keeps the iterate's shape (else the operator's
     named ``ValueError``), copies it into the next row, takes its residual
-    and reads the stop rule.  Stack norms equal vector norms row by row, so
+    and reads the stop rule; the errors of the block's steps are one stack
+    norm against ``ref``.  Stack norms equal vector norms row by row, so
     for every map residuals and errors equal a loop of ``op(x)`` and
     ``metrics.norm`` bit for bit.
 
@@ -209,27 +214,45 @@ def _stop(k, r, guard, res_tol, x_k):
 
 def _run(op, x, max_iter, res_tol, ref, dist):
     """picard's loop: blocks of steps whose iterates fill the rows of one
-    buffer, and whose errors to ``ref`` are one stack norm per block.
+    buffer.
 
-    A map with a block kernel ``walk`` writes a block in place in one call
-    and takes its residuals as one stack norm; any other map is called once
-    a step.  Returns the last iterate, the residuals, the errors (None
-    without ``ref``) and the stop reason (None at ``max_iter``).
+    A map with a block kernel ``walk`` writes a block in place in one call,
+    and its residuals and errors to ``ref`` are one stack norm of one
+    difference buffer per block; any other map is called once a step, and
+    its errors are one stack norm per block.  An ``augmented`` walk's rows
+    are n + 1 wide and end in a 1, set once here; the iterates are the
+    rows' first n columns, whatever the width.  Returns the last iterate,
+    the residuals, the errors (None without ``ref``) and the stop reason
+    (None at ``max_iter``).
     """
-    rows = np.empty((min(ERROR_BLOCK, max_iter) + 1, x.size))
-    rows[0] = x
-    views = list(rows)  # row views, indexed without numpy's dispatch
-    residuals = []
-    errors = None if ref is None else [dist(rows[:1] - ref)]
     walk = getattr(op.fn, "walk", None)
+    augmented = getattr(walk, "augmented", False)
+    n = x.size
+    rows = np.empty((min(ERROR_BLOCK, max_iter) + 1, n + 1 if augmented else n))
+    rows[:, n:] = 1.0
+    iterates = rows[:, :n]
+    iterates[0] = x
+    views = list(rows)  # row views, indexed without numpy's dispatch
+    heads = list(iterates) if augmented else views  # the iterates
+    if walk is not None:
+        # a block's residuals, then its errors to ref, stacked
+        stacked = 1 if ref is None else 2
+        diffs = np.empty((stacked * (len(rows) - 1), n))
+    residuals = []
+    errors = None if ref is None else [dist(iterates[:1] - ref)]
     fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
     k = 0
     guard = stop = None
     while stop is None and k < max_iter:
         if walk is not None:
             span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
-            walk(views[:span], views[1:span + 1])
-            r = dist(rows[1:span + 1] - rows[:span])
+            walk(views[:span], heads[1:span + 1])
+            steps = iterates[1:span + 1]
+            np.subtract(steps, iterates[:span], out=diffs[:span])
+            if ref is not None:
+                np.subtract(steps, ref, out=diffs[span:2 * span])
+            norms = dist(diffs[:stacked * span])
+            r = norms[:span]
             if k == 0:
                 guard = DIVERGENCE_FACTOR * (1.0 + float(r[0]))
             # _stop can act only on a non-finite residual, one above the guard
@@ -238,11 +261,13 @@ def _run(op, x, max_iter, res_tol, ref, dist):
             flagged = ~np.isfinite(r) | (r > guard) | (r <= res_tol)
             height = span
             for j in flagged.nonzero()[0].tolist():
-                stop = _stop(k + j + 1, float(r[j]), guard, res_tol, views[j + 1])
+                stop = _stop(k + j + 1, float(r[j]), guard, res_tol, heads[j + 1])
                 if stop is not None:
                     height = j + 1
                     break
             r = r[:height]
+            if errors is not None:
+                errors.append(norms[span:span + height])
         else:
             # the map is handed x0's copy, then its own images: never a row,
             # which later steps overwrite
@@ -259,12 +284,12 @@ def _run(op, x, max_iter, res_tol, ref, dist):
                 if stop is not None:
                     break
             height = len(r)
+            if errors is not None:
+                errors.append(dist(rows[1:height + 1] - ref))
         residuals.append(r)
-        if errors is not None:
-            errors.append(dist(rows[1:height + 1] - ref))
         k += height
         rows[0] = rows[height]
-    return (rows[0].copy(), np.concatenate(residuals),
+    return (iterates[0].copy(), np.concatenate(residuals),
             None if errors is None else np.concatenate(errors), stop)
 
 

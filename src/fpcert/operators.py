@@ -20,14 +20,20 @@ the float array that ``Operator.__call__`` hands it.  It is pure, reading
 nothing but x and the map's data, and reentrant: it keeps no scratch state
 between calls.  Its block kernel ``fn.walk(xs, outs)`` writes T ``xs[j]``
 into ``outs[j]`` for j in order, each a C-contiguous (n,) float vector
-sharing no memory with its ``xs[j]``, so ``outs[j]`` may be ``xs[j + 1]``;
+sharing no memory with its ``xs[j]``, so ``outs[j]`` may be ``xs[j + 1]``.
+A walk marked ``augmented`` reads each ``xs[j]`` as [x; 1], n + 1 wide
+with a trailing 1 that its caller sets, and writes the n-wide ``outs[j]``,
+which may be the first n entries of ``xs[j + 1]``.
 :func:`fpcert.iterate.picard` steps a map with a ``walk`` a block of rows
 of its buffer at a time.  ``walk`` gives each row the bytes of
 ``fn(x, out)``.  Every affine product x -> L x + c of a built-in map, a
 scale, a diagonal or a matrix L, goes through the one kernel ``_affine``,
 which then runs the map's stage, if any, in place on its output, so each
 map of :func:`fpcert.problems.build_operator` is one ``_affine`` kernel.
-Its ``walk`` is one loop over the rows with the product bound once, and
+A scale or a diagonal L is a product into the output and an in-place
+add; a matrix L is stored as [L | c], and its image is one BLAS
+matrix-vector product with [x; 1], so its ``walk`` is ``augmented``.
+The ``walk`` is one loop over the rows with the product bound once, and
 with the componentwise shrinkage of a stage written into that loop,
 clipping into one scratch row per ``walk`` call; any other stage is
 called on each row in place.
@@ -138,47 +144,70 @@ def _stage_kernel(stage):
 
 
 def _affine(lin, shift, stage=None, *families):
-    """The map x -> stage(lin x + shift) as its kernel: one product into the
-    output, an in-place add, then the stage, if given, run in place.
+    """The map x -> stage(lin x + shift) as its kernel: the affine image
+    into the output, then the stage, if given, run in place on it.
     ``lin`` is a 0-d scale, the (n,) diagonal of a diagonal matrix or an
-    (n, n) matrix.  The stage is the kernel of the prox ``families``, run as
-    ``stage(out, out)``, or a ``_DualLine``."""
-    matrix = lin.ndim == 2
+    (n, n) matrix.  A scale or a diagonal takes a product into the output
+    and an in-place add.  A matrix is stored once as the C-contiguous
+    n x (n + 1) matrix [lin | shift], and the image is its one BLAS
+    matrix-vector product with [x; 1], taken by ``_matvec`` on a copy of x
+    with a trailing 1, so the shift rides in the product.  The stage is the
+    kernel of the prox ``families``, run as ``stage(out, out)``, or a
+    ``_DualLine``."""
     kernel = _stage_kernel(stage)
+    if lin.ndim == 2:
+        lin = np.concatenate([lin, shift[:, None]], axis=1)
 
-    def into(x, out=None):
-        out = _matvec(lin, x, out) if matrix else np.multiply(lin, x, out=out)
-        out += shift
-        return out if kernel is None else kernel(out, out)
+        def into(x, out=None):
+            x_one = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))  # [x; 1]
+            x_one[..., :-1] = x
+            x_one[..., -1] = 1.0
+            out = _matvec(lin, x_one, out)
+            return out if kernel is None else kernel(out, out)
+    else:
+        def into(x, out=None):
+            out = np.multiply(lin, x, out=out)
+            out += shift
+            return out if kernel is None else kernel(out, out)
 
     return _from_kernel(into, *families, walk=_affine_walk(lin, shift, stage, kernel))
 
 
 def _affine_walk(lin, shift, stage, kernel):
     """The block kernel of ``_affine(lin, shift, stage)``, whose stage runs
-    as ``kernel``: one loop over the rows making the numpy calls of the
-    map's kernel on each, in the same order.
+    as ``kernel`` and whose ``lin`` is stored as ``_affine`` stores it: one
+    loop over the rows making the numpy calls of the map's kernel on each,
+    in the same order.
 
-    The product is bound once, ``lin.dot`` or ``np.multiply`` with ``lin``,
-    its ``out`` passed by position, which a row needs no contiguous copy
-    for.  A shrinkage stage, the componentwise soft threshold as the stage
-    or as the dual line's prox, clips into one scratch row per call and
-    subtracts; any other stage is called as ``kernel(out, out)``.
+    For a matrix, ``lin`` is [lin | shift] and the walk is marked
+    ``augmented``: each row ``xs[j]`` is [x; 1], n + 1 wide with a trailing
+    1 that the caller sets, ``outs[j]`` is n wide, and the affine image is
+    the one product ``lin.dot(xs[j], outs[j])``.  For a scale or a diagonal
+    it is ``np.multiply`` with ``lin`` and an in-place add of the shift, on
+    n-wide rows.  The product is bound once, its ``out`` passed by
+    position, which a row needs no contiguous copy for.  A shrinkage
+    stage, the componentwise soft threshold as the stage or as the dual
+    line's prox, clips into one scratch row per call and subtracts; any
+    other stage is called as ``kernel(out, out)``.
     """
-    product = lin.dot if lin.ndim == 2 else partial(np.multiply, lin)
-    add, subtract, multiply = np.add, np.subtract, np.multiply
+    augmented = lin.ndim == 2
+    product = lin.dot if augmented else partial(np.multiply, lin)
+    add = None if augmented else np.add
+    subtract, multiply = np.subtract, np.multiply
     line = stage if isinstance(stage, _DualLine) else None
     bounds = getattr(stage if line is None else line.prox, "threshold", None)
     if stage is None:
         def walk(xs, outs):
             for x, out in zip(xs, outs):
                 product(x, out)
-                add(out, shift, out)
+                if add:
+                    add(out, shift, out)
     elif bounds is None:
         def walk(xs, outs):
             for x, out in zip(xs, outs):
                 product(x, out)
-                add(out, shift, out)
+                if add:
+                    add(out, shift, out)
                 kernel(out, out)
     elif line is None:
         low, high = bounds
@@ -187,7 +216,8 @@ def _affine_walk(lin, shift, stage, kernel):
             clipped = np.empty(len(shift))
             for x, out in zip(xs, outs):
                 product(x, out)
-                add(out, shift, out)
+                if add:
+                    add(out, shift, out)
                 _clip(out, low, high, clipped)
                 subtract(out, clipped, out)
     else:
@@ -198,12 +228,14 @@ def _affine_walk(lin, shift, stage, kernel):
             shrunk = np.empty(len(shift) - n)
             for x, out in zip(xs, outs):
                 product(x, out)
-                add(out, shift, out)
+                if add:
+                    add(out, shift, out)
                 s = out[n:]
                 _clip(s, low, high, shrunk)
                 subtract(s, shrunk, shrunk)  # the dual prox's image
                 subtract(s, shrunk, s)
                 multiply(s, eta, s)
+    walk.augmented = augmented
     return walk
 
 

@@ -276,17 +276,19 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
     Every map is built down one path from ``problem.quadratic`` = (H, g) at
     the step sizes: one ``operators._affine`` kernel, an affine product
     followed, in place on its output, by the stage the data picks, as the
-    ``fn`` of one Operator.  Without a coupling matrix the
-    product is M x + c, M = I - beta*H, c = beta*g, with M a vector applied
-    elementwise for a diagonal H, and the stage is the prox of beta*g (the
-    forward-backward step), or none for a problem without a prox (a
-    gradient step).  With a coupling matrix B the map is the primal-dual
+    ``fn`` of one Operator.  Without a coupling matrix the product is
+    M x + c, M = I - beta*H, c = beta*g, with M a vector applied
+    elementwise for a diagonal H, and for a matrix M the one product of
+    [M | c], formed once when the map is built, with [x; 1]; the stage is
+    the prox of beta*g (the forward-backward step), or none for a problem
+    without a prox (a gradient step).  With a coupling matrix B the map is the primal-dual
     update of :func:`operators.primal_dual`: the square product
 
         [x'; s] = [[M, -beta*B^T], [B(2M - I), I/eta - 2*beta*B B^T]] [x; y]
                   + [c; 2*beta*B g]
 
-    gives the new primal block x' and the dual pre-image s, and the stage,
+    gives the new primal block x' and the dual pre-image s, as one product
+    of [matrix | shift] with [x; y; 1], and the stage,
     the dual line ``operators._DualLine(n, eta, prox of g/eta)``, makes the
     new dual block eta * (s - prox of g/eta at s).
     A (beta, eta) pair whose coupled metric is not positive definite raises

@@ -597,20 +597,24 @@ class TestBlasThreadCount:
     def test_solve_trace_has_the_same_bytes_at_one_and_two_threads(self, tmp_path):
         # a 120x100 design matrix is large enough for OpenBLAS to split some
         # products across threads and round them differently at each thread
-        # count, A^T A by syrk among them; the map and its steps take none
+        # count, A^T A by syrk among them; the map and its steps take none.
+        # rates runs the map's 100x101 product [I - beta H | beta g] on
+        # [x; 1] in picard and on sampled stacks, and stacked block norms
         a = np.vstack([2.0 * np.eye(100),
                        0.3 * np.random.default_rng(7).standard_normal((20, 100))])
         (tmp_path / "problem.json").write_text(json.dumps(
             {"kind": "least_squares", "A": a.tolist(), "b": np.ones(120).tolist()}))
         (tmp_path / "run.json").write_text(json.dumps({"problem": "problem.json"}))
-        traces = []
+        products = []
         for threads in (1, 2):
-            out = tmp_path / f"out{threads}"
-            code, _, err = run_child(["solve", "--config", str(tmp_path / "run.json"),
-                                      "--out", str(out)], threads=threads)
-            assert code == 0, err
-            traces.append((out / "trace.csv").read_bytes())
-        assert traces[0] == traces[1]
+            for command, names in (("solve", ["trace.csv"]),
+                                   ("rates", ["trace.csv", "rate_fit.json", "checks.json"])):
+                out = tmp_path / f"{command}{threads}"
+                code, _, err = run_child([command, "--config", str(tmp_path / "run.json"),
+                                          "--out", str(out)], threads=threads)
+                assert code == 0, err
+                products.append([(out / name).read_bytes() for name in names])
+        assert products[:2] == products[2:]
 
 
 class TestLittleOProxy:

@@ -640,6 +640,14 @@ WALK_MAPS = {name: (fn, 8 if name == "build_analysis_l1" else 5)
 WALK_MAPS.update(_stage_maps())
 
 
+def _walk_rows(fn, xs):
+    """The rows ``fn.walk`` reads for the iterates ``xs``: ``xs`` itself, or
+    [x; 1] for each x when the walk is ``augmented``."""
+    if not getattr(fn.walk, "augmented", False):
+        return xs
+    return np.hstack([xs, np.ones((len(xs), 1))])
+
+
 class TestKernels:
     def test_maps_of_user_callables_carry_no_kernel(self):
         kernels = {name for name, op in STACK_CASES.items() if hasattr(op.fn, "walk")}
@@ -655,7 +663,7 @@ class TestKernels:
         for seed in range(10):
             xs = _kernel_stack(dim, seed)
             outs, loop = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
-            assert fn.walk(list(xs), list(outs)) is None
+            assert fn.walk(list(_walk_rows(fn, xs)), list(outs)) is None
             for x, out in zip(xs, loop):
                 assert fn(x, out) is out
             assert outs.tobytes() == loop.tobytes()
@@ -663,17 +671,18 @@ class TestKernels:
     @pytest.mark.parametrize("name", sorted(WALK_MAPS))
     def test_walk_steps_along_the_rows_it_writes(self, name):
         # picard's call: each row written is the next row read, so the walk
-        # gives the iterates of fn from the first row
+        # gives the iterates of fn from the first row; an augmented walk
+        # reads rows [x; 1] and writes their first dim columns
         fn, dim = WALK_MAPS[name]
         for seed in range(5):
-            rows = np.full((34, dim), np.nan)
-            rows[0] = _kernel_stack(dim, seed)[4 + seed]
-            views = list(rows)
-            fn.walk(views[:33], views[1:])
-            x = rows[0]
-            for row in rows[1:]:
+            rows = _walk_rows(fn, np.full((34, dim), np.nan))
+            rows[0, :dim] = _kernel_stack(dim, seed)[4 + seed]
+            fn.walk(list(rows[:33]), list(rows[1:, :dim]))
+            x = rows[0, :dim]
+            for row in rows[1:, :dim]:
                 x = fn(x)
                 assert row.tobytes() == x.tobytes()
+            assert (rows[:, dim:] == 1.0).all()
 
     def test_walk_hands_a_dual_prox_without_bind_what_the_loop_does(self):
         # the dual line's prox sees the dual block s of each row, the same
@@ -688,7 +697,7 @@ class TestKernels:
         fn = _affine(rng.standard_normal((8, 8)) / np.sqrt(8), rng.standard_normal(8),
                      _DualLine(5, 0.7, _bind(recording, 1.0 / 0.7)))
         xs = _kernel_stack(8, 3)
-        fn.walk(list(xs), list(np.empty_like(xs)))
+        fn.walk(list(_walk_rows(fn, xs)), list(np.empty_like(xs)))
         walked = seen[:]
         del seen[:]
         for x in xs:

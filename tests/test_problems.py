@@ -403,10 +403,11 @@ class TestPrecomposedMaps:
             return matvec(mat, x, *out)
 
         monkeypatch.setattr(operators, "_matvec", counting)
+        # the product is [lin | shift] on [x; 1]
         for x in (np.ones(op.dim), np.ones((7, op.dim))):
             calls.clear()
             op(x)
-            assert calls == [x.shape] * products
+            assert calls == [x.shape[:-1] + (op.dim + 1,)] * products
 
 
 class TestStepSizeBounds:
