@@ -8,19 +8,22 @@ Every sampled claim reduces one norm triple per sampled row:
 (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) for a pair, and (|x-xhat|, |Tx-xhat|, |x-Tx|)
 for a point measured against the fixed-point hint xhat.  One kernel applies
 T once per stack of sampled rows (the operator falls back to one call per row
-for a callable without stack support) and takes each term as one norm over
-the stacked rows; slacks and estimates are array reductions over the triple,
-and ``estimate_min_gamma`` bisects over a single evaluation.  ``gan_slack``
-and ``Certificate.recompute_slack`` pass their pair through the same kernel
-as a batch of one.  A row's image and norms do not depend on the rows stacked
-with it, so a witness reproduces its slack bit for bit and the minimum does
-not depend on the order in which rows are evaluated.
+for a callable without stack support) and holds the triple as the rows of one
+(3, k) array; slacks and estimates are array reductions over it.  A GAN
+slack is one power pass over the whole triple, so each step of
+``estimate_min_gamma``'s bisection over the single evaluation costs one
+pass, and its certificate is read off the slacks of its last passing step.
+``gan_slack`` and ``Certificate.recompute_slack`` pass their pair through
+the same kernel as a batch of one.  A row's image and norms do not depend on
+the rows stacked with it, so a witness reproduces its slack bit for bit and
+the minimum does not depend on the order in which rows are evaluated.
 
 A stack of rows of dimension n is evaluated in blocks of at most
-``TRIPLE_BLOCK // n`` rows, each block's image and norms written into the
-triple's preallocated arrays, so the temporaries of a block stay near
-``TRIPLE_BLOCK`` elements whatever the sample size.  Since rows are
-independent, the triple has the same bits however the rows are blocked.
+``TRIPLE_BLOCK // n`` rows.  A block's three terms are written into one
+preallocated (3 * rows, n) buffer and take one stack norm, written into the
+triple, so the temporaries of a block stay near ``TRIPLE_BLOCK`` elements
+whatever the sample size.  Since rows are independent, the triple has the
+same bits however the rows are blocked.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ __all__ = [
 class _Property:
     """One sampled property: the params it needs positive, whether it is
     measured at single points against the fixed-point hint rather than on
-    pairs, its slack on a norm triple (d, a, b) with the params (gamma, mu,
-    rho), negative where a row refutes it, and the other names it accepts."""
+    pairs, its slack on a (3, k) norm triple (d, a, b) with the params
+    (gamma, mu, rho), negative where a row refutes it, and the other names
+    it accepts."""
 
     needs: tuple
     points: bool
@@ -70,17 +74,22 @@ class _Property:
     aliases: tuple = ()
 
 
+def _gan(powers, mu):
+    """The GAN slack d^g - a^g - mu b^g of the powers (d^g, a^g, b^g)."""
+    return powers[0] - powers[1] - mu * powers[2]
+
+
 PROPERTIES = {
     "gan": _Property(("gamma", "mu"), False,
-                     lambda d, a, b, gamma, mu, rho: d**gamma - a**gamma - mu * b**gamma),
-    "nonexpansive": _Property((), False, lambda d, a, b, gamma, mu, rho: d - a),
+                     lambda t, gamma, mu, rho: _gan(t**gamma, mu)),
+    "nonexpansive": _Property((), False, lambda t, gamma, mu, rho: t[0] - t[1]),
     "contractive": _Property(("rho",), False,
-                             lambda d, a, b, gamma, mu, rho: rho * d - a),
+                             lambda t, gamma, mu, rho: rho * t[0] - t[1]),
     "fp_contractive": _Property(("rho",), True,
-                                lambda d, a, b, gamma, mu, rho: rho * d - a,
+                                lambda t, gamma, mu, rho: rho * t[0] - t[1],
                                 ("fpcontractive",)),
     "holder_regular": _Property(("gamma", "mu"), True,
-                                lambda d, a, b, gamma, mu, rho: mu * b**gamma - d,
+                                lambda t, gamma, mu, rho: mu * t[2]**gamma - t[0],
                                 ("holderregular", "holder")),
 }
 
@@ -269,26 +278,37 @@ def _pair_slack(op, x, y, norm_spec, prop, gamma=None, mu=None, rho=None):
 
 
 def _triples(op, xs, ys, norm_spec, fixed=False):
-    """Norm triples (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) of stacked rows.
+    """Norm triples (|x-y|, |Tx-Ty|, |(x-Tx)-(y-Ty)|) of stacked rows, as
+    the rows of one (3, k) array.
 
     T is applied once per block of at most ``TRIPLE_BLOCK // n`` rows, to
-    the block's ``xs`` and ``ys``, and each term is one stack norm of the
-    block, through the norm resolved once for the whole stack.  With
-    ``fixed`` every y is the fixed-point hint and Ty is taken to be y, so
-    the triple is (|x-y|, |Tx-y|, |x-Tx|).  As in :func:`norm`, a norm
-    whose squares overflow raises no warning.
+    the block's ``xs``, then to its ``ys``.  The block's three terms are
+    written with ``out=`` into one preallocated (3 * rows, n) buffer, the
+    images only read, and one stack norm of that buffer, through the norm
+    resolved once for the whole stack, gives all three.  With ``fixed``
+    every y is the fixed-point hint and Ty is taken to be y, so the triple
+    is (|x-y|, |Tx-y|, |x-Tx|).  As in :func:`norm`, a norm whose squares
+    overflow raises no warning.
     """
-    step = max(1, TRIPLE_BLOCK // xs.shape[1])
+    k, n = xs.shape
+    step = max(1, TRIPLE_BLOCK // n)
     dist = _norm_fn(norm_spec, xs.shape)
-    d, a, b = triple = tuple(np.empty(len(xs)) for _ in range(3))
-    for start in range(0, len(xs), step):
+    triple = np.empty((3, k))
+    terms = np.empty((3 * min(step, k), n))
+    for start in range(0, k, step):
         rows = slice(start, start + step)
         x, y = xs[rows], ys[rows]
+        m = len(x)
+        d, a, b = terms[:m], terms[m:2 * m], terms[2 * m:3 * m]
         tx = op(x)
         ty = y if fixed else op(y)
-        terms = x - y, tx - ty, (x - tx) - (y - ty)
+        np.subtract(tx, ty, out=a)
+        np.subtract(x, tx, out=d)  # held in d until b is formed
+        np.subtract(y, ty, out=b)
+        np.subtract(d, b, out=b)
+        np.subtract(x, y, out=d)
         with np.errstate(over="ignore"):
-            d[rows], a[rows], b[rows] = map(dist, terms)
+            triple[:, rows] = dist(terms[:3 * m]).reshape(3, m)
     return triple
 
 
@@ -306,24 +326,25 @@ def _worst(prop, triple, gamma=None, mu=None, rho=None):
     Callers run it with numpy's overflow and invalid warnings off, once per
     claim, since the plain powers of such a row overflow.
     """
-    slacks = PROPERTIES[prop].slack(*triple, gamma, mu, rho)
-    worst = int(np.argmin(slacks))
+    slacks = PROPERTIES[prop].slack(triple, gamma, mu, rho)
+    worst = slacks.argmin()
     if prop == "gan" and math.isnan(slacks[worst]):
         rows = np.flatnonzero(np.isnan(slacks))
-        d, a, b, power = _unit_powers(triple, rows, gamma)
-        unit = d - a - mu * b
-        slacks[rows] = np.where(unit == 0.0, 0.0, unit * power)
-        worst = int(np.argmin(slacks))
-    return slacks, worst
+        powers, scale = _unit_powers(triple, rows, gamma)
+        unit = _gan(powers, mu)
+        slacks[rows] = np.where(unit == 0.0, 0.0, unit * scale)
+        worst = slacks.argmin()
+    return slacks, int(worst)
 
 
 def _unit_powers(triple, rows, gamma):
-    """(d/s)^gamma, (a/s)^gamma, (b/s)^gamma and s^gamma at ``rows`` of a
-    norm triple (d, a, b), with s = max(d, a, b): the powers of the GAN
-    slack and of the quotient of :func:`estimate_mu`, taken at unit scale."""
-    d, a, b = (t[rows] for t in triple)
-    s = np.maximum(np.maximum(d, a), b)
-    return (d / s) ** gamma, (a / s) ** gamma, (b / s) ** gamma, s**gamma
+    """The (3, len(rows)) powers ((d/s)^gamma, (a/s)^gamma, (b/s)^gamma)
+    and s^gamma at ``rows`` of a norm triple (d, a, b), with
+    s = max(d, a, b): the powers of the GAN slack and of the quotient of
+    :func:`estimate_mu`, taken at unit scale."""
+    t = triple[:, rows]
+    s = np.maximum(np.maximum(t[0], t[1]), t[2])
+    return (t / s) ** gamma, s**gamma
 
 
 def _sample(op, plan, norm_spec, points):
@@ -332,7 +353,8 @@ def _sample(op, plan, norm_spec, points):
     Pairs come from :func:`sample_pairs`.  With ``points`` they come from
     :func:`sample_points` with the hint as every y, and points within
     DENOMINATOR_CUTOFF of the hint are dropped; an operator without a hint
-    raises ValueError.
+    raises ValueError.  When no point is dropped, the rows and the triple
+    are returned as they are, the hint as a read-only broadcast ``ys``.
     """
     hint = op.fixed_point_hint
     if not points:
@@ -345,10 +367,11 @@ def _sample(op, plan, norm_spec, points):
     ys = np.broadcast_to(hint, xs.shape)
     triple = _triples(op, xs, ys, norm_spec, fixed=True)
     keep = triple[0] > DENOMINATOR_CUTOFF
-    if not np.any(keep):
+    if keep.all():
+        return xs, ys, triple, 0
+    if not keep.any():
         raise EstimateError("every sampled point coincided with the fixed point")
-    kept = tuple(t[keep] for t in triple)
-    return xs[keep], ys[keep], kept, int(np.count_nonzero(~keep))
+    return xs[keep], ys[keep], triple[:, keep], int(np.count_nonzero(~keep))
 
 
 def _check_params(prop, gamma, mu, rho):
@@ -359,10 +382,11 @@ def _check_params(prop, gamma, mu, rho):
         check_number(name, values[name])
 
 
-def _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol):
-    xs, ys, triple, skipped = sample
-    with np.errstate(over="ignore", invalid="ignore"):
-        slacks, worst = _worst(prop, triple, gamma, mu, rho)
+def _certificate(prop, sample, evaluated, gamma, mu, rho, norm_spec, plan, tol):
+    """The certificate of ``sample`` whose slacks and least-slack row,
+    as :func:`_worst` gives them, are ``evaluated``."""
+    xs, ys, _, skipped = sample
+    slacks, worst = evaluated
     return Certificate(
         property_name=prop,
         min_slack=float(slacks[worst]),
@@ -416,7 +440,9 @@ def certify(op, prop, params, norm_spec=L2, plan=None, tol=DEFAULT_TOL):
     _check_params(prop, gamma, mu, rho)
     check_number("tol", tol, lower=0.0, strict=False)
     sample = _sample(op, plan, norm_spec, PROPERTIES[prop].points)
-    return _certificate(prop, sample, gamma, mu, rho, norm_spec, plan, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluated = _worst(prop, sample[2], gamma, mu, rho)
+    return _certificate(prop, sample, evaluated, gamma, mu, rho, norm_spec, plan, tol)
 
 
 def estimate_mu(op, gamma, norm_spec=L2, plan=None):
@@ -447,8 +473,8 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
         low = float(np.min(quotients))
         if not low < math.inf:
             rows = np.flatnonzero(~np.isfinite(quotients))
-            d, a, b, _ = _unit_powers(triple, eligible[rows], gamma)
-            quotients[rows] = (d - a) / b
+            powers, _ = _unit_powers(triple, eligible[rows], gamma)
+            quotients[rows] = (powers[0] - powers[1]) / powers[2]
             low = float(np.min(quotients))
     if not low < math.inf:
         raise EstimateError(
@@ -468,9 +494,12 @@ def estimate_min_gamma(op, mu, norm_spec=L2, plan=None, bracket=(0.1, 2.0),
     certificate returned with ``return_certificate=True``.  The resolved
     exponent has width 1e-3 and can only refute exponents whose
     violations are visible at the plan's radius scales.  The plan's norm
-    triples are evaluated once and every bisection step reuses them, so the
-    returned certificate equals ``certify(op, 'gan', {'gamma': hi, 'mu': mu},
-    norm_spec, plan)``.
+    triple is evaluated once, as one (3, k) array, and each bisection step
+    is one power pass over it, the GAN slack and its least row, through the
+    rescaling repair of :func:`certify` where that row is NaN.  The returned
+    certificate is read off the slacks of the last passing step, the one
+    that set ``hi``, so it equals ``certify(op, 'gan', {'gamma': hi, 'mu':
+    mu}, norm_spec, plan)`` without evaluating ``hi`` again.
     """
     plan = plan or SamplingPlan()
     lo, hi = bracket
@@ -479,24 +508,28 @@ def estimate_min_gamma(op, mu, norm_spec=L2, plan=None, bracket=(0.1, 2.0),
     _check_params("gan", hi, mu, None)
     sample = _sample(op, plan, norm_spec, points=False)
 
-    def passes(gamma):
-        slacks, worst = _worst("gan", sample[2], gamma, mu)
-        return slacks[worst] >= -DEFAULT_TOL
+    def step(gamma):
+        """The slacks and least-slack row at ``gamma``, or None where it fails."""
+        slacks, worst = evaluated = _worst("gan", sample[2], gamma, mu)
+        return evaluated if slacks[worst] >= -DEFAULT_TOL else None
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not passes(hi):
+        passing = step(hi)
+        if passing is None:
             raise ValueError(f"bracket precondition violated: gamma={hi} does not pass")
-        if passes(lo):
+        if step(lo) is not None:
             raise ValueError(f"bracket precondition violated: gamma={lo} passes")
         while hi - lo > 1e-3:
             mid = 0.5 * (lo + hi)
-            if passes(mid):
-                hi = mid
+            evaluated = step(mid)
+            if evaluated is not None:
+                hi, passing = mid, evaluated
             else:
                 lo = mid
     if not return_certificate:
         return hi
-    cert = _certificate("gan", sample, hi, mu, None, norm_spec, plan, DEFAULT_TOL)
+    cert = _certificate("gan", sample, passing, hi, mu, None, norm_spec, plan,
+                        DEFAULT_TOL)
     if mu < 1:
         cert.notes = cert.notes + (
             "mu < 1: monotone validity in the exponent assumed as a sampling heuristic",

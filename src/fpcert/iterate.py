@@ -56,8 +56,8 @@ SANDWICH_TOL = 1e-8
 # Iterates held at once by picard to take their reference errors, and a
 # kernel's residuals with them, as one stack norm a block: enough that the
 # per-block cost is negligible, few enough that the buffers stay small (at
-# n = 100, 257 rows of 101 doubles and a kernel's 512 difference rows are
-# 600 kB).
+# n = 100, 257 rows of 101 doubles and a kernel's 512 difference rows of
+# as many are 620 kB).
 ERROR_BLOCK = 256
 
 # A map with a kernel is stepped in blocks of min(ERROR_BLOCK,
@@ -134,9 +134,11 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     them in place; for an ``augmented`` walk the buffer is n + 1 wide, its
     last column is set to 1 once, and ``iterates`` are the rows' first n
     columns, else they are the rows.  The block's consecutive-row
-    differences, then, given ``ref``, its iterates' differences to it, are
-    written into one preallocated (2 * span, n) buffer, and one stack norm
-    of them gives the block's residuals and errors.  One numpy pass over the
+    differences, then, given ``ref``, its rows' differences to it ([ref; 1]
+    for an augmented walk), are written into one preallocated buffer of
+    2 * span rows as wide as the buffer's, each a subtraction of adjacent
+    elements, and one stack norm of their first n columns, read in place,
+    gives the block's residuals and errors.  One numpy pass over the
     residuals flags the steps where the stop rule can act (a non-finite
     residual, one above the guard, or one at ``res_tol``), and the scalar
     rule reads the flagged steps in step order, so the run ends where a
@@ -218,7 +220,8 @@ def _run(op, x, max_iter, res_tol, ref, dist):
 
     A map with a block kernel ``walk`` writes a block in place in one call,
     and its residuals and errors to ``ref`` are one stack norm of one
-    difference buffer per block; any other map is called once a step, and
+    difference buffer per block, whose rows are whole buffer rows minus
+    whole buffer rows or [ref; 1]; any other map is called once a step, and
     its errors are one stack norm per block.  An ``augmented`` walk's rows
     are n + 1 wide and end in a 1, set once here; the iterates are the
     rows' first n columns, whatever the width.  Returns the last iterate,
@@ -235,9 +238,12 @@ def _run(op, x, max_iter, res_tol, ref, dist):
     views = list(rows)  # row views, indexed without numpy's dispatch
     heads = list(iterates) if augmented else views  # the iterates
     if walk is not None:
-        # a block's residuals, then its errors to ref, stacked
+        # a block's residuals, then its errors to ref, stacked, as differences
+        # of whole rows: an augmented row's trailing 1 takes away that of the
+        # row before it, or of [ref; 1], and the norm reads the first n columns
         stacked = 1 if ref is None else 2
-        diffs = np.empty((stacked * (len(rows) - 1), n))
+        diffs = np.empty((stacked * (len(rows) - 1), rows.shape[1]))
+        wide_ref = np.append(ref, 1.0) if augmented and ref is not None else ref
     residuals = []
     errors = None if ref is None else [dist(iterates[:1] - ref)]
     fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
@@ -247,11 +253,11 @@ def _run(op, x, max_iter, res_tol, ref, dist):
         if walk is not None:
             span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
             walk(views[:span], heads[1:span + 1])
-            steps = iterates[1:span + 1]
-            np.subtract(steps, iterates[:span], out=diffs[:span])
+            steps = rows[1:span + 1]
+            np.subtract(steps, rows[:span], out=diffs[:span])
             if ref is not None:
-                np.subtract(steps, ref, out=diffs[span:2 * span])
-            norms = dist(diffs[:stacked * span])
+                np.subtract(steps, wide_ref, out=diffs[span:2 * span])
+            norms = dist(diffs[:stacked * span, :n])
             r = norms[:span]
             if k == 0:
                 guard = DIVERGENCE_FACTOR * (1.0 + float(r[0]))

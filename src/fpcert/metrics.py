@@ -150,16 +150,17 @@ def _matvec(mat, x, out=None):
     into ``out`` when given: a C-contiguous float array of the image's
     shape that shares no memory with ``x``.
 
-    The input is made C-contiguous first (free for a fresh array).  A vector
-    then goes through ``mat.dot(x)`` and a stack through a (k, 1, n) batched
-    product; both make one BLAS matrix-vector product per vector, the same
-    for every layout of ``x`` and ``mat``, with ``out`` or without, so a
-    row's image is bit-identical to its vector image.  ``.dot`` on a strided
-    vector would take another kernel, and a plain (k, n) @ (n, m) product
-    picks its BLAS kernel by stack height, so a row's value would depend on
-    the rows around it.
+    The input is passed through :func:`_unit_rows` first, so each vector's
+    elements are adjacent (free for a fresh array, and for the n-column
+    view of a wider stack).  A vector then goes through ``mat.dot(x)`` and
+    a stack through a (k, 1, n) batched product; both make one BLAS
+    matrix-vector product per vector, the same for every layout of ``x``
+    and ``mat``, with ``out`` or without, so a row's image is bit-identical
+    to its vector image.  ``.dot`` on a strided vector would take another
+    kernel, and a plain (k, n) @ (n, m) product picks its BLAS kernel by
+    stack height, so a row's value would depend on the rows around it.
     """
-    x = np.ascontiguousarray(x)
+    x = _unit_rows(x)
     if x.ndim == 1:
         return mat.dot(x, out=out)
     if out is None:
@@ -168,17 +169,26 @@ def _matvec(mat, x, out=None):
     return out
 
 
+def _unit_rows(x):
+    """``x`` if each of its rows is a run of adjacent elements, else its
+    C-contiguous copy.  Numpy hands such rows, however far apart, to the
+    same unit-stride BLAS ``dot`` and matrix-vector kernels as a contiguous
+    stack's, so the n-column view of a wider buffer needs no copy."""
+    return x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
+
+
 def _euclidean(x):
     """``np.linalg.norm`` of a vector, or of each row of a (k, n) stack.
 
     A vector's norm is evaluated as ``np.linalg.norm`` does it, the square
     root of the contiguous vector's ``dot`` with itself, without that
     function's dispatch; so the two agree bit for bit.  A stack's row
-    squares come from a (k, 1, n) @ (k, n, 1) product of the contiguous
-    stack, which numpy evaluates with that same BLAS ``dot`` once per row;
-    so a row's norm is its vector norm bit for bit.  A one-column stack
-    takes its row squares as ``x * x``, the one product such a ``dot``
-    makes, without a BLAS call per row.  A norm that is infinite, or below
+    squares come from a (k, 1, n) @ (k, n, 1) product of the stack, its
+    rows made runs of adjacent elements by :func:`_unit_rows`, which numpy
+    evaluates with that same BLAS ``dot`` once per row; so a row's norm is
+    its vector norm bit for bit.  A one-column stack takes its row squares
+    as ``x * x``, the one product such a ``dot`` makes, without a BLAS call
+    per row.  A norm that is infinite, or below
     ``_TINY_NORM``, of a finite nonzero vector only had its squares overflow
     or underflow, and is re-evaluated as s |x / s| with s its largest
     |x_i|; a stack sends just those rows through that rule, all at once, and
@@ -191,7 +201,7 @@ def _euclidean(x):
         if not _TINY_NORM <= r < math.inf:
             return float(_euclidean(x[None])[0])
         return r
-    x = np.ascontiguousarray(x)
+    x = _unit_rows(x)
     r = np.sqrt(_row_squares(x))
     # rows outside the band, NaN ones too; the common one is a zero row,
     # which one any() over them all clears
@@ -206,8 +216,9 @@ def _euclidean(x):
 
 
 def _row_squares(x):
-    """The squared Euclidean norm of each row of a contiguous (k, n) stack,
-    each the one BLAS ``dot`` of a vector, or ``x * x`` for n = 1."""
+    """The squared Euclidean norm of each row of a (k, n) stack whose rows
+    are runs of adjacent elements, each the one BLAS ``dot`` of a vector, or
+    ``x * x`` for n = 1."""
     if x.shape[-1] == 1:
         return (x * x)[..., 0]
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]

@@ -433,6 +433,41 @@ class TestEstimateMu:
         assert estimate_mu(affine(2.0, [0.0]), 1.0, plan=SamplingPlan(seed=11)) == 0.0
 
 
+MIN_GAMMA_KINDS = ["affine-l1", "least-squares", "affine-weighted", "mu-below-one",
+                   "overflowing-powers", "hi-never-moves"]
+
+
+def min_gamma_claim(kind, seed):
+    """(op, mu, norm, plan, bracket) of an estimate_min_gamma claim whose
+    bracket is valid at every seed."""
+    rng = np.random.default_rng([41, seed])
+    plan = SamplingPlan(n_pairs=40, seed=seed)
+    if kind == "affine-l1":
+        op = affine(rng.uniform(0.3, 0.7), rng.standard_normal(3))
+        return op, 1.2, L1, plan, (0.1, 2.0)
+    if kind == "least-squares":
+        problem = least_squares_problem(rng.standard_normal((8, 5)),
+                                        rng.standard_normal(8))
+        op = build_operator(problem, beta=1.0 / problem.lipschitz)
+        return op, 1.0, L2, plan, (0.1, 2.0)
+    if kind == "affine-weighted":
+        g = rng.standard_normal((4, 4))
+        spec = weighted_norm(g @ g.T + 4.0 * np.eye(4))
+        op = affine(rng.uniform(0.5, 0.9), rng.standard_normal(4))
+        return op, 1.2, spec, plan, (0.1, 2.0)
+    if kind == "mu-below-one":
+        plan = SamplingPlan(n_pairs=150, radius_scales=(0.1, 1.0, 10.0, 1e3, 1e4),
+                            seed=seed)
+        return soft_threshold_op(), 0.5, L2, plan, (0.1, 2.0)
+    if kind == "overflowing-powers":
+        # the powers of the rows at 1e200 overflow from gamma = 1.54 on, so
+        # the steps near the least exponent, log2(3), repair NaN slacks
+        plan = SamplingPlan(n_pairs=40, radius_scales=(1.0, 1e200), seed=seed)
+        return affine(0.5, np.zeros(3)), 2.0, L2, plan, (0.1, 2.05)
+    # GAN holds on the halving map from gamma = 1 on, so every step fails
+    return affine(0.5, rng.standard_normal(2)), 1.0, L2, plan, (0.5, 1.0005)
+
+
 class TestEstimateMinGamma:
     def test_halving_map_threshold_at_one(self):
         # 2 * 0.5^g <= 1 exactly when g >= 1, independent of the pair
@@ -516,16 +551,39 @@ class TestEstimateMinGamma:
             assert len(calls) == per_claim
             assert all(len(shape) == 2 for shape in calls)
 
-    def test_certificate_equals_certify_at_the_exponent(self):
-        op = soft_threshold_op()
-        plan = SamplingPlan(n_pairs=150, radius_scales=(0.1, 1.0, 10.0, 1e3, 1e4),
-                            seed=14)
-        est, cert = estimate_min_gamma(op, 0.5, plan=plan, bracket=(0.1, 2.0),
-                                       return_certificate=True)
-        direct = certify(op, "gan", {"gamma": est, "mu": 0.5}, plan=plan)
-        assert cert.min_slack == direct.min_slack
-        np.testing.assert_array_equal(cert.witness_x, direct.witness_x)
-        np.testing.assert_array_equal(cert.witness_y, direct.witness_y)
+    @pytest.mark.parametrize("kind", MIN_GAMMA_KINDS)
+    def test_certificate_equals_certify_at_the_exponent(self, kind):
+        # the certificate is read off the last passing step, not evaluated
+        # again; at seed 9 the last step evaluated fails in every case
+        for seed in (9, 14):
+            op, mu, spec, plan, bracket = min_gamma_claim(kind, seed)
+            est, cert = estimate_min_gamma(op, mu, spec, plan, bracket,
+                                           return_certificate=True)
+            if kind == "hi-never-moves":
+                assert est == bracket[1]
+            direct = certify(op, "gan", {"gamma": est, "mu": mu}, spec, plan)
+            assert cert.min_slack == direct.min_slack
+            assert cert.witness_x.tobytes() == direct.witness_x.tobytes()
+            assert cert.witness_y.tobytes() == direct.witness_y.tobytes()
+            assert cert.n_checked == direct.n_checked
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", MIN_GAMMA_KINDS)
+    def test_bisection_equals_a_loop_of_certify(self, kind, seed):
+        op, mu, spec, plan, bracket = min_gamma_claim(kind, seed)
+        lo, hi = bracket
+
+        def passes(gamma):
+            return certify(op, "gan", {"gamma": gamma, "mu": mu}, spec, plan).passed
+
+        assert passes(hi) and not passes(lo)
+        while hi - lo > 1e-3:
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert estimate_min_gamma(op, mu, spec, plan, bracket) == hi
 
     def test_small_mu_certificate_carries_heuristic_note(self):
         est, cert = estimate_min_gamma(

@@ -303,7 +303,8 @@ def cli_calls(text):
 
 def test_ci_runs_the_installed_cli_at_most_three_times():
     # tier-1 pins each CLI behaviour; CI adds one installed smoke run:
-    # fpcert --help and an inline solve run twice
+    # fpcert --help and an inline rates run twice, whose trace and sampled
+    # checks must match byte for byte
     assert len(cli_calls(WORKFLOW.read_text(encoding="utf-8"))) <= 3
 
 
