@@ -452,29 +452,31 @@ def estimate_mu(op, gamma, norm_spec=L2, plan=None):
     returns the infimum, a finite float.  Pairs whose denominator is at
     most 1e-14 are skipped (they are fixed by the displacement map and carry
     no information); if every pair is skipped an EstimateError is raised.
-    Any nonpositive quotient collapses the estimate to 0.  The quotient is
-    homogeneous of degree 0, so where the least one is NaN or infinite,
-    its powers having overflowed, every such row is re-evaluated on its
-    norm triple divided by the triple's largest norm; a least quotient that
-    is still NaN or past the largest double raises EstimateError.
+    Any nonpositive quotient collapses the estimate to 0.  The powers are
+    one pass over the plan's (3, k) norm triple, and the quotients one
+    subtraction and one division over all its rows, of which the eligible
+    ones are kept.  The quotient is homogeneous of degree 0, so where the
+    least one is NaN or infinite, its powers having overflowed, every such
+    row is re-evaluated on its norm triple divided by the triple's largest
+    norm; a least quotient that is still NaN or past the largest double
+    raises EstimateError.
     """
     check_number("gamma", gamma)
     plan = plan or SamplingPlan()
     _, _, triple, _ = _sample(op, plan, norm_spec, points=False)
-    d, a, b = triple
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        denom = b**gamma
-        eligible = np.flatnonzero(denom > DENOMINATOR_CUTOFF)
-        if not eligible.size:
+        d, a, b = triple**gamma
+        eligible = b > DENOMINATOR_CUTOFF
+        if not eligible.any():
             raise EstimateError(
                 "operator is indistinguishable from the identity on all sampled pairs"
             )
-        quotients = (d[eligible] ** gamma - a[eligible] ** gamma) / denom[eligible]
+        quotients = ((d - a) / b)[eligible]
         low = float(np.min(quotients))
         if not low < math.inf:
-            rows = np.flatnonzero(~np.isfinite(quotients))
-            powers, _ = _unit_powers(triple, eligible[rows], gamma)
-            quotients[rows] = (powers[0] - powers[1]) / powers[2]
+            rows = ~np.isfinite(quotients)
+            unit, _ = _unit_powers(triple, np.flatnonzero(eligible)[rows], gamma)
+            quotients[rows] = (unit[0] - unit[1]) / unit[2]
             low = float(np.min(quotients))
     if not low < math.inf:
         raise EstimateError(

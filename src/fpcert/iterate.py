@@ -128,8 +128,9 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     once.  Every map runs through one loop: a block of steps at a time,
     each iterate written into the first n columns of the next row of one
     (min(ERROR_BLOCK, max_iter) + 1, n) buffer.  Only the block body
-    differs.  A map whose ``op.fn`` carries a block kernel ``walk`` (see
-    :mod:`fpcert.operators`) is handed the block's rows in one
+    differs.  A map whose ``op.fn`` carries a block kernel ``walk``, an
+    affine map with no stage or with componentwise shrinkage (see
+    :mod:`fpcert.operators`), is handed the block's rows in one
     ``walk(rows[:span], iterates[1:span + 1])`` call, which steps through
     them in place; for an ``augmented`` walk the buffer is n + 1 wide, its
     last column is set to 1 once, and ``iterates`` are the rows' first n
@@ -146,15 +147,15 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the
     kernel, which is pure, runs at most max(15, k / 8) steps past the
     stopping step k; their values are discarded, and an overflow among
-    them raises nothing.  Any other map is called once a step and never
-    past the stopping step: each step calls ``op.fn`` on x0's copy or on
-    its own last image, never on a row of the buffer, converts its output
-    to float, checks that it keeps the iterate's shape (else the operator's
-    named ``ValueError``), copies it into the next row, takes its residual
-    and reads the stop rule; the errors of the block's steps are one stack
-    norm against ``ref``.  Stack norms equal vector norms row by row, so
-    for every map residuals and errors equal a loop of ``op(x)`` and
-    ``metrics.norm`` bit for bit.
+    them raises nothing.  Any other map, a prox map, a composition or a user
+    callable, is called once a step and never past the stopping step: each
+    step calls ``op.fn`` on x0's copy or on its own last image, never on a
+    row of the buffer, converts its output to float, checks that it keeps
+    the iterate's shape (else the operator's named ``ValueError``), copies
+    it into the next row, takes its residual and reads the stop rule; the
+    errors of the block's steps are one stack norm against ``ref``.  Stack
+    norms equal vector norms row by row, so for every map residuals and
+    errors equal a loop of ``op(x)`` and ``metrics.norm`` bit for bit.
 
     Parameters
     ----------

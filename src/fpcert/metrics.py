@@ -145,26 +145,23 @@ def _norm_fn(spec, shape):
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
-def _matvec(mat, x, out=None):
-    """``mat @ x`` for a vector, and row by row for a (k, n) stack, written
-    into ``out`` when given: a C-contiguous float array of the image's
-    shape that shares no memory with ``x``.
+def _matvec(mat, x):
+    """``mat @ x`` for a vector, and row by row for a (k, n) stack.
 
     The input is passed through :func:`_unit_rows` first, so each vector's
     elements are adjacent (free for a fresh array, and for the n-column
     view of a wider stack).  A vector then goes through ``mat.dot(x)`` and
     a stack through a (k, 1, n) batched product; both make one BLAS
     matrix-vector product per vector, the same for every layout of ``x``
-    and ``mat``, with ``out`` or without, so a row's image is bit-identical
-    to its vector image.  ``.dot`` on a strided vector would take another
-    kernel, and a plain (k, n) @ (n, m) product picks its BLAS kernel by
-    stack height, so a row's value would depend on the rows around it.
+    and ``mat``, so a row's image is bit-identical to its vector image.
+    ``.dot`` on a strided vector would take another kernel, and a plain
+    (k, n) @ (n, m) product picks its BLAS kernel by stack height, so a
+    row's value would depend on the rows around it.
     """
     x = _unit_rows(x)
     if x.ndim == 1:
-        return mat.dot(x, out=out)
-    if out is None:
-        out = np.empty(x.shape[:-1] + mat.shape[:1])
+        return mat.dot(x)
+    out = np.empty(x.shape[:-1] + mat.shape[:1])
     np.matmul(x[..., None, :], mat.T, out=out[..., None, :])
     return out
 

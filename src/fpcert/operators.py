@@ -12,38 +12,27 @@ whatever stack it sits in.  A vector runs through the same code as a stack
 row, so every built-in gives a stack row the same bits as its vector image;
 ``TestStacks.test_stack_matches_vector_rows`` asserts this exactly.
 
-Every built-in map is written once, as an in-place kernel that is its
-``fn``: ``fn(x, out)`` writes T x into ``out``, a C-contiguous float array
-of x's shape that shares no memory with x, and returns it; ``fn(x)``
-returns T x in a fresh array, as a numpy ufunc does.  A kernel takes x as
-the float array that ``Operator.__call__`` hands it.  It is pure, reading
-nothing but x and the map's data, and reentrant: it keeps no scratch state
-between calls.  Its block kernel ``fn.walk(xs, outs)`` writes T ``xs[j]``
-into ``outs[j]`` for j in order, each a C-contiguous (n,) float vector
-sharing no memory with its ``xs[j]``, so ``outs[j]`` may be ``xs[j + 1]``.
-A walk marked ``augmented`` reads each ``xs[j]`` as [x; 1], n + 1 wide
-with a trailing 1 that its caller sets, and writes the n-wide ``outs[j]``,
-which may be the first n entries of ``xs[j + 1]``.
-:func:`fpcert.iterate.picard` steps a map with a ``walk`` a block of rows
-of its buffer at a time.  ``walk`` gives each row the bytes of
-``fn(x, out)``.  Every affine product x -> L x + c of a built-in map, a
-scale, a diagonal or a matrix L, goes through the one kernel ``_affine``,
-which then runs the map's stage, if any, in place on its output, so each
-map of :func:`fpcert.problems.build_operator` is one ``_affine`` kernel.
-A scale or a diagonal L is a product into the output and an in-place
-add; a matrix L is stored as [L | c], and its image is one BLAS
-matrix-vector product with [x; 1], so its ``walk`` is ``augmented``.
-The ``walk`` is one loop over the rows with the product bound once, and
-with the componentwise shrinkage of a stage written into that loop,
-clipping into one scratch row per ``walk`` call; any other stage is
-called on each row in place.
+Every built-in map is written once, as a kernel that is its ``fn``:
+``fn(x)`` returns T x in a fresh array.  A kernel is pure, reading nothing
+but x and the map's data, and reentrant.  Every affine product
+x -> L x + c of a built-in map, a scale, a diagonal or a matrix L, goes
+through the one kernel ``_affine``, which then runs the map's stage, if
+any, in place on its output; a matrix L is stored as [L | c], and its
+image is one BLAS matrix-vector product with [x; 1].  Only a stage kernel
+takes ``out``: a prox family's ``bind(t)`` is its kernel ``(x, out)`` at
+the scale t, its constants formed and checked once, and a family without
+``bind`` is bound through a kernel that copies its image.
 
-A built-in prox family is written once too, as ``fn.bind``: ``bind(t)`` is
-its map kernel ``(x, out)`` at the scale t, which also accepts ``out`` = x,
-and whose constants (the threshold ``t * lam``) are formed and checked
-once.  A map binds its family once, when it is built, so a step pays no
-per-scale work; a family without ``bind`` is bound through a kernel that
-copies its image, and a map built from it carries no ``walk``.
+Only an ``_affine`` map with no stage, or with the componentwise shrinkage
+as its stage or as its dual line's prox, carries a block kernel
+``fn.walk(xs, outs)``, which :func:`fpcert.iterate.picard` runs on a block
+of its buffer's rows at once.  It writes T ``xs[j]`` into ``outs[j]`` for
+j in order, each a C-contiguous (n,) float vector sharing no memory with
+its ``xs[j]``, so ``outs[j]`` may be ``xs[j + 1]``, with the bytes of
+``fn(x)``.  A walk marked ``augmented``, that of a matrix L, reads each
+``xs[j]`` as [x; 1], n + 1 wide with a trailing 1 that its caller sets,
+and writes the n-wide ``outs[j]``, which may be the first n entries of
+``xs[j + 1]``.
 
 The shrinkage and box kernels call numpy's ``clip`` ufunc itself, one pass,
 not the ``np.clip`` wrapper, which calls the same ufunc after a dispatch of
@@ -99,85 +88,65 @@ def _stackable(fn, *parts):
     return fn
 
 
-def _from_kernel(into, *families, walk=None):
-    """The map that the kernel ``into`` computes from the prox ``families``:
-    ``into`` itself, which declares stacks when each of them does and,
-    when each of them has a ``bind``, carries the block kernel
-    ``into.walk``: ``walk``, or else a loop of ``into`` over the rows.
-    """
-    if all(getattr(family, "bind", None) for family in families):
-        if walk is None:
-            def walk(xs, outs):
-                for x, out in zip(xs, outs):
-                    into(x, out)
-
-        into.walk = walk
-    return _stackable(into, *families)
-
-
 class _DualLine(NamedTuple):
     """The primal-dual map's stage, its dual line: on the coordinates n: of
     the affine image s, the new dual block eta * (s - prox(s)), where
-    ``prox`` is the kernel of the dual prox family at the scale 1/eta."""
+    ``prox`` is the kernel of the dual prox family at the scale 1/eta.
+    It rides only on a matrix product, that of the primal-dual map, and is
+    its own stage kernel ``(v, out)``, run as ``line(out, out)``."""
 
     n: int
     eta: float
     prox: Callable
 
-
-def _stage_kernel(stage):
-    """The in-place kernel ``(v, out)`` of an ``_affine`` stage: the stage
-    itself, or the dual line's kernel for a ``_DualLine``."""
-    if not isinstance(stage, _DualLine):
-        return stage
-    n, prox = stage.n, stage.prox
-    eta = np.array(stage.eta, dtype=float)  # a 0-d array, as in _soft
-
-    def dual(v, out):
-        s = out[..., n:]
+    def __call__(self, v, out):
+        s = out[..., self.n:]
         # s - (s - clip(s)), not clip(s): the two differ in the last bits
-        np.subtract(s, prox(s), out=s)
-        np.multiply(s, eta, out=s)
+        np.subtract(s, self.prox(s), out=s)
+        np.multiply(s, self.eta, out=s)
         return out
-
-    return dual
 
 
 def _affine(lin, shift, stage=None, *families):
-    """The map x -> stage(lin x + shift) as its kernel: the affine image
-    into the output, then the stage, if given, run in place on it.
-    ``lin`` is a 0-d scale, the (n,) diagonal of a diagonal matrix or an
-    (n, n) matrix.  A scale or a diagonal takes a product into the output
-    and an in-place add.  A matrix is stored once as the C-contiguous
-    n x (n + 1) matrix [lin | shift], and the image is its one BLAS
-    matrix-vector product with [x; 1], taken by ``_matvec`` on a copy of x
-    with a trailing 1, so the shift rides in the product.  The stage is the
+    """The map x -> stage(lin x + shift) as its kernel ``into(x)``: the
+    affine image into a fresh array, then the stage, if given, run in place
+    on it.  ``lin`` is a 0-d scale, the (n,) diagonal of a diagonal matrix
+    or an (n, n) matrix.  A scale or a diagonal takes a product and an
+    in-place add.  A matrix is stored once as the C-contiguous n x (n + 1)
+    matrix [lin | shift], and the image is its one BLAS matrix-vector
+    product with [x; 1], taken by ``_matvec`` on a copy of x with a
+    trailing 1, so the shift rides in the product.  The stage is the
     kernel of the prox ``families``, run as ``stage(out, out)``, or a
-    ``_DualLine``."""
-    kernel = _stage_kernel(stage)
+    ``_DualLine``.  It carries ``into.walk``, the block kernel of
+    :func:`_affine_walk`, when there is one.
+    """
     if lin.ndim == 2:
         lin = np.concatenate([lin, shift[:, None]], axis=1)
 
-        def into(x, out=None):
+        def into(x):
             x_one = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))  # [x; 1]
             x_one[..., :-1] = x
             x_one[..., -1] = 1.0
-            out = _matvec(lin, x_one, out)
-            return out if kernel is None else kernel(out, out)
+            out = _matvec(lin, x_one)
+            return out if stage is None else stage(out, out)
     else:
-        def into(x, out=None):
-            out = np.multiply(lin, x, out=out)
+        def into(x):
+            out = np.multiply(lin, x)
             out += shift
-            return out if kernel is None else kernel(out, out)
+            return out if stage is None else stage(out, out)
 
-    return _from_kernel(into, *families, walk=_affine_walk(lin, shift, stage, kernel))
+    walk = _affine_walk(lin, shift, stage)
+    if walk is not None:
+        into.walk = walk
+    return _stackable(into, *families)
 
 
-def _affine_walk(lin, shift, stage, kernel):
-    """The block kernel of ``_affine(lin, shift, stage)``, whose stage runs
-    as ``kernel`` and whose ``lin`` is stored as ``_affine`` stores it: one
-    loop over the rows making the numpy calls of the map's kernel on each,
-    in the same order.
+def _affine_walk(lin, shift, stage):
+    """The block kernel of ``_affine(lin, shift, stage)``, whose ``lin`` is
+    stored as ``_affine`` stores it: one loop over the rows making the numpy
+    calls of the map's kernel on each, in the same order; None for a stage
+    other than the componentwise shrinkage (a kernel with ``threshold``)
+    or the dual line of that shrinkage.
 
     For a matrix, ``lin`` is [lin | shift] and the walk is marked
     ``augmented``: each row ``xs[j]`` is [x; 1], n + 1 wide with a trailing
@@ -185,30 +154,25 @@ def _affine_walk(lin, shift, stage, kernel):
     the one product ``lin.dot(xs[j], outs[j])``.  For a scale or a diagonal
     it is ``np.multiply`` with ``lin`` and an in-place add of the shift, on
     n-wide rows.  The product is bound once, its ``out`` passed by
-    position, which a row needs no contiguous copy for.  A shrinkage
-    stage, the componentwise soft threshold as the stage or as the dual
-    line's prox, clips into one scratch row per call and subtracts; any
-    other stage is called as ``kernel(out, out)``.
+    position, which a row needs no contiguous copy for.  The shrinkage, as
+    the stage or as the dual line's prox, clips into one scratch row per
+    call and subtracts.  A dual line rides only on a matrix, so its body
+    adds no shift.
     """
+    line = stage if isinstance(stage, _DualLine) else None
+    bounds = getattr(stage if line is None else line.prox, "threshold", None)
+    if stage is not None and bounds is None:
+        return None
     augmented = lin.ndim == 2
     product = lin.dot if augmented else partial(np.multiply, lin)
     add = None if augmented else np.add
     subtract, multiply = np.subtract, np.multiply
-    line = stage if isinstance(stage, _DualLine) else None
-    bounds = getattr(stage if line is None else line.prox, "threshold", None)
     if stage is None:
         def walk(xs, outs):
             for x, out in zip(xs, outs):
                 product(x, out)
                 if add:
                     add(out, shift, out)
-    elif bounds is None:
-        def walk(xs, outs):
-            for x, out in zip(xs, outs):
-                product(x, out)
-                if add:
-                    add(out, shift, out)
-                kernel(out, out)
     elif line is None:
         low, high = bounds
 
@@ -228,8 +192,6 @@ def _affine_walk(lin, shift, stage, kernel):
             shrunk = np.empty(len(shift) - n)
             for x, out in zip(xs, outs):
                 product(x, out)
-                if add:
-                    add(out, shift, out)
                 s = out[n:]
                 _clip(s, low, high, shrunk)
                 subtract(s, shrunk, shrunk)  # the dual prox's image
@@ -240,7 +202,7 @@ def _affine_walk(lin, shift, stage, kernel):
 
 
 def _family(bind):
-    """The prox family whose map kernel at scale t is ``bind(t)``.
+    """The prox family whose stage kernel at scale t is ``bind(t)``.
 
     ``bind`` resolves every constant of the scale, and checks it, once; the
     family carries it as ``fn.bind``.  ``fn(t, x)`` is ``bind(t)(x, None)``
@@ -254,11 +216,12 @@ def _family(bind):
 
 
 def _bind(prox, scale):
-    """The map kernel ``(x, out)`` of the prox family ``prox`` at ``scale``.
+    """The stage kernel ``(x, out)`` of the prox family ``prox`` at ``scale``.
 
     It is the family's own binding, resolved once; else, for a callable
     without one, a kernel that writes the family's image after checking its
-    shape.
+    shape.  That copying kernel has no ``threshold``, so a map with it as
+    its stage carries no ``walk``.
     """
     bind = getattr(prox, "bind", None)
     if bind is not None:
@@ -435,9 +398,10 @@ def box_prox(lower, upper):
 
 
 def prox_operator(prox, scale, dim, fixed_point_hint=None, label="prox"):
-    """Wrap a prox family at a fixed scale as an Operator."""
+    """Wrap a prox family at a fixed scale as an Operator, whose ``fn`` is
+    the family's stage kernel at ``scale``; it carries no ``walk``."""
     check_number("scale", scale)
-    return Operator(dim, _from_kernel(_bind(prox, scale), prox), fixed_point_hint, label)
+    return Operator(dim, _stackable(_bind(prox, scale), prox), fixed_point_hint, label)
 
 
 def identity(dim):

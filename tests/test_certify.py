@@ -649,6 +649,41 @@ class TestOverflowingScales:
         with pytest.raises(EstimateError, match="no finite mu estimate"):
             estimate_mu(affine(0.999, np.zeros(3)), 400)
 
+    @pytest.mark.parametrize("plan", [
+        SamplingPlan(n_pairs=100, seed=3),
+        SamplingPlan(n_pairs=50, radius_scales=(1.0, 1e150, 1e200), seed=4)],
+        ids=["regular", "overflowing"])
+    @pytest.mark.parametrize("kind", ["affine", "least-squares", "separable",
+                                      "block-shrinkage"])
+    def test_estimate_mu_equals_a_three_pass_quotient(self, kind, plan):
+        # the quotient of three separate power passes over the eligible
+        # rows, repaired at unit scale where it is not finite, bit for bit;
+        # on the overflowing plan the powers overflow from gamma 1.54 on
+        rng = np.random.default_rng(61)
+        design = rng.standard_normal((20, 10))
+        op, spec = {
+            "affine": (affine(0.5, rng.standard_normal(10)), L1),
+            "least-squares": (build_operator(least_squares_problem(design, np.ones(20))),
+                              L2),
+            "separable": (build_operator(separable_smooth_l1_problem(
+                rng.uniform(0.5, 2.0, 10), rng.standard_normal(10), 0.3)), L1),
+            "block-shrinkage": (prox_operator(l2_prox(0.5), 1.0, 10), L2),
+        }[kind]
+        xs, ys = sample_pairs(plan, op.dim, op.fixed_point_hint)
+        d, a, b = _triples(op, xs, ys, spec)
+        for gamma in (0.25, 1.0, 2.0, 3.7, 7.3):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                denom = b**gamma
+                eligible = denom > 1e-14
+                quotients = (d[eligible] ** gamma - a[eligible] ** gamma) / denom[eligible]
+                bad = ~np.isfinite(quotients)
+                ds, as_, bs = d[eligible][bad], a[eligible][bad], b[eligible][bad]
+                s = np.maximum(np.maximum(ds, as_), bs)
+                quotients[bad] = ((ds / s) ** gamma - (as_ / s) ** gamma) / (bs / s) ** gamma
+            low = float(np.min(quotients))
+            expected = 0.0 if low <= 0.0 else low
+            assert estimate_mu(op, gamma, spec, plan).hex() == expected.hex()
+
     def test_contractive_slack_where_squares_underflow(self):
         # |x-y|^2 underflows at 1e-170; the slack 0.4 d - 0.5 d is negative
         op = affine(0.5, np.zeros(3))

@@ -241,6 +241,38 @@ def test_product_write_check_sees_makedirs_and_report_writers():
                                       (6, "_run_region"), (8, None)]
 
 
+def walk_assignments(source):
+    """(line, enclosing top-level definition or None) of each assignment to
+    an attribute named ``walk``, a target of a tuple included."""
+    return sorted(
+        (node.lineno, getattr(top, "name", None))
+        for top in ast.parse(source).body for node in ast.walk(top)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Attribute) and leaf.attr == "walk"
+    )
+
+
+def test_operators_give_maps_a_walk_in_one_place():
+    # a block kernel is a second copy of its map's arithmetic; _affine alone
+    # hands one out, so no other map grows a walk that no run steps
+    source = Path(fpcert.__file__).with_name("operators.py").read_text(encoding="utf-8")
+    assert {top for _, top in walk_assignments(source)} == {"_affine"}
+
+
+def test_walk_check_sees_walks_assigned_anywhere():
+    source = ("def _affine(lin):\n"
+              "    into.walk = _affine_walk(lin)\n"
+              "def prox_operator(prox):\n"
+              "    def inner():\n"
+              "        fn.walk, fn.label = walk, 'prox'\n"
+              "    fn.takes_stacks = True\n"
+              "    walk = None\n"
+              "identity.walk: object = None\n")
+    assert walk_assignments(source) == [(2, "_affine"), (5, "prox_operator"), (8, None)]
+
+
 def usage_error_handlers(source):
     """(line, enclosing top-level definition or None) of each ``except``
     handler with a ``raise`` of ``UsageError`` anywhere in its body."""

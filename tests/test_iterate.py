@@ -29,10 +29,13 @@ from fpcert.iterate import (
 from fpcert.metrics import L1, L2, norm, primal_dual_metric, weighted_norm
 from fpcert.operators import (
     Operator,
+    _bind,
     affine,
+    box_prox,
     gradient_step,
     identity,
     l1_prox,
+    l2_prox,
     prox_operator,
     proximal_gradient,
 )
@@ -43,7 +46,7 @@ from fpcert.problems import (
     least_squares_problem,
     separable_smooth_l1_problem,
 )
-from helpers import assert_same_text, run_child
+from helpers import assert_same_text, run_child, stage_maps
 
 
 class TestPicard:
@@ -178,6 +181,41 @@ def counted(op):
     return Operator(op.dim, fn, label=op.label), calls
 
 
+def counting(prox, calls):
+    """The prox family ``prox`` with a ``bind`` whose kernels record each
+    call in ``calls``; a map built from it runs its stage once a step."""
+    def bind(t):
+        kernel = _bind(prox, t)
+
+        def into(x, out=None):
+            calls.append(1)
+            return kernel(x, out)
+
+        return into
+
+    def family(t, x):
+        return bind(t)(np.asarray(x, dtype=float))
+
+    family.bind = bind
+    return family
+
+
+def _walkless_maps(calls):
+    """The maps that carry no walk, by name, each stage counting its calls
+    in ``calls``: the stage maps but the two that walk, and a prox map of
+    each built-in family, whose l1 and l2 maps take thousands of steps to
+    absorb a start in [-3, 3]^5."""
+    def wrap(prox):
+        return counting(prox, calls)
+
+    maps = {name: Operator(dim, fn) for name, (fn, dim) in stage_maps(wrap).items()
+            if name not in ("stage_none_diagonal", "stage_soft_matrix")}
+    for name, prox in [("prox_l1", l1_prox(1e-3)), ("prox_l2", l2_prox(1e-3)),
+                       ("prox_box", box_prox(-1.0, 2.0))]:
+        maps[name] = prox_operator(wrap(prox), 1.0, 5)
+    return maps
+
+
 def _problem_ops():
     rng = np.random.default_rng(51)
     a = rng.standard_normal((20, 6))
@@ -279,6 +317,29 @@ class TestPicardMatchesReferenceLoop:
         for x, copy in zip(handed, copies):
             assert x.tobytes() == copy.tobytes()
         assert all(x is image for x, image in zip(handed[1:], images))
+
+    @pytest.mark.parametrize("stop", [StopReason.MAX_ITER, StopReason.RESIDUAL_TOL])
+    @pytest.mark.parametrize("name", sorted(_walkless_maps([])))
+    def test_map_without_a_walk_steps_exactly(self, name, stop):
+        # a map without a walk runs its stage once a step, never past the
+        # stopping step, with the bits of a loop of op(x); the tolerance
+        # stop lands past a block edge on the slower maps
+        calls = []
+        op = _walkless_maps(calls)[name]
+        rng = np.random.default_rng(55)
+        x0, ref = rng.uniform(-3.0, 3.0, op.dim), rng.standard_normal(op.dim)
+        residuals, errors = reference_loop(op, x0, 10_000, 1e-9, ref, L2)
+        assert 1 < len(residuals) < 10_000 and residuals[-1] <= 1e-9
+        if stop is StopReason.MAX_ITER:
+            residuals, errors = residuals[:-1], errors[:-1]
+        del calls[:]
+        trace = picard(op, x0, len(residuals) if stop is StopReason.MAX_ITER else 10_000,
+                       1e-9, ref=ref)
+        assert trace.stop_reason is stop
+        assert trace.k_final == len(calls) == len(residuals)
+        assert trace.residuals.tobytes() == residuals.tobytes()
+        assert trace.errors_to_ref.tobytes() == errors.tobytes()
+        assert trace.x_final.tobytes() == reference_final(op, x0, len(residuals)).tobytes()
 
     @pytest.mark.parametrize("stop", [StopReason.MAX_ITER, StopReason.RESIDUAL_TOL])
     @pytest.mark.parametrize("k_final", [1, 15, 16, 17, ERROR_BLOCK - 1, ERROR_BLOCK,

@@ -10,8 +10,6 @@ from fpcert.metrics import L1, L2, NotPositiveDefiniteError, norm
 from fpcert.operators import (
     Operator,
     _affine,
-    _bind,
-    _DualLine,
     affine,
     block_soft_threshold,
     box_prox,
@@ -32,6 +30,8 @@ from fpcert.problems import (
     least_squares_problem,
     separable_smooth_l1_problem,
 )
+
+from helpers import stage_maps
 
 
 class TestOperatorType:
@@ -574,8 +574,8 @@ class TestStacks:
             identity(3)(np.ones((2, 2, 3)))
 
 
-# every built-in map and prox family with an in-place kernel, by the name of
-# its constructor; the maps of user callables carry none
+# every built-in map, by the name of its constructor; the maps of user
+# callables carry no kernel of their own
 KERNEL_MAPS = {name: STACK_CASES[name].fn for name in
                ["soft_threshold", "block_soft_threshold", "box_prox", "identity",
                 "affine", "build_least_squares", "build_separable", "build_analysis_l1"]}
@@ -583,6 +583,8 @@ KERNEL_MAPS["grad_f"] = least_squares_problem(
     np.random.default_rng(43).standard_normal((8, 5)), np.ones(8)).grad_f
 KERNEL_MAPS["grad_f_diagonal"] = separable_smooth_l1_problem(
     [0.5, 1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 0.5, 0.0, 2.0], 0.3).grad_f
+# the maps whose fn is a prox family's stage kernel (x, out)
+PROX_MAPS = ["soft_threshold", "block_soft_threshold", "box_prox"]
 KERNEL_FAMILIES = {"l1_prox": l1_prox(0.7), "l2_prox": l2_prox(0.7),
                    "box_prox": box_prox(-1.0, 2.0)}
 
@@ -599,45 +601,14 @@ def _kernel_stack(dim, seed):
     return xs
 
 
-def _with_prox(problem, prox):
-    """The map of ``problem`` built with the prox family ``prox`` instead."""
-    return build_operator(ProblemSpec(**{**vars(problem), "prox_g": prox}), hint=None).fn
-
-
-def _stage_maps():
-    """One ``_affine`` map for each kind of stage its walk steps through,
-    by name, with its dimension; the maps of KERNEL_MAPS add the rest."""
-    rng = np.random.default_rng(44)
-    n, m = 5, 3
-    separable = separable_smooth_l1_problem(rng.uniform(0.5, 2.0, n),
-                                            rng.standard_normal(n), 0.3)
-    least = least_squares_problem(rng.standard_normal((8, n)), rng.standard_normal(8))
-    analysis = analysis_l1_problem(rng.standard_normal((8, n)), rng.standard_normal(8),
-                                   0.5 * rng.standard_normal((m, n)) / np.sqrt(n), 0.3)
-
-    def user(t, x):  # the l1 prox's arithmetic, without bind
-        return soft_threshold(0.3 * t, x)
-
-    lin = rng.standard_normal((n + m, n + m)) / np.sqrt(n + m)
-    shift = rng.standard_normal(n + m)
-    return {
-        "stage_none_diagonal": (_with_prox(separable, None), n),
-        "stage_soft_matrix": (_with_prox(least, l1_prox(0.3)), n),
-        "stage_block_shrinkage": (_with_prox(separable, l2_prox(0.3)), n),
-        "stage_box": (_with_prox(separable, box_prox(-1.0, 2.0)), n),
-        "stage_user_family": (_affine(lin[:n, :n], shift[:n], _bind(user, 1.3)), n),
-        "stage_dual_block_shrinkage": (_with_prox(analysis, l2_prox(0.3)), n + m),
-        "stage_dual_user_family": (
-            _affine(lin, shift, _DualLine(n, 0.7, _bind(user, 1.0 / 0.7))), n + m),
-    }
-
-
-# every map with a block kernel, with its dimension: KERNEL_MAPS holds the
-# maps without a stage, with the soft threshold as the stage (build_separable)
-# and with the dual line of the soft threshold (build_analysis_l1)
-WALK_MAPS = {name: (fn, 8 if name == "build_analysis_l1" else 5)
-             for name, fn in KERNEL_MAPS.items()}
-WALK_MAPS.update(_stage_maps())
+# every map with a block kernel, with its dimension: the affine maps, the
+# maps of build_operator and grad_f from KERNEL_MAPS, and the stage maps with
+# no stage and with the soft threshold as the stage
+WALK_MAPS = {name: (KERNEL_MAPS[name], 8 if name == "build_analysis_l1" else 5)
+             for name in ["identity", "affine", "build_least_squares", "build_separable",
+                          "build_analysis_l1", "grad_f", "grad_f_diagonal"]}
+WALK_MAPS.update({name: stage for name, stage in stage_maps().items()
+                  if name in ("stage_none_diagonal", "stage_soft_matrix")})
 
 
 def _walk_rows(fn, xs):
@@ -649,24 +620,35 @@ def _walk_rows(fn, xs):
 
 
 class TestKernels:
-    def test_maps_of_user_callables_carry_no_kernel(self):
-        kernels = {name for name, op in STACK_CASES.items() if hasattr(op.fn, "walk")}
-        assert kernels == set(KERNEL_MAPS) - {"grad_f", "grad_f_diagonal"}
-        assert not any(hasattr(fn, "into") for fn in KERNEL_MAPS.values())
+    def test_exactly_the_maps_the_workloads_step_carry_a_walk(self):
+        # the gradient, l1 forward-backward and primal-dual maps walk; the
+        # prox maps, the other stages and the maps of user callables do not
+        maps = {name: op.fn for name, op in STACK_CASES.items()}
+        maps.update(KERNEL_MAPS)
+        maps.update({name: fn for name, (fn, _) in stage_maps().items()})
+        maps["user_callable"] = Operator(5, declared(lambda x: 0.5 * x)).fn
+        walking = {name for name, fn in maps.items() if hasattr(fn, "walk")}
+        assert walking == {"identity", "affine", "build_least_squares",
+                           "build_separable", "build_analysis_l1", "grad_f",
+                           "grad_f_diagonal", "stage_none_diagonal", "stage_soft_matrix"}
+        assert set(maps) - walking == {
+            "soft_threshold", "block_soft_threshold", "box_prox", "stage_box",
+            "stage_block_shrinkage", "stage_user_family", "stage_dual_block_shrinkage",
+            "stage_dual_user_family", "user_callable", "compose", "gradient_step",
+            "proximal_gradient", "primal_dual"}
+        assert not any(hasattr(fn, "into") for fn in maps.values())
 
     @pytest.mark.parametrize("name", sorted(WALK_MAPS))
     def test_walk_writes_the_bytes_of_a_kernel_loop(self, name):
-        # walk(xs, outs) and a loop of fn(x, out) over the same rows agree
-        # by bytes, zeros' signs included; outs start as NaN, so a walk that
+        # walk(xs, outs) and a loop of fn(x) over the same rows agree by
+        # bytes, zeros' signs included; outs start as NaN, so a walk that
         # leaves an entry unwritten fails
         fn, dim = WALK_MAPS[name]
         for seed in range(10):
             xs = _kernel_stack(dim, seed)
-            outs, loop = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
+            outs = np.full_like(xs, np.nan)
             assert fn.walk(list(_walk_rows(fn, xs)), list(outs)) is None
-            for x, out in zip(xs, loop):
-                assert fn(x, out) is out
-            assert outs.tobytes() == loop.tobytes()
+            assert outs.tobytes() == np.array([fn(x) for x in xs]).tobytes()
 
     @pytest.mark.parametrize("name", sorted(WALK_MAPS))
     def test_walk_steps_along_the_rows_it_writes(self, name):
@@ -684,34 +666,13 @@ class TestKernels:
                 assert row.tobytes() == x.tobytes()
             assert (rows[:, dim:] == 1.0).all()
 
-    def test_walk_hands_a_dual_prox_without_bind_what_the_loop_does(self):
-        # the dual line's prox sees the dual block s of each row, the same
-        # bytes at the same scale in the same order as a loop of fn(x, out)
-        seen = []
-
-        def recording(t, s):
-            seen.append((t, s.tobytes()))
-            return soft_threshold(0.3 * t, s)
-
-        rng = np.random.default_rng(45)
-        fn = _affine(rng.standard_normal((8, 8)) / np.sqrt(8), rng.standard_normal(8),
-                     _DualLine(5, 0.7, _bind(recording, 1.0 / 0.7)))
-        xs = _kernel_stack(8, 3)
-        fn.walk(list(_walk_rows(fn, xs)), list(np.empty_like(xs)))
-        walked = seen[:]
-        del seen[:]
-        for x in xs:
-            fn(x, np.empty_like(x))
-        assert len(walked) == len(xs)
-        assert walked == seen
-
-    @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+    @pytest.mark.parametrize("name", PROX_MAPS)
     def test_kernel_writes_the_image_bit_for_bit(self, name):
-        # fn(x, out) and fn(x) agree by bytes, zeros' signs included, on
-        # stacks and on each row as a vector; out starts as NaN, so a kernel
-        # that leaves an entry unwritten fails
-        fn = KERNEL_MAPS[name]
-        dim = 8 if name == "build_analysis_l1" else 5
+        # a prox map's fn is a stage kernel: fn(x, out) and fn(x) agree by
+        # bytes, zeros' signs included, on stacks and on each row as a
+        # vector; out starts as NaN, so a kernel that leaves an entry
+        # unwritten fails
+        fn, dim = KERNEL_MAPS[name], 5
         for seed in range(10):
             xs = _kernel_stack(dim, seed)
             out = np.full_like(xs, np.nan)
@@ -724,9 +685,8 @@ class TestKernels:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
     def test_the_kernel_is_the_map(self, name):
-        # fn is the kernel itself, called without out, and carries its walk
+        # fn is the kernel itself, called without out
         fn = KERNEL_MAPS[name]
-        assert callable(fn.walk)
         dim = 8 if name == "build_analysis_l1" else 5
         op = STACK_CASES.get(name, Operator(dim, fn))
         assert op.fn is fn
