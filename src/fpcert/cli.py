@@ -328,7 +328,7 @@ def _resolve_target(config):
     elif problem is None or problem.b_mat is None:
         raise UsageError("field 'norm': 'w' needs an analysis_l1 problem")
     else:
-        norm_spec = primal_dual_metric(beta, eta, problem.b_mat).norm_spec()
+        norm_spec = primal_dual_metric(beta, eta, problem.b_mat)
     steps = {name: float(value) for name, value in (("beta", beta), ("eta", eta))
              if value is not None}
     return op, problem, norm_spec, steps

@@ -267,15 +267,13 @@ def cholesky_factor(m):
     return low
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedMetric:
-    """A symmetric PD matrix together with its lower-triangular factor."""
-
-    weight: np.ndarray
-    factor: np.ndarray
+class WeightedMetric(NormSpec):
+    """The weighted norm of the primal-dual metric, which
+    :func:`primal_dual_metric` returns; ``norm_spec()`` is the object
+    itself."""
 
     def norm_spec(self):
-        return NormSpec("weighted", self.weight, self.factor)
+        return self
 
 
 def primal_dual_metric(beta, eta, b_mat):
@@ -285,7 +283,8 @@ def primal_dual_metric(beta, eta, b_mat):
     ``-B`` couplings.  Positive definiteness is verified by attempting the
     factorization; failure names the pivot, which signals an inadmissible
     step-size pair.  The coupling blocks are exact transposes, so the
-    matrix is symmetric as assembled.
+    matrix is symmetric as assembled.  The result is the norm it induces,
+    a ``"weighted"`` NormSpec holding the matrix and its Cholesky factor.
     """
     check_number("beta", beta)
     check_number("eta", eta)
@@ -296,8 +295,7 @@ def primal_dual_metric(beta, eta, b_mat):
     w[n:, n:] = np.eye(m) / eta
     w[:n, n:] = -b.T
     w[n:, :n] = -b
-    factor = cholesky_factor(w)
-    return WeightedMetric(w, factor)
+    return WeightedMetric("weighted", w, cholesky_factor(w))
 
 
 def read_matrix(path):

@@ -79,6 +79,15 @@ class ProblemSpec:
         return operators._affine(h, -g)
 
 
+def _product(a, b):
+    """``a @ b`` for a matrix ``a`` and a matrix or vector ``b``, by numpy's
+    own sum-of-products loop (``np.einsum`` without ``optimize``), which
+    makes no BLAS call; so its bits do not depend on the BLAS thread count,
+    as a BLAS product's do for shapes that BLAS splits.  Every product that
+    builds a problem or its map goes through here."""
+    return np.einsum("ij,j...->i...", a, b)
+
+
 def _data_fit(a_mat, b):
     """The design matrix and right-hand side of a data-fit term, checked."""
     a = np.asarray(a_mat, dtype=float)
@@ -135,14 +144,14 @@ def least_squares_problem(a_mat, b):
             f"from {s[0]:.3e} down to {s[-1]:.3e}"
         )
 
-    ub = u.T @ b
+    ub = _product(u.T, b)
     return ProblemSpec(
         kind="least_squares",
         lipschitz=_square("Lipschitz constant |A|_2^2", s[0]),
         lower_lipschitz=float(s[-1]) ** 2,
-        exact_solution=vt.T @ (ub / s),
+        exact_solution=_product(vt.T, ub / s),
         dims=(n, 0),
-        quadratic=((vt.T * s**2) @ vt, vt.T @ (s * ub)),
+        quadratic=(_product(vt.T * s**2, vt), _product(vt.T, s * ub)),
         label=f"least-squares[{rows}x{n}]",
     )
 
@@ -208,7 +217,7 @@ def analysis_l1_problem(a_mat, b, b_mat, lam):
         b_mat=b_coupling,
         b_norm=b_norm,
         dims=(a.shape[1], b_coupling.shape[0]),
-        quadratic=(a.T @ a, a.T @ b),
+        quadratic=(_product(a.T, a), _product(a.T, b)),
         label=f"analysis-l1[{a.shape[1]}+{b_coupling.shape[0]}]",
     )
 
@@ -313,8 +322,9 @@ def build_operator(problem, beta=None, eta=None, hint="auto"):
         lin = np.diag(lin) if lin.ndim == 1 else lin  # a diagonal H as its matrix
         lin = np.block([
             [lin, -beta * b.T],
-            [b @ (2.0 * lin - np.eye(n)), np.eye(m) / eta - 2.0 * beta * (b @ b.T)]])
-        shift = np.concatenate([shift, 2.0 * (b @ shift)])
+            [_product(b, 2.0 * lin - np.eye(n)),
+             np.eye(m) / eta - 2.0 * beta * _product(b, b.T)]])
+        shift = np.concatenate([shift, 2.0 * _product(b, shift)])
         steps = f"primal-dual(beta={beta:g}, eta={eta:g})"
         stage = operators._DualLine(n, eta, operators._bind(prox, 1.0 / eta))
     elif prox is not None:

@@ -610,6 +610,29 @@ class TestFpRatio:
         with pytest.raises(EstimateError, match="coincided with the fixed point"):
             estimate_fp_ratio(affine(0.5, [1.0, 0.0]), plan=plan)
 
+    def test_ratio_is_taken_over_the_points_kept(self):
+        op, hint = affine(0.5, [1.0, -2.0, 0.5]), np.array([2.0, -4.0, 1.0])
+        kept = sample_points(PARTLY_AT_THE_HINT, 3, hint)[40:]
+        assert estimate_fp_ratio(op, plan=PARTLY_AT_THE_HINT) == max(
+            norm(op(x) - hint) / norm(x - hint) for x in kept)
+
+
+# the first 40 points, at radius 1e-20, equal the hint (2, -4, 1) of
+# affine(0.5, [1, -2, 0.5]) in floats and are dropped; the 40 at radius 1 are kept
+PARTLY_AT_THE_HINT = SamplingPlan(n_pairs=40, radius_scales=(1e-20, 1.0), seed=3)
+
+
+class TestPointsAtTheHint:
+    @pytest.mark.parametrize("prop, params, passed", [
+        ("fp_contractive", {"rho": 0.5 + 1e-9}, True),
+        ("holder_regular", {"gamma": 1.0, "mu": 1.9}, False),
+    ])
+    def test_are_dropped_and_the_rest_checked(self, prop, params, passed):
+        op = affine(0.5, [1.0, -2.0, 0.5])
+        cert = certify(op, prop, params, plan=PARTLY_AT_THE_HINT)
+        assert (cert.n_skipped, cert.n_checked, cert.passed) == (40, 40, passed)
+        assert cert.recompute_slack(op) == cert.min_slack
+
 
 class TestOverflowingScales:
     # at these scales the squares of the sampled distances overflow a double

@@ -239,6 +239,24 @@ class TestRatesCommand:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_sandwich_of_a_slow_polynomial_tail(self, tmp_path):
+        # the gamma-2 mu estimate of this problem is 1.0000000005, so only
+        # the mu <= 1 gate skips the sandwich, which would FAIL at mu = 1;
+        # its lower bound needs an exponent-1 mu, which --gamma 1 estimates
+        # (0.0316), and there it runs and passes
+        write_config(tmp_path / "problem.json", {
+            "kind": "separable_smooth_l1", "coeffs": [1, 0.0005], "b": [3, 5],
+            "lambda": 0.001})
+        cfg = write_config(tmp_path / "run.json",
+                           {"problem": "problem.json", "model": "polynomial"})
+        checks = []
+        for args in ([], ["--gamma", "1"]):
+            out = tmp_path / f"out{len(args)}"
+            assert main(["rates", "--config", cfg, "--out", str(out), *args]) == EXIT_OK
+            checks.append(json.loads((out / "checks.json").read_text()))
+        assert [c["summability"]["verdict"] for c in checks] == ["PASS", "PASS"]
+        assert checks[1]["sandwich"]["verdict"] == "PASS"
+
     def test_mu_estimate_of_zero_records_fail(self, tmp_path):
         # the step-size boundary scenario: an expansive map leaves no mu > 0
         write_config(tmp_path / "op.json",

@@ -273,6 +273,45 @@ def test_walk_check_sees_walks_assigned_anywhere():
     assert walk_assignments(source) == [(2, "_affine"), (5, "prox_operator"), (8, None)]
 
 
+PRODUCT_CALL = re.compile(r"\.dot$|(^|\.)(np|numpy)\.(matmul|inner)$")
+
+
+def matrix_products(source):
+    """(line, enclosing top-level definition or None) of each matrix
+    product: an ``@`` or ``@=``, a ``.dot`` call, method or ``np.dot``, and
+    ``np.matmul`` and ``np.inner``."""
+    return sorted(
+        (node.lineno, getattr(top, "name", None))
+        for top in ast.parse(source).body for node in ast.walk(top)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Call) and PRODUCT_CALL.search(ast.unparse(node.func))
+    )
+
+
+def test_problems_multiply_in_one_place():
+    # one product path: _product alone multiplies in problems.py, so no
+    # constructor's bits depend on which BLAS kernel or thread count runs
+    source = Path(fpcert.__file__).with_name("problems.py").read_text(encoding="utf-8")
+    assert [call for call in matrix_products(source) if call[1] != "_product"] == []
+
+
+def test_product_check_sees_matmul_dot_matmul_and_inner():
+    source = ("import numpy as np\n"
+              "def _product(a, b):\n"
+              "    return a @ b\n"
+              "def least(a, u):\n"
+              "    h = np.einsum('ij,jk->ik', a, a)\n"
+              "    u @= a\n"
+              "    return u.T.dot(b), np.dot(a, b)\n"
+              "class Spec:\n"
+              "    def grad(self):\n"
+              "        return numpy.matmul(self.h, self.x) + np.inner(x, x)\n"
+              "inner(a)\n"
+              "w = a.T @ a\n")
+    assert matrix_products(source) == [(3, "_product"), (6, "least"), (7, "least"),
+                                       (7, "least"), (10, "Spec"), (10, "Spec"), (12, None)]
+
+
 def usage_error_handlers(source):
     """(line, enclosing top-level definition or None) of each ``except``
     handler with a ``raise`` of ``UsageError`` anywhere in its body."""
@@ -335,8 +374,8 @@ def cli_calls(text):
 
 def test_ci_runs_the_installed_cli_at_most_three_times():
     # tier-1 pins each CLI behaviour; CI adds one installed smoke run:
-    # fpcert --help and an inline rates run twice, whose trace and sampled
-    # checks must match byte for byte
+    # fpcert --help and an inline rates run twice, whose trace, rate fit and
+    # sampled checks must match byte for byte
     assert len(cli_calls(WORKFLOW.read_text(encoding="utf-8"))) <= 3
 
 

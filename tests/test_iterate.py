@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,6 +644,15 @@ print(" ".join("-" if b is None else float(b).hex() for b in bits))
 """
 
 
+# a child's program: fpcert's command line on each argument list of the JSON
+# list it is given, printing the exit codes
+CLI_RUNS_SCRIPT = """
+import json, sys
+from fpcert.cli import main
+print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
 class TestBlasThreadCount:
     def test_fits_have_the_same_bits_at_one_and_two_threads(self):
         # a BLAS dot product over 20 000 points is split across threads, and
@@ -656,26 +666,41 @@ class TestBlasThreadCount:
         assert outputs[0] == outputs[1]
 
     def test_solve_trace_has_the_same_bytes_at_one_and_two_threads(self, tmp_path):
-        # a 120x100 design matrix is large enough for OpenBLAS to split some
-        # products across threads and round them differently at each thread
-        # count, A^T A by syrk among them; the map and its steps take none.
-        # rates runs the map's 100x101 product [I - beta H | beta g] on
-        # [x; 1] in picard and on sampled stacks, and stacked block norms
-        a = np.vstack([2.0 * np.eye(100),
-                       0.3 * np.random.default_rng(7).standard_normal((20, 100))])
-        (tmp_path / "problem.json").write_text(json.dumps(
-            {"kind": "least_squares", "A": a.tolist(), "b": np.ones(120).tolist()}))
-        (tmp_path / "run.json").write_text(json.dumps({"problem": "problem.json"}))
+        # design matrices of (n + 20) x n are large enough for OpenBLAS to
+        # split some products across threads and round them differently at
+        # each thread count: from n = 101 the SVD-assembled A^T A of least
+        # squares, and at n = 100 the A^T A of analysis-l1; the problem
+        # constructors make no BLAS call.  rates runs the map's n x (n + 1) product
+        # [I - beta H | beta g] on [x; 1] in picard and on sampled stacks,
+        # and stacked block norms.  Every run is one child per thread count.
+        runs = []
+        for n, coupled in ((100, False), (101, False), (150, False), (100, True)):
+            name = f"{'analysis' if coupled else 'least'}{n}"
+            a = np.vstack([2.0 * np.eye(n),
+                           0.3 * np.random.default_rng(7).standard_normal((20, n))])
+            problem = {"kind": "least_squares", "A": a.tolist(), "b": np.ones(n + 20).tolist()}
+            run = {"problem": f"{name}.json"}
+            if coupled:
+                b_mat = np.random.default_rng(3).standard_normal((5, n))
+                problem.update({"kind": "analysis_l1", "B": b_mat.tolist(), "lambda": 0.1})
+                run["norm"] = "w"
+            (tmp_path / f"{name}.json").write_text(json.dumps(problem))
+            (tmp_path / f"{name}_run.json").write_text(json.dumps(run))
+            runs += [(name, command) for command in ("solve", "rates")]
         products = []
         for threads in (1, 2):
-            for command, names in (("solve", ["trace.csv"]),
-                                   ("rates", ["trace.csv", "rate_fit.json", "checks.json"])):
-                out = tmp_path / f"{command}{threads}"
-                code, _, err = run_child([command, "--config", str(tmp_path / "run.json"),
-                                          "--out", str(out)], threads=threads)
-                assert code == 0, err
-                products.append([(out / name).read_bytes() for name in names])
-        assert products[:2] == products[2:]
+            argvs = [[command, "--config", str(tmp_path / f"{name}_run.json"),
+                      "--out", str(tmp_path / f"{threads}" / f"{name}-{command}")]
+                     for name, command in runs]
+            code, out, err = run_child([json.dumps(argvs)], threads=threads,
+                                       program=CLI_RUNS_SCRIPT)
+            assert code == 0, err
+            assert json.loads(out) == [0] * len(runs)
+            products.append({(*run, path.name): path.read_bytes()
+                             for run, argv in zip(runs, argvs)
+                             for path in sorted(Path(argv[-1]).iterdir())})
+        assert len(products[0]) == 20 and products[0].keys() == products[1].keys()
+        assert [key for key in products[0] if products[0][key] != products[1][key]] == []
 
 
 class TestLittleOProxy:

@@ -21,6 +21,7 @@ from fpcert.problems import (
     separable_smooth_l1_problem,
     step_size_bounds,
 )
+from helpers import run_child
 
 MODERATE_PLAN = SamplingPlan(n_pairs=250, radius_scales=(0.1, 1.0, 10.0), seed=0)
 
@@ -262,6 +263,38 @@ class TestAnalysis:
             analysis_l1_problem(np.eye(3), np.ones(2), np.eye(3), 0.1)
         with pytest.raises(ValueError):
             analysis_l1_problem(np.eye(3), np.ones(3), np.ones((2, 4)), 0.1)
+
+
+# a child's program: for the analysis-l1 constructor's A^T A and for a
+# matrix-vector product, the SHA-256 of the _product bytes and whether they
+# are within k * eps * |a| |b| of BLAS's a @ b, as either sum of k products
+# is of the exact one
+PRODUCT_BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from fpcert.problems import _product
+rng = np.random.default_rng(12)
+a = rng.standard_normal((120, 100))
+for left, right in ((a.T, a), (rng.standard_normal((700, 700)), rng.standard_normal(700))):
+    product, blas = _product(left, right), left @ right
+    bound = 2 * left.shape[1] * np.finfo(float).eps * (np.abs(left) @ np.abs(right))
+    close = product.shape == blas.shape and np.all(np.abs(product - blas) <= bound)
+    print(hashlib.sha256(product.tobytes()).hexdigest(), close)
+"""
+
+
+class TestProduct:
+    def test_same_bits_at_one_and_two_threads_and_close_to_blas(self):
+        # OpenBLAS on 2 cores rounds both a @ b differently at one and at
+        # two threads; _product makes no BLAS call
+        digests = []
+        for threads in (1, 2):
+            code, out, err = run_child([], threads=threads, program=PRODUCT_BITS_SCRIPT)
+            assert code == 0, err
+            lines = [line.split() for line in out.splitlines()]
+            assert [close for _, close in lines] == ["True", "True"]
+            digests.append([digest for digest, _ in lines])
+        assert digests[0] == digests[1]
 
 
 def _precomposed_cases():
