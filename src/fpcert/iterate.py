@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .metrics import L2, NormSpec, _norm_fn, check_number
-from .operators import _image
+from .operators import _image, _steps
 
 __all__ = [
     "StopReason",
@@ -124,38 +124,37 @@ def picard(op, x0, max_iter, res_tol=0.0, ref=None, norm_spec=L2):
     start, raises no numpy warning during the run: those two outcomes
     report it.  The three rules are one scalar rule.
 
-    The arguments and the norm's kind and weight dimension are checked
-    once.  Every map runs through one loop: a block of steps at a time,
-    each iterate written into the first n columns of the next row of one
-    (min(ERROR_BLOCK, max_iter) + 1, n) buffer.  Only the block body
-    differs.  A map whose ``op.fn`` carries a block kernel ``walk``, an
-    affine map with no stage or with componentwise shrinkage (see
-    :mod:`fpcert.operators`), is handed the block's rows in one
-    ``walk(rows[:span], iterates[1:span + 1])`` call, which steps through
-    them in place; for an ``augmented`` walk the buffer is n + 1 wide, its
-    last column is set to 1 once, and ``iterates`` are the rows' first n
-    columns, else they are the rows.  The block's consecutive-row
-    differences, then, given ``ref``, its rows' differences to it ([ref; 1]
-    for an augmented walk), are written into one preallocated buffer of
-    2 * span rows as wide as the buffer's, each a subtraction of adjacent
-    elements, and one stack norm of their first n columns, read in place,
-    gives the block's residuals and errors.  One numpy pass over the
-    residuals flags the steps where the stop rule can act (a non-finite
-    residual, one above the guard, or one at ``res_tol``), and the scalar
-    rule reads the flagged steps in step order, so the run ends where a
-    step-by-step reading would end it.  A block after k steps holds
-    min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE)) steps, so the
-    kernel, which is pure, runs at most max(15, k / 8) steps past the
-    stopping step k; their values are discarded, and an overflow among
-    them raises nothing.  Any other map, a prox map, a composition or a user
-    callable, is called once a step and never past the stopping step: each
-    step calls ``op.fn`` on x0's copy or on its own last image, never on a
-    row of the buffer, converts its output to float, checks that it keeps
-    the iterate's shape (else the operator's named ``ValueError``), copies
-    it into the next row, takes its residual and reads the stop rule; the
-    errors of the block's steps are one stack norm against ``ref``.  Stack
-    norms equal vector norms row by row, so for every map residuals and
-    errors equal a loop of ``op(x)`` and ``metrics.norm`` bit for bit.
+    The arguments and the norm's kind and weight dimension are checked once.
+    Every map runs through one loop: a block of steps at a time, each
+    iterate written into the first n columns of the next row of one buffer
+    of min(ERROR_BLOCK, max_iter) + 1 rows.  Only the block body differs.  A
+    map whose ``op.fn`` :func:`fpcert.operators._steps` builds a block
+    kernel for, an affine map with no stage or with componentwise shrinkage,
+    takes its buffer from there too: its rows are laid out as the kernel
+    reads them, and the iterates are their first n columns.  It steps
+    through the block's rows in place in one ``walk(span)`` call.  The
+    block's consecutive-row differences, then, given ``ref``, its rows'
+    differences to ``ref`` followed by the rows' constant tail, are written
+    into one preallocated buffer of 2 * span rows as wide as the buffer's,
+    each a subtraction of adjacent elements, and one stack norm of their
+    first n columns, read in place, gives the block's residuals and errors.
+    One numpy pass over the residuals flags the steps where the stop rule
+    can act (a non-finite residual, one above the guard, or one at
+    ``res_tol``), and the scalar rule reads the flagged steps in step order,
+    so the run ends where a step-by-step reading would end it.  A block
+    after k steps holds min(ERROR_BLOCK, max(BLOCK_MIN, k // BLOCK_SHARE))
+    steps, so the kernel, which is pure, runs at most max(15, k / 8) steps
+    past the stopping step k; their values are discarded, and an overflow
+    among them raises nothing.  Any other map, a prox map, a composition or
+    a user callable, gets plain (n,) rows and is called once a step and
+    never past the stopping step: each step calls ``op.fn`` on x0's copy or
+    on its own last image, never on a row of the buffer, converts its output
+    to float, checks that it keeps the iterate's shape (else the operator's
+    named ``ValueError``), copies it into the next row, takes its residual
+    and reads the stop rule; the errors of the block's steps are one stack
+    norm against ``ref``.  Stack norms equal vector norms row by row, so for
+    every map residuals and errors equal a loop of ``op(x)`` and
+    ``metrics.norm`` bit for bit.
 
     Parameters
     ----------
@@ -216,35 +215,32 @@ def _stop(k, r, guard, res_tol, x_k):
 
 
 def _run(op, x, max_iter, res_tol, ref, dist):
-    """picard's loop: blocks of steps whose iterates fill the rows of one
-    buffer.
+    """picard's loop: blocks of steps whose iterates fill the first n
+    columns of the rows of one buffer.
 
-    A map with a block kernel ``walk`` writes a block in place in one call,
-    and its residuals and errors to ``ref`` are one stack norm of one
+    A map with a block kernel takes the kernel and the buffer from
+    :func:`fpcert.operators._steps` and writes a block in place in one
+    call; its residuals and errors to ``ref`` are one stack norm of one
     difference buffer per block, whose rows are whole buffer rows minus
-    whole buffer rows or [ref; 1]; any other map is called once a step, and
-    its errors are one stack norm per block.  An ``augmented`` walk's rows
-    are n + 1 wide and end in a 1, set once here; the iterates are the
-    rows' first n columns, whatever the width.  Returns the last iterate,
-    the residuals, the errors (None without ``ref``) and the stop reason
-    (None at ``max_iter``).
+    whole buffer rows or ``ref`` followed by the rows' constant tail.  Any
+    other map gets (height, n) rows and is called once a step, and its
+    errors are one stack norm per block.  Returns the last iterate, the
+    residuals, the errors (None without ``ref``) and the stop reason (None
+    at ``max_iter``).
     """
-    walk = getattr(op.fn, "walk", None)
-    augmented = getattr(walk, "augmented", False)
-    n = x.size
-    rows = np.empty((min(ERROR_BLOCK, max_iter) + 1, n + 1 if augmented else n))
-    rows[:, n:] = 1.0
+    n, size = x.size, min(ERROR_BLOCK, max_iter) + 1
+    walk, rows = _steps(op.fn, size) or (None, np.empty((size, n)))
     iterates = rows[:, :n]
     iterates[0] = x
-    views = list(rows)  # row views, indexed without numpy's dispatch
-    heads = list(iterates) if augmented else views  # the iterates
-    if walk is not None:
+    if walk is None:
+        views = list(rows)  # row views, indexed without numpy's dispatch
+    else:
         # a block's residuals, then its errors to ref, stacked, as differences
-        # of whole rows: an augmented row's trailing 1 takes away that of the
-        # row before it, or of [ref; 1], and the norm reads the first n columns
+        # of whole rows: a row's constant tail takes away that of the row
+        # before it, or of ref_row, and the norm reads the first n columns
         stacked = 1 if ref is None else 2
-        diffs = np.empty((stacked * (len(rows) - 1), rows.shape[1]))
-        wide_ref = np.append(ref, 1.0) if augmented and ref is not None else ref
+        diffs = np.empty((stacked * (size - 1), rows.shape[1]))
+        ref_row = None if ref is None else np.concatenate([ref, rows[0, n:]])
     residuals = []
     errors = None if ref is None else [dist(iterates[:1] - ref)]
     fn, shape, what = op.fn, x.shape, f"operator '{op.label}'"
@@ -252,12 +248,12 @@ def _run(op, x, max_iter, res_tol, ref, dist):
     guard = stop = None
     while stop is None and k < max_iter:
         if walk is not None:
-            span = min(len(rows) - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
-            walk(views[:span], heads[1:span + 1])
+            span = min(size - 1, max(BLOCK_MIN, k // BLOCK_SHARE), max_iter - k)
+            walk(span)
             steps = rows[1:span + 1]
             np.subtract(steps, rows[:span], out=diffs[:span])
             if ref is not None:
-                np.subtract(steps, wide_ref, out=diffs[span:2 * span])
+                np.subtract(steps, ref_row, out=diffs[span:2 * span])
             norms = dist(diffs[:stacked * span, :n])
             r = norms[:span]
             if k == 0:
@@ -268,7 +264,7 @@ def _run(op, x, max_iter, res_tol, ref, dist):
             flagged = ~np.isfinite(r) | (r > guard) | (r <= res_tol)
             height = span
             for j in flagged.nonzero()[0].tolist():
-                stop = _stop(k + j + 1, float(r[j]), guard, res_tol, heads[j + 1])
+                stop = _stop(k + j + 1, float(r[j]), guard, res_tol, iterates[j + 1])
                 if stop is not None:
                     height = j + 1
                     break

@@ -23,16 +23,17 @@ takes ``out``: a prox family's ``bind(t)`` is its kernel ``(x, out)`` at
 the scale t, its constants formed and checked once, and a family without
 ``bind`` is bound through a kernel that copies its image.
 
-Only an ``_affine`` map with no stage, or with the componentwise shrinkage
-as its stage or as its dual line's prox, carries a block kernel
-``fn.walk(xs, outs)``, which :func:`fpcert.iterate.picard` runs on a block
-of its buffer's rows at once.  It writes T ``xs[j]`` into ``outs[j]`` for
-j in order, each a C-contiguous (n,) float vector sharing no memory with
-its ``xs[j]``, so ``outs[j]`` may be ``xs[j + 1]``, with the bytes of
-``fn(x)``.  A walk marked ``augmented``, that of a matrix L, reads each
-``xs[j]`` as [x; 1], n + 1 wide with a trailing 1 that its caller sets,
-and writes the n-wide ``outs[j]``, which may be the first n entries of
-``xs[j + 1]``.
+Every ``_affine`` kernel carries its record ``fn.affine = (lin, shift,
+stage)``: ``lin`` as ``_affine`` stores it, [L | c] for a matrix, and the
+shift and the stage as given.  :func:`_steps` reads it when
+:func:`fpcert.iterate.picard` steps the map, and, for a map with no stage
+or with the componentwise shrinkage as its stage or as its dual line's
+prox, builds a buffer of rows, each holding an iterate x in its first n
+columns, and the block kernel ``walk(span)`` that steps through it in
+place: it writes T x of row j into row j + 1 for j = 0..span-1 in order,
+with the bytes of ``fn(x)``.  A matrix's rows are [x; 1], n + 1 wide,
+their trailing 1s set when the buffer is made; that layout is known here
+and nowhere else.
 
 The shrinkage and box kernels call numpy's ``clip`` ufunc itself, one pass,
 not the ``np.clip`` wrapper, which calls the same ufunc after a dispatch of
@@ -117,8 +118,8 @@ def _affine(lin, shift, stage=None, *families):
     product with [x; 1], taken by ``_matvec`` on a copy of x with a
     trailing 1, so the shift rides in the product.  The stage is the
     kernel of the prox ``families``, run as ``stage(out, out)``, or a
-    ``_DualLine``.  It carries ``into.walk``, the block kernel of
-    :func:`_affine_walk`, when there is one.
+    ``_DualLine``.  The kernel carries the record ``into.affine = (lin,
+    shift, stage)``, ``lin`` as stored here.
     """
     if lin.ndim == 2:
         lin = np.concatenate([lin, shift[:, None]], axis=1)
@@ -135,70 +136,74 @@ def _affine(lin, shift, stage=None, *families):
             out += shift
             return out if stage is None else stage(out, out)
 
-    walk = _affine_walk(lin, shift, stage)
-    if walk is not None:
-        into.walk = walk
+    into.affine = lin, shift, stage
     return _stackable(into, *families)
 
 
-def _affine_walk(lin, shift, stage):
-    """The block kernel of ``_affine(lin, shift, stage)``, whose ``lin`` is
-    stored as ``_affine`` stores it: one loop over the rows making the numpy
-    calls of the map's kernel on each, in the same order; None for a stage
-    other than the componentwise shrinkage (a kernel with ``threshold``)
-    or the dual line of that shrinkage.
+def _steps(fn, height):
+    """``(walk, rows)``: the block kernel of the map ``fn``, built from its
+    record ``fn.affine``, and the (height, width) buffer of rows it steps
+    through in place, each row an iterate x in its first n columns; None
+    for a map without the record, or with a stage other than the
+    componentwise shrinkage (a kernel with ``threshold``) or the dual line
+    of that shrinkage.  Each call builds a new kernel and buffer.
 
-    For a matrix, ``lin`` is [lin | shift] and the walk is marked
-    ``augmented``: each row ``xs[j]`` is [x; 1], n + 1 wide with a trailing
-    1 that the caller sets, ``outs[j]`` is n wide, and the affine image is
-    the one product ``lin.dot(xs[j], outs[j])``.  For a scale or a diagonal
-    it is ``np.multiply`` with ``lin`` and an in-place add of the shift, on
-    n-wide rows.  The product is bound once, its ``out`` passed by
-    position, which a row needs no contiguous copy for.  The shrinkage, as
-    the stage or as the dual line's prox, clips into one scratch row per
-    call and subtracts.  A dual line rides only on a matrix, so its body
-    adds no shift.
+    ``walk(span)`` is one loop over rows 0..span-1, writing T x of row j
+    into the first n columns of row j + 1 with the numpy calls of the
+    map's kernel, in the same order.  For a matrix, ``lin`` is
+    [lin | shift], a row is [x; 1], n + 1 wide, its trailing 1 set here,
+    and the affine image is the one product ``lin.dot(row, out)``.  For a
+    scale or a diagonal a row is x, and the image is ``np.multiply`` with
+    ``lin`` and an in-place add of the shift.  The product is bound once,
+    its ``out`` passed by position, which a row needs no contiguous copy
+    for.  The shrinkage, as the stage or as the dual line's prox, clips
+    into one scratch row per call and subtracts.  A dual line rides only on
+    a matrix, so its body adds no shift.
     """
+    lin, shift, stage = getattr(fn, "affine", (None, None, None))
     line = stage if isinstance(stage, _DualLine) else None
     bounds = getattr(stage if line is None else line.prox, "threshold", None)
-    if stage is not None and bounds is None:
+    if lin is None or stage is not None and bounds is None:
         return None
-    augmented = lin.ndim == 2
-    product = lin.dot if augmented else partial(np.multiply, lin)
-    add = None if augmented else np.add
+    n, matrix = len(shift), lin.ndim == 2
+    rows = np.empty((height, n + 1 if matrix else n))
+    rows[:, n:] = 1.0
+    xs = list(rows)  # row views, indexed without numpy's dispatch
+    outs = list(rows[:, :n]) if matrix else xs
+    product = lin.dot if matrix else partial(np.multiply, lin)
+    add = None if matrix else np.add
     subtract, multiply = np.subtract, np.multiply
     if stage is None:
-        def walk(xs, outs):
-            for x, out in zip(xs, outs):
+        def walk(span):
+            for x, out in zip(xs[:span], outs[1:span + 1]):
                 product(x, out)
                 if add:
                     add(out, shift, out)
     elif line is None:
         low, high = bounds
 
-        def walk(xs, outs):
-            clipped = np.empty(len(shift))
-            for x, out in zip(xs, outs):
+        def walk(span):
+            clipped = np.empty(n)
+            for x, out in zip(xs[:span], outs[1:span + 1]):
                 product(x, out)
                 if add:
                     add(out, shift, out)
                 _clip(out, low, high, clipped)
                 subtract(out, clipped, out)
     else:
-        n, (low, high) = line.n, bounds
+        (low, high), primal = bounds, line.n
         eta = np.array(line.eta, dtype=float)
 
-        def walk(xs, outs):
-            shrunk = np.empty(len(shift) - n)
-            for x, out in zip(xs, outs):
+        def walk(span):
+            shrunk = np.empty(n - primal)
+            for x, out in zip(xs[:span], outs[1:span + 1]):
                 product(x, out)
-                s = out[n:]
+                s = out[primal:]
                 _clip(s, low, high, shrunk)
                 subtract(s, shrunk, shrunk)  # the dual prox's image
                 subtract(s, shrunk, s)
                 multiply(s, eta, s)
-    walk.augmented = augmented
-    return walk
+    return walk, rows
 
 
 def _family(bind):
@@ -220,8 +225,8 @@ def _bind(prox, scale):
 
     It is the family's own binding, resolved once; else, for a callable
     without one, a kernel that writes the family's image after checking its
-    shape.  That copying kernel has no ``threshold``, so a map with it as
-    its stage carries no ``walk``.
+    shape.  That copying kernel has no ``threshold``, so :func:`_steps`
+    builds no block kernel for a map with it as its stage.
     """
     bind = getattr(prox, "bind", None)
     if bind is not None:
@@ -399,7 +404,7 @@ def box_prox(lower, upper):
 
 def prox_operator(prox, scale, dim, fixed_point_hint=None, label="prox"):
     """Wrap a prox family at a fixed scale as an Operator, whose ``fn`` is
-    the family's stage kernel at ``scale``; it carries no ``walk``."""
+    the family's stage kernel at ``scale``; it carries no ``affine`` record."""
     check_number("scale", scale)
     return Operator(dim, _stackable(_bind(prox, scale), prox), fixed_point_hint, label)
 

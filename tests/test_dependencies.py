@@ -241,24 +241,26 @@ def test_product_write_check_sees_makedirs_and_report_writers():
                                       (6, "_run_region"), (8, None)]
 
 
-def walk_assignments(source):
+def attribute_assignments(source, attr):
     """(line, enclosing top-level definition or None) of each assignment to
-    an attribute named ``walk``, a target of a tuple included."""
+    an attribute named ``attr``, a target of a tuple included."""
     return sorted(
         (node.lineno, getattr(top, "name", None))
         for top in ast.parse(source).body for node in ast.walk(top)
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         for leaf in ast.walk(target)
-        if isinstance(leaf, ast.Attribute) and leaf.attr == "walk"
+        if isinstance(leaf, ast.Attribute) and leaf.attr == attr
     )
 
 
 def test_operators_give_maps_a_walk_in_one_place():
-    # a block kernel is a second copy of its map's arithmetic; _affine alone
-    # hands one out, so no other map grows a walk that no run steps
+    # a map's block kernel is built from its record (lin, shift, stage)
+    # only when a run steps the map; _affine alone hangs the record on a
+    # map, and no map carries a prebuilt walk
     source = Path(fpcert.__file__).with_name("operators.py").read_text(encoding="utf-8")
-    assert {top for _, top in walk_assignments(source)} == {"_affine"}
+    assert {top for _, top in attribute_assignments(source, "affine")} == {"_affine"}
+    assert attribute_assignments(source, "walk") == []
 
 
 def test_walk_check_sees_walks_assigned_anywhere():
@@ -269,8 +271,16 @@ def test_walk_check_sees_walks_assigned_anywhere():
               "        fn.walk, fn.label = walk, 'prox'\n"
               "    fn.takes_stacks = True\n"
               "    walk = None\n"
-              "identity.walk: object = None\n")
-    assert walk_assignments(source) == [(2, "_affine"), (5, "prox_operator"), (8, None)]
+              "identity.walk: object = None\n"
+              "def compose(s, t):\n"
+              "    fn.affine = s.fn.affine\n"
+              "    (fn.label, fn.affine) = 'o', None\n"
+              "    affine = None\n"
+              "fn.affine: tuple = ()\n")
+    assert attribute_assignments(source, "walk") == [(2, "_affine"), (5, "prox_operator"),
+                                                     (8, None)]
+    assert attribute_assignments(source, "affine") == [(10, "compose"), (11, "compose"),
+                                                       (13, None)]
 
 
 PRODUCT_CALL = re.compile(r"\.dot$|(^|\.)(np|numpy)\.(matmul|inner)$")

@@ -31,6 +31,7 @@ from fpcert.metrics import L1, L2, norm, primal_dual_metric, weighted_norm
 from fpcert.operators import (
     Operator,
     _bind,
+    _steps,
     affine,
     box_prox,
     gradient_step,
@@ -202,10 +203,10 @@ def counting(prox, calls):
 
 
 def _walkless_maps(calls):
-    """The maps that carry no walk, by name, each stage counting its calls
-    in ``calls``: the stage maps but the two that walk, and a prox map of
-    each built-in family, whose l1 and l2 maps take thousands of steps to
-    absorb a start in [-3, 3]^5."""
+    """The maps that ``_steps`` builds no walk for, by name, each stage
+    counting its calls in ``calls``: the stage maps but the two that walk,
+    and a prox map of each built-in family, whose l1 and l2 maps take
+    thousands of steps to absorb a start in [-3, 3]^5."""
     def wrap(prox):
         return counting(prox, calls)
 
@@ -358,7 +359,7 @@ class TestPicardMatchesReferenceLoop:
                          "weighted": (analysis, weighted, zero),
                          "separable": (separable, L2, separable_ref),
                          "primal-dual": (analysis, L1, zero)}[kind]
-        assert op.fn.walk is not None
+        assert _steps(op.fn, 2) is not None
         x0 = np.random.default_rng(k_final).standard_normal(op.dim) * 3.0
         residuals, errors = reference_loop(op, x0, k_final, 0.0, ref, spec)
         if stop is StopReason.MAX_ITER:
@@ -445,7 +446,7 @@ class TestPicardMatchesReferenceLoop:
         # step 2 follows a finite first step
         for alpha, x0, step in [(1e300, [1e10], 1), (1e200, [1.0], 2)]:
             op = affine(alpha, [0.0])
-            assert op.fn.walk is not None
+            assert _steps(op.fn, 2) is not None
             for ref in [None, [0.0]]:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -531,8 +532,9 @@ class TestPicardMatchesReferenceLoop:
 class TestConcurrentRuns:
     @pytest.mark.parametrize("kind", ["least-squares", "separable", "primal-dual"])
     def test_two_threads_on_one_map_each_give_the_run_made_alone(self, kind):
-        # a block kernel keeps its scratch row inside one walk call, so two
-        # runs of one shared map at once keep the bytes each makes alone.
+        # each run builds its own block kernel and buffer, and a kernel
+        # keeps its scratch row inside one walk call, so two runs of one
+        # shared map at once keep the bytes each makes alone.
         # Python switches threads only between a walk's steps, but numpy
         # lets the other thread run inside a ufunc call on more than 500
         # elements, as on the 5000 coordinates of the separable map, whose
@@ -653,6 +655,32 @@ print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
 """
 
 
+# a child's program: 3000-step picard traces, in l2 and l1 with a fixed
+# reference, of the least-squares map of A = 2 I over 0.3 * default_rng(7)
+# .standard_normal((20, n)), b = ones, at n = 200 and 300, printing each
+# trace's SHA-256.  Its H, g and gradient constant (the squared Frobenius
+# norm, an upper bound of |A|_2^2) are taken without the SVD of
+# least_squares_problem, so only picard's per-step path makes BLAS calls
+SVD_FREE_TRACES_SCRIPT = """
+import hashlib
+import numpy as np
+from fpcert.iterate import picard
+from fpcert.metrics import L1, L2
+from fpcert.problems import ProblemSpec, _product, build_operator
+for n in (200, 300):
+    a = np.vstack([2.0 * np.eye(n), 0.3 * np.random.default_rng(7).standard_normal((20, n))])
+    b = np.ones(n + 20)
+    problem = ProblemSpec(kind="least_squares", lipschitz=float(np.einsum("ij,ij->", a, a)),
+                          dims=(n, 0), quadratic=(_product(a.T, a), _product(a.T, b)))
+    op = build_operator(problem, hint=None)
+    for norm_spec in (L2, L1):
+        trace = picard(op, np.zeros(n), 3000, ref=np.full(n, 0.25), norm_spec=norm_spec)
+        digest = hashlib.sha256(trace.residuals.tobytes() + trace.errors_to_ref.tobytes()
+                                + trace.x_final.tobytes())
+        print(n, norm_spec.kind, trace.k_final, digest.hexdigest())
+"""
+
+
 class TestBlasThreadCount:
     def test_fits_have_the_same_bits_at_one_and_two_threads(self):
         # a BLAS dot product over 20 000 points is split across threads, and
@@ -701,6 +729,22 @@ class TestBlasThreadCount:
                              for path in sorted(Path(argv[-1]).iterdir())})
         assert len(products[0]) == 20 and products[0].keys() == products[1].keys()
         assert [key for key in products[0] if products[0][key] != products[1][key]] == []
+
+    def test_svd_free_traces_have_the_same_bytes_at_one_and_two_threads(self):
+        # from n = 200 the SVD of least_squares_problem has other bits at
+        # each thread count, and so H, g, the solution and every file after
+        # them; without it picard's per-step path, the map's n x (n + 1)
+        # product on [x; 1] and the stacked block norms, keeps its bytes at
+        # n = 200 and 300.  One child per thread count
+        outputs = []
+        for threads in (1, 2):
+            code, out, err = run_child([], threads=threads, program=SVD_FREE_TRACES_SCRIPT)
+            assert code == 0, err
+            outputs.append(out)
+        assert [line.split()[:3] for line in outputs[0].splitlines()] == [
+            ["200", "l2", "3000"], ["200", "l1", "3000"],
+            ["300", "l2", "3000"], ["300", "l1", "3000"]]
+        assert outputs[0] == outputs[1]
 
 
 class TestLittleOProxy:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpcert.certify import SamplingPlan, certify
+from fpcert.iterate import picard
 from fpcert.metrics import L1, L2, NotPositiveDefiniteError, norm
 from fpcert.operators import (
     Operator,
     _affine,
+    _steps,
     affine,
     block_soft_threshold,
     box_prox,
@@ -611,23 +615,22 @@ WALK_MAPS.update({name: stage for name, stage in stage_maps().items()
                   if name in ("stage_none_diagonal", "stage_soft_matrix")})
 
 
-def _walk_rows(fn, xs):
-    """The rows ``fn.walk`` reads for the iterates ``xs``: ``xs`` itself, or
-    [x; 1] for each x when the walk is ``augmented``."""
-    if not getattr(fn.walk, "augmented", False):
-        return xs
-    return np.hstack([xs, np.ones((len(xs), 1))])
+# the _affine maps without a stage, whose record is the whole map
+RECORD_MAPS = ["identity", "affine", "build_least_squares", "grad_f", "grad_f_diagonal",
+               "stage_none_diagonal"]
 
 
 class TestKernels:
     def test_exactly_the_maps_the_workloads_step_carry_a_walk(self):
-        # the gradient, l1 forward-backward and primal-dual maps walk; the
-        # prox maps, the other stages and the maps of user callables do not
+        # every _affine kernel carries its record, and _steps builds a walk
+        # for the gradient, l1 forward-backward and primal-dual maps; the
+        # prox maps, the other stages and the maps of user callables get
+        # none, and no map carries a walk of its own
         maps = {name: op.fn for name, op in STACK_CASES.items()}
         maps.update(KERNEL_MAPS)
         maps.update({name: fn for name, (fn, _) in stage_maps().items()})
         maps["user_callable"] = Operator(5, declared(lambda x: 0.5 * x)).fn
-        walking = {name for name, fn in maps.items() if hasattr(fn, "walk")}
+        walking = {name for name, fn in maps.items() if _steps(fn, 2) is not None}
         assert walking == {"identity", "affine", "build_least_squares",
                            "build_separable", "build_analysis_l1", "grad_f",
                            "grad_f_diagonal", "stage_none_diagonal", "stage_soft_matrix"}
@@ -636,35 +639,88 @@ class TestKernels:
             "stage_block_shrinkage", "stage_user_family", "stage_dual_block_shrinkage",
             "stage_dual_user_family", "user_callable", "compose", "gradient_step",
             "proximal_gradient", "primal_dual"}
-        assert not any(hasattr(fn, "into") for fn in maps.values())
+        recorded = {name for name, fn in maps.items() if hasattr(fn, "affine")}
+        assert recorded == walking | {name for name in maps if name.startswith("stage_")}
+        assert not any(hasattr(fn, "into") or hasattr(fn, "walk") for fn in maps.values())
+
+    @pytest.mark.parametrize("name", RECORD_MAPS)
+    def test_the_record_of_a_map_without_a_stage_is_the_map(self, name):
+        # fn(x) is the record's own product with its stored float data, by
+        # bytes, zeros' signs included: lin.dot([x; 1]) for a matrix, whose
+        # last column is the shift, and lin * x + shift otherwise
+        fn, dim = WALK_MAPS[name]
+        lin, shift, stage = fn.affine
+        assert stage is None and shift.shape == (dim,)
+        if lin.ndim == 2:
+            assert lin.shape == (dim, dim + 1)
+            assert lin[:, -1].tobytes() == shift.tobytes()
+        for seed in range(10):
+            for x in _kernel_stack(dim, seed):
+                want = lin.dot(np.append(x, 1.0)) if lin.ndim == 2 else lin * x + shift
+                assert fn(x).tobytes() == want.tobytes()
+
+    def test_only_a_run_builds_a_block_kernel(self, monkeypatch):
+        # building maps and certifying them builds no walk; picard asks
+        # _steps once per run, and a map without a record gets none
+        built = []
+
+        def counting(fn, height):
+            built.append(fn)
+            return _steps(fn, height)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("fpcert") and hasattr(module, "_steps"):
+                monkeypatch.setattr(module, "_steps", counting)
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((12, 5)), rng.standard_normal(12)
+        ops = [build_operator(least_squares_problem(a, b)),
+               build_operator(separable_smooth_l1_problem(rng.uniform(0.5, 2.0, 5),
+                                                          b[:5], 0.3)),
+               build_operator(analysis_l1_problem(a, b, 0.3 * rng.standard_normal((3, 5)),
+                                                  0.3)),
+               affine(0.5, np.ones(4)), identity(3)]
+        for op in ops:
+            assert not hasattr(op.fn, "walk")
+            certify(op, "nonexpansive", {}, plan=SamplingPlan(n_pairs=20, seed=1))
+        assert built == []
+        prox = prox_operator(l1_prox(0.3), 1.0, 5)
+        for op in ops + [prox]:
+            for max_iter in (3, 600):
+                picard(op, np.ones(op.dim), max_iter)
+        assert built == [op.fn for op in ops + [prox] for _ in range(2)]
 
     @pytest.mark.parametrize("name", sorted(WALK_MAPS))
     def test_walk_writes_the_bytes_of_a_kernel_loop(self, name):
-        # walk(xs, outs) and a loop of fn(x) over the same rows agree by
-        # bytes, zeros' signs included; outs start as NaN, so a walk that
+        # a walk of one step from a row holding x and fn(x) agree by bytes,
+        # zeros' signs included; the next row starts as NaN, so a walk that
         # leaves an entry unwritten fails
         fn, dim = WALK_MAPS[name]
+        walk, rows = _steps(fn, 2)
         for seed in range(10):
-            xs = _kernel_stack(dim, seed)
-            outs = np.full_like(xs, np.nan)
-            assert fn.walk(list(_walk_rows(fn, xs)), list(outs)) is None
-            assert outs.tobytes() == np.array([fn(x) for x in xs]).tobytes()
+            for x in _kernel_stack(dim, seed):
+                rows[0, :dim], rows[1, :dim] = x, np.nan
+                assert walk(1) is None
+                assert rows[1, :dim].tobytes() == fn(x).tobytes()
 
     @pytest.mark.parametrize("name", sorted(WALK_MAPS))
     def test_walk_steps_along_the_rows_it_writes(self, name):
         # picard's call: each row written is the next row read, so the walk
-        # gives the iterates of fn from the first row; an augmented walk
-        # reads rows [x; 1] and writes their first dim columns
+        # gives the iterates of fn from the first row in the rows' first
+        # dim columns; the buffer's columns past dim (a matrix's trailing
+        # 1s) stay as the buffer came, and rows past the span are untouched
         fn, dim = WALK_MAPS[name]
         for seed in range(5):
-            rows = _walk_rows(fn, np.full((34, dim), np.nan))
+            walk, rows = _steps(fn, 35)
+            tail = rows[:, dim:].copy()
+            rows[:, :dim] = np.nan
             rows[0, :dim] = _kernel_stack(dim, seed)[4 + seed]
-            fn.walk(list(rows[:33]), list(rows[1:, :dim]))
+            walk(33)
             x = rows[0, :dim]
-            for row in rows[1:, :dim]:
+            for row in rows[1:34, :dim]:
                 x = fn(x)
                 assert row.tobytes() == x.tobytes()
-            assert (rows[:, dim:] == 1.0).all()
+            assert np.isnan(rows[34, :dim]).all()
+            assert (tail == 1.0).all() and rows[:, dim:].tobytes() == tail.tobytes()
 
     @pytest.mark.parametrize("name", PROX_MAPS)
     def test_kernel_writes_the_image_bit_for_bit(self, name):
